@@ -37,7 +37,7 @@ from .fock_oracle import (
     verify_anticommutation,
     verify_equivalence,
 )
-from .pauli import PauliString, QubitOperator, cphase_expand, count_stats, extract, pauli_mul
+from .pauli import PauliString, QubitOperator, cphase_expand, extract, pauli_mul
 from .transform import (
     FermionHamiltonian,
     FermionTerm,

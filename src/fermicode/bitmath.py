@@ -297,19 +297,6 @@ class BoolPoly:
         return cls(num_vars, (1 << (j - 1),))
 
     @classmethod
-    def from_monomials(cls, num_vars: int, monomials: Iterable[Iterable[int]]) -> "BoolPoly":
-        """Build from monomials given as collections of 1-based variable indices."""
-        masks = []
-        for mono in monomials:
-            m = 0
-            for j in mono:
-                if not 1 <= j <= num_vars:
-                    raise IndexError(f"variable {j} outside 1..{num_vars}")
-                m |= 1 << (j - 1)
-            masks.append(m)
-        return cls(num_vars, masks)
-
-    @classmethod
     def linear(cls, coeffs: BitVec, constant: int = 0) -> "BoolPoly":
         """Affine function ``constant + sum_j coeffs_j x_j``."""
         masks = [1 << j for j in range(coeffs.n) if (coeffs.value >> j) & 1]

@@ -42,7 +42,7 @@ class Code:
     matrix: BitMat | None = None
     matrix_inv: BitMat | None = None
     _cache: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
+        default_factory=dict, init=False, compare=False, repr=False, hash=False
     )
 
     def __post_init__(self):
@@ -107,18 +107,6 @@ class Code:
     @property
     def encode_is_linear(self) -> bool:
         return all(p.is_linear() for p in self.encode)
-
-    @property
-    def decode_is_linear(self) -> bool:
-        return all(p.is_linear() for p in self.decode)
-
-    def encode_matrix(self) -> BitMat:
-        """Degree-1 coefficient matrix of the encoding (valid when linear)."""
-        if not self.encode_is_linear:
-            raise UnsupportedCodeError("encoding is nonlinear")
-        return BitMat.from_int_rows(
-            [p.linear_mask() for p in self.encode], self.n_modes
-        )
 
     def encode_linear_action(self, q: BitVec) -> BitVec:
         """Linear part of the encoding applied to ``q`` (affine part dropped)."""

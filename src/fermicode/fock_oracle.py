@@ -1,15 +1,20 @@
 """Ground-truth fermionic semantics and transform verification.
 
-Operator sequences act on occupation bit-vectors with exact anticommutation
-signs; qubit operators act on sparse basis-state superpositions. Verification
-encodes each fermionic image and compares it amplitude by amplitude with the
-qubit-side action, flagging Hamiltonians whose image leaves the encoded basis.
+Two kernels hold all the action code: ``_fermion_image`` applies ladder-
+operator products to one occupation state with exact anticommutation signs,
+and ``_pauli_image`` applies Pauli strings to one computational basis word.
+Each maps a packed basis state to its unfiltered image; the sparse-vector
+helpers, ``fock_matrix`` and ``verify_equivalence`` are built on them.
+Verification encodes each fermionic image and compares it amplitude by
+amplitude with the qubit-side action, flagging Hamiltonians whose image
+leaves the encoded basis.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -20,100 +25,111 @@ from .pauli import QubitOperator
 from .transform import FermionHamiltonian, FermionTerm, transform_op_linear
 
 
+def _pack_terms(terms: Iterable[FermionTerm]) -> list[tuple[complex, list]]:
+    """(coeff, [(mode bit, is_creation), ...] in application order) per term."""
+    return [(t.coeff, [(1 << (m - 1), d) for m, d in reversed(t.ops)]) for t in terms]
+
+
+def _fermion_image(occ0: int, terms: list) -> dict[int, complex]:
+    """Image of occupation state ``occ0`` under a sum of packed terms.
+
+    Operators act right to left; each one contributes the parity sign of the
+    occupied modes below it and flips its mode, or annihilates the state.
+    """
+    out: dict[int, complex] = {}
+    for coeff, ops in terms:
+        occ = occ0
+        sign = 1
+        for bit, dagger in ops:
+            if dagger == bool(occ & bit):
+                break
+            if (occ & (bit - 1)).bit_count() & 1:
+                sign = -sign
+            occ ^= bit
+        else:
+            out[occ] = out.get(occ, 0.0) + sign * coeff
+    return out
+
+
+def _pack_strings(op: QubitOperator) -> list[tuple[int, int, complex, complex]]:
+    """(x mask, z mask, i**y, coeff) per Pauli string of ``op``."""
+    return [(s.x, s.z, 1j ** s.y_count(), c) for s, c in op.terms.items()]
+
+
+def _pauli_image(word: int, strings: list) -> dict[int, complex]:
+    """Image of basis word ``word`` under a sum of packed Pauli strings.
+
+    X flips, Z signs, Y contributes i times sign-then-flip.
+    """
+    out: dict[int, complex] = {}
+    for x, z, unit, coeff in strings:
+        phase = unit * (-1.0 if (word & z).bit_count() & 1 else 1.0)
+        nb = word ^ x
+        out[nb] = out.get(nb, 0.0) + coeff * phase
+    return out
+
+
+def _apply_sparse(image, packed: list, amplitudes: dict, n: int) -> dict[BitVec, complex]:
+    """Linear extension of a kernel over a sparse state, pruned at 1e-15."""
+    out: dict[int, complex] = {}
+    for key, amp in amplitudes.items():
+        for k, v in image(key.value, packed).items():
+            out[k] = out.get(k, 0.0) + amp * v
+    return {BitVec.from_int(k, n): v for k, v in out.items() if abs(v) > 1e-15}
+
+
+class _SparseState:
+    """Shared constructor and comparison of the two sparse state types."""
+
+    @classmethod
+    def basis_state(cls, word: BitVec):
+        return cls(word.n, {word: 1.0 + 0.0j})
+
+    def isclose(self, other, atol: float = 1e-9) -> bool:
+        keys = self.amplitudes.keys() | other.amplitudes.keys()
+        return all(
+            abs(self.amplitudes.get(k, 0.0) - other.amplitudes.get(k, 0.0)) <= atol
+            for k in keys
+        )
+
+
 @dataclass(frozen=True)
-class FockStateVector:
+class FockStateVector(_SparseState):
     """Sparse amplitudes over occupation vectors."""
 
     n_modes: int
     amplitudes: dict[BitVec, complex] = field(default_factory=dict)
 
-    @classmethod
-    def basis_state(cls, nu: BitVec) -> "FockStateVector":
-        return cls(nu.n, {nu: 1.0 + 0.0j})
-
-    def isclose(self, other: "FockStateVector", atol: float = 1e-9) -> bool:
-        keys = self.amplitudes.keys() | other.amplitudes.keys()
-        return all(
-            abs(self.amplitudes.get(k, 0.0) - other.amplitudes.get(k, 0.0)) <= atol
-            for k in keys
-        )
-
 
 @dataclass(frozen=True)
-class QubitStateVector:
+class QubitStateVector(_SparseState):
     """Sparse amplitudes over computational basis words."""
 
     n_qubits: int
     amplitudes: dict[BitVec, complex] = field(default_factory=dict)
 
-    @classmethod
-    def basis_state(cls, omega: BitVec) -> "QubitStateVector":
-        return cls(omega.n, {omega: 1.0 + 0.0j})
-
-    def isclose(self, other: "QubitStateVector", atol: float = 1e-9) -> bool:
-        keys = self.amplitudes.keys() | other.amplitudes.keys()
-        return all(
-            abs(self.amplitudes.get(k, 0.0) - other.amplitudes.get(k, 0.0)) <= atol
-            for k in keys
-        )
-
 
 def apply_fermion_term(
     term: FermionTerm, nu: BitVec
 ) -> tuple[complex, BitVec] | None:
-    """Image of one basis state under a ladder-operator product.
-
-    Operators act right to left; each one contributes the parity sign of the
-    occupied modes below it and flips its mode, or annihilates the state.
-    Returns None when annihilated.
-    """
-    occ = nu.value
-    sign = 1
-    for mode, dagger in reversed(term.ops):
-        bit = 1 << (mode - 1)
-        occupied = occ & bit
-        if dagger == bool(occupied):
-            return None
-        if (occ & (bit - 1)).bit_count() & 1:
-            sign = -sign
-        occ ^= bit
-    return sign * term.coeff, BitVec.from_int(occ, nu.n)
+    """Image (coefficient, state) of one basis state; None when annihilated."""
+    for occ, coeff in _fermion_image(nu.value, _pack_terms([term])).items():
+        return coeff, BitVec.from_int(occ, nu.n)
+    return None
 
 
 def apply_hamiltonian_fock(h: FermionHamiltonian, state: FockStateVector) -> FockStateVector:
     if h.n_modes != state.n_modes:
         raise DimensionError("mode count mismatch")
-    out: dict[BitVec, complex] = {}
-    for nu, amp in state.amplitudes.items():
-        for term in h.terms:
-            hit = apply_fermion_term(term, nu)
-            if hit is None:
-                continue
-            coeff, image = hit
-            v = out.get(image, 0.0) + amp * coeff
-            if v == 0:
-                out.pop(image, None)
-            else:
-                out[image] = v
-    return FockStateVector(h.n_modes, {k: v for k, v in out.items() if abs(v) > 1e-15})
+    out = _apply_sparse(_fermion_image, _pack_terms(h.terms), state.amplitudes, h.n_modes)
+    return FockStateVector(h.n_modes, out)
 
 
 def apply_qubit_operator(op: QubitOperator, state: QubitStateVector) -> QubitStateVector:
-    """Linear action: X flips, Z signs, Y contributes i times sign-then-flip."""
     if op.n != state.n_qubits:
         raise DimensionError("qubit count mismatch")
-    out: dict[int, complex] = {}
-    strings = [(s.x, s.z, 1j ** s.y_count(), c) for s, c in op.terms.items()]
-    for key, amp in state.amplitudes.items():
-        b = key.value
-        for x, z, unit, coeff in strings:
-            phase = unit * (-1.0 if (b & z).bit_count() & 1 else 1.0)
-            nb = b ^ x
-            out[nb] = out.get(nb, 0.0) + amp * coeff * phase
-    kept = {
-        BitVec.from_int(b, op.n): v for b, v in out.items() if abs(v) > 1e-15
-    }
-    return QubitStateVector(op.n, kept)
+    out = _apply_sparse(_pauli_image, _pack_strings(op), state.amplitudes, op.n)
+    return QubitStateVector(op.n, out)
 
 
 @dataclass
@@ -162,10 +178,8 @@ def verify_equivalence(
     """
     if h.n_modes != code.n_modes or hq.n != code.n_qubits:
         raise DimensionError("code, Hamiltonian, and operator sizes must agree")
-    strings = [(s.x, s.z, 1j ** s.y_count(), c) for s, c in hq.terms.items()]
-    term_ops = [
-        (t.coeff, [(1 << (m - 1), d) for m, d in reversed(t.ops)]) for t in h.terms
-    ]
+    strings = _pack_strings(hq)
+    terms = _pack_terms(h.terms)
     encode_cache: dict[int, int] = {}
     in_basis_cache: dict[int, bool] = {}
 
@@ -188,23 +202,8 @@ def verify_equivalence(
     failures: list[dict] = []
     escapes: list[dict] = []
     for nu in basis:
-        occ0 = nu.value
-        expected: dict[int, complex] = {}
-        for coeff, ops in term_ops:
-            occ = occ0
-            sign = 1
-            dead = False
-            for bit, dagger in ops:
-                if dagger == bool(occ & bit):
-                    dead = True
-                    break
-                if (occ & (bit - 1)).bit_count() & 1:
-                    sign = -sign
-                occ ^= bit
-            if dead:
-                continue
-            expected[occ] = expected.get(occ, 0.0) + sign * coeff
-        expected = {k: v for k, v in expected.items() if abs(v) > 1e-13}
+        image = _fermion_image(nu.value, terms)
+        expected = {k: v for k, v in image.items() if abs(v) > 1e-13}
         bad = [k for k in expected if not in_basis(k)]
         if bad:
             escapes.append(
@@ -219,12 +218,7 @@ def verify_equivalence(
         for k, v in expected.items():
             ek = encoded(k)
             expected_q[ek] = expected_q.get(ek, 0.0) + v
-        w0 = encoded(occ0)
-        actual: dict[int, complex] = {}
-        for x, z, unit, coeff in strings:
-            phase = unit * (-1.0 if (w0 & z).bit_count() & 1 else 1.0)
-            nb = w0 ^ x
-            actual[nb] = actual.get(nb, 0.0) + coeff * phase
+        actual = _pauli_image(encoded(nu.value), strings)
         dev = 0.0
         for k in expected_q.keys() | actual.keys():
             dev = max(dev, abs(expected_q.get(k, 0.0) - actual.get(k, 0.0)))
@@ -286,15 +280,20 @@ def verify_anticommutation(code: Code, atol: float = 1e-12) -> AnticommutationRe
 
 def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
     """Dense matrix of the Hamiltonian over an occupation basis list."""
-    index = {nu: i for i, nu in enumerate(basis)}
+    index = {nu.value: i for i, nu in enumerate(basis)}
+    terms = _pack_terms(h.terms)
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     for col, nu in enumerate(basis):
-        image = apply_hamiltonian_fock(h, FockStateVector.basis_state(nu))
-        for mu, amp in image.amplitudes.items():
+        if nu.n != h.n_modes:
+            raise DimensionError("mode count mismatch")
+        for mu, amp in _fermion_image(nu.value, terms).items():
+            if abs(amp) <= 1e-15:
+                continue
             row = index.get(mu)
             if row is None:
                 raise ValueError(
-                    f"Hamiltonian maps {nu} outside the given basis (to {mu})"
+                    f"Hamiltonian maps {nu} outside the given basis "
+                    f"(to {BitVec.from_int(mu, h.n_modes)})"
                 )
             out[row, col] = amp
     return out

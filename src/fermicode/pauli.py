@@ -90,11 +90,6 @@ class PauliString:
     def y_count(self) -> int:
         return (self.x & self.z).bit_count()
 
-    def apply_int(self, basis: int) -> tuple[complex, int]:
-        """Image of basis state ``|basis>`` (packed bits): (amplitude, new basis)."""
-        k = (self.y_count() + 2 * (basis & self.z).bit_count()) & 3
-        return _PHASES[k], basis ^ self.x
-
     def text(self) -> str:
         if self.is_identity():
             return "I"
@@ -359,10 +354,6 @@ class QubitOperator:
             for s in sorted(self.terms, key=PauliString.sort_key)
         )
         return f"QubitOperator({self.n}, {body or '0'})"
-
-
-def count_stats(op: QubitOperator) -> tuple[int, int]:
-    return op.stats()
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:

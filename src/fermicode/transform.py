@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedCodeError,
 )
 from .pauli import (
+    _GRID_CAP,
     PauliString,
     QubitOperator,
     _diagonal_from_values,
@@ -258,29 +259,25 @@ def _diagonal_part(
     budget: int,
     prune_epsilon: float,
 ) -> QubitOperator:
-    """Product of occupation projectors and parity extractions for one term."""
+    """Product of occupation projectors and parity extractions for one term.
+
+    Nonlinear factors over a small joint support are multiplied as truth
+    tables and expanded once; everything else multiplies extracted operators.
+    """
     n = code.n_qubits
     parity = poly_sum((parity_function(code, m) for m, _ in ops), n)
     decodes = [code.decode[m - 1] for m, _ in ops]
 
-    if parity.is_linear() and all(d.is_linear() for d in decodes):
-        op = extract(parity, n, prune_epsilon, budget)
-        for d, s in zip(decodes, signs):
-            proj = QubitOperator.identity(n, 0.5, prune_epsilon) + (-0.5 * s) * extract(
-                d, n, prune_epsilon, budget
-            )
-            op = proj.mul(op, budget=budget)
-        return op
-
-    support_mask = parity.support()
-    for d in decodes:
-        support_mask |= d.support()
-    support = [j + 1 for j in range(n) if (support_mask >> j) & 1]
-    if len(support) <= 16:
-        values = (1.0 - 2.0 * poly_table(parity, support)).astype(float)
-        for d, s in zip(decodes, signs):
-            values = values * 0.5 * (1.0 - s * (1.0 - 2.0 * poly_table(d, support)))
-        return _diagonal_from_values(n, support, values, prune_epsilon, budget)
+    if not (parity.is_linear() and all(d.is_linear() for d in decodes)):
+        support_mask = parity.support()
+        for d in decodes:
+            support_mask |= d.support()
+        support = [j + 1 for j in range(n) if (support_mask >> j) & 1]
+        if len(support) <= _GRID_CAP:
+            values = (1.0 - 2.0 * poly_table(parity, support)).astype(float)
+            for d, s in zip(decodes, signs):
+                values = values * 0.5 * (1.0 - s * (1.0 - 2.0 * poly_table(d, support)))
+            return _diagonal_from_values(n, support, values, prune_epsilon, budget)
 
     op = extract(parity, n, prune_epsilon, budget)
     for d, s in zip(decodes, signs):
@@ -431,23 +428,14 @@ def transform_single_two_codes(
     if code_even.n_qubits != code_odd.n_qubits or code_even.n_modes != code_odd.n_modes:
         raise DimensionError("sector codes must share mode and qubit counts")
     budget = DEFAULT_BUDGET if budget is None else budget
-    n = code_even.n_qubits
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
-    sign = -1.0 if dagger else 1.0  # projector selects d_j = 0 for creation
-    proj = QubitOperator.identity(n, 0.5, prune_epsilon) + (-0.5 * sign) * extract(
-        incoming.decode[j - 1], n, prune_epsilon, budget
-    )
-    parity = extract(parity_function(incoming, j), n, prune_epsilon, budget)
+    ops = ((j, dagger),)
+    _, signs = _term_signs(ops)
+    diag = _diagonal_part(incoming, ops, signs, budget, prune_epsilon)
     q = BitVec.unit(code_even.n_modes, j)
     eps = _epsilon_polys(incoming.decode, outgoing.encode, q, budget)
-    if all(e.degree() == 0 for e in eps):
-        mask = 0
-        for i, e in enumerate(eps):
-            mask |= e.constant_part() << i
-        update = QubitOperator.x_string(n, mask, 1.0, prune_epsilon)
-    else:
-        update = _update_from_epsilon(n, eps, budget, prune_epsilon)
-    return update.mul(proj.mul(parity, budget=budget), budget=budget)
+    update = _update_from_epsilon(code_even.n_qubits, eps, budget, prune_epsilon)
+    return update.mul(diag, budget=budget)
 
 
 def transform_pair(
@@ -458,26 +446,8 @@ def transform_pair(
     prune_epsilon: float = 1e-12,
 ) -> QubitOperator:
     """Hopping block c_i^dag c_j for particle-conserving Hamiltonians."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    n = code.n_qubits
-    if i == j:
-        return QubitOperator.identity(n, 0.5, prune_epsilon) + (-0.5) * extract(
-            code.decode[j - 1], n, prune_epsilon, budget
-        )
-    parity = extract(
-        parity_function(code, i) + parity_function(code, j), n, prune_epsilon, budget
-    )
-    proj_i = QubitOperator.identity(n, 1.0, prune_epsilon) + extract(
-        code.decode[i - 1], n, prune_epsilon, budget
-    )
-    proj_j = QubitOperator.identity(n, 1.0, prune_epsilon) + (-1.0) * extract(
-        code.decode[j - 1], n, prune_epsilon, budget
-    )
-    q = BitVec.unit(code.n_modes, i) + BitVec.unit(code.n_modes, j)
-    update = update_operator(code, q, budget, prune_epsilon)
-    sign = -1.0 if i > j else 1.0
-    diag = parity.mul(proj_i, budget=budget).mul(proj_j, budget=budget)
-    return (0.25 * sign) * update.mul(diag, budget=budget)
+    term = FermionTerm.of(1.0, (i, True), (j, False))
+    return transform_term(code, term, budget, prune_epsilon)
 
 
 # -- reordering and segment dressing --------------------------------------------

@@ -227,6 +227,19 @@ class TestEquivalence:
         report2 = verify_equivalence(code, adjusted, hq2, basis)
         assert report2.ok
 
+    def test_shifted_operator_fails_on_every_state(self):
+        delta = 0.125
+        h = hubbard_hamiltonian(1, 2, 1.0, 1.0, periodic_lateral=False)
+        code = jordan_wigner(4)
+        basis = [BitVec.from_int(v, 4) for v in range(16)]
+        hq = transform_hamiltonian(code, h)
+        assert verify_equivalence(code, h, hq, basis).max_deviation == 0.0
+        shifted = hq + QubitOperator.identity(4, delta)
+        report = verify_equivalence(code, h, shifted, basis)
+        assert report.status == "fail"
+        assert report.max_deviation == delta
+        assert [f["nu"] for f in report.failures] == [str(nu) for nu in basis]
+
     def test_report_json_shape(self):
         import json
 

@@ -3,13 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from fermicode.bitmath import BoolPoly
+from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.errors import DimensionError
+from fermicode.fock_oracle import QubitStateVector, apply_qubit_operator
 from fermicode.pauli import (
     PauliString,
     QubitOperator,
     cphase_expand,
-    count_stats,
     extract,
     pauli_mul,
 )
@@ -172,7 +172,7 @@ class TestHermiticityAndStats:
 
     def test_stats_examples(self):
         p = QubitOperator.identity(1, 0.5) + QubitOperator.z_string(1, 1, -0.5)
-        assert count_stats(p) == (2, 1)
+        assert p.stats() == (2, 1)
         assert QubitOperator.zero(3).stats() == (0, 0)
         h2_like = QubitOperator(
             2,
@@ -223,7 +223,9 @@ class TestSerialization:
         m = op.to_matrix()
         for b in range(4):
             col = np.zeros(4, dtype=complex)
+            state = QubitStateVector.basis_state(BitVec.from_int(b, 2))
             for s, c in op.terms.items():
-                phase, nb = s.apply_int(b)
-                col[nb] += c * phase
+                image = apply_qubit_operator(QubitOperator.from_string(s), state)
+                for nb, phase in image.amplitudes.items():
+                    col[nb.value] += c * phase
             assert np.allclose(m[:, b], col, atol=1e-12)

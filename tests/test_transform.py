@@ -57,6 +57,14 @@ class TestParityFunction:
         c = checksum_code(4, "even")
         assert parity_function(c, 4) == BoolPoly.from_text(3, "x1 + x2 + x3")
 
+    def test_replaced_code_gets_fresh_cache(self):
+        from dataclasses import replace
+
+        jw = jordan_wigner(4)
+        assert parity_function(jw, 3) == BoolPoly.from_text(4, "x1 + x2")
+        zeros = replace(jw, decode=tuple(BoolPoly.zero(4) for _ in range(4)))
+        assert parity_function(zeros, 3).is_zero()
+
 
 class TestUpdateEpsilon:
     def test_jw_constant(self):

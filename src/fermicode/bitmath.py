@@ -151,17 +151,8 @@ class BitMat:
     def identity(cls, n: int) -> "BitMat":
         return cls.from_int_rows([1 << i for i in range(n)], n)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMat":
-        return cls.from_int_rows([0] * rows, cols)
-
     def __setattr__(self, *_):
         raise AttributeError("BitMat is immutable")
-
-    def entry(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise IndexError(f"entry ({i},{j}) outside matrix")
-        return (self._rows[i - 1] >> (j - 1)) & 1
 
     def row(self, i: int) -> BitVec:
         return BitVec.from_int(self._rows[i - 1], self.cols)

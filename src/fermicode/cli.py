@@ -181,9 +181,7 @@ def _cmd_transform(args) -> int:
     h = _load_hamiltonian(args)
     code = load_code(args.code)
     prepared = _prepare(code, h, args.no_adjust)
-    hq = transform_hamiltonian(
-        code, prepared, budget=args.budget, prune_epsilon=args.epsilon
-    )
+    hq = transform_hamiltonian(code, prepared, budget=args.budget)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(hq.serialize())
@@ -207,9 +205,7 @@ def _cmd_verify(args) -> int:
     code = load_code(args.code)
     prepared = _prepare(code, h, args.no_adjust)
     try:
-        hq = transform_hamiltonian(
-            code, prepared, budget=args.budget, prune_epsilon=args.epsilon
-        )
+        hq = transform_hamiltonian(code, prepared, budget=args.budget)
     except NonHermitianError as exc:
         print(f"verification failed: {exc}")
         return 1
@@ -247,7 +243,6 @@ def _add_model_args(p: argparse.ArgumentParser):
 def _add_run_args(p: argparse.ArgumentParser):
     p.add_argument("--code", required=True, help="code-spec file or builtin name")
     p.add_argument("--out", help="output path")
-    p.add_argument("--epsilon", type=float, default=1e-12, help="coefficient prune threshold")
     p.add_argument("--budget", type=int, default=None, help="monomial/term budget")
     p.add_argument("--tol", type=float, default=1e-9, help="verification tolerance")
     p.add_argument(

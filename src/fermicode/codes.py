@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .bitmath import BitMat, BitVec, BoolPoly
 from .errors import BudgetError, DimensionError, InputFormatError, UnsupportedCodeError
@@ -28,6 +29,11 @@ class Code:
     monomials. ``matrix``/``matrix_inv`` are set for purely linear n = N
     codes fit for the parity/flip/update-set machinery. ``segments`` lists
     mode blocks whose occupation the code caps at ``segment_weight``.
+
+    Structure derived from encode/decode (prefix parities, linearity, the
+    encode's linear masks) is computed on first use and kept on the
+    instance; ``dataclasses.replace`` builds a new instance, so it never
+    sees stale values.
     """
 
     n_modes: int
@@ -41,9 +47,6 @@ class Code:
     segment_weight: int | None = None
     matrix: BitMat | None = None
     matrix_inv: BitMat | None = None
-    _cache: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False, hash=False
-    )
 
     def __post_init__(self):
         if len(self.encode) != self.n_qubits:
@@ -104,17 +107,31 @@ class Code:
 
     # -- structure ---------------------------------------------------------
 
-    @property
+    @cached_property
+    def prefix_parities(self) -> tuple[BoolPoly, ...]:
+        """Entry ``j - 1`` is the mod-2 sum of the decode components below mode j."""
+        acc = BoolPoly.zero(self.n_qubits)
+        out = []
+        for d in self.decode:
+            out.append(acc)
+            acc = acc + d
+        return tuple(out)
+
+    @cached_property
     def encode_is_linear(self) -> bool:
         return all(p.is_linear() for p in self.encode)
+
+    @cached_property
+    def _encode_linear_masks(self) -> tuple[int, ...]:
+        return tuple(p.linear_mask() for p in self.encode)
 
     def encode_linear_action(self, q: BitVec) -> BitVec:
         """Linear part of the encoding applied to ``q`` (affine part dropped)."""
         if q.n != self.n_modes:
             raise DimensionError(f"vector length {q.n}, expected {self.n_modes}")
         value = 0
-        for i, p in enumerate(self.encode):
-            value |= ((p.linear_mask() & q.value).bit_count() & 1) << i
+        for i, mask in enumerate(self._encode_linear_masks):
+            value |= ((mask & q.value).bit_count() & 1) << i
         return BitVec.from_int(value, self.n_qubits)
 
 
@@ -592,57 +609,90 @@ def validate_code(
 # -- code-spec files ---------------------------------------------------------
 
 
-def _custom_code(spec: dict) -> Code:
-    n_modes = spec["n_modes"]
-    n_qubits = spec["n_qubits"]
-    encode = [BoolPoly.from_text(n_modes, t) for t in spec["encode"]]
-    decode = [BoolPoly.from_text(n_qubits, t) for t in spec["decode"]]
-    for bits, polys in (
-        (spec.get("encode_affine"), encode),
-        (spec.get("decode_affine"), decode),
+_SPEC_TYPES = {int: "a positive integer", str: "a string", list: "a list"}
+
+
+def _spec_field(spec: dict, key: str, kind: type = int):
+    """``spec[key]``, checked to be a ``kind``; integers must be positive."""
+    if key not in spec:
+        raise InputFormatError(f"code spec is missing field {key!r}")
+    value = spec[key]
+    if not isinstance(value, kind) or (
+        kind is int and (isinstance(value, bool) or value < 1)
     ):
-        if bits is not None:
-            if len(bits) != len(polys):
-                raise InputFormatError("affine vector length mismatch in code spec")
-            for i, b in enumerate(bits):
+        raise InputFormatError(
+            f"code spec field {key!r} must be {_SPEC_TYPES[kind]}, got {value!r}"
+        )
+    return value
+
+
+def _spec_polys(spec: dict, key: str, num_vars: int) -> list[BoolPoly]:
+    polys = []
+    for i, text in enumerate(_spec_field(spec, key, list)):
+        try:
+            polys.append(BoolPoly.from_text(num_vars, text))
+        except (AttributeError, ValueError, IndexError) as exc:
+            raise InputFormatError(f"code spec field {key!r} entry {i}: {exc}") from exc
+    return polys
+
+
+def _spec_bits(spec: dict, key: str, length: int) -> list[int]:
+    bits = spec[key]
+    if not (isinstance(bits, list) and len(bits) == length and all(b in (0, 1) for b in bits)):
+        raise InputFormatError(f"code spec field {key!r} must be {length} bits, got {bits!r}")
+    return [int(b) for b in bits]
+
+
+def _custom_code(spec: dict) -> Code:
+    n_modes = _spec_field(spec, "n_modes")
+    n_qubits = _spec_field(spec, "n_qubits")
+    encode = _spec_polys(spec, "encode", n_modes)
+    decode = _spec_polys(spec, "decode", n_qubits)
+    for key, polys in (("encode_affine", encode), ("decode_affine", decode)):
+        if spec.get(key) is not None:
+            for i, b in enumerate(_spec_bits(spec, key, len(polys))):
                 if b:
                     polys[i] = polys[i] + BoolPoly.one(polys[i].num_vars)
     degenerate = spec.get("degenerate_image")
+    if degenerate is not None:
+        degenerate = BitVec(_spec_bits(spec, "degenerate_image", n_modes))
     return Code(
         n_modes=n_modes,
         n_qubits=n_qubits,
         encode=tuple(encode),
         decode=tuple(decode),
         kind="custom",
-        degenerate_image=BitVec(degenerate) if degenerate is not None else None,
+        degenerate_image=degenerate,
     )
 
 
 def code_from_spec(spec: dict) -> Code:
-    """Build a code from a parsed code-spec dictionary."""
-    try:
-        kind = spec["kind"]
-        if kind == "jordan_wigner":
-            return jordan_wigner(spec["n_modes"])
-        if kind == "parity":
-            return parity_code(spec["n_modes"])
-        if kind == "bravyi_kitaev":
-            return bravyi_kitaev(spec["n_modes"])
-        if kind == "checksum":
-            return checksum_code(spec["n_modes"], spec["flavor"])
-        if kind == "binary_addressing_k1":
-            return binary_addressing_k1(spec["r"])
-        if kind == "binary_addressing_k2":
-            return binary_addressing_k2(spec["r"])
-        if kind == "segment":
-            return segment_code(spec["weight"], spec["segments"])
-        if kind == "concat":
-            return concat(*(code_from_spec(p) for p in spec["parts"]))
-        if kind == "custom":
-            return _custom_code(spec)
-    except KeyError as exc:
-        raise InputFormatError(f"code spec is missing field {exc}") from exc
-    raise InputFormatError(f"unknown code kind {spec.get('kind')!r}")
+    """Build a code from a parsed code-spec dictionary.
+
+    Malformed specs raise ``InputFormatError`` naming the field at fault.
+    """
+    if not isinstance(spec, dict):
+        raise InputFormatError(f"code spec must be a JSON object, got {type(spec).__name__}")
+    kind = _spec_field(spec, "kind", str)
+    if kind == "jordan_wigner":
+        return jordan_wigner(_spec_field(spec, "n_modes"))
+    if kind == "parity":
+        return parity_code(_spec_field(spec, "n_modes"))
+    if kind == "bravyi_kitaev":
+        return bravyi_kitaev(_spec_field(spec, "n_modes"))
+    if kind == "checksum":
+        return checksum_code(_spec_field(spec, "n_modes"), _spec_field(spec, "flavor", str))
+    if kind == "binary_addressing_k1":
+        return binary_addressing_k1(_spec_field(spec, "r"))
+    if kind == "binary_addressing_k2":
+        return binary_addressing_k2(_spec_field(spec, "r"))
+    if kind == "segment":
+        return segment_code(_spec_field(spec, "weight"), _spec_field(spec, "segments"))
+    if kind == "concat":
+        return concat(*(code_from_spec(p) for p in _spec_field(spec, "parts", list)))
+    if kind == "custom":
+        return _custom_code(spec)
+    raise InputFormatError(f"unknown code kind {kind!r}")
 
 
 _BUILTIN_KINDS = {

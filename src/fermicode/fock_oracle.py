@@ -12,6 +12,7 @@ leaves the encoded basis.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -180,23 +181,15 @@ def verify_equivalence(
         raise DimensionError("code, Hamiltonian, and operator sizes must agree")
     strings = _pack_strings(hq)
     terms = _pack_terms(h.terms)
-    encode_cache: dict[int, int] = {}
-    in_basis_cache: dict[int, bool] = {}
 
+    @functools.cache
     def encoded(value: int) -> int:
-        w = encode_cache.get(value)
-        if w is None:
-            w = code.encode_vec(BitVec.from_int(value, code.n_modes)).value
-            encode_cache[value] = w
-        return w
+        return code.encode_vec(BitVec.from_int(value, code.n_modes)).value
 
+    @functools.cache
     def in_basis(value: int) -> bool:
-        flag = in_basis_cache.get(value)
-        if flag is None:
-            nu = BitVec.from_int(value, code.n_modes)
-            flag = code.decode_vec(BitVec.from_int(encoded(value), code.n_qubits)) == nu
-            in_basis_cache[value] = flag
-        return flag
+        nu = BitVec.from_int(value, code.n_modes)
+        return code.decode_vec(BitVec.from_int(encoded(value), code.n_qubits)) == nu
 
     max_dev = 0.0
     failures: list[dict] = []

@@ -6,13 +6,17 @@ qubits, with letters X=(1,0), Z=(0,1), Y=(1,1); the letter form equals
 exact, in powers of i.
 
 The module also provides the map from boolean functions to diagonal qubit
-operators: ``extract(f)`` returns the operator whose eigenvalue on basis
-state ``|w>`` is ``(-1)**f(w)``, fully expanded into Pauli-Z strings.
+operators. ``diagonal(n, factors)`` is the one kernel: its eigenvalue on
+basis state ``|w>`` is ``prod_k (a_k + b_k * (-1)**f_k(w))``, fully expanded
+into Pauli-Z strings, and it alone decides how to expand (affine Z-string
+product, truth-table grid over at most ``_GRID_CAP`` qubits, or per-factor
+product with monomial expansions). ``extract(f)`` is its single-factor case
+``(-1)**f(w)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +27,9 @@ _LETTER_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_RANK = {"X": 0, "Y": 1, "Z": 2}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+# Coefficients of magnitude at most this are dropped as cancellation residue.
+DEFAULT_PRUNE = 1e-12
 
 _PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -163,7 +170,7 @@ class QubitOperator:
         self,
         n: int,
         terms: dict[PauliString, complex] | None = None,
-        prune_epsilon: float = 1e-12,
+        prune_epsilon: float = DEFAULT_PRUNE,
     ):
         kept: dict[PauliString, complex] = {}
         for s, c in (terms or {}).items():
@@ -184,23 +191,23 @@ class QubitOperator:
         return op
 
     @classmethod
-    def zero(cls, n: int, prune_epsilon: float = 1e-12) -> "QubitOperator":
+    def zero(cls, n: int, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
         return cls._from_clean(n, {}, prune_epsilon)
 
     @classmethod
-    def identity(cls, n: int, coeff: complex = 1.0, prune_epsilon: float = 1e-12) -> "QubitOperator":
+    def identity(cls, n: int, coeff: complex = 1.0, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
         return cls(n, {PauliString.identity(n): coeff}, prune_epsilon)
 
     @classmethod
-    def from_string(cls, s: PauliString, coeff: complex = 1.0, prune_epsilon: float = 1e-12) -> "QubitOperator":
+    def from_string(cls, s: PauliString, coeff: complex = 1.0, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
         return cls(s.n, {s: coeff}, prune_epsilon)
 
     @classmethod
-    def x_string(cls, n: int, mask: int, coeff: complex = 1.0, prune_epsilon: float = 1e-12) -> "QubitOperator":
+    def x_string(cls, n: int, mask: int, coeff: complex = 1.0, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
         return cls(n, {PauliString.from_masks(n, mask, 0): coeff}, prune_epsilon)
 
     @classmethod
-    def z_string(cls, n: int, mask: int, coeff: complex = 1.0, prune_epsilon: float = 1e-12) -> "QubitOperator":
+    def z_string(cls, n: int, mask: int, coeff: complex = 1.0, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
         return cls(n, {PauliString.from_masks(n, 0, mask): coeff}, prune_epsilon)
 
     def __setattr__(self, *_):
@@ -315,7 +322,7 @@ class QubitOperator:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def deserialize(cls, text: str, n: int, prune_epsilon: float = 1e-12) -> "QubitOperator":
+    def deserialize(cls, text: str, n: int, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
         terms: dict[PauliString, complex] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -375,7 +382,6 @@ def _diagonal_from_values(
     n: int,
     support: list[int],
     values: np.ndarray,
-    prune_epsilon: float,
     budget: int,
 ) -> QubitOperator:
     """Diagonal operator from its eigenvalues over the support-variable grid.
@@ -389,7 +395,7 @@ def _diagonal_from_values(
     terms: dict[PauliString, complex] = {}
     for g in range(1 << k):
         c = coeffs[g]
-        if abs(c) <= prune_epsilon:
+        if abs(c) <= DEFAULT_PRUNE:
             continue
         zmask = 0
         gg = g
@@ -400,7 +406,7 @@ def _diagonal_from_values(
         terms[PauliString.from_masks(n, 0, zmask)] = complex(c)
     if len(terms) > budget:
         raise BudgetError(f"diagonal expansion has {len(terms)} terms, budget {budget}")
-    return QubitOperator._from_clean(n, terms, prune_epsilon)
+    return QubitOperator._from_clean(n, terms, DEFAULT_PRUNE)
 
 
 def poly_table(p: BoolPoly, support: list[int]) -> np.ndarray:
@@ -424,7 +430,7 @@ def poly_table(p: BoolPoly, support: list[int]) -> np.ndarray:
     return out
 
 
-def _monomial_extract(n: int, mask: int, prune_epsilon: float) -> QubitOperator:
+def _monomial_extract(n: int, mask: int) -> QubitOperator:
     """Expansion of the diagonal operator with eigenvalue (-1)**prod(w_j) on mask.
 
     Equals ``I - 2 * prod_{j in mask} (I - Z_j)/2`` written out in Z-strings.
@@ -433,7 +439,7 @@ def _monomial_extract(n: int, mask: int, prune_epsilon: float) -> QubitOperator:
     scale = 2.0 ** (1 - k)
     terms: dict[PauliString, complex] = {}
     ident = 1.0 - scale
-    if abs(ident) > prune_epsilon:
+    if abs(ident) > DEFAULT_PRUNE:
         terms[PauliString.identity(n)] = ident
     sub = mask
     while True:
@@ -443,10 +449,10 @@ def _monomial_extract(n: int, mask: int, prune_epsilon: float) -> QubitOperator:
         if sub == 0:
             break
         sub = (sub - 1) & mask
-    return QubitOperator._from_clean(n, terms, prune_epsilon)
+    return QubitOperator._from_clean(n, terms, DEFAULT_PRUNE)
 
 
-def cphase_expand(indices: Iterable[int], n: int, prune_epsilon: float = 1e-12) -> QubitOperator:
+def cphase_expand(indices: Iterable[int], n: int) -> QubitOperator:
     """Decomposed multi-controlled phase over an index set (single index: Z)."""
     mask = 0
     for j in indices:
@@ -455,43 +461,64 @@ def cphase_expand(indices: Iterable[int], n: int, prune_epsilon: float = 1e-12) 
         mask |= 1 << (j - 1)
     if mask == 0:
         raise ValueError("cphase_expand needs a nonempty index set")
-    return _monomial_extract(n, mask, prune_epsilon)
+    return _monomial_extract(n, mask)
 
 
-# Largest support for which extract() may tabulate the function instead of
-# multiplying monomial expansions; 2**16 eigenvalues is still cheap.
+# Largest nonlinear support that diagonal() tabulates instead of multiplying
+# per-factor expansions; 2**16 eigenvalues is still cheap.
 _GRID_CAP = 16
 
 
-def extract(
-    f: BoolPoly,
-    n: int | None = None,
-    prune_epsilon: float = 1e-12,
+def diagonal(
+    n: int,
+    factors: Sequence[tuple[BoolPoly, float, float]],
     budget: int | None = None,
 ) -> QubitOperator:
-    """Diagonal operator with eigenvalue ``(-1)**f(w)`` on basis state ``|w>``.
+    """Diagonal operator with eigenvalue ``prod_k (a_k + b_k * (-1)**f_k(w))``.
 
-    The result is always the full Pauli-Z expansion. Constant and linear
-    functions come out directly as a signed identity or a Z-string; other
-    functions are expanded via their monomial decomposition (tabulated over
-    the support when that is small enough).
+    ``factors`` is a non-empty list of ``(f_k, a_k, b_k)``: ``(f, 0, 1)`` is
+    the sign ``(-1)**f`` and ``(f, 1/2, -1/2)`` the projector onto ``f = 1``.
+    Affine factors multiply as signed Z-strings. A nonlinear product whose
+    joint support has at most ``_GRID_CAP`` qubits is tabulated over that
+    support and expanded once; a larger one multiplies per-factor
+    expansions, a lone nonlinear sign via its monomials. Factors are
+    multiplied in order, each new one from the left.
     """
-    n = f.num_vars if n is None else n
-    if f.num_vars != n:
-        raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
     budget = DEFAULT_BUDGET if budget is None else budget
-    sign = -1.0 if f.constant_part() else 1.0
-    if f.degree() <= 1:
-        return QubitOperator.z_string(n, f.linear_mask(), sign, prune_epsilon)
-    support = [j + 1 for j in range(n) if (f.support() >> j) & 1]
-    if len(support) <= _GRID_CAP:
-        values = 1.0 - 2.0 * poly_table(f, support)
-        return _diagonal_from_values(n, support, values, prune_epsilon, budget)
-    op = QubitOperator.identity(n, sign, prune_epsilon)
-    for mask in sorted(m for m in f.masks if m):
-        if mask.bit_count() == 1:
-            factor = QubitOperator.z_string(n, mask, 1.0, prune_epsilon)
+    for f, _, _ in factors:
+        if f.num_vars != n:
+            raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
+    if not all(f.is_linear() for f, _, _ in factors):
+        support_mask = 0
+        for f, _, _ in factors:
+            support_mask |= f.support()
+        support = [j + 1 for j in range(n) if (support_mask >> j) & 1]
+        if len(support) <= _GRID_CAP:
+            values = np.ones(1 << len(support))
+            for f, a, b in factors:
+                values = values * (a + b * (1.0 - 2.0 * poly_table(f, support)))
+            return _diagonal_from_values(n, support, values, budget)
+        if len(factors) == 1 and factors[0][1:] == (0, 1):
+            f = factors[0][0]
+            op = QubitOperator.identity(n, -1.0 if f.constant_part() else 1.0)
+            for mask in sorted(m for m in f.masks if m):
+                if mask.bit_count() == 1:
+                    factor = QubitOperator.z_string(n, mask)
+                else:
+                    factor = _monomial_extract(n, mask)
+                op = op.mul(factor, budget=budget)
+            return op
+    op = None
+    for f, a, b in factors:
+        if f.is_linear():  # (-1)**f is a Z-string, negated by f's constant
+            sign = QubitOperator.z_string(n, f.linear_mask(), -1.0 if f.constant_part() else 1.0)
         else:
-            factor = _monomial_extract(n, mask, prune_epsilon)
-        op = op.mul(factor, budget=budget)
+            sign = diagonal(n, [(f, 0, 1)], budget)
+        factor = sign if (a, b) == (0, 1) else QubitOperator.identity(n, a) + b * sign
+        op = factor if op is None else factor.mul(op, budget=budget)
     return op
+
+
+def extract(f: BoolPoly, n: int | None = None, budget: int | None = None) -> QubitOperator:
+    """Diagonal operator with eigenvalue ``(-1)**f(w)`` on basis state ``|w>``."""
+    return diagonal(f.num_vars if n is None else n, [(f, 0, 1)], budget)

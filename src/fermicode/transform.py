@@ -2,8 +2,10 @@
 
 The general weight-l operator map composes, per operator in the sequence,
 a projector onto the correct occupation and a parity-sign operator (both
-diagonal, built by extracting decode and parity functions), followed by a
-single update operator that flips the code word. Linear encodings reduce
+diagonal), followed by a single update operator that flips the code word.
+A term's whole diagonal part is one call to ``pauli.diagonal``, which
+decides between the affine, truth-table-grid and product expansions; the
+parity functions come from ``Code.prefix_parities``. Linear encodings reduce
 the update operator to an X-string; for classical n = N codes the whole
 construction collapses to Pauli strings over parity/flip/update index sets.
 
@@ -26,14 +28,8 @@ from .errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from .pauli import (
-    _GRID_CAP,
-    PauliString,
-    QubitOperator,
-    _diagonal_from_values,
-    extract,
-    poly_table,
-)
+from .pauli import PauliString, QubitOperator, diagonal, extract
+from .pauli import poly_table  # noqa: F401  (perfbench/spans.py patches it here)
 
 
 @dataclass(frozen=True)
@@ -53,9 +49,6 @@ class FermionTerm:
 
     def max_mode(self) -> int:
         return max((m for m, _ in self.ops), default=0)
-
-    def scaled(self, factor: complex) -> "FermionTerm":
-        return FermionTerm(self.coeff * factor, self.ops)
 
     def __str__(self) -> str:
         body = " ".join(("+" if d else "-") + str(m) for m, d in self.ops)
@@ -81,13 +74,13 @@ class FermionHamiltonian:
     def __len__(self):
         return len(self.terms)
 
-    def merged(self, drop_below: float = 0.0) -> "FermionHamiltonian":
+    def merged(self) -> "FermionHamiltonian":
         """Combine identical operator sequences and drop vanished terms."""
         acc: dict[tuple, complex] = {}
         for t in self.terms:
             acc[t.ops] = acc.get(t.ops, 0.0) + t.coeff
         kept = tuple(
-            FermionTerm(c, ops) for ops, c in acc.items() if abs(c) > drop_below
+            FermionTerm(c, ops) for ops, c in acc.items() if abs(c) > 0
         )
         return FermionHamiltonian(self.n_modes, kept)
 
@@ -96,12 +89,26 @@ class FermionHamiltonian:
 
 
 def parse_fermion_file(text: str, n_modes: int | None = None) -> FermionHamiltonian:
-    """Parse ``<re> <im> : +i -j ...`` lines; '#' comments and blanks ignored."""
+    """Parse ``<re> <im> : +i -j ...`` lines; '#' comments and blanks ignored.
+
+    The mode count is ``n_modes`` when given, else the ``# modes: N`` header
+    that ``format_fermion_file`` writes, else the highest mode in any term.
+    """
     terms = []
     max_mode = 0
+    declared = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line, _, comment = raw.partition("#")
+        line = line.strip()
         if not line:
+            header = comment.strip()
+            if header.startswith("modes:"):
+                value = header[len("modes:"):].strip()
+                if declared is not None or not (value.isascii() and value.isdigit()):
+                    raise InputFormatError(
+                        f"line {lineno}: bad mode count header {raw.strip()!r}"
+                    )
+                declared = int(value)
             continue
         if ":" not in line:
             raise InputFormatError(f"line {lineno}: missing ':' separator")
@@ -123,7 +130,7 @@ def parse_fermion_file(text: str, n_modes: int | None = None) -> FermionHamilton
             ops.append((mode, tok[0] == "+"))
             max_mode = max(max_mode, mode)
         terms.append(FermionTerm(coeff, tuple(ops)))
-    n = n_modes if n_modes is not None else max_mode
+    n = n_modes if n_modes is not None else declared if declared is not None else max_mode
     if max_mode > n:
         raise InputFormatError(f"mode {max_mode} exceeds declared mode count {n}")
     return FermionHamiltonian(n, tuple(terms))
@@ -144,10 +151,7 @@ def parity_function(code: Code, j: int) -> BoolPoly:
     """Mod-2 sum of the decode components below mode j."""
     if not 1 <= j <= code.n_modes:
         raise IndexError(f"mode {j} outside 1..{code.n_modes}")
-    cache = code._cache.setdefault("parity", {})
-    if j not in cache:
-        cache[j] = poly_sum(code.decode[: j - 1], code.n_qubits)
-    return cache[j]
+    return code.prefix_parities[j - 1]
 
 
 def _epsilon_polys(
@@ -173,56 +177,42 @@ def update_epsilon(code: Code, q: BitVec, budget: int | None = None) -> list[Boo
     return _epsilon_polys(code.decode, code.encode, q, budget)
 
 
-def _update_from_epsilon(
-    n: int,
-    eps: list[BoolPoly],
-    budget: int,
-    prune_epsilon: float,
-) -> QubitOperator:
+def _update_from_epsilon(n: int, eps: list[BoolPoly], budget: int) -> QubitOperator:
     """Sum over flip patterns t of X^t times the projector onto eps(w) = t.
 
-    Expands the projector product branch by branch, dropping branches whose
-    partial product has already vanished; constant components keep exactly
-    one branch alive, so linear cases degenerate to a single X-string.
+    Expands the projector product one component at a time, dropping
+    branches whose partial product has already vanished; constant
+    components keep exactly one branch alive, so linear cases degenerate to
+    a single X-string. Branches stay in lexicographic order of t, which
+    fixes the summation order.
     """
-    out = QubitOperator.zero(n, prune_epsilon)
-    start = QubitOperator.identity(n, 1.0, prune_epsilon)
-
-    def walk(j: int, partial: QubitOperator, tmask: int):
-        nonlocal out
-        if j == len(eps):
-            out = out + QubitOperator.x_string(n, tmask, 1.0, prune_epsilon).mul(
-                partial, budget=budget
-            )
-            return
-        xop = extract(eps[j], n, prune_epsilon, budget)
-        for t_j in (0, 1):
-            sign = -1.0 if t_j else 1.0
-            factor = QubitOperator.identity(n, 0.5, prune_epsilon) + (0.5 * sign) * xop
-            nxt = partial.mul(factor, budget=budget)
-            if nxt.is_zero():
-                continue
-            walk(j + 1, nxt, tmask | (t_j << j))
-
-    walk(0, start, 0)
+    live = [(QubitOperator.identity(n), 0)]
+    for j, e in enumerate(eps):
+        xop = extract(e, n, budget)
+        projectors = [QubitOperator.identity(n, 0.5) + (0.5 * sign) * xop for sign in (1.0, -1.0)]
+        grown = []
+        for partial, tmask in live:
+            for t_j, proj in enumerate(projectors):
+                nxt = partial.mul(proj, budget=budget)
+                if not nxt.is_zero():
+                    grown.append((nxt, tmask | (t_j << j)))
+        live = grown
+    out = QubitOperator.zero(n)
+    for partial, tmask in live:
+        out = out + QubitOperator.x_string(n, tmask).mul(partial, budget=budget)
     return out
 
 
-def update_operator(
-    code: Code,
-    q: BitVec,
-    budget: int | None = None,
-    prune_epsilon: float = 1e-12,
-) -> QubitOperator:
+def update_operator(code: Code, q: BitVec, budget: int | None = None) -> QubitOperator:
     """Operator satisfying U |e(v)> = |e(v + q)> for every encoded v."""
     if q.n != code.n_modes:
         raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
     budget = DEFAULT_BUDGET if budget is None else budget
     if code.encode_is_linear:
         mask = code.encode_linear_action(q).value
-        return QubitOperator.x_string(code.n_qubits, mask, 1.0, prune_epsilon)
+        return QubitOperator.x_string(code.n_qubits, mask)
     eps = update_epsilon(code, q, budget)
-    return _update_from_epsilon(code.n_qubits, eps, budget, prune_epsilon)
+    return _update_from_epsilon(code.n_qubits, eps, budget)
 
 
 # -- the general operator map --------------------------------------------------
@@ -252,48 +242,16 @@ def _term_signs(ops: tuple[tuple[int, bool], ...]) -> tuple[float, list[float]]:
     return (-1.0 if inversions & 1 else 1.0), signs
 
 
-def _diagonal_part(
-    code: Code,
-    ops: tuple[tuple[int, bool], ...],
-    signs: list[float],
-    budget: int,
-    prune_epsilon: float,
-) -> QubitOperator:
-    """Product of occupation projectors and parity extractions for one term.
-
-    Nonlinear factors over a small joint support are multiplied as truth
-    tables and expanded once; everything else multiplies extracted operators.
-    """
-    n = code.n_qubits
-    parity = poly_sum((parity_function(code, m) for m, _ in ops), n)
-    decodes = [code.decode[m - 1] for m, _ in ops]
-
-    if not (parity.is_linear() and all(d.is_linear() for d in decodes)):
-        support_mask = parity.support()
-        for d in decodes:
-            support_mask |= d.support()
-        support = [j + 1 for j in range(n) if (support_mask >> j) & 1]
-        if len(support) <= _GRID_CAP:
-            values = (1.0 - 2.0 * poly_table(parity, support)).astype(float)
-            for d, s in zip(decodes, signs):
-                values = values * 0.5 * (1.0 - s * (1.0 - 2.0 * poly_table(d, support)))
-            return _diagonal_from_values(n, support, values, prune_epsilon, budget)
-
-    op = extract(parity, n, prune_epsilon, budget)
-    for d, s in zip(decodes, signs):
-        proj = QubitOperator.identity(n, 0.5, prune_epsilon) + (-0.5 * s) * extract(
-            d, n, prune_epsilon, budget
-        )
-        op = proj.mul(op, budget=budget)
-    return op
+def _diagonal_part(code: Code, ops: tuple, signs: list[float], budget: int) -> QubitOperator:
+    """Parity sign times the occupation projectors of one term."""
+    parity = poly_sum((parity_function(code, m) for m, _ in ops), code.n_qubits)
+    factors = [(parity, 0, 1)] + [
+        (code.decode[m - 1], 0.5, -0.5 * s) for (m, _), s in zip(ops, signs)
+    ]
+    return diagonal(code.n_qubits, factors, budget)
 
 
-def transform_term(
-    code: Code,
-    term: FermionTerm,
-    budget: int | None = None,
-    prune_epsilon: float = 1e-12,
-) -> QubitOperator:
+def transform_term(code: Code, term: FermionTerm, budget: int | None = None) -> QubitOperator:
     """Qubit image of one fermionic term under the code's operator map."""
     budget = DEFAULT_BUDGET if budget is None else budget
     n = code.n_qubits
@@ -304,14 +262,14 @@ def transform_term(
     if not term.ops:
         # Scalar term: the map's empty product acts as the identity on the
         # encoded space; emit the identity itself to stay hermitian.
-        return QubitOperator.identity(n, term.coeff, prune_epsilon)
+        return QubitOperator.identity(n, term.coeff)
     global_sign, signs = _term_signs(term.ops)
-    diag = _diagonal_part(code, term.ops, signs, budget, prune_epsilon)
+    diag = _diagonal_part(code, term.ops, signs, budget)
     q_value = 0
     for m, _ in term.ops:
         q_value ^= 1 << (m - 1)
     q = BitVec.from_int(q_value, code.n_modes)
-    update = update_operator(code, q, budget, prune_epsilon)
+    update = update_operator(code, q, budget)
     return (term.coeff * global_sign) * update.mul(diag, budget=budget)
 
 
@@ -319,9 +277,7 @@ def transform_hamiltonian(
     code: Code,
     h: FermionHamiltonian,
     budget: int | None = None,
-    prune_epsilon: float = 1e-12,
     check_hermiticity: bool = True,
-    hermiticity_tol: float = 1e-9,
 ) -> QubitOperator:
     """Transform and sum all terms; flags non-hermitian results.
 
@@ -335,12 +291,12 @@ def transform_hamiltonian(
         )
     acc: dict[PauliString, complex] = {}
     for term in h.terms:
-        top = transform_term(code, term, budget, prune_epsilon)
+        top = transform_term(code, term, budget)
         for s, c in top.terms.items():
             acc[s] = acc.get(s, 0.0) + c
-    out = QubitOperator(code.n_qubits, acc, prune_epsilon)
+    out = QubitOperator(code.n_qubits, acc)
     if check_hermiticity:
-        ok, witness = out.check_hermitian(hermiticity_tol)
+        ok, witness = out.check_hermitian()
         if not ok:
             raise NonHermitianError(
                 "transformed Hamiltonian is not hermitian (witness "
@@ -385,12 +341,7 @@ def linear_sets(code: Code, j: int) -> LinearSets:
     )
 
 
-def transform_op_linear(
-    code: Code,
-    j: int,
-    dagger: bool,
-    prune_epsilon: float = 1e-12,
-) -> QubitOperator:
+def transform_op_linear(code: Code, j: int, dagger: bool) -> QubitOperator:
     """Single ladder operator on a full-Fock linear code, via index sets."""
     sets = linear_sets(code, j)
     n = code.n_qubits
@@ -401,12 +352,10 @@ def transform_op_linear(
             v |= 1 << (i - 1)
         return v
 
-    x_part = QubitOperator.x_string(n, mask(sets.update_set), 0.5, prune_epsilon)
-    flip = QubitOperator.z_string(
-        n, mask(sets.flip_set), -1.0 if dagger else 1.0, prune_epsilon
-    )
-    projector = QubitOperator.identity(n, 1.0, prune_epsilon) + (-1.0) * flip
-    parity = QubitOperator.z_string(n, mask(sets.parity_set), 1.0, prune_epsilon)
+    x_part = QubitOperator.x_string(n, mask(sets.update_set), 0.5)
+    flip = QubitOperator.z_string(n, mask(sets.flip_set), -1.0 if dagger else 1.0)
+    projector = QubitOperator.identity(n, 1.0) + (-1.0) * flip
+    parity = QubitOperator.z_string(n, mask(sets.parity_set), 1.0)
     return x_part * projector * parity
 
 
@@ -416,7 +365,6 @@ def transform_single_two_codes(
     j: int,
     dagger: bool,
     budget: int | None = None,
-    prune_epsilon: float = 1e-12,
 ) -> QubitOperator:
     """Single ladder operator using separate codes for the two particle sectors.
 
@@ -431,23 +379,16 @@ def transform_single_two_codes(
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
     ops = ((j, dagger),)
     _, signs = _term_signs(ops)
-    diag = _diagonal_part(incoming, ops, signs, budget, prune_epsilon)
+    diag = _diagonal_part(incoming, ops, signs, budget)
     q = BitVec.unit(code_even.n_modes, j)
     eps = _epsilon_polys(incoming.decode, outgoing.encode, q, budget)
-    update = _update_from_epsilon(code_even.n_qubits, eps, budget, prune_epsilon)
+    update = _update_from_epsilon(code_even.n_qubits, eps, budget)
     return update.mul(diag, budget=budget)
 
 
-def transform_pair(
-    code: Code,
-    i: int,
-    j: int,
-    budget: int | None = None,
-    prune_epsilon: float = 1e-12,
-) -> QubitOperator:
+def transform_pair(code: Code, i: int, j: int, budget: int | None = None) -> QubitOperator:
     """Hopping block c_i^dag c_j for particle-conserving Hamiltonians."""
-    term = FermionTerm.of(1.0, (i, True), (j, False))
-    return transform_term(code, term, budget, prune_epsilon)
+    return transform_term(code, FermionTerm.of(1.0, (i, True), (j, False)), budget)
 
 
 # -- reordering and segment dressing --------------------------------------------

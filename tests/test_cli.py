@@ -183,3 +183,36 @@ class TestExitCodes:
     def test_bad_code_name(self, capsys):
         rc = main(["transform", "--model", "h2", "--code", "wat:4"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ([{"kind": "jordan_wigner", "n_modes": 4}], "JSON object"),
+            ({"kind": "jordan_wigner", "n_modes": "4"}, "'n_modes'"),
+            (
+                {"kind": "custom", "n_modes": 1, "n_qubits": 1,
+                 "encode": ["x1"], "decode": ["x9"]},
+                "'decode'",
+            ),
+            ({"kind": "concat", "parts": 5}, "'parts'"),
+            ({**H2_CODE_SPEC["parts"][0], "degenerate_image": [0]}, "'degenerate_image'"),
+        ],
+    )
+    def test_malformed_code_spec_names_field(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["transform", *H2_ARGS, "--code", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and field in err
+
+    def test_mode_header_sets_mode_count(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text("# modes: 4\n1 0 : +1 -1\n")
+        assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:4"]) == 0
+        assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:1"]) == 2
+
+    def test_epsilon_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", *H2_ARGS, "--code", "jordan_wigner:4", "--epsilon", "1e-9"])
+        assert exc.value.code == 2

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from fermicode import pauli
 from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.errors import DimensionError
 from fermicode.fock_oracle import QubitStateVector, apply_qubit_operator
@@ -132,6 +133,17 @@ class TestExtract:
             a = extract(random_boolpoly(rng, n))
             b = extract(random_boolpoly(rng, n))
             assert (a * b).isclose(b * a, 1e-12)
+
+    def test_product_fallback_equals_grid(self, monkeypatch):
+        # With the cap at 0 every nonlinear function takes the monomial
+        # product path; its expansion must equal the tabulated one exactly.
+        rng = random.Random(43)
+        polys = [random_boolpoly(rng, rng.randrange(2, 7)) for _ in range(40)]
+        polys = [f for f in polys if not f.is_linear()]
+        assert len(polys) >= 20
+        grid = [extract(f) for f in polys]
+        monkeypatch.setattr(pauli, "_GRID_CAP", 0)
+        assert [extract(f) for f in polys] == grid
 
 
 class TestCPhase:

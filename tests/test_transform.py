@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from fermicode import pauli
 from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.codes import (
     bravyi_kitaev,
     checksum_code,
+    concat,
     jordan_wigner,
     linear_code,
     parity_code,
@@ -445,6 +447,19 @@ class TestHamiltonianTransform:
         ok, _ = hq.check_hermitian()
         assert ok
 
+    def test_product_fallback_equals_grid(self, monkeypatch):
+        # Dressed segment terms are nonlinear; with the cap at 0 their
+        # diagonal parts multiply per-factor expansions instead of a grid.
+        code = segment_code(2, 1)
+        code = concat(code, code)
+        h = hubbard_hamiltonian(1, 5, 1.0, 1.0, periodic_lateral=False)
+        prepared = adjust_for_segments(
+            normal_order_blocks(h), code.segments, code.segment_weight
+        )
+        grid = transform_hamiltonian(code, prepared)
+        monkeypatch.setattr(pauli, "_GRID_CAP", 0)
+        assert transform_hamiltonian(code, prepared) == grid
+
     def test_non_hermitian_flagged(self):
         code = segment_code(2, 2)
         hop = FermionHamiltonian(
@@ -476,3 +491,15 @@ class TestFermionFiles:
             parse_fermion_file("1 0 : +1 -1\n1 0 +2\n")
         with pytest.raises(InputFormatError, match="line 1"):
             parse_fermion_file("1 0 : ++1\n")
+
+    def test_round_trip_keeps_empty_top_modes(self):
+        h = FermionHamiltonian(4, (FermionTerm.of(0.5, (1, True), (1, False)),))
+        back = parse_fermion_file(format_fermion_file(h))
+        assert back.n_modes == 4 and back.terms == h.terms
+        # an explicit mode count still wins over the header
+        assert parse_fermion_file(format_fermion_file(h), n_modes=6).n_modes == 6
+
+    @pytest.mark.parametrize("header", ["# modes: four", "# modes: -1", "# modes:"])
+    def test_bad_mode_header_names_its_line(self, header):
+        with pytest.raises(InputFormatError, match="line 2"):
+            parse_fermion_file(f"1 0 : +1 -1\n{header}\n")

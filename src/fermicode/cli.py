@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification or hermiticity failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bitmath import BoolPoly
@@ -228,23 +229,33 @@ def _cmd_validate_code(args) -> int:
     return 0 if report.round_trip_ok else 1
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
+    return value
+
+
 def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--hamiltonian", help="fermionic Hamiltonian file")
     p.add_argument("--model", choices=_MODELS, help="builtin model generator")
     p.add_argument("--rows", type=int, default=2)
     p.add_argument("--cols", type=int, default=5)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--u", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
+    p.add_argument("--u", type=_finite_float, default=1.0)
     p.add_argument("--open-lateral", action="store_true", help="no periodic wrap")
     for name in ("h11", "h22", "h1331", "h2442", "h1221", "h1212"):
-        p.add_argument(f"--{name}", type=float, default=0.0)
+        p.add_argument(f"--{name}", type=_finite_float, default=0.0)
 
 
 def _add_run_args(p: argparse.ArgumentParser):
     p.add_argument("--code", required=True, help="code-spec file or builtin name")
     p.add_argument("--out", help="output path")
     p.add_argument("--budget", type=int, default=None, help="monomial/term budget")
-    p.add_argument("--tol", type=float, default=1e-9, help="verification tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-9, help="verification tolerance")
     p.add_argument(
         "--no-adjust",
         action="store_true",

@@ -5,13 +5,15 @@ qubits, with letters X=(1,0), Z=(0,1), Y=(1,1); the letter form equals
 ``i**y * X^x Z^z`` where y counts the Y factors. All phase bookkeeping is
 exact, in powers of i.
 
-The module also provides the map from boolean functions to diagonal qubit
-operators. ``diagonal(n, factors)`` is the one kernel: its eigenvalue on
-basis state ``|w>`` is ``prod_k (a_k + b_k * (-1)**f_k(w))``, fully expanded
-into Pauli-Z strings, and it alone decides how to expand (affine Z-string
-product, truth-table grid over at most ``_GRID_CAP`` qubits, or per-factor
-product with monomial expansions). ``extract(f)`` is its single-factor case
-``(-1)**f(w)``.
+The module also maps boolean functions to qubit operators, and both halves
+of the fermionic operator map expand through one truth-table grid
+(``_diagonal_from_values``, a Walsh-Hadamard transform over the functions'
+joint support). ``diagonal(n, factors)`` has eigenvalue
+``prod_k (a_k + b_k * (-1)**f_k(w))`` on ``|w>`` and alone decides how to
+expand it (affine Z-string product, the grid over at most ``_GRID_CAP``
+qubits, or per-factor product with monomial expansions); ``extract(f)`` is
+its single-factor case ``(-1)**f(w)``. ``flip_operator(n, eps)`` is the
+update operator ``|w> -> |w + eps(w)>``: the grid, grouped by flip pattern.
 """
 
 from __future__ import annotations
@@ -191,24 +193,24 @@ class QubitOperator:
         return op
 
     @classmethod
-    def zero(cls, n: int, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
-        return cls._from_clean(n, {}, prune_epsilon)
+    def zero(cls, n: int) -> "QubitOperator":
+        return cls._from_clean(n, {}, DEFAULT_PRUNE)
 
     @classmethod
-    def identity(cls, n: int, coeff: complex = 1.0, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
-        return cls(n, {PauliString.identity(n): coeff}, prune_epsilon)
+    def identity(cls, n: int, coeff: complex = 1.0) -> "QubitOperator":
+        return cls(n, {PauliString.identity(n): coeff})
 
     @classmethod
-    def from_string(cls, s: PauliString, coeff: complex = 1.0, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
-        return cls(s.n, {s: coeff}, prune_epsilon)
+    def from_string(cls, s: PauliString, coeff: complex = 1.0) -> "QubitOperator":
+        return cls(s.n, {s: coeff})
 
     @classmethod
-    def x_string(cls, n: int, mask: int, coeff: complex = 1.0, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
-        return cls(n, {PauliString.from_masks(n, mask, 0): coeff}, prune_epsilon)
+    def x_string(cls, n: int, mask: int, coeff: complex = 1.0) -> "QubitOperator":
+        return cls(n, {PauliString.from_masks(n, mask, 0): coeff})
 
     @classmethod
-    def z_string(cls, n: int, mask: int, coeff: complex = 1.0, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
-        return cls(n, {PauliString.from_masks(n, 0, mask): coeff}, prune_epsilon)
+    def z_string(cls, n: int, mask: int, coeff: complex = 1.0) -> "QubitOperator":
+        return cls(n, {PauliString.from_masks(n, 0, mask): coeff})
 
     def __setattr__(self, *_):
         raise AttributeError("QubitOperator is immutable; operations return new values")
@@ -322,7 +324,7 @@ class QubitOperator:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def deserialize(cls, text: str, n: int, prune_epsilon: float = DEFAULT_PRUNE) -> "QubitOperator":
+    def deserialize(cls, text: str, n: int) -> "QubitOperator":
         terms: dict[PauliString, complex] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -334,7 +336,7 @@ class QubitOperator:
             re_, im_, s = parts
             ps = PauliString.from_text(s, n)
             terms[ps] = terms.get(ps, 0.0) + complex(float(re_), float(im_))
-        return cls(n, terms, prune_epsilon)
+        return cls(n, terms)
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix; basis index packs qubit ``j`` into bit ``j - 1``."""
@@ -366,14 +368,9 @@ class QubitOperator:
 def _fwht(values: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard transform over the packed-bit index."""
     h = 1
-    n = len(values)
-    while h < n:
-        values = values.reshape(-1, 2, h)
-        a = values[:, 0, :].copy()
-        b = values[:, 1, :].copy()
-        values[:, 0, :] = a + b
-        values[:, 1, :] = a - b
-        values = values.reshape(n)
+    while h < len(values):
+        pairs = values.reshape(-1, 2, h)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
         h *= 2
     return values
 
@@ -383,29 +380,36 @@ def _diagonal_from_values(
     support: list[int],
     values: np.ndarray,
     budget: int,
+    flips: np.ndarray | None = None,
 ) -> QubitOperator:
-    """Diagonal operator from its eigenvalues over the support-variable grid.
+    """Operator from its eigenvalues over the support-variable grid.
 
     ``values[g]`` is the eigenvalue on assignments whose support bits are the
     bits of ``g`` (support[i] maps to grid bit i); qubits outside the support
-    must not affect the eigenvalue.
+    must not affect the eigenvalue. With ``flips`` the result is
+    ``sum_t X^t D_t``, ``D_t`` keeping the eigenvalues where ``flips == t``;
+    ``X^t Z^z`` is the letter string ``(t, z)`` times ``i**(-|t & z|)``.
     """
     k = len(support)
-    coeffs = _fwht(values.astype(complex)) / (1 << k)
+    if flips is None:
+        groups = [(0, values)]
+    else:
+        groups = [(int(t), np.where(flips == t, values, 0)) for t in np.unique(flips)]
     terms: dict[PauliString, complex] = {}
-    for g in range(1 << k):
-        c = coeffs[g]
-        if abs(c) <= DEFAULT_PRUNE:
-            continue
-        zmask = 0
-        gg = g
-        while gg:
-            i = (gg & -gg).bit_length() - 1
-            zmask |= 1 << (support[i] - 1)
-            gg &= gg - 1
-        terms[PauliString.from_masks(n, 0, zmask)] = complex(c)
-    if len(terms) > budget:
-        raise BudgetError(f"diagonal expansion has {len(terms)} terms, budget {budget}")
+    for t, group in groups:
+        coeffs = _fwht(group.astype(float)) / (1 << k)
+        for g in np.flatnonzero(np.abs(coeffs) > DEFAULT_PRUNE).tolist():
+            zmask = 0
+            gg = g
+            while gg:
+                i = (gg & -gg).bit_length() - 1
+                zmask |= 1 << (support[i] - 1)
+                gg &= gg - 1
+            c = float(coeffs[g])
+            parts = ((c, 0.0), (0.0, c), (-c, 0.0), (0.0, -c))[-(t & zmask).bit_count() & 3]
+            terms[PauliString.from_masks(n, t, zmask)] = complex(*parts)
+        if len(terms) > budget:
+            raise BudgetError(f"expansion reached {len(terms)} terms, budget {budget}")
     return QubitOperator._from_clean(n, terms, DEFAULT_PRUNE)
 
 
@@ -464,6 +468,16 @@ def cphase_expand(indices: Iterable[int], n: int) -> QubitOperator:
     return _monomial_extract(n, mask)
 
 
+def _joint_support(n: int, polys: Sequence[BoolPoly]) -> list[int]:
+    """Qubits (1-based) occurring in any of ``polys``, each over ``n`` variables."""
+    mask = 0
+    for f in polys:
+        if f.num_vars != n:
+            raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
+        mask |= f.support()
+    return [j + 1 for j in range(n) if (mask >> j) & 1]
+
+
 # Largest nonlinear support that diagonal() tabulates instead of multiplying
 # per-factor expansions; 2**16 eigenvalues is still cheap.
 _GRID_CAP = 16
@@ -489,10 +503,7 @@ def diagonal(
         if f.num_vars != n:
             raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
     if not all(f.is_linear() for f, _, _ in factors):
-        support_mask = 0
-        for f, _, _ in factors:
-            support_mask |= f.support()
-        support = [j + 1 for j in range(n) if (support_mask >> j) & 1]
+        support = _joint_support(n, [f for f, _, _ in factors])
         if len(support) <= _GRID_CAP:
             values = np.ones(1 << len(support))
             for f, a, b in factors:
@@ -522,3 +533,22 @@ def diagonal(
 def extract(f: BoolPoly, n: int | None = None, budget: int | None = None) -> QubitOperator:
     """Diagonal operator with eigenvalue ``(-1)**f(w)`` on basis state ``|w>``."""
     return diagonal(f.num_vars if n is None else n, [(f, 0, 1)], budget)
+
+
+def flip_operator(n: int, eps: Sequence[BoolPoly], budget: int | None = None) -> QubitOperator:
+    """Operator ``sum_t X^t [eps(w) = t]`` sending ``|w>`` to ``|w + eps(w)>``.
+
+    ``eps[j]`` flips qubit ``j + 1``. The components are tabulated over their
+    joint support ``S`` and each flip pattern's projector is expanded on that
+    grid; the ``2**|S|`` table counts against ``budget``, as does the result.
+    """
+    budget = DEFAULT_BUDGET if budget is None else budget
+    support = _joint_support(n, eps)
+    k = len(support)
+    if 1 << k > budget:
+        raise BudgetError(f"update table over a support of {k} qubits exceeds budget {budget}")
+    # Python-int masks once the flip pattern no longer fits an int64.
+    flips = np.zeros(1 << k, dtype=np.int64 if n < 64 else object)
+    for j, e in enumerate(eps):
+        flips |= poly_table(e, support).astype(flips.dtype) << j
+    return _diagonal_from_values(n, support, np.ones(1 << k), budget, flips)

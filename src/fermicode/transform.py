@@ -3,11 +3,11 @@
 The general weight-l operator map composes, per operator in the sequence,
 a projector onto the correct occupation and a parity-sign operator (both
 diagonal), followed by a single update operator that flips the code word.
-A term's whole diagonal part is one call to ``pauli.diagonal``, which
-decides between the affine, truth-table-grid and product expansions; the
-parity functions come from ``Code.prefix_parities``. Linear encodings reduce
-the update operator to an X-string; for classical n = N codes the whole
-construction collapses to Pauli strings over parity/flip/update index sets.
+Both halves expand through ``pauli``'s one truth-table grid: the diagonal
+part is one ``pauli.diagonal`` call (parities from ``Code.prefix_parities``),
+a nonlinear update one ``pauli.flip_operator`` call. Linear encodings reduce
+the update to an X-string; for classical n = N codes the whole construction
+collapses to Pauli strings over parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
 annihilation pair blocks, the pair-block and two-code single-operator
@@ -17,6 +17,7 @@ compatible with hopping terms.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 
@@ -28,8 +29,8 @@ from .errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from .pauli import PauliString, QubitOperator, diagonal, extract
-from .pauli import poly_table  # noqa: F401  (perfbench/spans.py patches it here)
+from .pauli import PauliString, QubitOperator, diagonal, flip_operator
+from .pauli import extract, poly_table  # noqa: F401  (perfbench/spans.py patches them here)
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,8 @@ def parse_fermion_file(text: str, n_modes: int | None = None) -> FermionHamilton
             coeff = complex(float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: bad coefficient: {exc}") from exc
+        if not cmath.isfinite(coeff):
+            raise InputFormatError(f"line {lineno}: non-finite coefficient {head.strip()!r}")
         ops = []
         for tok in tail.split():
             if tok[0] not in "+-" or not tok[1:].isdigit():
@@ -163,11 +166,7 @@ def _epsilon_polys(
     """Components of w -> encode(decode(w) + q) + w."""
     n = decode[0].num_vars if decode else 0
     shifted = [d + BoolPoly.constant(n, q[i + 1]) for i, d in enumerate(decode)]
-    out = []
-    for j, e_j in enumerate(encode, start=1):
-        eps = e_j.compose(shifted, budget) + BoolPoly.variable(n, j)
-        out.append(eps)
-    return out
+    return [e.compose(shifted, budget) + BoolPoly.variable(n, j) for j, e in enumerate(encode, 1)]
 
 
 def update_epsilon(code: Code, q: BitVec, budget: int | None = None) -> list[BoolPoly]:
@@ -175,32 +174,6 @@ def update_epsilon(code: Code, q: BitVec, budget: int | None = None) -> list[Boo
     if q.n != code.n_modes:
         raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
     return _epsilon_polys(code.decode, code.encode, q, budget)
-
-
-def _update_from_epsilon(n: int, eps: list[BoolPoly], budget: int) -> QubitOperator:
-    """Sum over flip patterns t of X^t times the projector onto eps(w) = t.
-
-    Expands the projector product one component at a time, dropping
-    branches whose partial product has already vanished; constant
-    components keep exactly one branch alive, so linear cases degenerate to
-    a single X-string. Branches stay in lexicographic order of t, which
-    fixes the summation order.
-    """
-    live = [(QubitOperator.identity(n), 0)]
-    for j, e in enumerate(eps):
-        xop = extract(e, n, budget)
-        projectors = [QubitOperator.identity(n, 0.5) + (0.5 * sign) * xop for sign in (1.0, -1.0)]
-        grown = []
-        for partial, tmask in live:
-            for t_j, proj in enumerate(projectors):
-                nxt = partial.mul(proj, budget=budget)
-                if not nxt.is_zero():
-                    grown.append((nxt, tmask | (t_j << j)))
-        live = grown
-    out = QubitOperator.zero(n)
-    for partial, tmask in live:
-        out = out + QubitOperator.x_string(n, tmask).mul(partial, budget=budget)
-    return out
 
 
 def update_operator(code: Code, q: BitVec, budget: int | None = None) -> QubitOperator:
@@ -211,8 +184,7 @@ def update_operator(code: Code, q: BitVec, budget: int | None = None) -> QubitOp
     if code.encode_is_linear:
         mask = code.encode_linear_action(q).value
         return QubitOperator.x_string(code.n_qubits, mask)
-    eps = update_epsilon(code, q, budget)
-    return _update_from_epsilon(code.n_qubits, eps, budget)
+    return flip_operator(code.n_qubits, update_epsilon(code, q, budget), budget)
 
 
 # -- the general operator map --------------------------------------------------
@@ -382,7 +354,7 @@ def transform_single_two_codes(
     diag = _diagonal_part(incoming, ops, signs, budget)
     q = BitVec.unit(code_even.n_modes, j)
     eps = _epsilon_polys(incoming.decode, outgoing.encode, q, budget)
-    update = _update_from_epsilon(code_even.n_qubits, eps, budget)
+    update = flip_operator(code_even.n_qubits, eps, budget)
     return update.mul(diag, budget=budget)
 
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and the reproduced resource table.
 """
 
+import functools
 import itertools
 import random
 import time
@@ -257,13 +258,14 @@ def test_criterion_6_update_demand():
             basis = [nu for nu in decode_image(code) if nu.weight() == k]
         else:
             basis = decode_image(code)
+        encode = functools.cache(code.encode_vec)
         for q in _chain_qs(code.n_modes):
             u = update_operator(code, q)
             for nu in basis:
                 got = apply_qubit_operator(
-                    u, QubitStateVector.basis_state(code.encode_vec(nu))
+                    u, QubitStateVector.basis_state(encode(nu))
                 )
-                want = QubitStateVector.basis_state(code.encode_vec(nu + q))
+                want = QubitStateVector.basis_state(encode(nu + q))
                 if not got.isclose(want, 1e-9):
                     ok = False
                     break

@@ -216,3 +216,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["transform", *H2_ARGS, "--code", "jordan_wigner:4", "--epsilon", "1e-9"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--t", "nan"), ("--u", "inf"), ("--h11", "-inf"), ("--tol", "nan")]
+    )
+    def test_non_finite_float_flag_rejected(self, capsys, flag, value):
+        argv = ["transform", "--model", "hubbard", "--rows", "1", "--cols", "2",
+                "--open-lateral", "--code", "jordan_wigner:4", "--verify",
+                "--basis", "1-4:2", f"{flag}={value}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: non-finite value" in capsys.readouterr().err
+
+    def test_non_finite_coefficient_in_file(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text("nan 0 : +1 -1\n")
+        assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:1"]) == 2
+        assert "line 1: non-finite coefficient" in capsys.readouterr().err

@@ -5,13 +5,14 @@ import pytest
 
 from fermicode import pauli
 from fermicode.bitmath import BitVec, BoolPoly
-from fermicode.errors import DimensionError
+from fermicode.errors import BudgetError, DimensionError
 from fermicode.fock_oracle import QubitStateVector, apply_qubit_operator
 from fermicode.pauli import (
     PauliString,
     QubitOperator,
     cphase_expand,
     extract,
+    flip_operator,
     pauli_mul,
 )
 
@@ -144,6 +145,40 @@ class TestExtract:
         grid = [extract(f) for f in polys]
         monkeypatch.setattr(pauli, "_GRID_CAP", 0)
         assert [extract(f) for f in polys] == grid
+
+
+class TestFlipOperator:
+    @staticmethod
+    def _expected(n, eps):
+        m = np.zeros((1 << n, 1 << n))
+        for w in range(1 << n):
+            t = sum(e.evaluate(w) << j for j, e in enumerate(eps))
+            m[w ^ t, w] = 1.0
+        return m
+
+    def test_action_on_every_word(self):
+        # Compared on the whole qubit space, not only on code words.
+        rng = random.Random(53)
+        lists = [[BoolPoly.constant(3, b) for b in (1, 0, 1)]]
+        for _ in range(60):
+            n = rng.randrange(2, 6)
+            eps = [random_boolpoly(rng, n) for _ in range(n)]
+            eps[rng.randrange(n)] = BoolPoly.constant(n, rng.randrange(2))
+            lists.append(eps)
+        assert sum(not all(e.is_linear() for e in eps) for eps in lists) >= 40
+        for eps in lists:
+            n = eps[0].num_vars
+            got = dense_operator(flip_operator(n, eps))
+            assert np.array_equal(got, self._expected(n, eps))
+
+    def test_all_constant_is_x_string(self):
+        eps = [BoolPoly.constant(4, b) for b in (1, 0, 0, 1)]
+        assert flip_operator(4, eps) == QubitOperator.x_string(4, 0b1001)
+
+    def test_table_larger_than_budget_names_support(self):
+        eps = [BoolPoly.from_text(4, "x1*x2 + x3"), BoolPoly.from_text(4, "x4")]
+        with pytest.raises(BudgetError, match="support of 4 qubits"):
+            flip_operator(4, eps, budget=15)
 
 
 class TestCPhase:

@@ -7,6 +7,7 @@ import pytest
 from fermicode import pauli
 from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.codes import (
+    binary_addressing_k2,
     bravyi_kitaev,
     checksum_code,
     concat,
@@ -17,6 +18,7 @@ from fermicode.codes import (
 )
 from fermicode.cli import h2_code, h2_hamiltonian, hubbard_hamiltonian
 from fermicode.errors import (
+    BudgetError,
     InputFormatError,
     NonHermitianError,
     UnsupportedCodeError,
@@ -117,6 +119,21 @@ class TestUpdateOperator:
             got = apply_qubit_operator(u, QubitStateVector.basis_state(c.encode_vec(nu)))
             want = QubitStateVector.basis_state(c.encode_vec(nu + q))
             assert got.isclose(want, 1e-12)
+
+    def test_term_count_over_budget_raises(self):
+        # The update has 400 terms; it must abort, not return them.
+        c = concat(binary_addressing_k2(2), binary_addressing_k2(2))
+        q = BitVec.from_int(0b11, 8)
+        assert update_operator(c, q).num_terms == 400
+        with pytest.raises(BudgetError, match="budget 100"):
+            update_operator(c, q, budget=100)
+
+    def test_table_over_budget_names_support(self):
+        c = binary_addressing_k2(2)  # epsilon components span all 3 qubits
+        q = BitVec.from_int(0b11, 4)
+        assert update_operator(c, q).num_terms == 20
+        with pytest.raises(BudgetError, match="support of 3 qubits"):
+            update_operator(c, q, budget=7)
 
 
 class TestTransformTerm:
@@ -498,6 +515,11 @@ class TestFermionFiles:
         assert back.n_modes == 4 and back.terms == h.terms
         # an explicit mode count still wins over the header
         assert parse_fermion_file(format_fermion_file(h), n_modes=6).n_modes == 6
+
+    @pytest.mark.parametrize("coeff", ["nan 0", "0 inf", "-inf 1", "1 -nan"])
+    def test_non_finite_coefficient_names_its_line(self, coeff):
+        with pytest.raises(InputFormatError, match="line 2: non-finite"):
+            parse_fermion_file(f"1 0 : +1 -1\n{coeff} : +1 -1\n")
 
     @pytest.mark.parametrize("header", ["# modes: four", "# modes: -1", "# modes:"])
     def test_bad_mode_header_names_its_line(self, header):

@@ -5,15 +5,13 @@ qubits, with letters X=(1,0), Z=(0,1), Y=(1,1); the letter form equals
 ``i**y * X^x Z^z`` where y counts the Y factors. All phase bookkeeping is
 exact, in powers of i.
 
-The module also maps boolean functions to qubit operators, and both halves
-of the fermionic operator map expand through one truth-table grid
-(``_diagonal_from_values``, a Walsh-Hadamard transform over the functions'
-joint support). ``diagonal(n, factors)`` has eigenvalue
-``prod_k (a_k + b_k * (-1)**f_k(w))`` on ``|w>`` and alone decides how to
-expand it (affine Z-string product, the grid over at most ``_GRID_CAP``
-qubits, or per-factor product with monomial expansions); ``extract(f)`` is
-its single-factor case ``(-1)**f(w)``. ``flip_operator(n, eps)`` is the
-update operator ``|w> -> |w + eps(w)>``: the grid, grouped by flip pattern.
+The module also maps boolean functions to qubit operators through one
+kernel, ``expand``: the update operator ``sum_t X^t [eps(w) = t]`` times
+the diagonal ``prod_k (a_k + b_k * (-1)**f_k(w))``. Affine parts multiply
+as Z-strings; the nonlinear rest splits into groups on disjoint qubits, each
+a Walsh-Hadamard transform of its own truth table, and the groups combine
+as a tensor product. ``extract``, ``cphase_expand`` and ``flip_operator``
+are single calls to it.
 """
 
 from __future__ import annotations
@@ -298,16 +296,15 @@ class QubitOperator:
     def check_hermitian(self, tol: float = 1e-9) -> tuple[bool, PauliString | None]:
         """Pauli strings are self-adjoint, so hermiticity means real coefficients.
 
-        Returns (ok, witness); the witness is a string with a non-real
-        coefficient when the check fails.
+        Returns (ok, witness); the witness is the string with the largest
+        imaginary part when the check fails, the first in ``sort_key`` order
+        among ties, so it does not depend on the order of ``terms``.
         """
-        worst = None
-        worst_imag = tol
-        for s, c in self.terms.items():
-            if abs(c.imag) > worst_imag:
-                worst_imag = abs(c.imag)
-                worst = s
-        return worst is None, worst
+        worst = max((abs(c.imag) for c in self.terms.values()), default=0.0)
+        if worst <= tol:
+            return True, None
+        tied = (s for s, c in self.terms.items() if abs(c.imag) == worst)
+        return False, min(tied, key=PauliString.sort_key)
 
     def stats(self) -> tuple[int, int]:
         """(number of stored terms, total Pauli weight); identity weighs 0."""
@@ -375,85 +372,135 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _diagonal_from_values(
-    n: int,
-    support: list[int],
-    values: np.ndarray,
-    budget: int,
-    flips: np.ndarray | None = None,
-) -> QubitOperator:
-    """Operator from its eigenvalues over the support-variable grid.
-
-    ``values[g]`` is the eigenvalue on assignments whose support bits are the
-    bits of ``g`` (support[i] maps to grid bit i); qubits outside the support
-    must not affect the eigenvalue. With ``flips`` the result is
-    ``sum_t X^t D_t``, ``D_t`` keeping the eigenvalues where ``flips == t``;
-    ``X^t Z^z`` is the letter string ``(t, z)`` times ``i**(-|t & z|)``.
-    """
-    k = len(support)
-    if flips is None:
-        groups = [(0, values)]
-    else:
-        groups = [(int(t), np.where(flips == t, values, 0)) for t in np.unique(flips)]
-    terms: dict[PauliString, complex] = {}
-    for t, group in groups:
-        coeffs = _fwht(group.astype(float)) / (1 << k)
-        for g in np.flatnonzero(np.abs(coeffs) > DEFAULT_PRUNE).tolist():
-            zmask = 0
-            gg = g
-            while gg:
-                i = (gg & -gg).bit_length() - 1
-                zmask |= 1 << (support[i] - 1)
-                gg &= gg - 1
-            c = float(coeffs[g])
-            parts = ((c, 0.0), (0.0, c), (-c, 0.0), (0.0, -c))[-(t & zmask).bit_count() & 3]
-            terms[PauliString.from_masks(n, t, zmask)] = complex(*parts)
-        if len(terms) > budget:
-            raise BudgetError(f"expansion reached {len(terms)} terms, budget {budget}")
-    return QubitOperator._from_clean(n, terms, DEFAULT_PRUNE)
+def poly_table(masks: Iterable[int], grid: np.ndarray) -> np.ndarray:
+    """Truth table of the polynomial with monomial ``masks`` at each assignment of ``grid``."""
+    m = np.array(list(masks), dtype=grid.dtype)[:, None]
+    return np.bitwise_xor.reduce((grid & m) == m, axis=0)
 
 
-def poly_table(p: BoolPoly, support: list[int]) -> np.ndarray:
-    """Truth table of ``p`` over the grid of its support variables.
+def _group_terms(n: int, mask: int, members: list, budget: int) -> list[tuple[int, int, float]]:
+    """``(t, z, c)`` terms of ``sum c X^t Z^z`` for one group of qubits.
 
-    ``support`` must contain every variable occurring in ``p`` (1-based);
-    entry ``g`` is p at the assignment with support[i] set iff bit i of g.
-    """
-    k = len(support)
-    pos = {v: i for i, v in enumerate(support)}
-    grid = np.arange(1 << k, dtype=np.int64)
-    out = np.zeros(1 << k, dtype=np.int64)
-    for m in p.masks:
-        local = 0
-        mm = m
-        while mm:
-            j = (mm & -mm).bit_length()
-            local |= 1 << pos[j]
-            mm &= mm - 1
-        out ^= ((grid & local) == local).astype(np.int64)
-    return out
-
-
-def _monomial_extract(n: int, mask: int) -> QubitOperator:
-    """Expansion of the diagonal operator with eigenvalue (-1)**prod(w_j) on mask.
-
-    Equals ``I - 2 * prod_{j in mask} (I - Z_j)/2`` written out in Z-strings.
+    ``members`` are ``(0, monomial)`` of the sign, ``(1, (f, a, b))``
+    nonlinear factors and ``(2, (j, eps_j))`` flip components. They are
+    tabulated over the group's qubits and each flip pattern's share of the
+    table is Walsh-transformed; the table and the terms count against
+    ``budget``.
     """
     k = mask.bit_count()
-    scale = 2.0 ** (1 - k)
-    terms: dict[PauliString, complex] = {}
-    ident = 1.0 - scale
-    if abs(ident) > DEFAULT_PRUNE:
-        terms[PauliString.identity(n)] = ident
-    sub = mask
-    while True:
-        if sub:
-            sign = -1.0 if sub.bit_count() & 1 else 1.0
-            terms[PauliString.from_masks(n, 0, sub)] = -scale * sign
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return QubitOperator._from_clean(n, terms, DEFAULT_PRUNE)
+    if 1 << k > budget:
+        raise BudgetError(f"table over a support of {k} qubits exceeds budget {budget}")
+    # grid[g] is the assignment whose i-th qubit of the group is bit i of g;
+    # Python ints once a mask no longer fits an int64.
+    grid = np.zeros(1, dtype=np.int64 if n < 64 else object)
+    for j in (j for j in range(n) if mask >> j & 1):
+        grid = np.concatenate([grid, grid | (1 << j)])
+    sign = [m for kind, m in members if kind == 0]
+    values = 1.0 - 2.0 * poly_table(sign, grid) if sign else np.ones(1 << k)
+    for f, a, b in (piece for kind, piece in members if kind == 1):
+        values *= a + b * (1.0 - 2.0 * poly_table(f.masks, grid))
+    flips = [piece for kind, piece in members if kind == 2]
+    rows = [(0, values)]
+    if flips:
+        pattern = np.zeros(1 << k, dtype=np.int64)
+        for r, (_, e) in enumerate(flips):
+            pattern |= poly_table(e.masks, grid).astype(np.int64) << r
+        patterns = np.unique(pattern[values != 0]).tolist()
+        # Pattern t's share has at least 2**k / |its grid points| terms, so
+        # the p shares together have at least p**2.
+        p = len(patterns)
+        if p * p > budget:
+            raise BudgetError(f"{p} flip patterns need at least {p * p} terms, budget {budget}")
+        rows = [
+            (sum(1 << j for r, (j, _) in enumerate(flips) if t >> r & 1),
+             np.where(pattern == t, values, 0.0))
+            for t in patterns
+        ]
+    terms: list[tuple[int, int, float]] = []
+    for t, row in rows:
+        coeffs = _fwht(row) / (1 << k)
+        idx = np.flatnonzero(np.abs(coeffs) > DEFAULT_PRUNE)
+        terms.extend(zip([t] * len(idx), grid[idx].tolist(), coeffs[idx].tolist()))
+        if len(terms) > budget:
+            raise BudgetError(f"expansion reached {len(terms)} terms, budget {budget}")
+    return terms
+
+
+def _collect(terms: Iterable[tuple[int, int, float]], budget: int) -> list[tuple[int, int, float]]:
+    """Sum the ``(t, z, c)`` terms per string and drop the vanished ones."""
+    acc: dict[tuple[int, int], float] = {}
+    for t, z, c in terms:
+        acc[t, z] = acc.get((t, z), 0.0) + c
+    if len(acc) > budget:
+        raise BudgetError(f"expansion reached {len(acc)} terms, budget {budget}")
+    return [(t, z, c) for (t, z), c in acc.items() if abs(c) > DEFAULT_PRUNE]
+
+
+def expand(
+    n: int,
+    factors: Sequence[tuple[BoolPoly, float, float]],
+    flips: int | Sequence[BoolPoly],
+    budget: int | None = None,
+) -> QubitOperator:
+    """Operator ``sum_t X^t [eps(w) = t] * prod_k (a_k + b_k * (-1)**f_k(w))``.
+
+    ``factors`` are ``(f_k, a_k, b_k)``: ``(f, 0, 1)`` is the sign
+    ``(-1)**f`` and ``(f, 1/2, -1/2)`` the projector onto ``f = 1``.
+    ``flips`` lists the ``eps`` components (``eps[j]`` flips qubit ``j + 1``)
+    or is the mask of a constant ``eps``. The signs add mod 2 into one
+    function; affine factors multiply in as ``a + b * Z-string``. The
+    nonlinear rest (the sign's nonlinear monomials, nonlinear factors, each
+    non-constant ``eps_j`` with qubit ``j``) splits into groups on disjoint
+    qubits (``_group_terms``), which combine as a tensor product.
+    ``X^t Z^z`` is the letter string ``(t, z)`` times ``i**(-|t & z|)``.
+    """
+    budget = DEFAULT_BUDGET if budget is None else budget
+    t0, eps = (flips, ()) if isinstance(flips, int) else (0, flips)
+    for f in [f for f, _, _ in factors] + list(eps):
+        if f.num_vars != n:
+            raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
+    pieces = []  # (qubit mask, kind, payload), kinds as in _group_terms
+    for j, e in enumerate(eps):
+        if e.support():
+            pieces.append((e.support() | 1 << j, 2, (j, e)))
+        elif e.masks:
+            t0 |= 1 << j
+    sign: frozenset = frozenset()
+    terms = [(t0, 0, 1.0)]
+    for f, a, b in factors:
+        if (a, b) == (0, 1):
+            sign = sign ^ f.masks
+        elif any(m & (m - 1) for m in f.masks):
+            pieces.append((f.support(), 1, (f, a, b)))
+        else:  # (-1)**f is a Z-string, negated by f's constant
+            zf, bf = f.support(), -b if 0 in f.masks else b
+            terms = _collect(((t, z ^ dz, c * dc) for t, z, c in terms
+                              for dz, dc in ((0, a), (zf, bf))), budget)
+    pieces += [(m, 0, m) for m in sign if m & (m - 1)]
+    linear, s0 = sum(m for m in sign if not m & (m - 1)), -1.0 if 0 in sign else 1.0
+    terms = [(t, z ^ linear, s0 * c) for t, z, c in terms]
+    groups: dict[int, list] = {}  # connected components: disjoint qubit masks
+    for mask, kind, payload in pieces:
+        members = [(kind, payload)]
+        for g in [g for g in groups if g & mask]:
+            members += groups.pop(g)
+            mask |= g
+        groups[mask] = members
+    for mask, members in groups.items():
+        part = _group_terms(n, mask, members, budget)
+        if len(terms) * len(part) > budget:
+            raise BudgetError(f"expansion reached {len(terms) * len(part)} terms, budget {budget}")
+        terms = [(t ^ tg, z ^ zg, c * cg) for t, z, c in terms for tg, zg, cg in part]
+    out: dict[PauliString, complex] = {}
+    for t, z, c in _collect(terms, budget):
+        parts = ((c, 0.0), (0.0, c), (-c, 0.0), (0.0, -c))[-(t & z).bit_count() & 3]
+        out[PauliString.from_masks(n, t, z)] = complex(*parts)
+    return QubitOperator._from_clean(n, out, DEFAULT_PRUNE)
+
+
+def extract(f: BoolPoly, n: int | None = None, budget: int | None = None) -> QubitOperator:
+    """Diagonal operator with eigenvalue ``(-1)**f(w)`` on basis state ``|w>``."""
+    return expand(f.num_vars if n is None else n, [(f, 0, 1)], 0, budget)
 
 
 def cphase_expand(indices: Iterable[int], n: int) -> QubitOperator:
@@ -465,90 +512,9 @@ def cphase_expand(indices: Iterable[int], n: int) -> QubitOperator:
         mask |= 1 << (j - 1)
     if mask == 0:
         raise ValueError("cphase_expand needs a nonempty index set")
-    return _monomial_extract(n, mask)
-
-
-def _joint_support(n: int, polys: Sequence[BoolPoly]) -> list[int]:
-    """Qubits (1-based) occurring in any of ``polys``, each over ``n`` variables."""
-    mask = 0
-    for f in polys:
-        if f.num_vars != n:
-            raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
-        mask |= f.support()
-    return [j + 1 for j in range(n) if (mask >> j) & 1]
-
-
-# Largest nonlinear support that diagonal() tabulates instead of multiplying
-# per-factor expansions; 2**16 eigenvalues is still cheap.
-_GRID_CAP = 16
-
-
-def diagonal(
-    n: int,
-    factors: Sequence[tuple[BoolPoly, float, float]],
-    budget: int | None = None,
-) -> QubitOperator:
-    """Diagonal operator with eigenvalue ``prod_k (a_k + b_k * (-1)**f_k(w))``.
-
-    ``factors`` is a non-empty list of ``(f_k, a_k, b_k)``: ``(f, 0, 1)`` is
-    the sign ``(-1)**f`` and ``(f, 1/2, -1/2)`` the projector onto ``f = 1``.
-    Affine factors multiply as signed Z-strings. A nonlinear product whose
-    joint support has at most ``_GRID_CAP`` qubits is tabulated over that
-    support and expanded once; a larger one multiplies per-factor
-    expansions, a lone nonlinear sign via its monomials. Factors are
-    multiplied in order, each new one from the left.
-    """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    for f, _, _ in factors:
-        if f.num_vars != n:
-            raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
-    if not all(f.is_linear() for f, _, _ in factors):
-        support = _joint_support(n, [f for f, _, _ in factors])
-        if len(support) <= _GRID_CAP:
-            values = np.ones(1 << len(support))
-            for f, a, b in factors:
-                values = values * (a + b * (1.0 - 2.0 * poly_table(f, support)))
-            return _diagonal_from_values(n, support, values, budget)
-        if len(factors) == 1 and factors[0][1:] == (0, 1):
-            f = factors[0][0]
-            op = QubitOperator.identity(n, -1.0 if f.constant_part() else 1.0)
-            for mask in sorted(m for m in f.masks if m):
-                if mask.bit_count() == 1:
-                    factor = QubitOperator.z_string(n, mask)
-                else:
-                    factor = _monomial_extract(n, mask)
-                op = op.mul(factor, budget=budget)
-            return op
-    op = None
-    for f, a, b in factors:
-        if f.is_linear():  # (-1)**f is a Z-string, negated by f's constant
-            sign = QubitOperator.z_string(n, f.linear_mask(), -1.0 if f.constant_part() else 1.0)
-        else:
-            sign = diagonal(n, [(f, 0, 1)], budget)
-        factor = sign if (a, b) == (0, 1) else QubitOperator.identity(n, a) + b * sign
-        op = factor if op is None else factor.mul(op, budget=budget)
-    return op
-
-
-def extract(f: BoolPoly, n: int | None = None, budget: int | None = None) -> QubitOperator:
-    """Diagonal operator with eigenvalue ``(-1)**f(w)`` on basis state ``|w>``."""
-    return diagonal(f.num_vars if n is None else n, [(f, 0, 1)], budget)
+    return expand(n, [(BoolPoly(n, [mask]), 0, 1)], 0)
 
 
 def flip_operator(n: int, eps: Sequence[BoolPoly], budget: int | None = None) -> QubitOperator:
-    """Operator ``sum_t X^t [eps(w) = t]`` sending ``|w>`` to ``|w + eps(w)>``.
-
-    ``eps[j]`` flips qubit ``j + 1``. The components are tabulated over their
-    joint support ``S`` and each flip pattern's projector is expanded on that
-    grid; the ``2**|S|`` table counts against ``budget``, as does the result.
-    """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    support = _joint_support(n, eps)
-    k = len(support)
-    if 1 << k > budget:
-        raise BudgetError(f"update table over a support of {k} qubits exceeds budget {budget}")
-    # Python-int masks once the flip pattern no longer fits an int64.
-    flips = np.zeros(1 << k, dtype=np.int64 if n < 64 else object)
-    for j, e in enumerate(eps):
-        flips |= poly_table(e, support).astype(flips.dtype) << j
-    return _diagonal_from_values(n, support, np.ones(1 << k), budget, flips)
+    """Operator ``sum_t X^t [eps(w) = t]`` sending ``|w>`` to ``|w + eps(w)>``."""
+    return expand(n, [], eps, budget)

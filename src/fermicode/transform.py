@@ -3,11 +3,11 @@
 The general weight-l operator map composes, per operator in the sequence,
 a projector onto the correct occupation and a parity-sign operator (both
 diagonal), followed by a single update operator that flips the code word.
-Both halves expand through ``pauli``'s one truth-table grid: the diagonal
-part is one ``pauli.diagonal`` call (parities from ``Code.prefix_parities``),
-a nonlinear update one ``pauli.flip_operator`` call. Linear encodings reduce
-the update to an X-string; for classical n = N codes the whole construction
-collapses to Pauli strings over parity/flip/update index sets.
+Each term is one ``pauli.expand`` call: the parity signs (from
+``Code.prefix_parities``) and projectors as factors, and as flips the
+update's constant mask (linear encodings) or its epsilon components. For
+classical n = N codes the construction collapses to Pauli strings over
+parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
 annihilation pair blocks, the pair-block and two-code single-operator
@@ -21,15 +21,17 @@ import cmath
 import itertools
 from dataclasses import dataclass
 
-from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly, poly_sum
+from .bitmath import BitVec, BoolPoly
+from .bitmath import poly_sum  # noqa: F401  (perfbench/spans.py patches it here)
 from .codes import Code
 from .errors import (
+    BudgetError,
     DimensionError,
     InputFormatError,
     NonHermitianError,
     UnsupportedCodeError,
 )
-from .pauli import PauliString, QubitOperator, diagonal, flip_operator
+from .pauli import PauliString, QubitOperator, expand
 from .pauli import extract, poly_table  # noqa: F401  (perfbench/spans.py patches them here)
 
 
@@ -176,15 +178,16 @@ def update_epsilon(code: Code, q: BitVec, budget: int | None = None) -> list[Boo
     return _epsilon_polys(code.decode, code.encode, q, budget)
 
 
+def _update_flips(code: Code, q: BitVec, budget: int | None) -> int | list[BoolPoly]:
+    """``expand`` flips of the update by q: a mask for a linear encoding, else epsilon."""
+    if code.encode_is_linear:
+        return code.encode_linear_action(q).value
+    return update_epsilon(code, q, budget)
+
+
 def update_operator(code: Code, q: BitVec, budget: int | None = None) -> QubitOperator:
     """Operator satisfying U |e(v)> = |e(v + q)> for every encoded v."""
-    if q.n != code.n_modes:
-        raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if code.encode_is_linear:
-        mask = code.encode_linear_action(q).value
-        return QubitOperator.x_string(code.n_qubits, mask)
-    return flip_operator(code.n_qubits, update_epsilon(code, q, budget), budget)
+    return expand(code.n_qubits, [], _update_flips(code, q, budget), budget)
 
 
 # -- the general operator map --------------------------------------------------
@@ -214,18 +217,15 @@ def _term_signs(ops: tuple[tuple[int, bool], ...]) -> tuple[float, list[float]]:
     return (-1.0 if inversions & 1 else 1.0), signs
 
 
-def _diagonal_part(code: Code, ops: tuple, signs: list[float], budget: int) -> QubitOperator:
-    """Parity sign times the occupation projectors of one term."""
-    parity = poly_sum((parity_function(code, m) for m, _ in ops), code.n_qubits)
-    factors = [(parity, 0, 1)] + [
+def _diagonal_factors(code: Code, ops: tuple, signs: list[float]) -> list[tuple]:
+    """``expand`` factors of one term: parity signs and occupation projectors."""
+    return [(parity_function(code, m), 0, 1) for m, _ in ops] + [
         (code.decode[m - 1], 0.5, -0.5 * s) for (m, _), s in zip(ops, signs)
     ]
-    return diagonal(code.n_qubits, factors, budget)
 
 
 def transform_term(code: Code, term: FermionTerm, budget: int | None = None) -> QubitOperator:
     """Qubit image of one fermionic term under the code's operator map."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     n = code.n_qubits
     if term.max_mode() > code.n_modes:
         raise DimensionError(
@@ -236,13 +236,12 @@ def transform_term(code: Code, term: FermionTerm, budget: int | None = None) -> 
         # encoded space; emit the identity itself to stay hermitian.
         return QubitOperator.identity(n, term.coeff)
     global_sign, signs = _term_signs(term.ops)
-    diag = _diagonal_part(code, term.ops, signs, budget)
     q_value = 0
     for m, _ in term.ops:
         q_value ^= 1 << (m - 1)
     q = BitVec.from_int(q_value, code.n_modes)
-    update = update_operator(code, q, budget)
-    return (term.coeff * global_sign) * update.mul(diag, budget=budget)
+    op = expand(n, _diagonal_factors(code, term.ops, signs), _update_flips(code, q, budget), budget)
+    return (term.coeff * global_sign) * op
 
 
 def transform_hamiltonian(
@@ -256,14 +255,18 @@ def transform_hamiltonian(
     A non-hermitian outcome means the code does not keep this Hamiltonian's
     action inside the encoded basis (for example unadjusted hops between
     segments, or a not-one-to-one code without balanced degenerate states).
+    A ``BudgetError`` names the term that tripped it (1-based index, text).
     """
     if h.n_modes != code.n_modes:
         raise DimensionError(
             f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}"
         )
     acc: dict[PauliString, complex] = {}
-    for term in h.terms:
-        top = transform_term(code, term, budget)
+    for index, term in enumerate(h.terms, start=1):
+        try:
+            top = transform_term(code, term, budget)
+        except BudgetError as exc:
+            raise BudgetError(f"term {index} ({term}): {exc}") from exc
         for s, c in top.terms.items():
             acc[s] = acc.get(s, 0.0) + c
     out = QubitOperator(code.n_qubits, acc)
@@ -347,15 +350,12 @@ def transform_single_two_codes(
     """
     if code_even.n_qubits != code_odd.n_qubits or code_even.n_modes != code_odd.n_modes:
         raise DimensionError("sector codes must share mode and qubit counts")
-    budget = DEFAULT_BUDGET if budget is None else budget
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
     ops = ((j, dagger),)
     _, signs = _term_signs(ops)
-    diag = _diagonal_part(incoming, ops, signs, budget)
     q = BitVec.unit(code_even.n_modes, j)
     eps = _epsilon_polys(incoming.decode, outgoing.encode, q, budget)
-    update = flip_operator(code_even.n_qubits, eps, budget)
-    return update.mul(diag, budget=budget)
+    return expand(code_even.n_qubits, _diagonal_factors(incoming, ops, signs), eps, budget)
 
 
 def transform_pair(code: Code, i: int, j: int, budget: int | None = None) -> QubitOperator:

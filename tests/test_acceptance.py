@@ -5,6 +5,7 @@ lines and the reproduced resource table.
 """
 
 import functools
+import hashlib
 import itertools
 import random
 import time
@@ -75,6 +76,15 @@ ROW_ORDER = [
     ("segment+segment", 16),
 ]
 
+# (terms, gates, sha256 prefix of the serialized operator) per table row.
+ROW_PINS = {
+    "Jordan-Wigner": (91, 264, "48310d8063dfc3d3"),
+    "Bravyi-Kitaev": (91, 326, "7d7bb5b5a5955640"),
+    "checksum+checksum": (91, 304, "84256b386cd1c02b"),
+    "checksum+segment": (893, 4466, "d8bef7de30c7d507"),
+    "segment+segment": (1855, 9404, "40df80d791810262"),
+}
+
 
 @pytest.fixture(scope="module")
 def table_rows(hubbard):
@@ -138,11 +148,14 @@ def test_criterion_2_resource_table(table_rows):
         has_identity = any(s.is_identity() for s in hq.terms)
         terms_excl = terms - (1 if has_identity else 0)
         ok &= hq.n == want_qubits
+        digest = hashlib.sha256(hq.serialize().encode()).hexdigest()[:16]
+        ok &= (terms, gates, digest) == ROW_PINS[name]
         if name == "segment+segment":
             ok &= elapsed < 300.0
         lines.append(
             f"  {name:20s} qubits={hq.n:2d} terms={terms} "
-            f"terms_excl_identity={terms_excl} gates={gates} ({elapsed:.1f}s)"
+            f"terms_excl_identity={terms_excl} gates={gates} sha256={digest} "
+            f"({elapsed:.1f}s)"
         )
         # determinism: transforming again reproduces the bytes
         _, prepared, _, _ = table_rows[name]

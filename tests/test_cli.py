@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -179,6 +180,14 @@ class TestExitCodes:
             "--budget", "2",
         ])
         assert rc == 3
+
+    def test_budget_error_names_the_term(self, capsys):
+        rc = main([
+            "transform", "--model", "hubbard", "--rows", "1", "--cols", "2",
+            "--open-lateral", "--code", "binary_addressing_k2:2", "--budget", "4",
+        ])
+        assert rc == 3
+        assert re.search(r"^resource budget exceeded: term \d+ \(", capsys.readouterr().err)
 
     def test_bad_code_name(self, capsys):
         rc = main(["transform", "--model", "h2", "--code", "wat:4"])

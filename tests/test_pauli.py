@@ -135,16 +135,54 @@ class TestExtract:
             b = extract(random_boolpoly(rng, n))
             assert (a * b).isclose(b * a, 1e-12)
 
-    def test_product_fallback_equals_grid(self, monkeypatch):
-        # With the cap at 0 every nonlinear function takes the monomial
-        # product path; its expansion must equal the tabulated one exactly.
-        rng = random.Random(43)
-        polys = [random_boolpoly(rng, rng.randrange(2, 7)) for _ in range(40)]
-        polys = [f for f in polys if not f.is_linear()]
-        assert len(polys) >= 20
-        grid = [extract(f) for f in polys]
-        monkeypatch.setattr(pauli, "_GRID_CAP", 0)
-        assert [extract(f) for f in polys] == grid
+    def test_one_monomial_over_budget_names_support(self):
+        with pytest.raises(BudgetError, match="support of 5 qubits"):
+            extract(BoolPoly(5, [0b11111]), budget=16)
+
+
+class TestExpand:
+    BLOCKINGS = [((0, 2), (2, 3)), ((0, 3), (3, 3)), ((0, 2), (2, 2), (4, 2))]
+
+    @staticmethod
+    def _block_poly(rng, n, block):
+        lo, size = block
+        return BoolPoly(n, [rng.randrange(1 << size) << lo for _ in range(rng.randrange(1, 5))])
+
+    @staticmethod
+    def _expected(n, factors, eps):
+        m = np.zeros((1 << n, 1 << n))
+        for w in range(1 << n):
+            t = sum(e.evaluate(w) << j for j, e in enumerate(eps))
+            m[w ^ t, w] = np.prod([a + b * (-1.0) ** f.evaluate(w) for f, a, b in factors])
+        return m
+
+    def test_matches_dense_over_disjoint_blocks(self):
+        # Functions live on 2-3 disjoint blocks, so the kernel expands one
+        # table per block; affine factors span blocks and some eps_j are
+        # constant.
+        rng = random.Random(61)
+        for trial in range(45):
+            blocks = self.BLOCKINGS[trial % 3]
+            n = sum(size for _, size in blocks)
+            factors = []
+            for _ in range(rng.randrange(1, 6)):
+                a, b = rng.choice([(0, 1), (0.5, 0.5), (0.5, -0.5), (1.5, -0.5)])
+                if rng.random() < 0.25:
+                    f = BoolPoly.linear(BitVec.from_int(rng.randrange(1 << n), n), rng.randrange(2))
+                else:
+                    f = self._block_poly(rng, n, rng.choice(blocks))
+                factors.append((f, a, b))
+            eps = []
+            for j in range(n):
+                block = next(bl for bl in blocks if bl[0] <= j < bl[0] + bl[1])
+                if rng.random() < 0.3:
+                    eps.append(BoolPoly.constant(n, rng.randrange(2)))
+                else:
+                    eps.append(self._block_poly(rng, n, block))
+            got = dense_operator(pauli.expand(n, factors, eps))
+            assert np.allclose(got, self._expected(n, factors, eps), atol=1e-12)
+            diagonal = dense_operator(pauli.expand(n, factors, 0))
+            assert np.allclose(diagonal, self._expected(n, factors, []), atol=1e-12)
 
 
 class TestFlipOperator:
@@ -179,6 +217,32 @@ class TestFlipOperator:
         eps = [BoolPoly.from_text(4, "x1*x2 + x3"), BoolPoly.from_text(4, "x4")]
         with pytest.raises(BudgetError, match="support of 4 qubits"):
             flip_operator(4, eps, budget=15)
+
+    def test_flip_pattern_bound_never_rejects_a_fitting_operator(self):
+        # p flip patterns need at least p**2 terms, so with the budget at the
+        # operator's own term count only a truth table wider than that
+        # budget may raise.
+        rng = random.Random(59)
+        fitted = 0
+        for _ in range(150):
+            n = rng.randrange(2, 7)
+            eps = [random_boolpoly(rng, n) for _ in range(n)]
+            op = flip_operator(n, eps)
+            p = len({sum(e.evaluate(w) << j for j, e in enumerate(eps)) for w in range(1 << n)})
+            assert op.num_terms >= p * p
+            try:
+                assert flip_operator(n, eps, budget=op.num_terms) == op
+                fitted += 1
+            except BudgetError as exc:
+                assert "support of" in str(exc)
+        assert fitted >= 140
+
+    def test_flip_patterns_over_budget_raise(self):
+        eps = [BoolPoly.from_text(4, t) for t in ("x1 + x2*x3", "x2", "x3 + x1*x4", "x4")]
+        p = len({sum(e.evaluate(w) << j for j, e in enumerate(eps)) for w in range(16)})
+        assert p * p > 16  # the 16-entry table itself fits
+        with pytest.raises(BudgetError, match=f"{p} flip patterns"):
+            flip_operator(4, eps, budget=16)
 
 
 class TestCPhase:
@@ -216,6 +280,15 @@ class TestHermiticityAndStats:
         op = QubitOperator.from_string(PauliString(1, {1: "X"}), 1j)
         ok, witness = op.check_hermitian()
         assert not ok and witness == PauliString(1, {1: "X"})
+
+    def test_witness_ignores_insertion_order(self):
+        # Tied imaginary parts: the witness is the first string in sort order.
+        a = PauliString(3, {1: "X", 3: "Y"})
+        b = PauliString(3, {1: "Y", 2: "Z", 3: "X"})
+        terms = {a: 0.5 + 0.25j, b: -0.5 - 0.25j, PauliString(3, {2: "Z"}): 0.125j}
+        forward = QubitOperator(3, terms).check_hermitian()
+        backward = QubitOperator(3, dict(reversed(terms.items()))).check_hermitian()
+        assert forward == backward == (False, a)
 
     def test_stats_examples(self):
         p = QubitOperator.identity(1, 0.5) + QubitOperator.z_string(1, 1, -0.5)

@@ -1,19 +1,22 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
 
-from fermicode import pauli
 from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.codes import (
     binary_addressing_k2,
     bravyi_kitaev,
     checksum_code,
     concat,
+    enumerate_basis,
     jordan_wigner,
     linear_code,
+    load_code,
     parity_code,
+    parse_basis_spec,
     segment_code,
 )
 from fermicode.cli import h2_code, h2_hamiltonian, hubbard_hamiltonian
@@ -23,7 +26,7 @@ from fermicode.errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from fermicode.fock_oracle import QubitStateVector, apply_qubit_operator
+from fermicode.fock_oracle import QubitStateVector, apply_qubit_operator, verify_equivalence
 from fermicode.pauli import PauliString, QubitOperator
 from fermicode.transform import (
     FermionHamiltonian,
@@ -464,18 +467,23 @@ class TestHamiltonianTransform:
         ok, _ = hq.check_hermitian()
         assert ok
 
-    def test_product_fallback_equals_grid(self, monkeypatch):
-        # Dressed segment terms are nonlinear; with the cap at 0 their
-        # diagonal parts multiply per-factor expansions instead of a grid.
-        code = segment_code(2, 1)
-        code = concat(code, code)
-        h = hubbard_hamiltonian(1, 5, 1.0, 1.0, periodic_lateral=False)
+    def test_wrap_hop_across_three_blocks_verifies(self):
+        # Periodic 1x9 Hubbard: the wrap hop 1 <-> 9 of each spin crosses all
+        # three segment blocks, so its parity spans them too.
+        code = load_code("segment:1:3+segment:1:3")
+        h = hubbard_hamiltonian(1, 9, 1.0, 1.0, periodic_lateral=True)
         prepared = adjust_for_segments(
             normal_order_blocks(h), code.segments, code.segment_weight
         )
-        grid = transform_hamiltonian(code, prepared)
-        monkeypatch.setattr(pauli, "_GRID_CAP", 0)
-        assert transform_hamiltonian(code, prepared) == grid
+        hq = transform_hamiltonian(code, prepared)
+        basis = enumerate_basis(parse_basis_spec("1-9:1;10-18:1", 18))
+        assert verify_equivalence(code, prepared, hq, basis).status == "pass"
+
+    def test_budget_error_names_the_term(self):
+        code = binary_addressing_k2(2)
+        h = hubbard_hamiltonian(1, 2, 1.0, 1.0, periodic_lateral=False)
+        with pytest.raises(BudgetError, match=rf"^term 1 \({re.escape(str(h.terms[0]))}\): "):
+            transform_hamiltonian(code, h, budget=2)
 
     def test_non_hermitian_flagged(self):
         code = segment_code(2, 2)

@@ -372,9 +372,6 @@ class BoolPoly:
     def is_zero(self) -> bool:
         return not self.masks
 
-    def constant_part(self) -> int:
-        return 1 if 0 in self.masks else 0
-
     def linear_mask(self) -> int:
         """Packed coefficients of the degree-1 monomials."""
         mask = 0

@@ -4,8 +4,9 @@ Subcommands
 
   gen-model      write a fermionic Hamiltonian file for a builtin model
   transform      map a Hamiltonian through a code and write the Pauli file
-  verify         transform and check the result against the exact fermionic
-                 action on a chosen occupation basis
+  verify         transform and check the result against the exact action of
+                 the input Hamiltonian (before any segment dressing) on a
+                 chosen occupation basis
   validate-code  round-trip / decode-image / one-to-one report for a code
 
 Exit codes: 0 success, 1 verification or hermiticity failure, 2 input error,
@@ -160,7 +161,7 @@ def _load_hamiltonian(args) -> FermionHamiltonian:
 
 
 def _prepare(code: Code, h: FermionHamiltonian, no_adjust: bool) -> FermionHamiltonian:
-    """Normal-order and dress the Hamiltonian when the code caps segments."""
+    """Normal-order and dress for the transform when the code caps segments."""
     if code.segments and not no_adjust:
         blocked = normal_order_blocks(h)
         return adjust_for_segments(blocked, code.segments, code.segment_weight)
@@ -192,9 +193,7 @@ def _cmd_transform(args) -> int:
         if not args.basis:
             raise InputFormatError("--verify needs --basis")
         spec = parse_basis_spec(args.basis, code.n_modes)
-        report = verify_equivalence(
-            code, prepared, hq, enumerate_basis(spec), tol=args.tol
-        )
+        report = verify_equivalence(code, h, hq, enumerate_basis(spec), tol=args.tol)
         print(report.summary())
         if not report.ok:
             return 1
@@ -211,7 +210,7 @@ def _cmd_verify(args) -> int:
         print(f"verification failed: {exc}")
         return 1
     spec = parse_basis_spec(args.basis, code.n_modes)
-    report = verify_equivalence(code, prepared, hq, enumerate_basis(spec), tol=args.tol)
+    report = verify_equivalence(code, h, hq, enumerate_basis(spec), tol=args.tol)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json() + "\n")

@@ -1,10 +1,12 @@
 """Ground-truth fermionic semantics and transform verification.
 
-Two kernels hold all the action code: ``_fermion_image`` applies ladder-
-operator products to one occupation state with exact anticommutation signs,
-and ``_pauli_image`` applies Pauli strings to one computational basis word.
-Each maps a packed basis state to its unfiltered image; the sparse-vector
-helpers, ``fock_matrix`` and ``verify_equivalence`` are built on them.
+One kernel, ``_image``, holds all the action code. On a basis word a ladder-
+operator product and a Pauli string have the same form: a flip mask, a
+Z-mask parity sign and a coefficient, and for the ladder product a check that
+the touched modes start at the occupations it needs. Each term or string is
+packed once into such an item (``_pack_terms``/``_pack_strings``); the
+sparse-vector helpers, ``fock_matrix`` and ``verify_equivalence`` are built
+on ``_image``.
 Verification encodes each fermionic image and compares it amplitude by
 amplitude with the qubit-side action, flagging Hamiltonians whose image
 leaves the encoded basis.
@@ -26,55 +28,58 @@ from .pauli import QubitOperator
 from .transform import FermionHamiltonian, FermionTerm, transform_op_linear
 
 
-def _pack_terms(terms: Iterable[FermionTerm]) -> list[tuple[complex, list]]:
-    """(coeff, [(mode bit, is_creation), ...] in application order) per term."""
-    return [(t.coeff, [(1 << (m - 1), d) for m, d in reversed(t.ops)]) for t in terms]
+def _pack_terms(terms: Iterable[FermionTerm]) -> list[tuple[int, int, int, int, complex]]:
+    """One action item per ladder product; products that vanish on every state drop out.
 
-
-def _fermion_image(occ0: int, terms: list) -> dict[int, complex]:
-    """Image of occupation state ``occ0`` under a sum of packed terms.
-
-    Operators act right to left; each one contributes the parity sign of the
-    occupied modes below it and flips its mode, or annihilates the state.
+    Walking the operators in application order, mode ``m`` must start at the
+    occupation its operator needs once the earlier flips are undone; its
+    parity string joins ``z``, and the earlier flips below ``m`` fix the sign.
     """
-    out: dict[int, complex] = {}
-    for coeff, ops in terms:
-        occ = occ0
-        sign = 1
-        for bit, dagger in ops:
-            if dagger == bool(occ & bit):
+    items = []
+    for t in terms:
+        flip = z = care = want = 0
+        c = t.coeff
+        for m, dagger in reversed(t.ops):
+            bit = 1 << (m - 1)
+            need = (0 if dagger else bit) ^ (flip & bit)
+            if care & bit and want & bit != need:
                 break
-            if (occ & (bit - 1)).bit_count() & 1:
-                sign = -sign
-            occ ^= bit
+            care |= bit
+            want |= need
+            z ^= bit - 1
+            if (flip & (bit - 1)).bit_count() & 1:
+                c = -c
+            flip ^= bit
         else:
-            out[occ] = out.get(occ, 0.0) + sign * coeff
-    return out
+            items.append((flip, z, care, want, c))
+    return items
 
 
-def _pack_strings(op: QubitOperator) -> list[tuple[int, int, complex, complex]]:
-    """(x mask, z mask, i**y, coeff) per Pauli string of ``op``."""
-    return [(s.x, s.z, 1j ** s.y_count(), c) for s, c in op.terms.items()]
+def _pack_strings(op: QubitOperator) -> list[tuple[int, int, int, int, complex]]:
+    """One action item per Pauli string: X flips, Z signs, each Y adds a factor i."""
+    return [(s.x, s.z, 0, 0, c * 1j ** s.y_count()) for s, c in op.terms.items()]
 
 
-def _pauli_image(word: int, strings: list) -> dict[int, complex]:
-    """Image of basis word ``word`` under a sum of packed Pauli strings.
+def _image(word: int, items: list) -> dict[int, complex]:
+    """Image of basis word ``word`` under a sum of packed action items.
 
-    X flips, Z signs, Y contributes i times sign-then-flip.
+    Item ``(flip, z, care, want, c)`` maps ``|w>`` to
+    ``c (-1)^|w & z| |w ^ flip>`` when ``w & care == want``, else to 0.
     """
     out: dict[int, complex] = {}
-    for x, z, unit, coeff in strings:
-        phase = unit * (-1.0 if (word & z).bit_count() & 1 else 1.0)
-        nb = word ^ x
-        out[nb] = out.get(nb, 0.0) + coeff * phase
+    for flip, z, care, want, c in items:
+        if word & care != want:
+            continue
+        nb = word ^ flip
+        out[nb] = out.get(nb, 0.0) + (-c if (word & z).bit_count() & 1 else c)
     return out
 
 
-def _apply_sparse(image, packed: list, amplitudes: dict, n: int) -> dict[BitVec, complex]:
-    """Linear extension of a kernel over a sparse state, pruned at 1e-15."""
+def _apply_sparse(items: list, amplitudes: dict, n: int) -> dict[BitVec, complex]:
+    """Linear extension of ``_image`` over a sparse state, pruned at 1e-15."""
     out: dict[int, complex] = {}
     for key, amp in amplitudes.items():
-        for k, v in image(key.value, packed).items():
+        for k, v in _image(key.value, items).items():
             out[k] = out.get(k, 0.0) + amp * v
     return {BitVec.from_int(k, n): v for k, v in out.items() if abs(v) > 1e-15}
 
@@ -114,7 +119,7 @@ def apply_fermion_term(
     term: FermionTerm, nu: BitVec
 ) -> tuple[complex, BitVec] | None:
     """Image (coefficient, state) of one basis state; None when annihilated."""
-    for occ, coeff in _fermion_image(nu.value, _pack_terms([term])).items():
+    for occ, coeff in _image(nu.value, _pack_terms([term])).items():
         return coeff, BitVec.from_int(occ, nu.n)
     return None
 
@@ -122,14 +127,14 @@ def apply_fermion_term(
 def apply_hamiltonian_fock(h: FermionHamiltonian, state: FockStateVector) -> FockStateVector:
     if h.n_modes != state.n_modes:
         raise DimensionError("mode count mismatch")
-    out = _apply_sparse(_fermion_image, _pack_terms(h.terms), state.amplitudes, h.n_modes)
+    out = _apply_sparse(_pack_terms(h.terms), state.amplitudes, h.n_modes)
     return FockStateVector(h.n_modes, out)
 
 
 def apply_qubit_operator(op: QubitOperator, state: QubitStateVector) -> QubitStateVector:
     if op.n != state.n_qubits:
         raise DimensionError("qubit count mismatch")
-    out = _apply_sparse(_pauli_image, _pack_strings(op), state.amplitudes, op.n)
+    out = _apply_sparse(_pack_strings(op), state.amplitudes, op.n)
     return QubitStateVector(op.n, out)
 
 
@@ -151,6 +156,7 @@ class EquivalenceReport:
             {
                 "status": self.status,
                 "max_deviation": self.max_deviation,
+                "states_checked": self.states_checked,
                 "failures": self.failures,
             },
             indent=2,
@@ -195,7 +201,7 @@ def verify_equivalence(
     failures: list[dict] = []
     escapes: list[dict] = []
     for nu in basis:
-        image = _fermion_image(nu.value, terms)
+        image = _image(nu.value, terms)
         expected = {k: v for k, v in image.items() if abs(v) > 1e-13}
         bad = [k for k in expected if not in_basis(k)]
         if bad:
@@ -211,7 +217,7 @@ def verify_equivalence(
         for k, v in expected.items():
             ek = encoded(k)
             expected_q[ek] = expected_q.get(ek, 0.0) + v
-        actual = _pauli_image(encoded(nu.value), strings)
+        actual = _image(encoded(nu.value), strings)
         dev = 0.0
         for k in expected_q.keys() | actual.keys():
             dev = max(dev, abs(expected_q.get(k, 0.0) - actual.get(k, 0.0)))
@@ -279,7 +285,7 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
     for col, nu in enumerate(basis):
         if nu.n != h.n_modes:
             raise DimensionError("mode count mismatch")
-        for mu, amp in _fermion_image(nu.value, terms).items():
+        for mu, amp in _image(nu.value, terms).items():
             if abs(amp) <= 1e-15:
                 continue
             row = index.get(mu)

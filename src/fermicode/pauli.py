@@ -31,14 +31,6 @@ _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 # Coefficients of magnitude at most this are dropped as cancellation residue.
 DEFAULT_PRUNE = 1e-12
 
-_PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 class PauliString:
     """Tensor product of single-qubit Paulis; identity on unlisted qubits."""
 
@@ -334,18 +326,6 @@ class QubitOperator:
             ps = PauliString.from_text(s, n)
             terms[ps] = terms.get(ps, 0.0) + complex(float(re_), float(im_))
         return cls(n, terms)
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix; basis index packs qubit ``j`` into bit ``j - 1``."""
-        dim = 1 << self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        for s, c in self.terms.items():
-            f = s.factors
-            m = np.eye(1, dtype=complex)
-            for j in range(self.n, 0, -1):
-                m = np.kron(m, _PAULI_MATRICES[f.get(j, "I")])
-            out += c * m
-        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -50,7 +50,12 @@ from fermicode.transform import (
     update_operator,
 )
 
-from helpers import dense_fermion_hamiltonian, random_boolpoly, random_invertible_bitmat
+from helpers import (
+    dense_fermion_hamiltonian,
+    dense_operator,
+    random_boolpoly,
+    random_invertible_bitmat,
+)
 
 
 def _report(criterion, ok, detail=""):
@@ -374,11 +379,11 @@ def test_criterion_9_small_model_spectra():
     h = hubbard_hamiltonian(1, 2, 1.0, 1.0, periodic_lateral=False)
     sector = enumerate_basis(BasisSpec(4, ((1, 2), (3, 4)), ((1,), (1,))))
     e_full = np.linalg.eigvalsh(fock_matrix(h, [BitVec.from_int(v, 4) for v in range(16)]))
-    e_jw = np.linalg.eigvalsh(transform_hamiltonian(jordan_wigner(4), h).to_matrix())
+    e_jw = np.linalg.eigvalsh(dense_operator(transform_hamiltonian(jordan_wigner(4), h)))
     ok &= abs(e_full[0] - e_jw[0]) < 1e-9
     code = concat(checksum_code(2, "odd"), checksum_code(2, "odd"))
     e_sector = np.linalg.eigvalsh(fock_matrix(h, sector))
-    e_code = np.linalg.eigvalsh(transform_hamiltonian(code, h).to_matrix())
+    e_code = np.linalg.eigvalsh(dense_operator(transform_hamiltonian(code, h)))
     ok &= abs(e_sector[0] - e_code[0]) < 1e-9
     details.append(f"1x2 ground {e_sector[0]:.9f}")
 
@@ -386,12 +391,12 @@ def test_criterion_9_small_model_spectra():
     h = hubbard_hamiltonian(2, 2, 1.0, 1.0, periodic_lateral=False)
     full = [BitVec.from_int(v, 8) for v in range(256)]
     e_full = np.linalg.eigvalsh(fock_matrix(h, full))
-    e_jw = np.linalg.eigvalsh(transform_hamiltonian(jordan_wigner(8), h).to_matrix())
+    e_jw = np.linalg.eigvalsh(dense_operator(transform_hamiltonian(jordan_wigner(8), h)))
     ok &= abs(e_full[0] - e_jw[0]) < 1e-9
     code = concat(checksum_code(4, "even"), checksum_code(4, "even"))
     sector = enumerate_basis(BasisSpec(8, (tuple(range(1, 5)), tuple(range(5, 9))), ((0, 2, 4), (0, 2, 4))))
     e_sector = np.linalg.eigvalsh(fock_matrix(h, sector))
-    e_code = np.linalg.eigvalsh(transform_hamiltonian(code, h).to_matrix())
+    e_code = np.linalg.eigvalsh(dense_operator(transform_hamiltonian(code, h)))
     ok &= abs(e_sector[0] - e_code[0]) < 1e-9
     details.append(f"2x2 even-sector ground {e_sector[0]:.9f}")
     _report(9, ok, "; ".join(details))

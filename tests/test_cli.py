@@ -1,11 +1,13 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
+from fermicode import cli
 from fermicode.cli import h2_hamiltonian, hubbard_hamiltonian, main
 from fermicode.pauli import QubitOperator
-from fermicode.transform import parse_fermion_file
+from fermicode.transform import adjust_for_segments, parse_fermion_file
 
 
 H2_CODE_SPEC = {
@@ -151,6 +153,29 @@ class TestVerifyCommand:
         ])
         assert rc == 0
         assert "status=pass" in capsys.readouterr().out
+
+
+    def test_report_checks_the_input_hamiltonian(self, monkeypatch, capsys):
+        # A dressing fault must reach the report: scale every dressed term
+        # that spans two segments by 1.5, which keeps the Hamiltonian hermitian.
+        def faulty_dressing(h, segments, weight):
+            dressed = adjust_for_segments(h, segments, weight)
+            seg_of = {m: k for k, seg in enumerate(segments) for m in seg}
+            terms = tuple(
+                replace(t, coeff=1.5 * t.coeff)
+                if len({seg_of.get(m) for m, _ in t.ops}) > 1
+                else t
+                for t in dressed.terms
+            )
+            return replace(dressed, terms=terms)
+
+        monkeypatch.setattr(cli, "adjust_for_segments", faulty_dressing)
+        rc = main([
+            "verify", "--model", "hubbard", "--rows", "1", "--cols", "6",
+            "--code", "segment:1:2+segment:1:2", "--basis", "1-6:1;7-12:1",
+        ])
+        assert rc == 1
+        assert "status=fail" in capsys.readouterr().out
 
 
 class TestValidateCommand:

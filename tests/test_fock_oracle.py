@@ -77,15 +77,23 @@ class TestFermionAction:
 
     def test_matches_dense_random_sequences(self):
         rng = random.Random(29)
+        # Products that vanish on every state: c1^dag c1^dag and c2 c2^dag c2 c2.
+        fixed = [
+            (3, FermionTerm.of(0.5, (1, True), (1, True))),
+            (3, FermionTerm.of(0.5, (2, False), (2, True), (2, False), (2, False))),
+        ]
+        randoms = []
         for _ in range(100):
             n = rng.randrange(2, 7)
-            length = rng.randrange(1, 5)
+            length = rng.randrange(1, 7)
             term = FermionTerm(
                 complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                 tuple((rng.randrange(1, n + 1), rng.random() < 0.5) for _ in range(length)),
             )
+            randoms.append((n, term))
+        for n, term in fixed + randoms:
             mat = dense_fermion_term(n, term)
-            for occ in rng.sample(range(1 << n), min(8, 1 << n)):
+            for occ in range(1 << n):
                 nu = BitVec.from_int(occ, n)
                 hit = apply_fermion_term(term, nu)
                 col = mat[:, occ]
@@ -248,7 +256,7 @@ class TestEquivalence:
         hq = transform_hamiltonian(code, h)
         report = verify_equivalence(code, h, hq, [BitVec("10")])
         data = json.loads(report.to_json())
-        assert set(data) == {"status", "max_deviation", "failures"}
+        assert set(data) == {"status", "max_deviation", "states_checked", "failures"}
 
 
 class TestAnticommutation:
@@ -268,7 +276,7 @@ class TestSpectra:
         h = hubbard_hamiltonian(1, 2, 1.0, 1.0, periodic_lateral=False)
         full = [BitVec.from_int(v, 4) for v in range(16)]
         e_fock = np.linalg.eigvalsh(fock_matrix(h, full))
-        e_jw = np.linalg.eigvalsh(transform_hamiltonian(jordan_wigner(4), h).to_matrix())
+        e_jw = np.linalg.eigvalsh(dense_operator(transform_hamiltonian(jordan_wigner(4), h)))
         assert abs(e_fock[0] - e_jw[0]) < 1e-9
         # matched symmetry sector through an odd/odd checksum pair
         from fermicode.codes import concat
@@ -276,7 +284,7 @@ class TestSpectra:
         code = concat(checksum_code(2, "odd"), checksum_code(2, "odd"))
         sector = enumerate_basis(BasisSpec(4, ((1, 2), (3, 4)), ((1,), (1,))))
         e_sector = np.linalg.eigvalsh(fock_matrix(h, sector))
-        e_code = np.linalg.eigvalsh(transform_hamiltonian(code, h).to_matrix())
+        e_code = np.linalg.eigvalsh(dense_operator(transform_hamiltonian(code, h)))
         assert abs(e_sector[0] - e_code[0]) < 1e-9
         assert abs(e_sector[0] - e_fock[0]) < 1e-9  # the global ground sits here
 

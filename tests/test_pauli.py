@@ -336,16 +336,14 @@ class TestSerialization:
         assert back.serialize() == text
         assert back.isclose(op, 1e-12)
 
-    def test_to_matrix_matches_basis_action(self):
+    def test_dense_operator_matches_basis_action(self):
         op = QubitOperator(
             2, {PauliString(2, {1: "Y", 2: "Z"}): 1.0, PauliString(2, {2: "X"}): 0.5}
         )
-        m = op.to_matrix()
+        m = dense_operator(op)
         for b in range(4):
             col = np.zeros(4, dtype=complex)
             state = QubitStateVector.basis_state(BitVec.from_int(b, 2))
-            for s, c in op.terms.items():
-                image = apply_qubit_operator(QubitOperator.from_string(s), state)
-                for nb, phase in image.amplitudes.items():
-                    col[nb.value] += c * phase
+            for nb, amp in apply_qubit_operator(op, state).amplitudes.items():
+                col[nb.value] = amp
             assert np.allclose(m[:, b], col, atol=1e-12)

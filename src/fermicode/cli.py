@@ -193,7 +193,8 @@ def _cmd_transform(args) -> int:
         if not args.basis:
             raise InputFormatError("--verify needs --basis")
         spec = parse_basis_spec(args.basis, code.n_modes)
-        report = verify_equivalence(code, h, hq, enumerate_basis(spec), tol=args.tol)
+        basis = enumerate_basis(spec, args.budget)
+        report = verify_equivalence(code, h, hq, basis, tol=args.tol)
         print(report.summary())
         if not report.ok:
             return 1
@@ -210,7 +211,8 @@ def _cmd_verify(args) -> int:
         print(f"verification failed: {exc}")
         return 1
     spec = parse_basis_spec(args.basis, code.n_modes)
-    report = verify_equivalence(code, h, hq, enumerate_basis(spec), tol=args.tol)
+    basis = enumerate_basis(spec, args.budget)
+    report = verify_equivalence(code, h, hq, basis, tol=args.tol)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json() + "\n")
@@ -253,7 +255,9 @@ def _add_model_args(p: argparse.ArgumentParser):
 def _add_run_args(p: argparse.ArgumentParser):
     p.add_argument("--code", required=True, help="code-spec file or builtin name")
     p.add_argument("--out", help="output path")
-    p.add_argument("--budget", type=int, default=None, help="monomial/term budget")
+    p.add_argument(
+        "--budget", type=int, default=None, help="monomial/term/basis-state budget"
+    )
     p.add_argument("--tol", type=_finite_float, default=1e-9, help="verification tolerance")
     p.add_argument(
         "--no-adjust",

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .bitmath import BitMat, BitVec, BoolPoly
+from .bitmath import DEFAULT_BUDGET, BitMat, BitVec, BoolPoly
 from .errors import BudgetError, DimensionError, InputFormatError, UnsupportedCodeError
 
 
@@ -465,6 +466,27 @@ class BasisSpec:
                 if not 0 <= w <= len(suit):
                     raise DimensionError(f"weight {w} impossible for suit of {len(suit)}")
 
+    def __str__(self) -> str:
+        """The spec in ``parse_basis_spec`` syntax, runs of indices as ranges."""
+        chunks = []
+        for suit, ws in zip(self.suits, self.weights):
+            runs: list[list[int]] = []
+            for m in suit:
+                if runs and m == runs[-1][1] + 1:
+                    runs[-1][1] = m
+                else:
+                    runs.append([m, m])
+            indices = ",".join(f"{a}-{b}" if a != b else str(a) for a, b in runs)
+            chunks.append(f"{indices}:{','.join(map(str, ws))}")
+        return ";".join(chunks)
+
+    def size(self) -> int:
+        """Number of vectors the spec admits: the product over suits of sum_w C(|suit|, w)."""
+        return math.prod(
+            sum(math.comb(len(suit), w) for w in set(ws))
+            for suit, ws in zip(self.suits, self.weights)
+        )
+
     @classmethod
     def single(cls, n_modes: int, weights) -> "BasisSpec":
         return cls(n_modes, (tuple(range(1, n_modes + 1)),), (tuple(weights),))
@@ -495,9 +517,17 @@ def parse_basis_spec(text: str, n_modes: int) -> BasisSpec:
     return BasisSpec(n_modes, tuple(suits), tuple(weights))
 
 
-def enumerate_basis(spec: BasisSpec) -> list[BitVec]:
+def enumerate_basis(spec: BasisSpec, budget: int | None = None) -> list[BitVec]:
     """All vectors matching the per-suit weights, lexicographic with index 1
-    as the most significant sort key."""
+    as the most significant sort key.
+
+    The vectors are counted first; more than ``budget`` (default
+    ``DEFAULT_BUDGET``) raises ``BudgetError`` before any is built.
+    """
+    budget = DEFAULT_BUDGET if budget is None else budget
+    count = spec.size()
+    if count > budget:
+        raise BudgetError(f"basis {spec} has {count} states, over the budget of {budget}")
     per_suit: list[list[int]] = []
     for suit, ws in zip(spec.suits, spec.weights):
         options = []
@@ -573,7 +603,7 @@ def validate_code(
     """
     if spec.n_modes != code.n_modes:
         raise DimensionError("basis spec does not match the code's mode count")
-    declared = set(enumerate_basis(spec))
+    declared = set(enumerate_basis(spec, budget))
     failures = [nu for nu in sorted(declared, key=BitVec.to_tuple) if not code.in_basis(nu)]
 
     total = 1 << code.n_qubits

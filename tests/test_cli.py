@@ -214,6 +214,17 @@ class TestExitCodes:
         assert rc == 3
         assert re.search(r"^resource budget exceeded: term \d+ \(", capsys.readouterr().err)
 
+    def test_basis_over_budget_is_exit_3(self, capsys):
+        rc = main([
+            "verify", "--model", "hubbard", "--rows", "2", "--cols", "10",
+            "--code", "jordan_wigner:40", "--basis", "1-40:20",
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "resource budget exceeded: basis 1-40:20 has 137846528820 states, "
+            "over the budget of 1048576\n"
+        )
+
     def test_bad_code_name(self, capsys):
         rc = main(["transform", "--model", "h2", "--code", "wat:4"])
         assert rc == 2

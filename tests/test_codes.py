@@ -301,6 +301,30 @@ class TestBasisEnumeration:
         spec = parse_basis_spec("1-10:2;11-20:2", 20)
         assert len(enumerate_basis(spec)) == 2025
 
+    def test_spec_text_round_trips(self):
+        for text, n in (("1-10:2;11-20:2", 20), ("1,3,5-7:0,2;2,4:1", 7), ("1-40:20", 40)):
+            spec = parse_basis_spec(text, n)
+            assert str(spec) == text
+            assert parse_basis_spec(str(spec), n) == spec
+
+    def test_over_budget_raises_before_building(self):
+        import tracemalloc
+
+        spec = parse_basis_spec("1-40:20", 40)
+        assert spec.size() == 137846528820
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"basis 1-40:20 has 137846528820 states"):
+                enumerate_basis(spec)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        small = parse_basis_spec("1-10:2;11-20:2", 20)
+        assert small.size() == 2025
+        with pytest.raises(BudgetError, match=r"basis 1-10:2;11-20:2 has 2025 states"):
+            enumerate_basis(small, budget=2024)
+        assert len(enumerate_basis(small, budget=2025)) == 2025
+
     def test_lexicographic_order(self):
         basis = enumerate_basis(BasisSpec.single(3, [1, 2]))
         as_tuples = [v.to_tuple() for v in basis]

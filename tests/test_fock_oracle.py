@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from fermicode import fock_oracle
 from fermicode.bitmath import BitVec
 from fermicode.codes import (
     BasisSpec,
@@ -17,6 +18,14 @@ from fermicode.cli import hubbard_hamiltonian
 from fermicode.fock_oracle import (
     FockStateVector,
     QubitStateVector,
+    _amplitudes,
+    _Batch,
+    _first_use,
+    _image,
+    _ints,
+    _pack_strings,
+    _pack_terms,
+    _words,
     apply_fermion_term,
     apply_hamiltonian_fock,
     apply_qubit_operator,
@@ -103,6 +112,70 @@ class TestFermionAction:
                     coeff, out = hit
                     assert abs(col[out.value] - coeff) < 1e-12
                     assert abs(np.sum(np.abs(col))) - abs(coeff) < 1e-12
+
+
+WIDTHS = (1, 2, 3, 5, 8, 13, 31, 63, 64, 65, 70)
+
+
+def assert_batch_matches_image(items, n, states):
+    """Per state, the batch kernel's targets, amplitudes and first-appearance
+    order equal the dict ``_image`` builds, zero sums included."""
+    b = _Batch(items, n)
+    words = _words(states, n)
+    amp = _amplitudes(words, b).tolist()
+    first = _first_use(words, b).tolist()
+    for s, word in enumerate(states):
+        acting = sorted((r, g) for g, r in enumerate(first[s]) if r < len(items))
+        targets = _ints(words[s] ^ b.flips[[g for _, g in acting]])
+        got = [(k, amp[s][g]) for k, (_, g) in zip(targets, acting)]
+        assert got == list(_image(word, items).items())
+
+
+@pytest.fixture(params=["default", "tiny"])
+def kernel_cells(request, monkeypatch):
+    """Run with the default step size, and with 8-cell steps that tile the items."""
+    if request.param == "tiny":
+        monkeypatch.setattr(fock_oracle, "_CELLS", 8)
+
+
+@pytest.mark.usefixtures("kernel_cells")
+class TestBatchKernel:
+    def test_ladder_products(self):
+        rng = random.Random(43)
+        for n in WIDTHS:
+            terms = [FermionTerm.of(0.5, (1, True), (1, True))]  # vanishes everywhere
+            for _ in range(30):
+                c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                ops = tuple(
+                    (rng.randrange(1, n + 1), rng.random() < 0.5)
+                    for _ in range(rng.randrange(1, 5))
+                )
+                terms.append(FermionTerm(c, ops))
+                if rng.random() < 0.3:  # same target, amplitudes that cancel
+                    terms.append(FermionTerm(-c, ops))
+            items = _pack_terms(terms)
+            states = [rng.getrandbits(n) for _ in range(12)]
+            # states each of some items acts on, other bits random
+            states += [
+                want | (rng.getrandbits(n) & ~care) for _, _, care, want, _ in items[:12]
+            ]
+            assert_batch_matches_image(items, n, states)
+
+    def test_pauli_strings(self):
+        rng = random.Random(47)
+        for n in WIDTHS:
+            flips = [rng.getrandbits(n) for _ in range(4)]
+            terms = {}
+            for _ in range(25):
+                s = PauliString.from_masks(n, rng.choice(flips), rng.getrandbits(n))
+                terms[s] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            # X1 and X1 Z2 cancel on every state with qubit 2 set
+            terms[PauliString.from_masks(n, 1, 0)] = 0.25
+            terms[PauliString.from_masks(n, 1, 0b10 if n > 1 else 0)] = 0.25
+            op = QubitOperator(n, terms)
+            assert any(s.y_count() for s in op.terms)
+            states = [rng.getrandbits(n) for _ in range(12)] + [0b10 if n > 1 else 0]
+            assert_batch_matches_image(_pack_strings(op), n, states)
 
 
 class TestHamiltonianAction:
@@ -248,6 +321,81 @@ class TestEquivalence:
         assert report.max_deviation == delta
         assert [f["nu"] for f in report.failures] == [str(nu) for nu in basis]
 
+    def test_incompatible_report_is_pinned(self):
+        # Cross-segment hops overfill a segment; the qubit side is the dressed
+        # transform plus a diagonal error on the states whose qubit 1 or 6 is
+        # set. The (1 - n2)-conditioned 1 <-> 9 hops come first, so on states
+        # with mode 2 occupied the 1 <-> 9 targets are met after others.
+        code = segment_code(2, 2)
+        terms = [
+            FermionTerm.of(0.4, (9, True), (2, False), (2, True), (1, False)),
+            FermionTerm.of(0.4, (1, True), (2, False), (2, True), (9, False)),
+        ]
+        for i, j, c in [(1, 6, 1.0), (2, 8, 0.5), (1, 9, -0.75), (3, 7, 0.25),
+                        (4, 10, 1.5), (2, 6, 0.3), (5, 6, 0.2)]:
+            terms.append(FermionTerm.of(c, (j, True), (i, False)))
+            terms.append(FermionTerm.of(c, (i, True), (j, False)))
+        hop = FermionHamiltonian(10, tuple(terms))
+        dressed = adjust_for_segments(normal_order_blocks(hop), code.segments, 2)
+        hq = (
+            transform_hamiltonian(code, dressed)
+            + QubitOperator.identity(8, 0.0825)
+            - QubitOperator.z_string(8, 0b1, 0.0625)
+            - QubitOperator.z_string(8, 0b100000, 0.02)
+        )
+        basis = [
+            BitVec(b)
+            for b in (
+                "0011010010 0000000000 0001100011 0100000001 0000100011 "
+                "1000000000 0011010000 0010001000 0000000011 1100001001 0110010010"
+            ).split()
+        ]
+        report = verify_equivalence(code, hop, hq, basis)
+        leaves = "image leaves the encoded basis at "
+        assert report.status == "incompatible"
+        assert report.states_checked == 11
+        assert repr(report.max_deviation) == "0.12500000000000003"
+        assert report.failures == [
+            {"nu": "0011010010", "detail": leaves + "1011010000, 1011000010, 0001011010, 0010010011"},
+            {"nu": "0001100011", "detail": leaves + "1001100001, 0001010011"},
+            {"nu": "0000100011", "detail": leaves + "0000010011"},
+            {"nu": "0011010000", "detail": leaves + "1011000000, 0111000000, 0011100000"},
+            {"nu": "1100001001", "detail": leaves + "0100011001, 1000001101, 0100001011, 1110000001"},
+            {"nu": "0110010010", "detail": leaves + "1110000010, 0010010110, 1110010000, 0100011010"},
+            {"nu": "0100000001", "detail": "amplitude deviation 0.04"},
+            {"nu": "1000000000", "detail": "amplitude deviation 0.125"},
+            {"nu": "0010001000", "detail": "amplitude deviation 0.04"},
+            {"nu": "0000000011", "detail": "amplitude deviation 0.04"},
+        ]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_seventy_mode_chain(self, k):
+        # Words wider than 64 bits; the corrupted hop 64-65 straddles bit 64.
+        n = 70
+        terms = []
+        for i in range(1, n):
+            terms.append(FermionTerm.of(1.0 + i / 64, (i + 1, True), (i, False)))
+            terms.append(FermionTerm.of(1.0 + i / 64, (i, True), (i + 1, False)))
+        for i in range(1, n + 1):
+            terms.append(FermionTerm.of(0.25 * i, (i, True), (i, False)))
+        h = FermionHamiltonian(n, tuple(terms))
+        code = jordan_wigner(n)
+        hq = transform_hamiltonian(code, h)
+        basis = enumerate_basis(BasisSpec.single(n, [k]))
+        assert len(basis) == (70, 2415)[k - 1]
+        report = verify_equivalence(code, h, hq, basis)
+        assert (report.status, report.max_deviation) == ("pass", 0.0)
+        flipped = dict(hq.terms)
+        for s in (PauliString(n, {64: "X", 65: "X"}), PauliString(n, {64: "Y", 65: "Y"})):
+            flipped[s] = -flipped[s]
+        report = verify_equivalence(code, h, QubitOperator(n, flipped), basis)
+        assert (report.status, repr(report.max_deviation)) == ("fail", "4.0")
+        assert report.failures == [
+            {"nu": str(nu), "detail": "amplitude deviation 4"}
+            for nu in basis
+            if nu[64] != nu[65]
+        ]
+
     def test_report_json_shape(self):
         import json
 
@@ -300,3 +448,17 @@ class TestFockMatrix:
         h = FermionHamiltonian(2, (FermionTerm.of(1.0, (1, True), (2, False)),))
         with pytest.raises(ValueError):
             fock_matrix(h, [BitVec("01")])
+
+    def test_escape_names_first_column_and_image(self):
+        # Columns 2 and 3 map outside the basis. On column 2 the (1 - n1)
+        # hop 2 -> 4 does not act, so its target is met after the 2 -> 3 one.
+        h = FermionHamiltonian(
+            4,
+            (
+                FermionTerm.of(1.0, (4, True), (1, False), (1, True), (2, False)),
+                FermionTerm.of(1.0, (3, True), (2, False)),
+                FermionTerm.of(1.0, (4, True), (2, False)),
+            ),
+        )
+        with pytest.raises(ValueError, match=r"maps 1100 outside the given basis \(to 1010\)"):
+            fock_matrix(h, [BitVec("0010"), BitVec("1100"), BitVec("0100")])

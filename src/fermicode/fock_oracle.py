@@ -146,8 +146,8 @@ def _scatter(out: np.ndarray, words: np.ndarray, b: _Batch, ufunc, values) -> np
         items = slice(i0, i0 + tile)
         for r0 in range(0, len(words), step):
             w = words[r0 : r0 + step, None]
-            rows = np.arange(r0, r0 + len(w))[:, None]
-            ufunc.at(flat, (rows * out.shape[1] + b.group[items]).ravel(), values(w, items).ravel())
+            cells = np.arange(r0, r0 + len(w))[:, None] * out.shape[1] + b.group[items]
+            ufunc.at(flat, cells.ravel(), values(w, items).ravel())
     return out
 
 
@@ -171,8 +171,11 @@ def _first_use(words: np.ndarray, b: _Batch) -> np.ndarray:
     state ``s`` (``len(b.coeff)`` if none), the order ``_image`` meets targets in."""
     n = len(b.coeff)
     rank = np.arange(n)
-    out = np.full((len(words), len(b.flips)), n)
-    return _scatter(out, words, b, np.minimum, lambda w, items: np.where(_acts(w, b, items), rank[items], n))
+
+    def values(w, items):
+        return np.where(_acts(w, b, items), rank[items], n)
+
+    return _scatter(np.full((len(words), len(b.flips)), n), words, b, np.minimum, values)
 
 
 def _monomials(polys, n_vars: int) -> list[np.ndarray]:

@@ -356,12 +356,15 @@ class TestEquivalence:
         assert report.states_checked == 11
         assert repr(report.max_deviation) == "0.12500000000000003"
         assert report.failures == [
-            {"nu": "0011010010", "detail": leaves + "1011010000, 1011000010, 0001011010, 0010010011"},
+            {"nu": "0011010010",
+             "detail": leaves + "1011010000, 1011000010, 0001011010, 0010010011"},
             {"nu": "0001100011", "detail": leaves + "1001100001, 0001010011"},
             {"nu": "0000100011", "detail": leaves + "0000010011"},
             {"nu": "0011010000", "detail": leaves + "1011000000, 0111000000, 0011100000"},
-            {"nu": "1100001001", "detail": leaves + "0100011001, 1000001101, 0100001011, 1110000001"},
-            {"nu": "0110010010", "detail": leaves + "1110000010, 0010010110, 1110010000, 0100011010"},
+            {"nu": "1100001001",
+             "detail": leaves + "0100011001, 1000001101, 0100001011, 1110000001"},
+            {"nu": "0110010010",
+             "detail": leaves + "1110000010, 0010010110, 1110010000, 0100011010"},
             {"nu": "0100000001", "detail": "amplitude deviation 0.04"},
             {"nu": "1000000000", "detail": "amplitude deviation 0.125"},
             {"nu": "0010001000", "detail": "amplitude deviation 0.04"},

@@ -10,10 +10,15 @@ combined by XOR. Each monomial is stored as an int mask of the participating
 variables, the empty mask being the constant monomial 1 and an empty monomial
 set the zero polynomial. ANF is canonical, so equality of polynomials is
 equality of their monomial sets.
+
+``BitVec``, ``BitMat`` and ``BoolPoly`` are named tuples of their fields
+(``(n, value)``, ``(rows, cols, packed)`` with the packed row ints,
+``(num_vars, masks)``): immutable, and equal and hashed as those tuples.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, DimensionError, SingularMatrixError
@@ -38,24 +43,20 @@ def _parse_bits(bits) -> tuple[int, int]:
     return value, n
 
 
-class BitVec:
+class BitVec(namedtuple("BitVec", "n value")):
     """Immutable bit vector over GF(2) with 1-based component access."""
 
-    __slots__ = ("n", "value")
+    __slots__ = ()
 
-    def __init__(self, bits):
+    def __new__(cls, bits):
         value, n = _parse_bits(bits)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "n", n)
+        return tuple.__new__(cls, (n, value))
 
     @classmethod
     def from_int(cls, value: int, n: int) -> "BitVec":
         if value < 0 or value >> n:
             raise ValueError(f"value {value} does not fit in {n} bits")
-        v = object.__new__(cls)
-        object.__setattr__(v, "value", value)
-        object.__setattr__(v, "n", n)
-        return v
+        return tuple.__new__(cls, (n, value))
 
     @classmethod
     def zeros(cls, n: int) -> "BitVec":
@@ -67,9 +68,6 @@ class BitVec:
         if not 1 <= j <= n:
             raise IndexError(f"component {j} outside 1..{n}")
         return cls.from_int(1 << (j - 1), n)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BitVec is immutable")
 
     def __len__(self) -> int:
         return self.n
@@ -85,16 +83,6 @@ class BitVec:
         return BitVec.from_int(self.value ^ other.value, self.n)
 
     __add__ = __xor__  # mod-2 addition
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVec)
-            and self.n == other.n
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.value))
 
     def weight(self) -> int:
         return self.value.bit_count()
@@ -112,18 +100,18 @@ class BitVec:
         return tuple((self.value >> j) & 1 for j in range(self.n))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.to_tuple())
+        return format(self.value, f"0{self.n}b")[::-1] if self.n else ""
 
     def __repr__(self) -> str:
         return f"BitVec('{self}')"
 
 
-class BitMat:
+class BitMat(namedtuple("BitMat", "rows cols packed")):
     """Immutable GF(2) matrix; row ``i``, column ``j`` are 1-based."""
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable):
+    def __new__(cls, rows: Iterable):
         packed = []
         cols = None
         for row in rows:
@@ -135,31 +123,22 @@ class BitMat:
             packed.append(value)
         if cols is None:
             raise ValueError("BitMat needs at least one row")
-        object.__setattr__(self, "_rows", tuple(packed))
-        object.__setattr__(self, "rows", len(packed))
-        object.__setattr__(self, "cols", cols)
+        return tuple.__new__(cls, (len(packed), cols, tuple(packed)))
 
     @classmethod
     def from_int_rows(cls, row_values: Sequence[int], cols: int) -> "BitMat":
-        m = object.__new__(cls)
-        object.__setattr__(m, "_rows", tuple(row_values))
-        object.__setattr__(m, "rows", len(row_values))
-        object.__setattr__(m, "cols", cols)
-        return m
+        return tuple.__new__(cls, (len(row_values), cols, tuple(row_values)))
 
     @classmethod
     def identity(cls, n: int) -> "BitMat":
         return cls.from_int_rows([1 << i for i in range(n)], n)
 
-    def __setattr__(self, *_):
-        raise AttributeError("BitMat is immutable")
-
     def row(self, i: int) -> BitVec:
-        return BitVec.from_int(self._rows[i - 1], self.cols)
+        return BitVec.from_int(self.packed[i - 1], self.cols)
 
     def col(self, j: int) -> BitVec:
         value = 0
-        for i, r in enumerate(self._rows):
+        for i, r in enumerate(self.packed):
             value |= ((r >> (j - 1)) & 1) << i
         return BitVec.from_int(value, self.rows)
 
@@ -175,7 +154,7 @@ class BitMat:
                     f"matrix with {self.cols} columns times length-{other.n} vector"
                 )
             value = 0
-            for i, r in enumerate(self._rows):
+            for i, r in enumerate(self.packed):
                 value |= ((r & other.value).bit_count() & 1) << i
             return BitVec.from_int(value, self.rows)
         if isinstance(other, BitMat):
@@ -183,9 +162,9 @@ class BitMat:
                 raise DimensionError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            bt = other.transpose()._rows
+            bt = other.transpose().packed
             out = []
-            for r in self._rows:
+            for r in self.packed:
                 v = 0
                 for k, c in enumerate(bt):
                     v |= ((r & c).bit_count() & 1) << k
@@ -198,7 +177,7 @@ class BitMat:
         if self.rows != self.cols:
             raise SingularMatrixError("only square matrices can be inverted")
         n = self.rows
-        work = list(self._rows)
+        work = list(self.packed)
         aug = [1 << i for i in range(n)]
         for col in range(n):
             pivot = next(
@@ -213,16 +192,6 @@ class BitMat:
                     work[r] ^= work[col]
                     aug[r] ^= aug[col]
         return BitMat.from_int_rows(aug, n)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMat)
-            and self.cols == other.cols
-            and self._rows == other._rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self._rows))
 
     def __repr__(self) -> str:
         body = ", ".join(f"'{self.row(i)}'" for i in range(1, self.rows + 1))
@@ -240,7 +209,7 @@ def _reduce_mod2(masks: Iterable[int]) -> frozenset:
     return frozenset(seen)
 
 
-class BoolPoly:
+class BoolPoly(namedtuple("BoolPoly", "num_vars masks")):
     """Boolean polynomial in canonical algebraic normal form.
 
     ``masks`` is a frozenset of int monomial masks over ``num_vars``
@@ -248,24 +217,16 @@ class BoolPoly:
     their monomial sets are equal.
     """
 
-    __slots__ = ("num_vars", "masks", "_hash")
+    __slots__ = ()
 
-    def __init__(self, num_vars: int, masks: Iterable[int] = ()):
+    def __new__(cls, num_vars: int, masks: Iterable[int] = ()):
         masks = _reduce_mod2(masks)
         for m in masks:
             if m < 0 or m >> num_vars:
                 raise DimensionError(
                     f"monomial mask {m:#x} uses variables beyond {num_vars}"
                 )
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        if name == "_hash" and getattr(self, "_hash", None) is None:
-            object.__setattr__(self, name, value)
-            return
-        raise AttributeError("BoolPoly is immutable")
+        return tuple.__new__(cls, (num_vars, masks))
 
     # -- constructors -------------------------------------------------
 
@@ -411,11 +372,7 @@ class BoolPoly:
 
     def __add__(self, other: "BoolPoly") -> "BoolPoly":
         self._check_vars(other)
-        out = object.__new__(BoolPoly)
-        object.__setattr__(out, "num_vars", self.num_vars)
-        object.__setattr__(out, "masks", self.masks ^ other.masks)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return tuple.__new__(BoolPoly, (self.num_vars, self.masks ^ other.masks))
 
     def mul(self, other: "BoolPoly", budget: int | None = None) -> "BoolPoly":
         self._check_vars(other)
@@ -433,11 +390,7 @@ class BoolPoly:
         masks = frozenset(m for m, c in counts.items() if c)
         if len(masks) > budget:
             raise BudgetError(f"{len(masks)} monomials exceed budget {budget}")
-        out = object.__new__(BoolPoly)
-        object.__setattr__(out, "num_vars", self.num_vars)
-        object.__setattr__(out, "masks", masks)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return tuple.__new__(BoolPoly, (self.num_vars, masks))
 
     def __mul__(self, other: "BoolPoly") -> "BoolPoly":
         return self.mul(other)
@@ -472,22 +425,6 @@ class BoolPoly:
         if offset < 0 or self.support() << offset >> num_vars:
             raise DimensionError("shifted monomials do not fit the variable space")
         return BoolPoly(num_vars, (m << offset for m in self.masks))
-
-    # -- dunder ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BoolPoly)
-            and self.num_vars == other.num_vars
-            and self.masks == other.masks
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.num_vars, self.masks))
-            self._hash = h
-        return h
 
     def __repr__(self) -> str:
         return f"BoolPoly({self.num_vars}, '{self.to_text()}')"

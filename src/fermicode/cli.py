@@ -240,11 +240,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--hamiltonian", help="fermionic Hamiltonian file")
     p.add_argument("--model", choices=_MODELS, help="builtin model generator")
-    p.add_argument("--rows", type=int, default=2)
-    p.add_argument("--cols", type=int, default=5)
+    p.add_argument("--rows", type=_positive_int, default=2)
+    p.add_argument("--cols", type=_positive_int, default=5)
     p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--u", type=_finite_float, default=1.0)
     p.add_argument("--open-lateral", action="store_true", help="no periodic wrap")

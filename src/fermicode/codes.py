@@ -544,7 +544,7 @@ def enumerate_basis(spec: BasisSpec, budget: int | None = None) -> list[BitVec]:
         for v in combo:
             value |= v
         vectors.append(BitVec.from_int(value, spec.n_modes))
-    vectors.sort(key=BitVec.to_tuple)
+    vectors.sort(key=str)
     return vectors
 
 
@@ -556,7 +556,7 @@ def decode_image(code: Code, budget: int = 1 << 22) -> list[BitVec]:
     for w in range(1 << code.n_qubits):
         nu = code.decode_vec(BitVec.from_int(w, code.n_qubits))
         seen[nu] = True
-    return sorted(seen, key=BitVec.to_tuple)
+    return sorted(seen, key=str)
 
 
 @dataclass
@@ -604,7 +604,7 @@ def validate_code(
     if spec.n_modes != code.n_modes:
         raise DimensionError("basis spec does not match the code's mode count")
     declared = set(enumerate_basis(spec, budget))
-    failures = [nu for nu in sorted(declared, key=BitVec.to_tuple) if not code.in_basis(nu)]
+    failures = [nu for nu in sorted(declared, key=str) if not code.in_basis(nu)]
 
     total = 1 << code.n_qubits
     if total <= budget:

@@ -3,7 +3,8 @@
 A Pauli string is stored symplectically as a pair of masks (x, z) over the
 qubits, with letters X=(1,0), Z=(0,1), Y=(1,1); the letter form equals
 ``i**y * X^x Z^z`` where y counts the Y factors. All phase bookkeeping is
-exact, in powers of i.
+exact, in powers of i. ``PauliString`` is the named tuple ``(n, x, z)``:
+immutable, and equal and hashed as that tuple.
 
 The module also maps boolean functions to qubit operators through one
 kernel, ``expand``: the update operator ``sum_t X^t [eps(w) = t]`` times
@@ -16,6 +17,7 @@ are single calls to it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,12 +33,12 @@ _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 # Coefficients of magnitude at most this are dropped as cancellation residue.
 DEFAULT_PRUNE = 1e-12
 
-class PauliString:
+class PauliString(namedtuple("PauliString", "n x z")):
     """Tensor product of single-qubit Paulis; identity on unlisted qubits."""
 
-    __slots__ = ("n", "x", "z")
+    __slots__ = ()
 
-    def __init__(self, n: int, factors: dict[int, str] | None = None):
+    def __new__(cls, n: int, factors: dict[int, str] | None = None):
         x = z = 0
         for j, letter in (factors or {}).items():
             if not 1 <= j <= n:
@@ -48,24 +50,15 @@ class PauliString:
             bit = 1 << (j - 1)
             x |= fx * bit
             z |= fz * bit
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+        return tuple.__new__(cls, (n, x, z))
 
     @classmethod
     def from_masks(cls, n: int, x: int, z: int) -> "PauliString":
-        s = object.__new__(cls)
-        object.__setattr__(s, "n", n)
-        object.__setattr__(s, "x", x)
-        object.__setattr__(s, "z", z)
-        return s
+        return tuple.__new__(cls, (n, x, z))
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
         return cls.from_masks(n, 0, 0)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PauliString is immutable")
 
     @property
     def factors(self) -> dict[int, str]:
@@ -112,17 +105,6 @@ class PauliString:
     def sort_key(self):
         f = self.factors
         return (self.weight, tuple((j, _LETTER_RANK[f[j]]) for j in sorted(f)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliString)
-            and self.n == other.n
-            and self.x == other.x
-            and self.z == other.z
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.x, self.z))
 
     def __repr__(self) -> str:
         return f"PauliString({self.n}, '{self.text()}')"

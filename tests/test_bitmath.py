@@ -36,6 +36,14 @@ class TestBitVec:
         assert BitVec.unit(4, 3) == BitVec("0010")
         assert BitVec("10").concat(BitVec("011")) == BitVec("10011")
 
+    def test_str_lists_components_from_the_first(self):
+        rng = random.Random(8)
+        for n in range(71):
+            for value in {0, (1 << n) - 1, rng.getrandbits(n), 1 << n >> 1}:
+                v = BitVec.from_int(value, n)
+                assert str(v) == "".join(str(b) for b in v.to_tuple())
+                assert BitVec(str(v)) == v
+
 
 class TestBitMat:
     def test_identity_inverse(self):

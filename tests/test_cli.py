@@ -263,7 +263,9 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "flag, value", [("--t", "nan"), ("--u", "inf"), ("--h11", "-inf"), ("--tol", "nan")]
+        "flag, value",
+        [("--t", "nan"), ("--u", "inf"), ("--h11", "-inf"), ("--tol", "nan"),
+         ("--rows", "-1"), ("--rows", "0"), ("--cols", "0")],
     )
     def test_non_finite_float_flag_rejected(self, capsys, flag, value):
         argv = ["transform", "--model", "hubbard", "--rows", "1", "--cols", "2",
@@ -272,7 +274,8 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"argument {flag}: non-finite value" in capsys.readouterr().err
+        reason = "must be positive" if flag in ("--rows", "--cols") else "non-finite value"
+        assert f"argument {flag}: {reason}" in capsys.readouterr().err
 
     def test_non_finite_coefficient_in_file(self, tmp_path, capsys):
         path = tmp_path / "h.txt"

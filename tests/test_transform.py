@@ -479,6 +479,31 @@ class TestHamiltonianTransform:
         basis = enumerate_basis(parse_basis_spec("1-9:1;10-18:1", 18))
         assert verify_equivalence(code, prepared, hq, basis).status == "pass"
 
+    def test_segment_past_64_qubits_matches_first_segment(self):
+        # Segment 33 of 33 sits on qubits 65-66, so its nonlinear pieces are
+        # tabulated on a grid of Python ints, where segment 1 uses int64.
+        def hop_and_density(offset):
+            return (
+                FermionTerm.of(-1.0, (offset + 1, True), (offset + 2, False)),
+                FermionTerm.of(-1.0, (offset + 2, True), (offset + 1, False)),
+                FermionTerm.of(0.5, (offset + 3, True), (offset + 3, False)),
+            )
+
+        code = load_code("segment:1:33")
+        assert (code.n_modes, code.n_qubits) == (99, 66)
+        h = FermionHamiltonian(99, hop_and_density(96))
+        hq = transform_hamiltonian(code, h)
+        first = transform_hamiltonian(
+            load_code("segment:1:1"), FermionHamiltonian(3, hop_and_density(0))
+        )
+        assert first.num_terms == 6
+        assert hq.terms == {
+            PauliString.from_masks(66, s.x << 64, s.z << 64): c
+            for s, c in first.terms.items()
+        }
+        basis = enumerate_basis(parse_basis_spec("1-96:0;97-99:0,1", 99))
+        assert verify_equivalence(code, h, hq, basis).status == "pass"
+
     def test_budget_error_names_the_term(self):
         code = binary_addressing_k2(2)
         h = hubbard_hamiltonian(1, 2, 1.0, 1.0, periodic_lateral=False)

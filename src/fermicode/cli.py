@@ -19,7 +19,7 @@ import argparse
 import math
 import sys
 
-from .bitmath import BoolPoly
+from .bitmath import DEFAULT_BUDGET, BoolPoly
 from .codes import (
     Code,
     concat,
@@ -160,11 +160,13 @@ def _load_hamiltonian(args) -> FermionHamiltonian:
     raise InputFormatError(f"unknown model {args.model!r}")
 
 
-def _prepare(code: Code, h: FermionHamiltonian, no_adjust: bool) -> FermionHamiltonian:
+def _prepare(
+    code: Code, h: FermionHamiltonian, no_adjust: bool, budget: int | None
+) -> FermionHamiltonian:
     """Normal-order and dress for the transform when the code caps segments."""
     if code.segments and not no_adjust:
         blocked = normal_order_blocks(h)
-        return adjust_for_segments(blocked, code.segments, code.segment_weight)
+        return adjust_for_segments(blocked, code.segments, code.segment_weight, budget)
     return h
 
 
@@ -182,7 +184,7 @@ def _cmd_gen_model(args) -> int:
 def _cmd_transform(args) -> int:
     h = _load_hamiltonian(args)
     code = load_code(args.code)
-    prepared = _prepare(code, h, args.no_adjust)
+    prepared = _prepare(code, h, args.no_adjust, args.budget)
     hq = transform_hamiltonian(code, prepared, budget=args.budget)
     if args.out:
         with open(args.out, "w") as fh:
@@ -204,7 +206,7 @@ def _cmd_transform(args) -> int:
 def _cmd_verify(args) -> int:
     h = _load_hamiltonian(args)
     code = load_code(args.code)
-    prepared = _prepare(code, h, args.no_adjust)
+    prepared = _prepare(code, h, args.no_adjust, args.budget)
     try:
         hq = transform_hamiltonian(code, prepared, budget=args.budget)
     except NonHermitianError as exc:
@@ -266,7 +268,7 @@ def _add_run_args(p: argparse.ArgumentParser):
     p.add_argument("--code", required=True, help="code-spec file or builtin name")
     p.add_argument("--out", help="output path")
     p.add_argument(
-        "--budget", type=int, default=None, help="monomial/term/basis-state budget"
+        "--budget", type=_positive_int, default=None, help="monomial/term/basis-state budget"
     )
     p.add_argument("--tol", type=_finite_float, default=1e-9, help="verification tolerance")
     p.add_argument(
@@ -304,8 +306,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("validate-code", help="check code round-trips and images")
     p.add_argument("--code", required=True)
     p.add_argument("--basis", required=True)
-    p.add_argument("--budget", type=int, default=1 << 20)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    p.add_argument("--sample", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_validate_code)
 

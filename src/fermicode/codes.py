@@ -156,7 +156,7 @@ def linear_code(a: BitMat, kind: str = "linear") -> Code:
 def jordan_wigner(n_modes: int) -> Code:
     if n_modes < 1:
         raise ValueError("need at least one mode")
-    return replace(linear_code(BitMat.identity(n_modes)), kind="jordan_wigner")
+    return linear_code(BitMat.identity(n_modes), kind="jordan_wigner")
 
 
 def parity_code(n_modes: int) -> Code:
@@ -164,7 +164,7 @@ def parity_code(n_modes: int) -> Code:
     if n_modes < 1:
         raise ValueError("need at least one mode")
     a = BitMat.from_int_rows([(1 << (i + 1)) - 1 for i in range(n_modes)], n_modes)
-    return replace(linear_code(a), kind="parity")
+    return linear_code(a, kind="parity")
 
 
 def _bk_matrix(n_modes: int) -> BitMat:
@@ -185,7 +185,7 @@ def _bk_matrix(n_modes: int) -> BitMat:
 def bravyi_kitaev(n_modes: int) -> Code:
     if n_modes < 1:
         raise ValueError("need at least one mode")
-    return replace(linear_code(_bk_matrix(n_modes)), kind="bravyi_kitaev")
+    return linear_code(_bk_matrix(n_modes), kind="bravyi_kitaev")
 
 
 def checksum_code(n_modes: int, flavor: str = "even") -> Code:
@@ -199,19 +199,14 @@ def checksum_code(n_modes: int, flavor: str = "even") -> Code:
     if flavor not in ("even", "odd"):
         raise ValueError(f"flavor must be 'even' or 'odd', got {flavor!r}")
     n = n_modes - 1
-    encode = tuple(
-        BoolPoly.variable(n_modes, j) for j in range(1, n_modes)
-    )
-    decode = [BoolPoly.variable(n, j) for j in range(1, n_modes)]
-    last = BoolPoly.linear(
-        BitVec.from_int((1 << n) - 1, n), constant=1 if flavor == "odd" else 0
-    )
-    decode.append(last)
     return Code(
         n_modes=n_modes,
         n_qubits=n,
-        encode=encode,
-        decode=tuple(decode),
+        encode=tuple(BoolPoly.variable(n_modes, j) for j in range(1, n_modes)),
+        decode=(
+            *(BoolPoly.variable(n, j) for j in range(1, n_modes)),
+            BoolPoly.linear(BitVec.from_int((1 << n) - 1, n), constant=int(flavor == "odd")),
+        ),
         kind="checksum",
     )
 
@@ -219,42 +214,6 @@ def checksum_code(n_modes: int, flavor: str = "even") -> Code:
 def _address(index: int, bits: int) -> BitVec:
     """Address vector q with bin(q) + 1 = index; component 1 is least significant."""
     return BitVec.from_int(index - 1, bits)
-
-
-def binary_addressing_k1(r: int) -> Code:
-    """Weight-one code storing the particle coordinate as a binary number.
-
-    N = 2**r modes on n = r qubits; decode component j is the indicator that
-    the register holds the address of mode j.
-    """
-    if r < 1:
-        raise ValueError("need r >= 1")
-    n_modes = 1 << r
-    decode = []
-    for j in range(1, n_modes + 1):
-        q = _address(j, r)
-        # prod_i (w_i + 1 + q_i) = 1 exactly on the address of mode j
-        p = BoolPoly.one(r)
-        for i in range(1, r + 1):
-            factor = BoolPoly.variable(r, i) + BoolPoly.constant(r, 1 + q[i])
-            p = p * factor
-        decode.append(p)
-    encode = tuple(
-        BoolPoly.linear(
-            BitVec.from_int(
-                sum(((j - 1) >> (i - 1) & 1) << (j - 1) for j in range(1, n_modes + 1)),
-                n_modes,
-            )
-        )
-        for i in range(1, r + 1)
-    )
-    return Code(
-        n_modes=n_modes,
-        n_qubits=r,
-        encode=encode,
-        decode=tuple(decode),
-        kind="binary_addressing_k1",
-    )
 
 
 def _match_product(num_vars: int, offset: int, target: BitVec, complement: bool) -> BoolPoly:
@@ -268,6 +227,30 @@ def _match_product(num_vars: int, offset: int, target: BitVec, complement: bool)
         const = target[i] ^ (0 if complement else 1)
         p = p * (BoolPoly.variable(num_vars, offset + i) + BoolPoly.constant(num_vars, const))
     return p
+
+
+def binary_addressing_k1(r: int) -> Code:
+    """Weight-one code storing the particle coordinate as a binary number.
+
+    N = 2**r modes on n = r qubits; decode component j is the indicator that
+    the register holds the address of mode j.
+    """
+    if r < 1:
+        raise ValueError("need r >= 1")
+    n_modes = 1 << r
+    return Code(
+        n_modes=n_modes,
+        n_qubits=r,
+        # qubit i is the sum of the modes whose address has bit i set
+        encode=tuple(
+            BoolPoly(n_modes, [1 << a for a in range(n_modes) if a >> i & 1]) for i in range(r)
+        ),
+        decode=tuple(
+            _match_product(r, 0, _address(j, r), complement=False)
+            for j in range(1, n_modes + 1)
+        ),
+        kind="binary_addressing_k1",
+    )
 
 
 def binary_addressing_k2(r: int) -> Code:
@@ -360,14 +343,7 @@ def binary_switch(weight: int) -> BoolPoly:
     if weight < 1:
         raise ValueError("need weight >= 1")
     n = 2 * weight
-    masks = []
-    for t in range(1 << n):
-        if t.bit_count() > weight:
-            masks.append(t)
-    values = [0] * (1 << n)
-    for t in masks:
-        values[t] = 1
-    return BoolPoly.from_truth_table(n, values)
+    return BoolPoly.from_truth_table(n, [int(t.bit_count() > weight) for t in range(1 << n)])
 
 
 def segment_subcode(weight: int) -> Code:
@@ -398,9 +374,7 @@ def segment_code(weight: int, n_segments: int) -> Code:
     """Concatenation of identical segment subcodes."""
     if n_segments < 1:
         raise ValueError("need at least one segment")
-    sub = segment_subcode(weight)
-    code = concat(*([sub] * n_segments))
-    return replace(code, kind="segment", segment_weight=weight)
+    return replace(concat(*[segment_subcode(weight)] * n_segments), kind="segment")
 
 
 def concat(*codes: Code) -> Code:
@@ -592,7 +566,7 @@ class ValidationReport:
 def validate_code(
     code: Code,
     spec: BasisSpec,
-    budget: int = 1 << 20,
+    budget: int = DEFAULT_BUDGET,
     sample: int | None = None,
     seed: int = 0,
 ) -> ValidationReport:
@@ -696,6 +670,19 @@ def _custom_code(spec: dict) -> Code:
     )
 
 
+# Builtin kinds: constructor and its fields with their types, in the order of
+# the compact ``kind:v1:v2`` syntax.
+_KINDS = {
+    "jordan_wigner": (jordan_wigner, {"n_modes": int}),
+    "parity": (parity_code, {"n_modes": int}),
+    "bravyi_kitaev": (bravyi_kitaev, {"n_modes": int}),
+    "checksum": (checksum_code, {"n_modes": int, "flavor": str}),
+    "binary_addressing_k1": (binary_addressing_k1, {"r": int}),
+    "binary_addressing_k2": (binary_addressing_k2, {"r": int}),
+    "segment": (segment_code, {"weight": int, "segments": int}),
+}
+
+
 def code_from_spec(spec: dict) -> Code:
     """Build a code from a parsed code-spec dictionary.
 
@@ -704,20 +691,9 @@ def code_from_spec(spec: dict) -> Code:
     if not isinstance(spec, dict):
         raise InputFormatError(f"code spec must be a JSON object, got {type(spec).__name__}")
     kind = _spec_field(spec, "kind", str)
-    if kind == "jordan_wigner":
-        return jordan_wigner(_spec_field(spec, "n_modes"))
-    if kind == "parity":
-        return parity_code(_spec_field(spec, "n_modes"))
-    if kind == "bravyi_kitaev":
-        return bravyi_kitaev(_spec_field(spec, "n_modes"))
-    if kind == "checksum":
-        return checksum_code(_spec_field(spec, "n_modes"), _spec_field(spec, "flavor", str))
-    if kind == "binary_addressing_k1":
-        return binary_addressing_k1(_spec_field(spec, "r"))
-    if kind == "binary_addressing_k2":
-        return binary_addressing_k2(_spec_field(spec, "r"))
-    if kind == "segment":
-        return segment_code(_spec_field(spec, "weight"), _spec_field(spec, "segments"))
+    if kind in _KINDS:
+        build, fields = _KINDS[kind]
+        return build(*(_spec_field(spec, key, type_) for key, type_ in fields.items()))
     if kind == "concat":
         return concat(*(code_from_spec(p) for p in _spec_field(spec, "parts", list)))
     if kind == "custom":
@@ -725,36 +701,29 @@ def code_from_spec(spec: dict) -> Code:
     raise InputFormatError(f"unknown code kind {kind!r}")
 
 
-_BUILTIN_KINDS = {
-    "jordan_wigner",
-    "parity",
-    "bravyi_kitaev",
-    "checksum",
-    "binary_addressing_k1",
-    "binary_addressing_k2",
-    "segment",
-}
-
-
 def parse_builtin_code(name: str) -> Code:
-    """Parse compact builtin syntax, e.g. ``checksum:10:even+segment:2:2``."""
+    """Parse compact builtin syntax, e.g. ``checksum:10:even+segment:2:2``.
+
+    Each chunk's values fill its kind's fields by position and then pass the
+    same checks as a JSON spec.
+    """
     parts = []
     for chunk in name.split("+"):
-        fields = chunk.strip().split(":")
-        kind = fields[0]
-        if kind not in _BUILTIN_KINDS:
+        chunk = chunk.strip()
+        kind, *values = chunk.split(":")
+        if kind not in _KINDS:
             raise InputFormatError(f"unknown builtin code {kind!r}")
-        try:
-            if kind == "checksum":
-                spec = {"kind": kind, "n_modes": int(fields[1]), "flavor": fields[2]}
-            elif kind in ("binary_addressing_k1", "binary_addressing_k2"):
-                spec = {"kind": kind, "r": int(fields[1])}
-            elif kind == "segment":
-                spec = {"kind": kind, "weight": int(fields[1]), "segments": int(fields[2])}
-            else:
-                spec = {"kind": kind, "n_modes": int(fields[1])}
-        except (IndexError, ValueError) as exc:
-            raise InputFormatError(f"bad builtin code parameters in {chunk!r}") from exc
+        fields = _KINDS[kind][1]
+        if len(values) != len(fields):
+            raise InputFormatError(
+                f"builtin code {chunk!r} must have the form {':'.join([kind, *fields])}"
+            )
+        spec = {"kind": kind}
+        for (key, type_), text in zip(fields.items(), values):
+            try:
+                spec[key] = type_(text)
+            except ValueError:
+                raise InputFormatError(f"bad {key} {text!r} in builtin code {chunk!r}") from None
         parts.append(code_from_spec(spec))
     return concat(*parts)
 
@@ -762,7 +731,7 @@ def parse_builtin_code(name: str) -> Code:
 def load_code(path_or_name: str) -> Code:
     """Load a code from a JSON spec file or builtin-name syntax."""
     head = path_or_name.split("+")[0].split(":")[0]
-    if head in _BUILTIN_KINDS:
+    if head in _KINDS:
         return parse_builtin_code(path_or_name)
     try:
         with open(path_or_name) as fh:

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
-from .bitmath import BitVec, BoolPoly
+from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly
 from .bitmath import poly_sum  # noqa: F401  (perfbench/spans.py patches it here)
 from .codes import Code
 from .errors import (
@@ -193,28 +194,24 @@ def update_operator(code: Code, q: BitVec, budget: int | None = None) -> QubitOp
 # -- the general operator map --------------------------------------------------
 
 
-def _term_signs(ops: tuple[tuple[int, bool], ...]) -> tuple[float, list[float]]:
-    """Global anticommutation sign and per-factor projector signs.
+def _term_signs(ops: tuple[tuple[int, bool], ...]) -> tuple[float, list[float], int]:
+    """Global anticommutation sign, per-factor projector signs and the mode mask q.
 
-    The global sign counts mode-index inversions in the sequence; each
-    factor's sign additionally flips once per later occurrence of the same
-    mode (its occupation has changed by the time that factor acts).
+    Walks right to left keeping ``q``, the modes seen an odd number of times
+    so far. A factor adds the modes of ``q`` below its own to the inversion
+    count, and its sign flips once more when its own mode is in ``q`` (its
+    occupation has changed by the time that factor acts).
     """
-    modes = [m for m, _ in ops]
-    inversions = sum(
-        1
-        for v in range(len(modes))
-        for w in range(v + 1, len(modes))
-        if modes[v] > modes[w]
-    )
-    signs = []
-    for x, (mode, dagger) in enumerate(ops):
-        repeats = sum(1 for y in range(x + 1, len(modes)) if modes[y] == mode)
-        s = -1.0 if (repeats & 1) else 1.0
-        if dagger:
-            s = -s
-        signs.append(s)
-    return (-1.0 if inversions & 1 else 1.0), signs
+    inversions = 0
+    q = 0
+    signs = [0.0] * len(ops)
+    for x in range(len(ops) - 1, -1, -1):
+        mode, dagger = ops[x]
+        bit = 1 << (mode - 1)
+        inversions += (q & (bit - 1)).bit_count()
+        signs[x] = -1.0 if bool(q & bit) != dagger else 1.0
+        q ^= bit
+    return (-1.0 if inversions & 1 else 1.0), signs, q
 
 
 def _diagonal_factors(code: Code, ops: tuple, signs: list[float]) -> list[tuple]:
@@ -235,12 +232,9 @@ def transform_term(code: Code, term: FermionTerm, budget: int | None = None) -> 
         # Scalar term: the map's empty product acts as the identity on the
         # encoded space; emit the identity itself to stay hermitian.
         return QubitOperator.identity(n, term.coeff)
-    global_sign, signs = _term_signs(term.ops)
-    q_value = 0
-    for m, _ in term.ops:
-        q_value ^= 1 << (m - 1)
-    q = BitVec.from_int(q_value, code.n_modes)
-    op = expand(n, _diagonal_factors(code, term.ops, signs), _update_flips(code, q, budget), budget)
+    global_sign, signs, q = _term_signs(term.ops)
+    flips = _update_flips(code, BitVec.from_int(q, code.n_modes), budget)
+    op = expand(n, _diagonal_factors(code, term.ops, signs), flips, budget)
     return (term.coeff * global_sign) * op
 
 
@@ -352,7 +346,7 @@ def transform_single_two_codes(
         raise DimensionError("sector codes must share mode and qubit counts")
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
     ops = ((j, dagger),)
-    _, signs = _term_signs(ops)
+    _, signs, _ = _term_signs(ops)
     q = BitVec.unit(code_even.n_modes, j)
     eps = _epsilon_polys(incoming.decode, outgoing.encode, q, budget)
     return expand(code_even.n_qubits, _diagonal_factors(incoming, ops, signs), eps, budget)
@@ -421,6 +415,7 @@ def adjust_for_segments(
     h: FermionHamiltonian,
     segments: tuple[tuple[int, ...], ...],
     weight: int,
+    budget: int | None = None,
 ) -> FermionHamiltonian:
     """Dress hops between occupation-capped segments so they cannot overfill.
 
@@ -429,7 +424,12 @@ def adjust_for_segments(
     and the analogous factor for i's segment on the right; on states with
     at most K particles per segment this exactly switches off transitions
     that would exceed the cap, and the dressed pair stays hermitian.
+
+    The dressed terms are counted before each term's product is built; a
+    running total over ``budget`` (default ``DEFAULT_BUDGET``) raises
+    ``BudgetError`` naming the term.
     """
+    budget = DEFAULT_BUDGET if budget is None else budget
     seg_of: dict[int, int] = {}
     for idx, seg in enumerate(segments):
         for m in seg:
@@ -437,7 +437,7 @@ def adjust_for_segments(
                 raise DimensionError(f"mode {m} assigned to two segments")
             seg_of[m] = idx
     out: list[FermionTerm] = []
-    for term in h.terms:
+    for index, term in enumerate(h.terms, start=1):
         if not _is_blocked(term.ops):
             raise UnsupportedCodeError(
                 f"term {term} is not in creation/annihilation block form; "
@@ -459,6 +459,12 @@ def adjust_for_segments(
                 factor_terms.append(dressed)
             else:
                 factor_terms.append([(1.0, block)])
+        count = len(out) + math.prod(len(f) for f in factor_terms)
+        if count > budget:
+            raise BudgetError(
+                f"segment dressing: term {index} ({term}) brings the dressed terms "
+                f"to {count}, over the budget of {budget}"
+            )
         for combo in itertools.product(*factor_terms):
             coeff = term.coeff
             ops: tuple = ()

@@ -158,8 +158,8 @@ class TestVerifyCommand:
     def test_report_checks_the_input_hamiltonian(self, monkeypatch, capsys):
         # A dressing fault must reach the report: scale every dressed term
         # that spans two segments by 1.5, which keeps the Hamiltonian hermitian.
-        def faulty_dressing(h, segments, weight):
-            dressed = adjust_for_segments(h, segments, weight)
+        def faulty_dressing(h, segments, weight, budget):
+            dressed = adjust_for_segments(h, segments, weight, budget)
             seg_of = {m: k for k, seg in enumerate(segments) for m in seg}
             terms = tuple(
                 replace(t, coeff=1.5 * t.coeff)
@@ -230,6 +230,32 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("jordan_wigner:4:9", "'jordan_wigner:4:9' must have the form jordan_wigner:n_modes"),
+            ("segment:2:2:7", "'segment:2:2:7' must have the form segment:weight:segments"),
+            ("checksum:4:even:x",
+             "'checksum:4:even:x' must have the form checksum:n_modes:flavor"),
+            ("segment:2", "'segment:2' must have the form segment:weight:segments"),
+            ("segment:x:2", "bad weight 'x' in builtin code 'segment:x:2'"),
+            ("jordan_wigner:0", "code spec field 'n_modes' must be a positive integer, got 0"),
+        ],
+    )
+    def test_malformed_builtin_name_names_field(self, capsys, name, message):
+        assert main(["transform", *H2_ARGS, "--code", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.endswith(f"{message}\n")
+
+    def test_dressing_over_budget_is_exit_3(self, capsys):
+        rc = main(["transform", "--model", "hubbard", "--rows", "1", "--cols", "10",
+                   "--code", "segment:2:4", "--budget", "500"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "resource budget exceeded: segment dressing: term 21 (((-1+0j)) +5 -6) "
+            "brings the dressed terms to 621, over the budget of 500\n"
+        )
+
+    @pytest.mark.parametrize(
         "spec, field",
         [
             ([{"kind": "jordan_wigner", "n_modes": 4}], "JSON object"),
@@ -265,7 +291,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag, value",
         [("--t", "nan"), ("--u", "inf"), ("--h11", "-inf"), ("--tol", "nan"),
-         ("--rows", "-1"), ("--rows", "0"), ("--cols", "0")],
+         ("--rows", "-1"), ("--rows", "0"), ("--cols", "0"), ("--budget", "0"),
+         ("--budget", "-1")],
     )
     def test_non_finite_float_flag_rejected(self, capsys, flag, value):
         argv = ["transform", "--model", "hubbard", "--rows", "1", "--cols", "2",
@@ -274,8 +301,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        reason = "must be positive" if flag in ("--rows", "--cols") else "non-finite value"
+        positive = flag in ("--rows", "--cols", "--budget")
+        reason = "must be positive" if positive else "non-finite value"
         assert f"argument {flag}: {reason}" in capsys.readouterr().err
+
+    def test_zero_sample_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-code", "--code", "checksum:4:even", "--basis", "1-4:0,2,4",
+                  "--sample", "0"])
+        assert exc.value.code == 2
+        assert "argument --sample: must be positive, got '0'" in capsys.readouterr().err
 
     def test_non_finite_coefficient_in_file(self, tmp_path, capsys):
         path = tmp_path / "h.txt"

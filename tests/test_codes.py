@@ -394,6 +394,21 @@ class TestCodeSpecs:
         c = code_from_spec(spec)
         assert c.decode_vec(BitVec("1")) == BitVec("10")
 
+    @pytest.mark.parametrize(
+        "name, spec",
+        [
+            ("jordan_wigner:4", {"kind": "jordan_wigner", "n_modes": 4}),
+            ("parity:3", {"kind": "parity", "n_modes": 3}),
+            ("bravyi_kitaev:6", {"kind": "bravyi_kitaev", "n_modes": 6}),
+            ("checksum:5:odd", {"kind": "checksum", "n_modes": 5, "flavor": "odd"}),
+            ("binary_addressing_k1:3", {"kind": "binary_addressing_k1", "r": 3}),
+            ("binary_addressing_k2:2", {"kind": "binary_addressing_k2", "r": 2}),
+            ("segment:2:2", {"kind": "segment", "weight": 2, "segments": 2}),
+        ],
+    )
+    def test_compact_name_fills_the_spec_fields_in_order(self, name, spec):
+        assert parse_builtin_code(name) == code_from_spec(spec)
+
     def test_builtin_string_parse(self):
         c = parse_builtin_code("checksum:10:even+segment:2:2")
         assert (c.n_modes, c.n_qubits) == (20, 17)

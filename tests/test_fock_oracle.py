@@ -2,11 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermicode import fock_oracle
-from fermicode.bitmath import BitVec
+from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.codes import (
     BasisSpec,
+    Code,
     checksum_code,
     enumerate_basis,
     jordan_wigner,
@@ -45,6 +48,7 @@ from fermicode.transform import (
 from helpers import (
     dense_annihilator,
     dense_creator,
+    dense_fermion_hamiltonian,
     dense_fermion_term,
     dense_operator,
     random_invertible_bitmat,
@@ -408,6 +412,73 @@ class TestEquivalence:
         report = verify_equivalence(code, h, hq, [BitVec("10")])
         data = json.loads(report.to_json())
         assert set(data) == {"status", "max_deviation", "states_checked", "failures"}
+
+
+@st.composite
+def nonlinear_codes(draw):
+    """A basis V of one or two weight sectors over N <= 6 modes and a random
+    injective code on it, n between ceil(log2 |V|) and N.
+
+    Encode and decode are truth tables turned into polynomials: states
+    outside V encode to 0, and the code words no state uses decode to a
+    designated word outside V.
+    """
+    n_modes = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, n_modes), min_size=1, max_size=2, unique=True))
+    basis = enumerate_basis(BasisSpec.single(n_modes, weights))
+    n_qubits = draw(st.integers(max(1, (len(basis) - 1).bit_length()), n_modes))
+    words = draw(st.permutations(range(1 << n_qubits)))[: len(basis)]
+    inside = {nu.value for nu in basis}
+    outside = [v for v in range(1 << n_modes) if v not in inside]
+    degenerate = None
+    if len(basis) < 1 << n_qubits:
+        degenerate = draw(st.sampled_from(outside))
+    enc = [0] * (1 << n_modes)
+    dec = [degenerate] * (1 << n_qubits)
+    for nu, w in zip(basis, words):
+        enc[nu.value] = w
+        dec[w] = nu.value
+    code = Code(
+        n_modes=n_modes,
+        n_qubits=n_qubits,
+        encode=tuple(
+            BoolPoly.from_truth_table(n_modes, [e >> i & 1 for e in enc]) for i in range(n_qubits)
+        ),
+        decode=tuple(
+            BoolPoly.from_truth_table(n_qubits, [d >> j & 1 for d in dec]) for j in range(n_modes)
+        ),
+        degenerate_image=None if degenerate is None else BitVec.from_int(degenerate, n_modes),
+    )
+    return code, basis
+
+
+@st.composite
+def conserving_hamiltonians(draw, n_modes):
+    """One- and two-body particle-conserving terms, each with its conjugate."""
+    mode = st.integers(1, n_modes)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = complex(draw(st.sampled_from([1, -0.5, 0.25 + 1j, -2j])))
+        daggers = draw(st.sampled_from([(True, False), (True, True, False, False)]))
+        ops = tuple((draw(mode), d) for d in daggers)
+        terms.append(FermionTerm.of(c, *ops))
+        terms.append(FermionTerm.of(c.conjugate(), *((m, not d) for m, d in reversed(ops))))
+    return FermionHamiltonian(n_modes, tuple(terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_random_nonlinear_codes_match_dense_action(data):
+    code, basis = data.draw(nonlinear_codes())
+    h = data.draw(conserving_hamiltonians(code.n_modes))
+    # off e(V) the image need not be hermitian; only its action on e(V) counts
+    hq = transform_hamiltonian(code, h, check_hermiticity=False)
+    assert verify_equivalence(code, h, hq, basis).status == "pass"
+    occupied = [nu.value for nu in basis]
+    encoded = [code.encode_vec(nu).value for nu in basis]
+    expected = np.zeros((1 << code.n_qubits, len(basis)), dtype=complex)
+    expected[encoded] = dense_fermion_hamiltonian(h)[np.ix_(occupied, occupied)]
+    np.testing.assert_allclose(dense_operator(hq)[:, encoded], expected, atol=1e-9)
 
 
 class TestAnticommutation:

@@ -198,6 +198,25 @@ class BitMat(namedtuple("BitMat", "rows cols packed")):
         return f"BitMat([{body}])"
 
 
+def moebius(values: Sequence[int]) -> list[int]:
+    """Binary Moebius transform over the subset lattice, bitwise on int entries.
+
+    ``values`` has ``2**k`` entries, entry ``x`` a function's value at the
+    assignment packed into ``x``. Each bit position is a separate boolean
+    function: bit j of output entry ``x`` is the ANF coefficient of
+    monomial ``x`` in the function that bit j of the values tabulates.
+    """
+    coeffs = list(values)
+    size = len(coeffs)
+    bit = 1
+    while bit < size:
+        for x in range(size):
+            if x & bit:
+                coeffs[x] ^= coeffs[x ^ bit]
+        bit <<= 1
+    return coeffs
+
+
 def _reduce_mod2(masks: Iterable[int]) -> frozenset:
     """XOR-reduce a monomial multiset: keep masks occurring an odd number of times."""
     seen = set()
@@ -260,18 +279,13 @@ class BoolPoly(namedtuple("BoolPoly", "num_vars masks")):
     def from_truth_table(cls, num_vars: int, values: Sequence[int]) -> "BoolPoly":
         """ANF of a function given by its ``2**num_vars`` truth-table values.
 
-        ``values[x]`` is f at the assignment packed into int ``x``. Uses the
-        Moebius transform over the subset lattice.
+        ``values[x]`` is f at the assignment packed into int ``x``; only its
+        bit 0 counts.
         """
         size = 1 << num_vars
         if len(values) != size:
             raise DimensionError(f"need {size} truth-table entries, got {len(values)}")
-        coeffs = [v & 1 for v in values]
-        for i in range(num_vars):
-            bit = 1 << i
-            for x in range(size):
-                if x & bit:
-                    coeffs[x] ^= coeffs[x ^ bit]
+        coeffs = moebius([v & 1 for v in values])
         return cls(num_vars, (x for x in range(size) if coeffs[x]))
 
     # -- text form -----------------------------------------------------

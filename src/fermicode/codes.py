@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .bitmath import DEFAULT_BUDGET, BitMat, BitVec, BoolPoly
+from .bitmath import DEFAULT_BUDGET, BitMat, BitVec, BoolPoly, moebius
 from .errors import BudgetError, DimensionError, InputFormatError, UnsupportedCodeError
 
 
@@ -27,14 +27,13 @@ class Code:
 
     ``encode`` holds n polynomials over N variables and ``decode`` N
     polynomials over n variables; affine parts live in the constant
-    monomials. ``matrix``/``matrix_inv`` are set for purely linear n = N
-    codes fit for the parity/flip/update-set machinery. ``segments`` lists
-    mode blocks whose occupation the code caps at ``segment_weight``.
+    monomials. ``segments`` lists mode blocks whose occupation the code
+    caps at ``segment_weight``.
 
     Structure derived from encode/decode (prefix parities, linearity, the
-    encode's linear masks) is computed on first use and kept on the
-    instance; ``dataclasses.replace`` builds a new instance, so it never
-    sees stale values.
+    encode's linear masks, a linear code's matrices) is computed on first
+    use and kept on the instance; ``dataclasses.replace`` builds a new
+    instance, so it never sees stale values.
     """
 
     n_modes: int
@@ -46,8 +45,6 @@ class Code:
     degenerate_image: BitVec | None = None
     segments: tuple[tuple[int, ...], ...] = ()
     segment_weight: int | None = None
-    matrix: BitMat | None = None
-    matrix_inv: BitMat | None = None
 
     def __post_init__(self):
         if len(self.encode) != self.n_qubits:
@@ -119,6 +116,26 @@ class Code:
         return tuple(out)
 
     @cached_property
+    def matrix(self) -> BitMat | None:
+        """Encode matrix A of a linear code fit for the parity/flip/update sets.
+
+        Set when encode and decode are homogeneous linear, n = N and the
+        decode matrix is A^-1; None otherwise.
+        """
+        n = self.n_modes
+        polys = self.encode + self.decode
+        if n != self.n_qubits or any(m.bit_count() != 1 for p in polys for m in p.masks):
+            return None
+        a = BitMat.from_int_rows(self._encode_linear_masks, n)
+        a_inv = BitMat.from_int_rows([p.linear_mask() for p in self.decode], n)
+        return a if a @ a_inv == BitMat.identity(n) else None
+
+    @cached_property
+    def matrix_inv(self) -> BitMat | None:
+        """Decode matrix A^-1 when ``matrix`` is set; None otherwise."""
+        return None if self.matrix is None else self.matrix.inverse()
+
+    @cached_property
     def encode_is_linear(self) -> bool:
         return all(p.is_linear() for p in self.encode)
 
@@ -148,8 +165,6 @@ def linear_code(a: BitMat, kind: str = "linear") -> Code:
         encode=tuple(BoolPoly.linear(a.row(i)) for i in range(1, n + 1)),
         decode=tuple(BoolPoly.linear(a_inv.row(i)) for i in range(1, n + 1)),
         kind=kind,
-        matrix=a,
-        matrix_inv=a_inv,
     )
 
 
@@ -211,131 +226,83 @@ def checksum_code(n_modes: int, flavor: str = "even") -> Code:
     )
 
 
-def _address(index: int, bits: int) -> BitVec:
-    """Address vector q with bin(q) + 1 = index; component 1 is least significant."""
-    return BitVec.from_int(index - 1, bits)
+def _table_size(what: str, n_vars: int) -> int:
+    """``2**n_vars`` truth-table entries; ``BudgetError`` before building more than the budget."""
+    if n_vars >= DEFAULT_BUDGET.bit_length():  # 2**n_vars > DEFAULT_BUDGET
+        raise BudgetError(
+            f"{what} needs 2**{n_vars} truth-table entries, over the budget of {DEFAULT_BUDGET}"
+        )
+    return 1 << n_vars
 
 
-def _match_product(num_vars: int, offset: int, target: BitVec, complement: bool) -> BoolPoly:
-    """Product over components of (x_{offset+i} + target_i [+ 1]).
+def _addressing_code(kind: str, r: int, n_qubits: int, occupation) -> Code:
+    """Code on N = 2**r modes whose word w stores the modes set in ``occupation(w)``.
 
-    With ``complement`` False the product is 1 exactly when the register
-    equals ``target``; with True, exactly on the bitwise complement.
+    One Moebius transform of the occupation masks gives every decode
+    component in ANF at once: bit j of entry x is the coefficient of
+    monomial x in component j + 1. The encoding is quadratic (or linear):
+    each stored monomial, the product of its word's occupied modes, joins
+    every encode component that the word sets. Words that store nothing
+    decode to the empty occupation, the ``degenerate_image``.
     """
-    p = BoolPoly.one(num_vars)
-    for i in range(1, target.n + 1):
-        const = target[i] ^ (0 if complement else 1)
-        p = p * (BoolPoly.variable(num_vars, offset + i) + BoolPoly.constant(num_vars, const))
-    return p
+    size = _table_size(f"{kind}({r})", n_qubits)
+    n_modes = 1 << r
+    table = [occupation(w) for w in range(size)]
+    decode: list[list[int]] = [[] for _ in range(n_modes)]
+    for x, coeffs in enumerate(moebius(table)):
+        while coeffs:
+            low = coeffs & -coeffs
+            decode[low.bit_length() - 1].append(x)
+            coeffs ^= low
+    encode: list[list[int]] = [[] for _ in range(n_qubits)]
+    for w, mono in enumerate(table):
+        if mono:
+            for i in range(n_qubits):
+                if w >> i & 1:
+                    encode[i].append(mono)
+    return Code(
+        n_modes=n_modes,
+        n_qubits=n_qubits,
+        encode=tuple(BoolPoly(n_modes, masks) for masks in encode),
+        decode=tuple(BoolPoly(n_qubits, masks) for masks in decode),
+        kind=kind,
+        degenerate_image=BitVec.zeros(n_modes) if 0 in table else None,
+    )
 
 
 def binary_addressing_k1(r: int) -> Code:
     """Weight-one code storing the particle coordinate as a binary number.
 
-    N = 2**r modes on n = r qubits; decode component j is the indicator that
-    the register holds the address of mode j.
+    N = 2**r modes on n = r qubits; word w stores the particle at mode w + 1.
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    n_modes = 1 << r
-    return Code(
-        n_modes=n_modes,
-        n_qubits=r,
-        # qubit i is the sum of the modes whose address has bit i set
-        encode=tuple(
-            BoolPoly(n_modes, [1 << a for a in range(n_modes) if a >> i & 1]) for i in range(r)
-        ),
-        decode=tuple(
-            _match_product(r, 0, _address(j, r), complement=False)
-            for j in range(1, n_modes + 1)
-        ),
-        kind="binary_addressing_k1",
-    )
+    return _addressing_code("binary_addressing_k1", r, r, lambda w: 1 << w)
 
 
 def binary_addressing_k2(r: int) -> Code:
     """Weight-two binary addressing code: N = 2**r modes on n = 2r - 1 qubits.
 
-    The code word is two registers alpha (r bits) and beta (r - 1 bits)
-    holding dissected pair coordinates. Pairs with a particle above mode
-    N/2 are stored directly; pairs entirely in the lower half are stored
-    point-reflected. The comparator S picks the branch and T flags the
-    excluded diagonal words, which all decode to the empty occupation.
+    The code word is two registers, alpha = w mod 2**r and beta = w >> r
+    (r - 1 bits). A word with alpha < beta + N/2 stores the pair
+    {alpha + 1, beta + N/2 + 1}, whose larger coordinate is above N/2; one
+    with alpha > beta + N/2 stores the point-reflected pair
+    {(~alpha mod N/2) + 1, (~beta mod N/2) + 1} in the lower half. The
+    2**(r-1) diagonal words alpha = beta + N/2 store nothing.
     """
     if r < 2:
         raise ValueError("need r >= 2")
-    n_modes = 1 << r
-    n = 2 * r - 1
-    half = n_modes >> 1
+    half = 1 << (r - 1)
 
-    alpha = [BoolPoly.variable(n, i) for i in range(1, r + 1)]
-    beta = [BoolPoly.variable(n, r + k) for k in range(1, r)]
-    one = BoolPoly.one(n)
+    def occupation(w: int) -> int:
+        alpha, upper = w % (2 * half), (w >> r) + half  # upper = beta + N/2
+        if alpha < upper:
+            return 1 << alpha | 1 << upper
+        if alpha > upper:
+            return 1 << (~alpha % half) | 1 << (~upper % half)
+        return 0
 
-    # S = 1 iff alpha_r = 0 or bin(beta) > bin(alpha_1..r-1): the stored pair
-    # has its larger coordinate above N/2 without reflection.
-    cmp_sum = BoolPoly.zero(n)
-    for j in range(1, r):
-        term = (one + alpha[j - 1]) * beta[j - 1]
-        for i in range(j + 1, r):
-            term = term * (alpha[i - 1] + beta[i - 1] + one)
-        cmp_sum = cmp_sum + term
-    s_poly = alpha[r - 1] * cmp_sum + one + alpha[r - 1]
-
-    # T = 1 iff alpha and beta agree on the first r - 1 components; together
-    # with S = 0 that is the excluded diagonal.
-    t_poly = one
-    for i in range(1, r):
-        t_poly = t_poly * (alpha[i - 1] + beta[i - 1] + one)
-
-    not_s = one + s_poly
-    reflected = not_s * (one + t_poly)
-
-    decode = []
-    for j in range(1, n_modes + 1):
-        q = _address(j, r)
-        top = q[r]
-        comp = s_poly * _match_product(n, 0, q, complement=False)
-        comp = comp + reflected * _match_product(n, 0, q, complement=True)
-        beta_target = BitVec.from_int(q.value & (half - 1), r - 1)
-        if top:
-            comp = comp + s_poly * _match_product(n, r, beta_target, complement=False)
-        else:
-            comp = comp + reflected * _match_product(n, r, beta_target, complement=True)
-        decode.append(comp)
-
-    # Quadratic encoding: the code word for the occupied pair {i, j} is the
-    # coefficient vector of the monomial x_i x_j.
-    enc_masks = [set() for _ in range(n)]
-
-    def put(i: int, j: int, word: int):
-        mono = (1 << (i - 1)) | (1 << (j - 1))
-        for bit in range(n):
-            if (word >> bit) & 1:
-                enc_masks[bit].add(mono)
-
-    full_r = (1 << r) - 1
-    full_r1 = (1 << (r - 1)) - 1
-    for j in range(2, half + 1):
-        # pair entirely in the lower half: stored point-reflected
-        for i in range(1, j):
-            word = (((j - 1) ^ full_r1) << r) | ((i - 1) ^ full_r)
-            put(i, j, word)
-    for j in range(half + 1, n_modes + 1):
-        # larger coordinate above N/2: stored directly
-        for i in range(1, j):
-            word = ((j - half - 1) << r) | (i - 1)
-            put(i, j, word)
-
-    encode = tuple(BoolPoly(n_modes, masks) for masks in enc_masks)
-    return Code(
-        n_modes=n_modes,
-        n_qubits=n,
-        encode=encode,
-        decode=tuple(decode),
-        kind="binary_addressing_k2",
-        degenerate_image=BitVec.zeros(n_modes),
-    )
+    return _addressing_code("binary_addressing_k2", r, 2 * r - 1, occupation)
 
 
 def binary_switch(weight: int) -> BoolPoly:
@@ -343,7 +310,8 @@ def binary_switch(weight: int) -> BoolPoly:
     if weight < 1:
         raise ValueError("need weight >= 1")
     n = 2 * weight
-    return BoolPoly.from_truth_table(n, [int(t.bit_count() > weight) for t in range(1 << n)])
+    size = _table_size(f"binary_switch({weight})", n)
+    return BoolPoly.from_truth_table(n, [int(t.bit_count() > weight) for t in range(size)])
 
 
 def segment_subcode(weight: int) -> Code:
@@ -471,21 +439,24 @@ class BasisSpec:
 
 
 def parse_basis_spec(text: str, n_modes: int) -> BasisSpec:
-    """Parse ``"1-10:2;11-20:2"`` style suit:weights lists."""
+    """Parse ``"1-10:2;11-20:2"`` style suit:weights lists of ASCII decimals."""
     suits = []
     weights = []
+
+    def number(field: str, digits: str) -> int:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{field} {digits!r} is not a decimal number")
+        return int(digits)
+
     try:
         for chunk in text.split(";"):
             idx_part, w_part = chunk.split(":")
             indices: list[int] = []
             for piece in idx_part.split(","):
-                if "-" in piece:
-                    lo, hi = piece.split("-")
-                    indices.extend(range(int(lo), int(hi) + 1))
-                else:
-                    indices.append(int(piece))
+                lo, dash, hi = piece.partition("-")
+                indices.extend(range(number("mode", lo), number("mode", hi if dash else lo) + 1))
             suits.append(tuple(indices))
-            weights.append(tuple(int(w) for w in w_part.split(",")))
+            weights.append(tuple(number("weight", w) for w in w_part.split(",")))
     except ValueError as exc:
         raise InputFormatError(f"bad basis spec {text!r}: {exc}") from exc
     return BasisSpec(n_modes, tuple(suits), tuple(weights))
@@ -681,6 +652,12 @@ _KINDS = {
     "binary_addressing_k2": (binary_addressing_k2, {"r": int}),
     "segment": (segment_code, {"weight": int, "segments": int}),
 }
+# Fields of the kinds that have no compact name.
+_OTHER_KINDS = {
+    "concat": ("parts",),
+    "custom": ("n_modes", "n_qubits", "encode", "decode", "encode_affine", "decode_affine",
+               "degenerate_image"),
+}
 
 
 def code_from_spec(spec: dict) -> Code:
@@ -691,14 +668,20 @@ def code_from_spec(spec: dict) -> Code:
     if not isinstance(spec, dict):
         raise InputFormatError(f"code spec must be a JSON object, got {type(spec).__name__}")
     kind = _spec_field(spec, "kind", str)
+    fields = _KINDS[kind][1] if kind in _KINDS else _OTHER_KINDS.get(kind)
+    if fields is None:
+        raise InputFormatError(f"unknown code kind {kind!r}")
+    for key in spec:
+        if key != "kind" and key not in fields:
+            raise InputFormatError(
+                f"code spec of kind {kind!r} has unknown field {key!r}; "
+                f"allowed fields: kind, {', '.join(fields)}"
+            )
     if kind in _KINDS:
-        build, fields = _KINDS[kind]
-        return build(*(_spec_field(spec, key, type_) for key, type_ in fields.items()))
+        return _KINDS[kind][0](*(_spec_field(spec, key, type_) for key, type_ in fields.items()))
     if kind == "concat":
         return concat(*(code_from_spec(p) for p in _spec_field(spec, "parts", list)))
-    if kind == "custom":
-        return _custom_code(spec)
-    raise InputFormatError(f"unknown code kind {kind!r}")
+    return _custom_code(spec)
 
 
 def parse_builtin_code(name: str) -> Code:
@@ -720,10 +703,9 @@ def parse_builtin_code(name: str) -> Code:
             )
         spec = {"kind": kind}
         for (key, type_), text in zip(fields.items(), values):
-            try:
-                spec[key] = type_(text)
-            except ValueError:
-                raise InputFormatError(f"bad {key} {text!r} in builtin code {chunk!r}") from None
+            if type_ is int and not (text.isascii() and text.isdigit()):
+                raise InputFormatError(f"bad {key} {text!r} in builtin code {chunk!r}")
+            spec[key] = type_(text)
         parts.append(code_from_spec(spec))
     return concat(*parts)
 

@@ -128,7 +128,7 @@ def parse_fermion_file(text: str, n_modes: int | None = None) -> FermionHamilton
             raise InputFormatError(f"line {lineno}: non-finite coefficient {head.strip()!r}")
         ops = []
         for tok in tail.split():
-            if tok[0] not in "+-" or not tok[1:].isdigit():
+            if tok[0] not in "+-" or not (tok[1:].isascii() and tok[1:].isdigit()):
                 raise InputFormatError(f"line {lineno}: bad operator token {tok!r}")
             mode = int(tok[1:])
             if mode < 1:

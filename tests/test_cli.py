@@ -239,12 +239,37 @@ class TestExitCodes:
             ("segment:2", "'segment:2' must have the form segment:weight:segments"),
             ("segment:x:2", "bad weight 'x' in builtin code 'segment:x:2'"),
             ("jordan_wigner:0", "code spec field 'n_modes' must be a positive integer, got 0"),
+            ("jordan_wigner:1_0", "bad n_modes '1_0' in builtin code 'jordan_wigner:1_0'"),
+            ("segment:2:\u0663", "bad segments '\u0663' in builtin code 'segment:2:\u0663'"),
+            ("jordan_wigner: 3", "bad n_modes ' 3' in builtin code 'jordan_wigner: 3'"),
         ],
     )
     def test_malformed_builtin_name_names_field(self, capsys, name, message):
         assert main(["transform", *H2_ARGS, "--code", name]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [("1-1_0:2", "mode '1_0'"), ("1-10:+2", "weight '+2'"),
+         ("1-\u0661\u0660:2", "mode '\u0661\u0660'")],
+    )
+    def test_non_digit_basis_integer_names_field(self, capsys, basis, message):
+        assert main(["validate-code", "--code", "jordan_wigner:10", "--basis", basis]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: bad basis spec {basis!r}: {message} is not a decimal number\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, table",
+        [("segment:20:1", "binary_switch(20) needs 2**40"),
+         ("binary_addressing_k2:11", "binary_addressing_k2(11) needs 2**21")],
+    )
+    def test_oversized_code_table_is_exit_3(self, capsys, name, table):
+        assert main(["transform", *H2_ARGS, "--code", name]) == 3
+        assert capsys.readouterr().err == (
+            f"resource budget exceeded: {table} truth-table entries, over the budget of 1048576\n"
+        )
 
     def test_dressing_over_budget_is_exit_3(self, capsys):
         rc = main(["transform", "--model", "hubbard", "--rows", "1", "--cols", "10",
@@ -276,6 +301,28 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and field in err
+
+    @pytest.mark.parametrize(
+        "spec, key, allowed",
+        [
+            ({"kind": "segment", "weight": 2, "segments": 2, "segmnets": 3},
+             "'segmnets'", "kind, weight, segments"),
+            ({"kind": "jordan_wigner", "n_modes": 4, "flavor": "even"},
+             "'flavor'", "kind, n_modes"),
+            ({**H2_CODE_SPEC, "extra": 1}, "'extra'", "kind, parts"),
+            ({**H2_CODE_SPEC["parts"][0], "encode_afine": [0]}, "'encode_afine'",
+             "kind, n_modes, n_qubits, encode, decode, encode_affine, decode_affine, "
+             "degenerate_image"),
+        ],
+    )
+    def test_unknown_code_spec_field_is_refused(self, tmp_path, capsys, spec, key, allowed):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec))
+        assert main(["transform", *H2_ARGS, "--code", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: code spec of kind {spec['kind']!r} has unknown field {key}; "
+            f"allowed fields: {allowed}\n"
+        )
 
     def test_mode_header_sets_mode_count(self, tmp_path, capsys):
         path = tmp_path / "h.txt"

@@ -32,6 +32,27 @@ from fermicode.errors import BudgetError, InputFormatError
 from helpers import random_invertible_bitmat
 
 
+def anf_evaluator(polys):
+    """Packed values of ``polys`` at ``x``, summing the ANF coefficients of x's submasks.
+
+    Costs 2**weight(x) lookups per call, against a pass over every monomial
+    for ``BoolPoly.evaluate``.
+    """
+    coeffs: dict[int, int] = {}
+    for i, p in enumerate(polys):
+        for m in p.masks:
+            coeffs[m] = coeffs.get(m, 0) ^ 1 << i
+
+    def values(x: int) -> int:
+        acc, sub = coeffs.get(0, 0), x
+        while sub:
+            acc ^= coeffs.get(sub, 0)
+            sub = (sub - 1) & x
+        return acc
+
+    return values
+
+
 def weight_k_vectors(n, k):
     for combo in itertools.combinations(range(1, n + 1), k):
         yield BitVec.from_int(sum(1 << (m - 1) for m in combo), n)
@@ -159,6 +180,32 @@ class TestBinaryAddressingK2:
             else:
                 assert img.weight() == 2
         assert degenerate == 2
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_every_word_decodes_to_the_pair_it_encodes(self, r):
+        c = binary_addressing_k2(r)
+        half = c.n_modes // 2
+        diagonal = 0
+        for w in range(1 << c.n_qubits):
+            word = BitVec.from_int(w, c.n_qubits)
+            img = c.decode_vec(word)
+            if w % c.n_modes == (w >> r) + half:
+                assert img == BitVec.zeros(c.n_modes)
+                diagonal += 1
+            else:
+                assert img.weight() == 2 and c.encode_vec(img) == word
+        assert diagonal == 1 << (r - 1)
+
+    def test_r8_builds_and_round_trips_a_sample(self):
+        c = binary_addressing_k2(8)
+        assert (c.n_modes, c.n_qubits) == (256, 15)
+        encode, decode = anf_evaluator(c.encode), anf_evaluator(c.decode)
+        rng = random.Random(8)
+        for i, j in rng.sample(list(itertools.combinations(range(256), 2)), 200):
+            nu = 1 << i | 1 << j
+            assert decode(encode(nu)) == nu
+        word = c.encode_vec(BitVec.from_int(nu, 256))  # the evaluator against BoolPoly's
+        assert word.value == encode(nu) and c.decode_vec(word).value == nu
 
     def test_not_one_to_one_but_validates(self):
         c = binary_addressing_k2(2)
@@ -418,6 +465,22 @@ class TestCodeSpecs:
         path.write_text(json.dumps({"kind": "parity", "n_modes": 4}))
         c = load_code(str(path))
         assert c.kind == "parity" and c.n_modes == 4
+
+    def test_custom_takes_all_seven_fields(self):
+        spec = {
+            "kind": "custom",
+            "n_modes": 2,
+            "n_qubits": 1,
+            "encode": ["x1"],
+            "decode": ["x1", "x1"],
+            "encode_affine": [1],
+            "decode_affine": [1, 0],
+            "degenerate_image": [0, 0],
+        }
+        c = code_from_spec(spec)
+        assert c.encode_vec(BitVec("10")) == BitVec("0")
+        assert c.decode_vec(BitVec("0")) == BitVec("10")
+        assert c.degenerate_image == BitVec("00")
 
     def test_bad_specs_rejected(self):
         with pytest.raises(InputFormatError):

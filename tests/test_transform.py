@@ -1,12 +1,15 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.codes import (
+    Code,
+    binary_addressing_k1,
     binary_addressing_k2,
     bravyi_kitaev,
     checksum_code,
@@ -26,11 +29,17 @@ from fermicode.errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from fermicode.fock_oracle import QubitStateVector, apply_qubit_operator, verify_equivalence
+from fermicode.fock_oracle import (
+    QubitStateVector,
+    apply_qubit_operator,
+    verify_anticommutation,
+    verify_equivalence,
+)
 from fermicode.pauli import PauliString, QubitOperator
 from fermicode.transform import (
     FermionHamiltonian,
     FermionTerm,
+    LinearSets,
     adjust_for_segments,
     format_fermion_file,
     linear_sets,
@@ -205,6 +214,14 @@ class TestLinearSets:
     def test_requires_linear_code(self):
         with pytest.raises(UnsupportedCodeError):
             linear_sets(checksum_code(4, "even"), 1)
+        x1, x2 = BoolPoly.variable(2, 1), BoolPoly.variable(2, 2)
+        not_inverse = Code(2, 2, encode=(x1, x2), decode=(x1, x1 + x2))
+        affine = Code(2, 2, encode=(x1, x2), decode=(x1 + BoolPoly.one(2), x2))
+        for code in (segment_code(1, 2), binary_addressing_k1(2), binary_addressing_k2(2),
+                     not_inverse, affine):
+            assert code.matrix is None and code.matrix_inv is None
+            with pytest.raises(UnsupportedCodeError):
+                linear_sets(code, 1)
 
 
 class TestLinearFastPath:
@@ -259,6 +276,26 @@ class TestLinearFastPath:
                     code, FermionTerm.of(1.0, (i, True), (j, False))
                 )
                 assert composed.isclose(general, 1e-12)
+
+    def test_matrices_follow_replaced_encode_and_decode(self):
+        bk = bravyi_kitaev(3)
+        code = replace(jordan_wigner(3), encode=bk.encode, decode=bk.decode)
+        assert (code.matrix, code.matrix_inv) == (bk.matrix, bk.matrix_inv)
+        for j in range(1, 4):
+            for dagger in (False, True):
+                general = transform_term(code, FermionTerm.of(1.0, (j, dagger)))
+                assert transform_op_linear(code, j, dagger).isclose(general, 1e-12)
+
+    def test_concatenated_linear_codes_take_the_fast_path(self):
+        code = concat(jordan_wigner(2), bravyi_kitaev(2))
+        assert linear_sets(code, 4) == LinearSets(
+            parity_set=frozenset({1, 2, 3}), flip_set=frozenset({3, 4}), update_set=frozenset({4}),
+        )
+        assert verify_anticommutation(code).ok
+        for j in range(1, 5):
+            for dagger in (False, True):
+                general = transform_term(code, FermionTerm.of(1.0, (j, dagger)))
+                assert transform_op_linear(code, j, dagger).isclose(general, 1e-12)
 
 
 class TestTwoCodeSingles:
@@ -541,6 +578,8 @@ class TestFermionFiles:
             parse_fermion_file("1 0 : +1 -1\n1 0 +2\n")
         with pytest.raises(InputFormatError, match="line 1"):
             parse_fermion_file("1 0 : ++1\n")
+        with pytest.raises(InputFormatError, match="line 1: bad operator token '\\+\u0663'"):
+            parse_fermion_file("1 0 : +\u0663 -3\n")
 
     def test_round_trip_keeps_empty_top_modes(self):
         h = FermionHamiltonian(4, (FermionTerm.of(0.5, (1, True), (1, False)),))

@@ -48,10 +48,8 @@ from .transform import (
     parity_function,
     transform_hamiltonian,
     transform_op_linear,
-    transform_pair,
     transform_single_two_codes,
     transform_term,
-    update_epsilon,
     update_operator,
 )
 

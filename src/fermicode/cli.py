@@ -242,11 +242,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _decimal_int(text: str) -> int:
+    """ASCII decimal digits after an optional minus sign, as in the compact names."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _decimal_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
@@ -308,7 +313,7 @@ def main(argv=None) -> int:
     p.add_argument("--basis", required=True)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--sample", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_decimal_int, default=0)
     p.set_defaults(fn=_cmd_validate_code)
 
     args = parser.parse_args(argv)

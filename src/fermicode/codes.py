@@ -168,16 +168,26 @@ def linear_code(a: BitMat, kind: str = "linear") -> Code:
     )
 
 
-def jordan_wigner(n_modes: int) -> Code:
+def _check_linear_size(constructor: str, n_modes: int) -> None:
+    """``BudgetError`` before building an N x N code matrix of more entries
+    than the budget, since inverting it is quadratic in N."""
     if n_modes < 1:
         raise ValueError("need at least one mode")
+    if n_modes * n_modes > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"{constructor}({n_modes}) needs {n_modes}**2 matrix entries, "
+            f"over the budget of {DEFAULT_BUDGET}"
+        )
+
+
+def jordan_wigner(n_modes: int) -> Code:
+    _check_linear_size("jordan_wigner", n_modes)
     return linear_code(BitMat.identity(n_modes), kind="jordan_wigner")
 
 
 def parity_code(n_modes: int) -> Code:
     """Mode j is stored as the running occupation parity of modes 1..j."""
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
+    _check_linear_size("parity_code", n_modes)
     a = BitMat.from_int_rows([(1 << (i + 1)) - 1 for i in range(n_modes)], n_modes)
     return linear_code(a, kind="parity")
 
@@ -198,8 +208,7 @@ def _bk_matrix(n_modes: int) -> BitMat:
 
 
 def bravyi_kitaev(n_modes: int) -> Code:
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
+    _check_linear_size("bravyi_kitaev", n_modes)
     return linear_code(_bk_matrix(n_modes), kind="bravyi_kitaev")
 
 

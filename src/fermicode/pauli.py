@@ -8,11 +8,13 @@ immutable, and equal and hashed as that tuple.
 
 The module also maps boolean functions to qubit operators through one
 kernel, ``expand``: the update operator ``sum_t X^t [eps(w) = t]`` times
-the diagonal ``prod_k (a_k + b_k * (-1)**f_k(w))``. Affine parts multiply
-as Z-strings; the nonlinear rest splits into groups on disjoint qubits, each
-a Walsh-Hadamard transform of its own truth table, and the groups combine
-as a tensor product. ``extract``, ``cphase_expand`` and ``flip_operator``
-are single calls to it.
+the diagonal ``prod_k (a_k + b_k * (-1)**f_k(w))``. The flips ``eps`` are
+a constant mask or a code's ``(encode, decode, q)``, standing for
+``eps(w) = encode(decode(w) + q) + w``. Affine parts multiply as Z-strings;
+the nonlinear rest splits into groups on disjoint qubits, each a
+Walsh-Hadamard transform of its own truth table, where ``eps`` is evaluated
+too, and the groups combine as a tensor product. ``extract``,
+``cphase_expand`` and ``flip_operator`` are single calls to it.
 """
 
 from __future__ import annotations
@@ -340,14 +342,19 @@ def poly_table(masks: Iterable[int], grid: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce((grid & m) == m, axis=0)
 
 
-def _group_terms(n: int, mask: int, members: list, budget: int) -> list[tuple[int, int, float]]:
+def _group_terms(
+    n: int, mask: int, members: list, flips, budget: int
+) -> list[tuple[int, int, float]]:
     """``(t, z, c)`` terms of ``sum c X^t Z^z`` for one group of qubits.
 
     ``members`` are ``(0, monomial)`` of the sign, ``(1, (f, a, b))``
-    nonlinear factors and ``(2, (j, eps_j))`` flip components. They are
-    tabulated over the group's qubits and each flip pattern's share of the
-    table is Walsh-transformed; the table and the terms count against
-    ``budget``.
+    nonlinear factors and ``(2, (j, e_j))`` update components, with
+    ``flips = (encode, decode, q)`` as in ``expand``. Each decode component
+    that an ``e_j`` reads is tabulated once over the group's qubits; XOR-ed
+    with ``q`` they give the occupation word at every grid point, on which
+    ``e_j`` is evaluated and grid bit ``j`` XOR-ed in. Each flip pattern's
+    share of the table is Walsh-transformed; the table and the terms count
+    against ``budget``.
     """
     k = mask.bit_count()
     if 1 << k > budget:
@@ -361,12 +368,21 @@ def _group_terms(n: int, mask: int, members: list, budget: int) -> list[tuple[in
     values = 1.0 - 2.0 * poly_table(sign, grid) if sign else np.ones(1 << k)
     for f, a, b in (piece for kind, piece in members if kind == 1):
         values *= a + b * (1.0 - 2.0 * poly_table(f.masks, grid))
-    flips = [piece for kind, piece in members if kind == 2]
+    updates = [piece for kind, piece in members if kind == 2]
     rows = [(0, values)]
-    if flips:
+    if updates:
+        _, decode, q = flips
+        # Occupation words span all modes: Python ints from 64 modes on.
+        occupation = np.full(1 << k, q, dtype=np.int64 if len(decode) < 64 else object)
+        read = 0
+        for _, e in updates:
+            read |= e.support()
+        for m in (m for m in range(len(decode)) if read >> m & 1):
+            occupation ^= poly_table(decode[m].masks, grid).astype(occupation.dtype) << m
         pattern = np.zeros(1 << k, dtype=np.int64)
-        for r, (_, e) in enumerate(flips):
-            pattern |= poly_table(e.masks, grid).astype(np.int64) << r
+        for r, (j, e) in enumerate(updates):
+            flip = poly_table(e.masks, occupation) ^ (grid >> j & 1).astype(bool)
+            pattern |= flip.astype(np.int64) << r
         patterns = np.unique(pattern[values != 0]).tolist()
         # Pattern t's share has at least 2**k / |its grid points| terms, so
         # the p shares together have at least p**2.
@@ -374,7 +390,7 @@ def _group_terms(n: int, mask: int, members: list, budget: int) -> list[tuple[in
         if p * p > budget:
             raise BudgetError(f"{p} flip patterns need at least {p * p} terms, budget {budget}")
         rows = [
-            (sum(1 << j for r, (j, _) in enumerate(flips) if t >> r & 1),
+            (sum(1 << j for r, (j, _) in enumerate(updates) if t >> r & 1),
              np.where(pattern == t, values, 0.0))
             for t in patterns
         ]
@@ -401,32 +417,36 @@ def _collect(terms: Iterable[tuple[int, int, float]], budget: int) -> list[tuple
 def expand(
     n: int,
     factors: Sequence[tuple[BoolPoly, float, float]],
-    flips: int | Sequence[BoolPoly],
+    flips: int | tuple[Sequence[BoolPoly], Sequence[BoolPoly], int],
     budget: int | None = None,
 ) -> QubitOperator:
     """Operator ``sum_t X^t [eps(w) = t] * prod_k (a_k + b_k * (-1)**f_k(w))``.
 
     ``factors`` are ``(f_k, a_k, b_k)``: ``(f, 0, 1)`` is the sign
     ``(-1)**f`` and ``(f, 1/2, -1/2)`` the projector onto ``f = 1``.
-    ``flips`` lists the ``eps`` components (``eps[j]`` flips qubit ``j + 1``)
-    or is the mask of a constant ``eps``. The signs add mod 2 into one
-    function; affine factors multiply in as ``a + b * Z-string``. The
-    nonlinear rest (the sign's nonlinear monomials, nonlinear factors, each
-    non-constant ``eps_j`` with qubit ``j``) splits into groups on disjoint
-    qubits (``_group_terms``), which combine as a tensor product.
-    ``X^t Z^z`` is the letter string ``(t, z)`` times ``i**(-|t & z|)``.
+    ``flips`` is the mask of a constant ``eps``, or a code's ``(encode,
+    decode, q)`` with ``q`` a mode mask, for ``eps(w) = encode(decode(w) +
+    q) + w``. The signs add mod 2 into one function; affine factors multiply
+    in as ``a + b * Z-string``. The nonlinear rest (the sign's nonlinear
+    monomials, nonlinear factors, and each ``eps_j`` on qubit ``j`` and the
+    qubits of the decode components ``encode[j]`` reads) splits into groups
+    on disjoint qubits (``_group_terms``), which combine as a tensor
+    product. ``X^t Z^z`` is the letter string ``(t, z)`` times
+    ``i**(-|t & z|)``.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
-    t0, eps = (flips, ()) if isinstance(flips, int) else (0, flips)
-    for f in [f for f, _, _ in factors] + list(eps):
+    t0, (encode, decode, _) = (flips, ((), (), 0)) if isinstance(flips, int) else (0, flips)
+    for f in [f for f, _, _ in factors] + list(decode):
         if f.num_vars != n:
             raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
+    reads = [d.support() for d in decode]
     pieces = []  # (qubit mask, kind, payload), kinds as in _group_terms
-    for j, e in enumerate(eps):
-        if e.support():
-            pieces.append((e.support() | 1 << j, 2, (j, e)))
-        elif e.masks:
-            t0 |= 1 << j
+    for j, e in enumerate(encode):
+        support, modes = 1 << j, e.support()
+        for m, read in enumerate(reads):
+            if modes >> m & 1:
+                support |= read
+        pieces.append((support, 2, (j, e)))
     sign: frozenset = frozenset()
     terms = [(t0, 0, 1.0)]
     for f, a, b in factors:
@@ -449,7 +469,7 @@ def expand(
             mask |= g
         groups[mask] = members
     for mask, members in groups.items():
-        part = _group_terms(n, mask, members, budget)
+        part = _group_terms(n, mask, members, flips, budget)
         if len(terms) * len(part) > budget:
             raise BudgetError(f"expansion reached {len(terms) * len(part)} terms, budget {budget}")
         terms = [(t ^ tg, z ^ zg, c * cg) for t, z, c in terms for tg, zg, cg in part]
@@ -479,4 +499,5 @@ def cphase_expand(indices: Iterable[int], n: int) -> QubitOperator:
 
 def flip_operator(n: int, eps: Sequence[BoolPoly], budget: int | None = None) -> QubitOperator:
     """Operator ``sum_t X^t [eps(w) = t]`` sending ``|w>`` to ``|w + eps(w)>``."""
-    return expand(n, [], eps, budget)
+    encode = [e + BoolPoly.variable(n, j) for j, e in enumerate(eps, 1)]
+    return expand(n, [], (encode, [BoolPoly.variable(n, j) for j in range(1, n + 1)], 0), budget)

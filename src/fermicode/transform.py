@@ -5,14 +5,15 @@ a projector onto the correct occupation and a parity-sign operator (both
 diagonal), followed by a single update operator that flips the code word.
 Each term is one ``pauli.expand`` call: the parity signs (from
 ``Code.prefix_parities``) and projectors as factors, and as flips the
-update's constant mask (linear encodings) or its epsilon components. For
-classical n = N codes the construction collapses to Pauli strings over
-parity/flip/update index sets.
+update's constant mask (linear encodings) or the code's ``(encode, decode,
+q)``, whose flip pattern ``encode(decode(w) + q) + w`` ``expand`` evaluates
+on its truth-table grids. For classical n = N codes the construction
+collapses to Pauli strings over parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
-annihilation pair blocks, the pair-block and two-code single-operator
-recipes, and the occupation-capping dressing that makes segment codes
-compatible with hopping terms.
+annihilation pair blocks, the two-code single-operator recipe, and the
+occupation-capping dressing that makes segment codes compatible with
+hopping terms.
 """
 
 from __future__ import annotations
@@ -160,35 +161,18 @@ def parity_function(code: Code, j: int) -> BoolPoly:
     return code.prefix_parities[j - 1]
 
 
-def _epsilon_polys(
-    decode: tuple[BoolPoly, ...],
-    encode: tuple[BoolPoly, ...],
-    q: BitVec,
-    budget: int | None,
-) -> list[BoolPoly]:
-    """Components of w -> encode(decode(w) + q) + w."""
-    n = decode[0].num_vars if decode else 0
-    shifted = [d + BoolPoly.constant(n, q[i + 1]) for i, d in enumerate(decode)]
-    return [e.compose(shifted, budget) + BoolPoly.variable(n, j) for j, e in enumerate(encode, 1)]
-
-
-def update_epsilon(code: Code, q: BitVec, budget: int | None = None) -> list[BoolPoly]:
-    """Flip pattern carrying |e(v)> to |e(v + q)>, one component per qubit."""
-    if q.n != code.n_modes:
-        raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
-    return _epsilon_polys(code.decode, code.encode, q, budget)
-
-
-def _update_flips(code: Code, q: BitVec, budget: int | None) -> int | list[BoolPoly]:
-    """``expand`` flips of the update by q: a mask for a linear encoding, else epsilon."""
+def _update_flips(code: Code, q: BitVec) -> int | tuple:
+    """``expand`` flips of the update by q: a linear encoding's mask, else (e, d, q)."""
     if code.encode_is_linear:
         return code.encode_linear_action(q).value
-    return update_epsilon(code, q, budget)
+    if q.n != code.n_modes:
+        raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
+    return code.encode, code.decode, q.value
 
 
 def update_operator(code: Code, q: BitVec, budget: int | None = None) -> QubitOperator:
     """Operator satisfying U |e(v)> = |e(v + q)> for every encoded v."""
-    return expand(code.n_qubits, [], _update_flips(code, q, budget), budget)
+    return expand(code.n_qubits, [], _update_flips(code, q), budget)
 
 
 # -- the general operator map --------------------------------------------------
@@ -233,7 +217,7 @@ def transform_term(code: Code, term: FermionTerm, budget: int | None = None) -> 
         # encoded space; emit the identity itself to stay hermitian.
         return QubitOperator.identity(n, term.coeff)
     global_sign, signs, q = _term_signs(term.ops)
-    flips = _update_flips(code, BitVec.from_int(q, code.n_modes), budget)
+    flips = _update_flips(code, BitVec.from_int(q, code.n_modes))
     op = expand(n, _diagonal_factors(code, term.ops, signs), flips, budget)
     return (term.coeff * global_sign) * op
 
@@ -346,15 +330,9 @@ def transform_single_two_codes(
         raise DimensionError("sector codes must share mode and qubit counts")
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
     ops = ((j, dagger),)
-    _, signs, _ = _term_signs(ops)
-    q = BitVec.unit(code_even.n_modes, j)
-    eps = _epsilon_polys(incoming.decode, outgoing.encode, q, budget)
-    return expand(code_even.n_qubits, _diagonal_factors(incoming, ops, signs), eps, budget)
-
-
-def transform_pair(code: Code, i: int, j: int, budget: int | None = None) -> QubitOperator:
-    """Hopping block c_i^dag c_j for particle-conserving Hamiltonians."""
-    return transform_term(code, FermionTerm.of(1.0, (i, True), (j, False)), budget)
+    _, signs, q = _term_signs(ops)
+    flips = (outgoing.encode, incoming.decode, q)
+    return expand(code_even.n_qubits, _diagonal_factors(incoming, ops, signs), flips, budget)
 
 
 # -- reordering and segment dressing --------------------------------------------

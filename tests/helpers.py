@@ -1,11 +1,13 @@
-"""Independent dense oracles shared by the test modules.
+"""Independent dense oracles and random inputs shared by the test modules.
 
-Everything here is built from first principles with numpy kron products so
-the package's sparse algebra is checked against a separate code path. Basis
-states are indexed with qubit/mode 1 as the fastest (least significant) bit.
+The dense matrices are built from first principles with numpy kron products
+so the package's sparse algebra is checked against a separate code path.
+Basis states are indexed with qubit/mode 1 as the fastest (least
+significant) bit. ``nonlinear_codes`` draws random truth-table codes.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -90,3 +92,44 @@ def random_invertible_bitmat(rng, n):
             return m
         except SingularMatrixError:
             continue
+
+
+@st.composite
+def nonlinear_codes(draw):
+    """A basis V of one or two weight sectors over N <= 6 modes and a random
+    injective code on it, n between ceil(log2 |V|) and N.
+
+    Encode and decode are truth tables turned into polynomials: states
+    outside V encode to 0, and the code words no state uses decode to a
+    designated word outside V.
+    """
+    from fermicode.bitmath import BitVec, BoolPoly
+    from fermicode.codes import BasisSpec, Code, enumerate_basis
+
+    n_modes = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, n_modes), min_size=1, max_size=2, unique=True))
+    basis = enumerate_basis(BasisSpec.single(n_modes, weights))
+    n_qubits = draw(st.integers(max(1, (len(basis) - 1).bit_length()), n_modes))
+    words = draw(st.permutations(range(1 << n_qubits)))[: len(basis)]
+    inside = {nu.value for nu in basis}
+    outside = [v for v in range(1 << n_modes) if v not in inside]
+    degenerate = None
+    if len(basis) < 1 << n_qubits:
+        degenerate = draw(st.sampled_from(outside))
+    enc = [0] * (1 << n_modes)
+    dec = [degenerate] * (1 << n_qubits)
+    for nu, w in zip(basis, words):
+        enc[nu.value] = w
+        dec[w] = nu.value
+    code = Code(
+        n_modes=n_modes,
+        n_qubits=n_qubits,
+        encode=tuple(
+            BoolPoly.from_truth_table(n_modes, [e >> i & 1 for e in enc]) for i in range(n_qubits)
+        ),
+        decode=tuple(
+            BoolPoly.from_truth_table(n_qubits, [d >> j & 1 for d in dec]) for j in range(n_modes)
+        ),
+        degenerate_image=None if degenerate is None else BitVec.from_int(degenerate, n_modes),
+    )
+    return code, basis

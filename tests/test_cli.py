@@ -271,6 +271,18 @@ class TestExitCodes:
             f"resource budget exceeded: {table} truth-table entries, over the budget of 1048576\n"
         )
 
+    @pytest.mark.parametrize(
+        "name, constructor",
+        [("jordan_wigner:1025", "jordan_wigner"), ("parity:1025", "parity_code"),
+         ("bravyi_kitaev:1025", "bravyi_kitaev")],
+    )
+    def test_oversized_linear_code_is_exit_3(self, capsys, name, constructor):
+        assert main(["transform", *H2_ARGS, "--code", name]) == 3
+        assert capsys.readouterr().err == (
+            f"resource budget exceeded: {constructor}(1025) needs 1025**2 matrix entries, "
+            "over the budget of 1048576\n"
+        )
+
     def test_dressing_over_budget_is_exit_3(self, capsys):
         rc = main(["transform", "--model", "hubbard", "--rows", "1", "--cols", "10",
                    "--code", "segment:2:4", "--budget", "500"])
@@ -351,6 +363,22 @@ class TestExitCodes:
         positive = flag in ("--rows", "--cols", "--budget")
         reason = "must be positive" if positive else "non-finite value"
         assert f"argument {flag}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["gen-model", "--model", "hubbard", "--rows", "1"], "--cols", "\u0663"),
+            (["validate-code", "--code", "checksum:4:even", "--basis", "1-4:0,2"],
+             "--budget", "1_0"),
+            (["validate-code", "--code", "checksum:4:even", "--basis", "1-4:0,2"],
+             "--seed", "1_0"),
+        ],
+    )
+    def test_integer_flag_takes_ascii_digits_only(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
 
     def test_zero_sample_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermicode import fock_oracle
-from fermicode.bitmath import BitVec, BoolPoly
+from fermicode.bitmath import BitVec
 from fermicode.codes import (
     BasisSpec,
-    Code,
     checksum_code,
     enumerate_basis,
     jordan_wigner,
@@ -51,6 +50,7 @@ from helpers import (
     dense_fermion_hamiltonian,
     dense_fermion_term,
     dense_operator,
+    nonlinear_codes,
     random_invertible_bitmat,
 )
 
@@ -412,44 +412,6 @@ class TestEquivalence:
         report = verify_equivalence(code, h, hq, [BitVec("10")])
         data = json.loads(report.to_json())
         assert set(data) == {"status", "max_deviation", "states_checked", "failures"}
-
-
-@st.composite
-def nonlinear_codes(draw):
-    """A basis V of one or two weight sectors over N <= 6 modes and a random
-    injective code on it, n between ceil(log2 |V|) and N.
-
-    Encode and decode are truth tables turned into polynomials: states
-    outside V encode to 0, and the code words no state uses decode to a
-    designated word outside V.
-    """
-    n_modes = draw(st.integers(1, 6))
-    weights = draw(st.lists(st.integers(0, n_modes), min_size=1, max_size=2, unique=True))
-    basis = enumerate_basis(BasisSpec.single(n_modes, weights))
-    n_qubits = draw(st.integers(max(1, (len(basis) - 1).bit_length()), n_modes))
-    words = draw(st.permutations(range(1 << n_qubits)))[: len(basis)]
-    inside = {nu.value for nu in basis}
-    outside = [v for v in range(1 << n_modes) if v not in inside]
-    degenerate = None
-    if len(basis) < 1 << n_qubits:
-        degenerate = draw(st.sampled_from(outside))
-    enc = [0] * (1 << n_modes)
-    dec = [degenerate] * (1 << n_qubits)
-    for nu, w in zip(basis, words):
-        enc[nu.value] = w
-        dec[w] = nu.value
-    code = Code(
-        n_modes=n_modes,
-        n_qubits=n_qubits,
-        encode=tuple(
-            BoolPoly.from_truth_table(n_modes, [e >> i & 1 for e in enc]) for i in range(n_qubits)
-        ),
-        decode=tuple(
-            BoolPoly.from_truth_table(n_qubits, [d >> j & 1 for d in dec]) for j in range(n_modes)
-        ),
-        degenerate_image=None if degenerate is None else BitVec.from_int(degenerate, n_modes),
-    )
-    return code, basis
 
 
 @st.composite

@@ -179,7 +179,10 @@ class TestExpand:
                     eps.append(BoolPoly.constant(n, rng.randrange(2)))
                 else:
                     eps.append(self._block_poly(rng, n, block))
-            got = dense_operator(pauli.expand(n, factors, eps))
+            # eps(w) = encode(decode(w) + q) + w with decode = identity, q = 0
+            encode = [e + BoolPoly.variable(n, j) for j, e in enumerate(eps, 1)]
+            decode = [BoolPoly.variable(n, j) for j in range(1, n + 1)]
+            got = dense_operator(pauli.expand(n, factors, (encode, decode, 0)))
             assert np.allclose(got, self._expected(n, factors, eps), atol=1e-12)
             diagonal = dense_operator(pauli.expand(n, factors, 0))
             assert np.allclose(diagonal, self._expected(n, factors, []), atol=1e-12)

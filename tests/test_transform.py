@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.codes import (
@@ -35,7 +37,7 @@ from fermicode.fock_oracle import (
     verify_anticommutation,
     verify_equivalence,
 )
-from fermicode.pauli import PauliString, QubitOperator
+from fermicode.pauli import PauliString, QubitOperator, flip_operator
 from fermicode.transform import (
     FermionHamiltonian,
     FermionTerm,
@@ -48,10 +50,8 @@ from fermicode.transform import (
     parse_fermion_file,
     transform_hamiltonian,
     transform_op_linear,
-    transform_pair,
     transform_single_two_codes,
     transform_term,
-    update_epsilon,
     update_operator,
 )
 
@@ -59,6 +59,7 @@ from helpers import (
     dense_fermion_hamiltonian,
     dense_fermion_term,
     dense_operator,
+    nonlinear_codes,
     random_invertible_bitmat,
 )
 
@@ -82,34 +83,27 @@ class TestParityFunction:
         assert parity_function(zeros, 3).is_zero()
 
 
-class TestUpdateEpsilon:
+class TestUpdateOperator:
     def test_jw_constant(self):
         jw = jordan_wigner(3)
-        q = BitVec("110")
-        eps = update_epsilon(jw, q)
-        assert [e.to_text() for e in eps] == ["1", "1", "0"]
+        u = update_operator(jw, BitVec("110"))
+        assert u == QubitOperator.x_string(3, 0b011)
 
     def test_linear_code_constant_equals_aq(self):
         rng = random.Random(5)
         a = random_invertible_bitmat(rng, 5)
         c = linear_code(a)
         q = BitVec.from_int(rng.randrange(1 << 5), 5)
-        eps = update_epsilon(c, q)
-        aq = a @ q
-        for j, e in enumerate(eps, start=1):
-            assert e == BoolPoly.constant(5, aq[j])
+        u = update_operator(c, q)
+        assert u == QubitOperator.x_string(5, (a @ q).value)
 
     def test_binary_addressing_example(self):
-        from fermicode.codes import binary_addressing_k1
-
         c = binary_addressing_k1(2)
         q = BitVec("1100")  # u1 + u2
-        eps = update_epsilon(c, q)
-        at_00 = BitVec([e.evaluate(0) for e in eps])
-        assert at_00 == BitVec("10")
+        u = update_operator(c, q)
+        got = apply_qubit_operator(u, QubitStateVector.basis_state(BitVec("00")))
+        assert got.isclose(QubitStateVector.basis_state(BitVec("10")), 1e-12)
 
-
-class TestUpdateOperator:
     def test_jw_x_string(self):
         jw = jordan_wigner(4)
         u = update_operator(jw, BitVec("1100"))
@@ -132,6 +126,17 @@ class TestUpdateOperator:
             want = QubitStateVector.basis_state(c.encode_vec(nu + q))
             assert got.isclose(want, 1e-12)
 
+    def test_k2_r6_update_moves_encoded_pairs(self):
+        # 64 modes on 11 qubits: the occupation words no longer fit an int64.
+        c = binary_addressing_k2(6)
+        q = BitVec.unit(64, 1) + BitVec.unit(64, 41)
+        u = update_operator(c, q)
+        for a, b in [(1, 2), (1, 64), (7, 41), (41, 63)]:
+            nu = BitVec.unit(64, a) + BitVec.unit(64, b)
+            got = apply_qubit_operator(u, QubitStateVector.basis_state(c.encode_vec(nu)))
+            want = QubitStateVector.basis_state(c.encode_vec(nu + q))
+            assert got.isclose(want, 1e-12), (a, b)
+
     def test_term_count_over_budget_raises(self):
         # The update has 400 terms; it must abort, not return them.
         c = concat(binary_addressing_k2(2), binary_addressing_k2(2))
@@ -146,6 +151,63 @@ class TestUpdateOperator:
         assert update_operator(c, q).num_terms == 20
         with pytest.raises(BudgetError, match="support of 3 qubits"):
             update_operator(c, q, budget=7)
+
+
+def _composed_epsilon(encode, decode, q):
+    """Reference update flips w -> encode(decode(w) + q) + w, composed symbolically."""
+    n = decode[0].num_vars
+    shifted = [d + BoolPoly.constant(n, q[m]) for m, d in enumerate(decode, 1)]
+    return [e.compose(shifted) + BoolPoly.variable(n, j) for j, e in enumerate(encode, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_update_matches_composed_epsilon(data):
+    code, _ = data.draw(nonlinear_codes())
+    # A linear encoding takes the constant mask e(q), equal to eps on e(V) only.
+    assume(not code.encode_is_linear)
+    q = BitVec.from_int(data.draw(st.integers(0, (1 << code.n_modes) - 1)), code.n_modes)
+    eps = _composed_epsilon(code.encode, code.decode, q)
+    assert update_operator(code, q) == flip_operator(code.n_qubits, eps)
+
+
+@st.composite
+def sector_code_pairs(draw):
+    """An even/odd checksum pair, or a random code and its copy with every
+    code word XOR-ed by a fixed mask, so the two sectors' codes differ."""
+    if draw(st.booleans()):
+        n_modes = draw(st.integers(2, 6))
+        return checksum_code(n_modes, "even"), checksum_code(n_modes, "odd")
+    code, _ = draw(nonlinear_codes())
+    n, mask = code.n_qubits, draw(st.integers(1, (1 << code.n_qubits) - 1))
+    moved = [BoolPoly.variable(n, i) + BoolPoly.constant(n, mask >> i - 1 & 1)
+             for i in range(1, n + 1)]
+    other = replace(
+        code,
+        encode=tuple(e + BoolPoly.constant(code.n_modes, mask >> i & 1)
+                     for i, e in enumerate(code.encode)),
+        decode=tuple(d.compose(moved) for d in code.decode),
+    )
+    return code, other
+
+
+@settings(max_examples=40, deadline=None)
+@given(codes=sector_code_pairs(), data=st.data())
+def test_two_code_single_matches_composed_epsilon(codes, data):
+    even, odd = codes
+    j = data.draw(st.integers(1, even.n_modes))
+    dagger = data.draw(st.booleans())
+    incoming, outgoing = (odd, even) if dagger else (even, odd)
+    eps = _composed_epsilon(outgoing.encode, incoming.decode, BitVec.unit(even.n_modes, j))
+    n = even.n_qubits
+    expected = np.zeros((1 << n, 1 << n))
+    for w in range(1 << n):
+        occupied = [d.evaluate(w) for d in incoming.decode]
+        if occupied[j - 1] != dagger:
+            t = sum(e.evaluate(w) << i for i, e in enumerate(eps))
+            expected[w ^ t, w] = (-1.0) ** sum(occupied[: j - 1])
+    got = dense_operator(transform_single_two_codes(even, odd, j, dagger))
+    assert np.allclose(got, expected, atol=1e-12)
 
 
 class TestTransformTerm:
@@ -326,7 +388,7 @@ class TestTwoCodeSingles:
             prod = transform_single_two_codes(
                 self.even, self.odd, i, True
             ) * transform_single_two_codes(self.even, self.odd, j, False)
-            ref = transform_pair(self.even, i, j)
+            ref = transform_term(self.even, FermionTerm.of(1.0, (i, True), (j, False)))
             assert self._matches_on_even_basis(prod, ref), (i, j)
 
     def test_annihilates_unencodable_images(self):
@@ -341,23 +403,16 @@ class TestTwoCodeSingles:
 class TestTransformPair:
     def test_diagonal_case(self):
         jw = jordan_wigner(3)
-        got = transform_pair(jw, 2, 2)
+        got = transform_term(jw, FermionTerm.of(1.0, (2, True), (2, False)))
         want = QubitOperator.identity(3, 0.5) + QubitOperator.z_string(3, 0b010, -0.5)
         assert got.isclose(want, 1e-12)
-
-    def test_matches_general_map_under_jw(self):
-        jw = jordan_wigner(4)
-        for i, j in itertools.permutations(range(1, 5), 2):
-            assert transform_pair(jw, i, j).isclose(
-                transform_term(jw, FermionTerm.of(1.0, (i, True), (j, False))), 1e-12
-            )
 
     def test_h2_code_pairs_against_oracle(self):
         code = h2_code()
         basis = [BitVec("0101"), BitVec("0110"), BitVec("1001"), BitVec("1010")]
         for i, j in [(1, 2), (2, 1), (3, 4), (4, 3)]:
-            op = transform_pair(code, i, j)
             term = FermionTerm.of(1.0, (i, True), (j, False))
+            op = transform_term(code, term)
             for nu in basis:
                 from fermicode.fock_oracle import apply_fermion_term
 

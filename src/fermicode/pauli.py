@@ -13,8 +13,10 @@ a constant mask or a code's ``(encode, decode, q)``, standing for
 ``eps(w) = encode(decode(w) + q) + w``. Affine parts multiply as Z-strings;
 the nonlinear rest splits into groups on disjoint qubits, each a
 Walsh-Hadamard transform of its own truth table, where ``eps`` is evaluated
-too, and the groups combine as a tensor product. ``extract``,
-``cphase_expand`` and ``flip_operator`` are single calls to it.
+too, and the groups combine as a tensor product. The kernel ``_expand``
+returns ``(x, z, c)`` int-mask triples, each string's phase in ``c``;
+``transform_hamiltonian`` merges them and ``serialize`` sorts on masks, and
+``expand`` (so ``extract``, ``cphase_expand``, ``flip_operator``) wraps them.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from .bitmath import DEFAULT_BUDGET, BoolPoly
 from .errors import BudgetError, DimensionError
 
 _LETTER_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_XZ_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_LETTER_RANK = {"X": 0, "Y": 1, "Z": 2}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 # Coefficients of magnitude at most this are dropped as cancellation residue.
 DEFAULT_PRUNE = 1e-12
+
+Factors = Sequence[tuple[BoolPoly, float, float]]
+Flips = int | tuple[Sequence[BoolPoly], Sequence[BoolPoly], int]
 
 class PauliString(namedtuple("PauliString", "n x z")):
     """Tensor product of single-qubit Paulis; identity on unlisted qubits."""
@@ -64,19 +67,7 @@ class PauliString(namedtuple("PauliString", "n x z")):
 
     @property
     def factors(self) -> dict[int, str]:
-        out = {}
-        occupied = self.x | self.z
-        j = 1
-        while occupied:
-            if occupied & 1:
-                out[j] = _XZ_LETTER[((self.x >> (j - 1)) & 1, (self.z >> (j - 1)) & 1)]
-            occupied >>= 1
-            j += 1
-        return out
-
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
+        return {c // 3: "XYZ"[c % 3] for c in self.sort_key()[1:]}
 
     def is_identity(self) -> bool:
         return not (self.x | self.z)
@@ -85,31 +76,53 @@ class PauliString(namedtuple("PauliString", "n x z")):
         return (self.x & self.z).bit_count()
 
     def text(self) -> str:
-        if self.is_identity():
-            return "I"
-        f = self.factors
-        return "*".join(f"{f[j]}{j}" for j in sorted(f))
+        return _spell(self.sort_key(), _letter_table(self.n))
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "PauliString":
+        """Inverse of ``text``; qubit indices are ASCII decimal digits."""
         text = text.strip()
         if text == "I":
             return cls.identity(n)
         factors = {}
         for part in text.split("*"):
             part = part.strip()
-            letter, idx = part[0], int(part[1:])
+            digits = part[1:]
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"bad Pauli factor {part!r} in {text!r}")
+            idx = int(digits)
             if idx in factors:
                 raise ValueError(f"duplicate qubit {idx} in {text!r}")
-            factors[idx] = letter
+            factors[idx] = part[0]
         return cls(n, factors)
 
-    def sort_key(self):
-        f = self.factors
-        return (self.weight, tuple((j, _LETTER_RANK[f[j]]) for j in sorted(f)))
+    def sort_key(self) -> tuple[int, ...]:
+        return _sort_key(self.x, self.z)
 
     def __repr__(self) -> str:
         return f"PauliString({self.n}, '{self.text()}')"
+
+
+def _sort_key(x: int, z: int) -> tuple[int, ...]:
+    """Canonical order: the weight, then ``3 * qubit + rank`` of each factor in
+    qubit order (rank 0, 1, 2 for X, Y, Z), ordered as the (qubit, rank) pairs."""
+    key = [0]
+    occupied = x | z
+    while occupied:
+        low = occupied & -occupied
+        key.append(3 * low.bit_length() + (2 if not x & low else 1 if z & low else 0))
+        occupied ^= low
+    key[0] = len(key) - 1
+    return tuple(key)
+
+
+def _letter_table(n: int) -> list[str]:
+    """Factor text by code ``3 * qubit + rank``: X1, Y1, Z1 at 3, 4, 5, ..."""
+    return [f"{letter}{j}" for j in range(n + 1) for letter in "XYZ"]
+
+
+def _spell(key: tuple[int, ...], names: list[str]) -> str:
+    return "*".join([names[c] for c in key[1:]]) or "I"
 
 
 def _mul_masks(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
@@ -167,6 +180,12 @@ class QubitOperator:
         return op
 
     @classmethod
+    def from_triples(cls, n: int, triples: Iterable[tuple], eps=DEFAULT_PRUNE) -> "QubitOperator":
+        """Operator of ``(x, z, c)`` triples on distinct strings, keeping ``|c| > eps``."""
+        terms = {tuple.__new__(PauliString, (n, x, z)): c for x, z, c in triples if abs(c) > eps}
+        return cls._from_clean(n, terms, eps)
+
+    @classmethod
     def zero(cls, n: int) -> "QubitOperator":
         return cls._from_clean(n, {}, DEFAULT_PRUNE)
 
@@ -221,9 +240,6 @@ class QubitOperator:
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
         return self + (-1.0) * other
 
-    def __neg__(self) -> "QubitOperator":
-        return (-1.0) * self
-
     def __rmul__(self, scalar) -> "QubitOperator":
         if isinstance(scalar, (int, float, complex)):
             eps = self.prune_epsilon
@@ -248,12 +264,7 @@ class QubitOperator:
                 acc[acc_key] = acc.get(acc_key, 0.0) + c1 * c2 * _PHASES[k]
         if len(acc) > budget:
             raise BudgetError(f"operator product has {len(acc)} terms, budget {budget}")
-        out = {
-            PauliString.from_masks(self.n, x, z): c
-            for (x, z), c in acc.items()
-            if abs(c) > eps
-        }
-        return QubitOperator._from_clean(self.n, out, eps)
+        return QubitOperator.from_triples(self.n, ((x, z, c) for (x, z), c in acc.items()), eps)
 
     def __mul__(self, other):
         if isinstance(other, QubitOperator):
@@ -284,17 +295,17 @@ class QubitOperator:
 
     def stats(self) -> tuple[int, int]:
         """(number of stored terms, total Pauli weight); identity weighs 0."""
-        return len(self.terms), sum(s.weight for s in self.terms)
+        return len(self.terms), sum((s.x | s.z).bit_count() for s in self.terms)
 
     # -- serialization --------------------------------------------------
 
     def serialize(self) -> str:
-        """Canonical text form: one ``<re> <im> <string>`` line per term."""
-        lines = []
-        for s in sorted(self.terms, key=PauliString.sort_key):
-            c = self.terms[s]
-            lines.append(f"{c.real:.15g} {c.imag:.15g} {s.text()}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        """Canonical text form: one ``<re> <im> <string>`` line per term, in
+        ``sort_key`` order."""
+        names = _letter_table(self.n)
+        keyed = sorted([(_sort_key(s.x, s.z), c) for s, c in self.terms.items()])
+        lines = [f"{c.real:.15g} {c.imag:.15g} {_spell(key, names)}\n" for key, c in keyed]
+        return "".join(lines)
 
     @classmethod
     def deserialize(cls, text: str, n: int) -> "QubitOperator":
@@ -306,9 +317,12 @@ class QubitOperator:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected '<re> <im> <string>'")
-            re_, im_, s = parts
-            ps = PauliString.from_text(s, n)
-            terms[ps] = terms.get(ps, 0.0) + complex(float(re_), float(im_))
+            try:
+                ps = PauliString.from_text(parts[2], n)
+                c = complex(float(parts[0]), float(parts[1]))
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            terms[ps] = terms.get(ps, 0.0) + c
         return cls(n, terms)
 
     def __eq__(self, other) -> bool:
@@ -404,36 +418,9 @@ def _group_terms(
     return terms
 
 
-def _collect(terms: Iterable[tuple[int, int, float]], budget: int) -> list[tuple[int, int, float]]:
-    """Sum the ``(t, z, c)`` terms per string and drop the vanished ones."""
-    acc: dict[tuple[int, int], float] = {}
-    for t, z, c in terms:
-        acc[t, z] = acc.get((t, z), 0.0) + c
-    if len(acc) > budget:
-        raise BudgetError(f"expansion reached {len(acc)} terms, budget {budget}")
-    return [(t, z, c) for (t, z), c in acc.items() if abs(c) > DEFAULT_PRUNE]
-
-
-def expand(
-    n: int,
-    factors: Sequence[tuple[BoolPoly, float, float]],
-    flips: int | tuple[Sequence[BoolPoly], Sequence[BoolPoly], int],
-    budget: int | None = None,
-) -> QubitOperator:
-    """Operator ``sum_t X^t [eps(w) = t] * prod_k (a_k + b_k * (-1)**f_k(w))``.
-
-    ``factors`` are ``(f_k, a_k, b_k)``: ``(f, 0, 1)`` is the sign
-    ``(-1)**f`` and ``(f, 1/2, -1/2)`` the projector onto ``f = 1``.
-    ``flips`` is the mask of a constant ``eps``, or a code's ``(encode,
-    decode, q)`` with ``q`` a mode mask, for ``eps(w) = encode(decode(w) +
-    q) + w``. The signs add mod 2 into one function; affine factors multiply
-    in as ``a + b * Z-string``. The nonlinear rest (the sign's nonlinear
-    monomials, nonlinear factors, and each ``eps_j`` on qubit ``j`` and the
-    qubits of the decode components ``encode[j]`` reads) splits into groups
-    on disjoint qubits (``_group_terms``), which combine as a tensor
-    product. ``X^t Z^z`` is the letter string ``(t, z)`` times
-    ``i**(-|t & z|)``.
-    """
+def _expand(n: int, factors: Factors, flips: Flips, budget: int | None = None) -> list[tuple]:
+    """``expand`` as ``(x, z, c)`` triples: letter string ``(x, z)`` with ``c``
+    including the phase ``i**(-|x & z|)`` of ``X^x Z^z``; each string once."""
     budget = DEFAULT_BUDGET if budget is None else budget
     t0, (encode, decode, _) = (flips, ((), (), 0)) if isinstance(flips, int) else (0, flips)
     for f in [f for f, _, _ in factors] + list(decode):
@@ -448,7 +435,7 @@ def expand(
                 support |= read
         pieces.append((support, 2, (j, e)))
     sign: frozenset = frozenset()
-    terms = [(t0, 0, 1.0)]
+    affine = {0: 1.0}  # Z mask -> coefficient; the flips are t0 until the groups
     for f, a, b in factors:
         if (a, b) == (0, 1):
             sign = sign ^ f.masks
@@ -456,11 +443,16 @@ def expand(
             pieces.append((f.support(), 1, (f, a, b)))
         else:  # (-1)**f is a Z-string, negated by f's constant
             zf, bf = f.support(), -b if 0 in f.masks else b
-            terms = _collect(((t, z ^ dz, c * dc) for t, z, c in terms
-                              for dz, dc in ((0, a), (zf, bf))), budget)
+            step: dict[int, float] = {}
+            for z, c in affine.items():
+                step[z] = step.get(z, 0.0) + c * a
+                step[z ^ zf] = step.get(z ^ zf, 0.0) + c * bf
+            if len(step) > budget:
+                raise BudgetError(f"expansion reached {len(step)} terms, budget {budget}")
+            affine = {z: c for z, c in step.items() if abs(c) > DEFAULT_PRUNE}
     pieces += [(m, 0, m) for m in sign if m & (m - 1)]
     linear, s0 = sum(m for m in sign if not m & (m - 1)), -1.0 if 0 in sign else 1.0
-    terms = [(t, z ^ linear, s0 * c) for t, z, c in terms]
+    terms = [(t0, z ^ linear, s0 * c) for z, c in affine.items()]
     groups: dict[int, list] = {}  # connected components: disjoint qubit masks
     for mask, kind, payload in pieces:
         members = [(kind, payload)]
@@ -473,11 +465,37 @@ def expand(
         if len(terms) * len(part) > budget:
             raise BudgetError(f"expansion reached {len(terms) * len(part)} terms, budget {budget}")
         terms = [(t ^ tg, z ^ zg, c * cg) for t, z, c in terms for tg, zg, cg in part]
-    out: dict[PauliString, complex] = {}
-    for t, z, c in _collect(terms, budget):
-        parts = ((c, 0.0), (0.0, c), (-c, 0.0), (0.0, -c))[-(t & z).bit_count() & 3]
-        out[PauliString.from_masks(n, t, z)] = complex(*parts)
-    return QubitOperator._from_clean(n, out, DEFAULT_PRUNE)
+    if groups:  # the affine strings are distinct, the products need not be
+        merged: dict[tuple[int, int], float] = {}
+        for t, z, c in terms:
+            merged[t, z] = merged.get((t, z), 0.0) + c
+        if len(merged) > budget:
+            raise BudgetError(f"expansion reached {len(merged)} terms, budget {budget}")
+        terms = [(t, z, c) for (t, z), c in merged.items() if abs(c) > DEFAULT_PRUNE]
+    out = []
+    for t, z, c in terms:  # times i**-k, k = |t & z| mod 4, exactly
+        k = (t & z).bit_count() & 3
+        out.append((t, z, complex(c, 0.0) if k == 0 else complex(0.0, -c) if k == 1
+                    else complex(-c, 0.0) if k == 2 else complex(0.0, c)))
+    return out
+
+
+def expand(n: int, factors: Factors, flips: Flips, budget: int | None = None) -> QubitOperator:
+    """Operator ``sum_t X^t [eps(w) = t] * prod_k (a_k + b_k * (-1)**f_k(w))``.
+
+    ``factors`` are ``(f_k, a_k, b_k)``: ``(f, 0, 1)`` is the sign
+    ``(-1)**f`` and ``(f, 1/2, -1/2)`` the projector onto ``f = 1``.
+    ``flips`` is the mask of a constant ``eps``, or a code's ``(encode,
+    decode, q)`` with ``q`` a mode mask, for ``eps(w) = encode(decode(w) +
+    q) + w``. The signs add mod 2 into one function; affine factors multiply
+    in as ``a + b * Z-string`` on a dict keyed by the Z mask. The nonlinear
+    rest (the sign's nonlinear monomials, nonlinear factors, and each
+    ``eps_j`` on qubit ``j`` and the qubits of the decode components
+    ``encode[j]`` reads) splits into groups on disjoint qubits
+    (``_group_terms``), which combine as a tensor product. The kernel
+    ``_expand`` returns the terms as ``(x, z, c)`` triples; this wraps them.
+    """
+    return QubitOperator.from_triples(n, _expand(n, factors, flips, budget))
 
 
 def extract(f: BoolPoly, n: int | None = None, budget: int | None = None) -> QubitOperator:

@@ -33,7 +33,7 @@ from .errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from .pauli import PauliString, QubitOperator, expand
+from .pauli import DEFAULT_PRUNE, QubitOperator, _expand, expand
 from .pauli import extract, poly_table  # noqa: F401  (perfbench/spans.py patches them here)
 
 
@@ -72,12 +72,6 @@ class FermionHamiltonian:
             for m, _ in t.ops:
                 if not 1 <= m <= self.n_modes:
                     raise DimensionError(f"mode {m} outside 1..{self.n_modes}")
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
 
     def merged(self) -> "FermionHamiltonian":
         """Combine identical operator sequences and drop vanished terms."""
@@ -205,21 +199,25 @@ def _diagonal_factors(code: Code, ops: tuple, signs: list[float]) -> list[tuple]
     ]
 
 
-def transform_term(code: Code, term: FermionTerm, budget: int | None = None) -> QubitOperator:
-    """Qubit image of one fermionic term under the code's operator map."""
-    n = code.n_qubits
+def _term_triples(code: Code, term: FermionTerm, budget: int | None) -> list[tuple]:
+    """``(x, z, c)`` triples of one term's image, scaled by its coefficient and
+    anticommutation sign and pruned as ``(coeff * sign) * op`` would be."""
     if term.max_mode() > code.n_modes:
-        raise DimensionError(
-            f"term touches mode {term.max_mode()}, code has {code.n_modes}"
-        )
+        raise DimensionError(f"term touches mode {term.max_mode()}, code has {code.n_modes}")
     if not term.ops:
         # Scalar term: the map's empty product acts as the identity on the
         # encoded space; emit the identity itself to stay hermitian.
-        return QubitOperator.identity(n, term.coeff)
+        return [(0, 0, complex(term.coeff))] if abs(term.coeff) > DEFAULT_PRUNE else []
     global_sign, signs, q = _term_signs(term.ops)
     flips = _update_flips(code, BitVec.from_int(q, code.n_modes))
-    op = expand(n, _diagonal_factors(code, term.ops, signs), flips, budget)
-    return (term.coeff * global_sign) * op
+    triples = _expand(code.n_qubits, _diagonal_factors(code, term.ops, signs), flips, budget)
+    scale = term.coeff * global_sign
+    return [(x, z, v) for x, z, c in triples if abs(v := scale * c) > DEFAULT_PRUNE]
+
+
+def transform_term(code: Code, term: FermionTerm, budget: int | None = None) -> QubitOperator:
+    """Qubit image of one fermionic term under the code's operator map."""
+    return QubitOperator.from_triples(code.n_qubits, _term_triples(code, term, budget))
 
 
 def transform_hamiltonian(
@@ -233,21 +231,30 @@ def transform_hamiltonian(
     A non-hermitian outcome means the code does not keep this Hamiltonian's
     action inside the encoded basis (for example unadjusted hops between
     segments, or a not-one-to-one code without balanced degenerate states).
-    A ``BudgetError`` names the term that tripped it (1-based index, text).
+    A ``BudgetError`` names the term that tripped it (1-based index, text),
+    in its own expansion or by growing the merged sum past ``budget``.
     """
     if h.n_modes != code.n_modes:
         raise DimensionError(
             f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}"
         )
-    acc: dict[PauliString, complex] = {}
+    budget = DEFAULT_BUDGET if budget is None else budget
+    # Summed in term order on (x, z) masks: the order fixes the float sums.
+    acc: dict[tuple[int, int], complex] = {}
     for index, term in enumerate(h.terms, start=1):
         try:
-            top = transform_term(code, term, budget)
+            triples = _term_triples(code, term, budget)
         except BudgetError as exc:
             raise BudgetError(f"term {index} ({term}): {exc}") from exc
-        for s, c in top.terms.items():
-            acc[s] = acc.get(s, 0.0) + c
-    out = QubitOperator(code.n_qubits, acc)
+        for x, z, c in triples:
+            key = (x, z)
+            acc[key] = acc.get(key, 0.0) + c
+        if len(acc) > budget:
+            raise BudgetError(
+                f"merge: term {index} ({term}) brings the merged operator to "
+                f"{len(acc)} terms, over the budget of {budget}"
+            )
+    out = QubitOperator.from_triples(code.n_qubits, ((x, z, c) for (x, z), c in acc.items()))
     if check_hermiticity:
         ok, witness = out.check_hermitian()
         if not ok:

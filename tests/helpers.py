@@ -3,7 +3,8 @@
 The dense matrices are built from first principles with numpy kron products
 so the package's sparse algebra is checked against a separate code path.
 Basis states are indexed with qubit/mode 1 as the fastest (least
-significant) bit. ``nonlinear_codes`` draws random truth-table codes.
+significant) bit. ``nonlinear_codes`` draws random truth-table codes;
+``reference_transform`` sums per-term operators as the merge once did.
 """
 
 import numpy as np
@@ -133,3 +134,17 @@ def nonlinear_codes(draw):
         degenerate_image=None if degenerate is None else BitVec.from_int(degenerate, n_modes),
     )
     return code, basis
+
+
+def reference_transform(code, h):
+    """The Hamiltonian's image merged the per-term way: each term's
+    ``transform_term`` operator summed into a dict on ``PauliString`` keys, in
+    term order, then pruned as ``QubitOperator`` does."""
+    from fermicode.pauli import QubitOperator
+    from fermicode.transform import transform_term
+
+    acc = {}
+    for term in h.terms:
+        for s, c in transform_term(code, term).terms.items():
+            acc[s] = acc.get(s, 0.0) + c
+    return QubitOperator(code.n_qubits, acc)

@@ -214,6 +214,17 @@ class TestExitCodes:
         assert rc == 3
         assert re.search(r"^resource budget exceeded: term \d+ \(", capsys.readouterr().err)
 
+    def test_merge_over_budget_is_exit_3(self, capsys):
+        # Every term expands to at most 4 strings, but the merged sum of the
+        # 91-string JW row passes 50 strings at term 25.
+        rc = main(["transform", "--model", "hubbard", "--rows", "2", "--cols", "5",
+                   "--code", "jordan_wigner:20", "--budget", "50"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "resource budget exceeded: merge: term 25 (((-1+0j)) +3 -8) brings the "
+            "merged operator to 52 terms, over the budget of 50\n"
+        )
+
     def test_basis_over_budget_is_exit_3(self, capsys):
         rc = main([
             "verify", "--model", "hubbard", "--rows", "2", "--cols", "10",

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermicode import pauli
 from fermicode.bitmath import BitVec, BoolPoly
@@ -350,3 +352,76 @@ class TestSerialization:
             for nb, amp in apply_qubit_operator(op, state).amplitudes.items():
                 col[nb.value] = amp
             assert np.allclose(m[:, b], col, atol=1e-12)
+
+
+def _reference_letters(s):
+    """{qubit: letter} read off the masks one qubit at a time."""
+    letters = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+    return {
+        j + 1: letters[s.x >> j & 1, s.z >> j & 1]
+        for j in range(s.n)
+        if (s.x | s.z) >> j & 1
+    }
+
+
+def _reference_sort_key(s):
+    f = _reference_letters(s)
+    return len(f), tuple((j, "XYZ".index(f[j])) for j in sorted(f))
+
+
+@st.composite
+def operators(draw):
+    """Random strings on up to 70 qubits with distinct coefficients exact in 15 digits."""
+    n = draw(st.integers(1, 70))
+    masks = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    pairs = draw(st.lists(masks, min_size=1, max_size=30, unique=True))
+    terms = {}
+    for x, z in pairs:
+        re_, im_ = draw(st.tuples(st.integers(-64, 64), st.integers(-64, 64)).filter(any))
+        terms[PauliString.from_masks(n, x, z)] = complex(re_ / 8, im_ / 8)
+    return QubitOperator(n, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=operators())
+def test_serialize_order_and_round_trip(op):
+    ordered = sorted(op.terms.items(), key=lambda item: _reference_sort_key(item[0]))
+    lines = []
+    for s, c in ordered:
+        f = _reference_letters(s)
+        text = "*".join(f"{f[j]}{j}" for j in sorted(f)) or "I"
+        lines.append(f"{c.real:.15g} {c.imag:.15g} {text}\n")
+    text = op.serialize()
+    assert text == "".join(lines)
+    assert [s.text() for s, _ in ordered] == [line.split()[2] for line in lines]
+    assert min(op.terms, key=PauliString.sort_key) == ordered[0][0]
+    back = QubitOperator.deserialize(text, op.n)
+    assert back == op
+    assert back.serialize() == text
+
+
+class TestParsing:
+    @pytest.mark.parametrize("text", ["X1_0", "X\u0661", "X+1", "X-1", "X 1", "X", "X1**Z2", "1"])
+    def test_from_text_takes_ascii_digits_only(self, text):
+        with pytest.raises(ValueError, match="bad Pauli factor"):
+            PauliString.from_text(text, 12)
+
+    def test_from_text_reads_what_text_writes(self):
+        s = PauliString(12, {1: "X", 10: "Y", 12: "Z"})
+        assert s.text() == "X1*Y10*Z12"
+        assert PauliString.from_text(" X1*Y10*Z12 ", 12) == s
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 0 X1**Z2\n", "line 1: bad Pauli factor '' in 'X1**Z2'"),
+            ("1 0 X1\n\n2 0 X4\n", "line 3: qubit 4 outside 1..3"),
+            ("1 0 X1\n1 zero Z2\n", "line 2: could not convert string to float: 'zero'"),
+            ("1 0 W1\n", "line 1: unknown Pauli letter 'W'"),
+            ("1 0 X1*X1\n", "line 1: duplicate qubit 1 in 'X1*X1'"),
+        ],
+    )
+    def test_deserialize_names_the_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            QubitOperator.deserialize(text, 3)
+        assert str(info.value) == message

@@ -192,10 +192,7 @@ def _cmd_transform(args) -> int:
     terms, gates = hq.stats()
     print(f"qubits={hq.n} terms={terms} gates={gates}")
     if args.verify:
-        if not args.basis:
-            raise InputFormatError("--verify needs --basis")
-        spec = parse_basis_spec(args.basis, code.n_modes)
-        basis = enumerate_basis(spec, args.budget)
+        basis = enumerate_basis(parse_basis_spec(args.basis, code.n_modes), args.budget)
         report = verify_equivalence(code, h, hq, basis, tol=args.tol)
         print(report.summary())
         if not report.ok:
@@ -212,8 +209,7 @@ def _cmd_verify(args) -> int:
     except NonHermitianError as exc:
         print(f"verification failed: {exc}")
         return 1
-    spec = parse_basis_spec(args.basis, code.n_modes)
-    basis = enumerate_basis(spec, args.budget)
+    basis = enumerate_basis(parse_basis_spec(args.basis, code.n_modes), args.budget)
     report = verify_equivalence(code, h, hq, basis, tol=args.tol)
     if args.out:
         with open(args.out, "w") as fh:
@@ -306,7 +302,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="check a transform against the exact action")
     _add_model_args(p)
     _add_run_args(p)
-    p.set_defaults(fn=_cmd_verify)
+    p.set_defaults(fn=_cmd_verify, verify=True)
 
     p = sub.add_parser("validate-code", help="check code round-trips and images")
     p.add_argument("--code", required=True)
@@ -317,8 +313,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_validate_code)
 
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "verify" and not args.basis:
-        parser.error("verify needs --basis")
+    if getattr(args, "verify", False) and not args.basis:
+        parser.error("verification needs --basis")
     try:
         return args.fn(args)
     except BudgetError as exc:
@@ -327,7 +323,7 @@ def main(argv=None) -> int:
     except NonHermitianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InputFormatError, FermicodeError, FileNotFoundError, ValueError) as exc:
+    except (FermicodeError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ class Code:
     caps at ``segment_weight``.
 
     Structure derived from encode/decode (prefix parities, linearity, the
-    encode's linear masks, a linear code's matrices) is computed on first
+    encode's linear columns, a linear code's matrices) is computed on first
     use and kept on the instance; ``dataclasses.replace`` builds a new
     instance, so it never sees stale values.
     """
@@ -116,41 +116,44 @@ class Code:
         return tuple(out)
 
     @cached_property
+    def encode_columns(self) -> tuple[int, ...]:
+        """Entry ``j - 1`` is the qubit mask of the encode components whose
+        linear part reads mode j: column j of a linear encoding's matrix A."""
+        columns = [0] * self.n_modes
+        for i, p in enumerate(self.encode):
+            mask = p.linear_mask()
+            while mask:
+                low = mask & -mask
+                columns[low.bit_length() - 1] |= 1 << i
+                mask ^= low
+        return tuple(columns)
+
+    @cached_property
     def matrix(self) -> BitMat | None:
         """Encode matrix A of a linear code fit for the parity/flip/update sets.
 
         Set when encode and decode are homogeneous linear, n = N and the
         decode matrix is A^-1; None otherwise.
         """
-        n = self.n_modes
         polys = self.encode + self.decode
-        if n != self.n_qubits or any(m.bit_count() != 1 for p in polys for m in p.masks):
+        if self.n_modes != self.n_qubits or any(m.bit_count() != 1 for p in polys for m in p.masks):
             return None
-        a = BitMat.from_int_rows(self._encode_linear_masks, n)
-        a_inv = BitMat.from_int_rows([p.linear_mask() for p in self.decode], n)
-        return a if a @ a_inv == BitMat.identity(n) else None
+        a = _linear_matrix(self.encode)
+        return a if a @ _linear_matrix(self.decode) == BitMat.identity(self.n_modes) else None
 
     @cached_property
     def matrix_inv(self) -> BitMat | None:
         """Decode matrix A^-1 when ``matrix`` is set; None otherwise."""
-        return None if self.matrix is None else self.matrix.inverse()
+        return None if self.matrix is None else _linear_matrix(self.decode)
 
     @cached_property
     def encode_is_linear(self) -> bool:
         return all(p.is_linear() for p in self.encode)
 
-    @cached_property
-    def _encode_linear_masks(self) -> tuple[int, ...]:
-        return tuple(p.linear_mask() for p in self.encode)
 
-    def encode_linear_action(self, q: BitVec) -> BitVec:
-        """Linear part of the encoding applied to ``q`` (affine part dropped)."""
-        if q.n != self.n_modes:
-            raise DimensionError(f"vector length {q.n}, expected {self.n_modes}")
-        value = 0
-        for i, mask in enumerate(self._encode_linear_masks):
-            value |= ((mask & q.value).bit_count() & 1) << i
-        return BitVec.from_int(value, self.n_qubits)
+def _linear_matrix(polys: tuple[BoolPoly, ...]) -> BitMat:
+    """Square matrix whose row i is the linear part of ``polys[i - 1]``."""
+    return BitMat.from_int_rows([p.linear_mask() for p in polys], len(polys))
 
 
 def linear_code(a: BitMat, kind: str = "linear") -> Code:
@@ -235,12 +238,16 @@ def checksum_code(n_modes: int, flavor: str = "even") -> Code:
     )
 
 
-def _table_size(what: str, n_vars: int) -> int:
-    """``2**n_vars`` truth-table entries; ``BudgetError`` before building more than the budget."""
+def _table_size(what: str, n_vars: int, width: int = 1) -> int:
+    """``2**n_vars`` truth-table entries of ``width`` bits; ``BudgetError``
+    before building more entries than the budget or more bits than 64 times it."""
     if n_vars >= DEFAULT_BUDGET.bit_length():  # 2**n_vars > DEFAULT_BUDGET
         raise BudgetError(
             f"{what} needs 2**{n_vars} truth-table entries, over the budget of {DEFAULT_BUDGET}"
         )
+    if (bits := width << n_vars) > 64 * DEFAULT_BUDGET:
+        raise BudgetError(f"{what} needs 2**{n_vars} truth-table entries of {width} bits "
+                          f"({bits} bits), over the budget of {64 * DEFAULT_BUDGET} bits")
     return 1 << n_vars
 
 
@@ -254,8 +261,8 @@ def _addressing_code(kind: str, r: int, n_qubits: int, occupation) -> Code:
     every encode component that the word sets. Words that store nothing
     decode to the empty occupation, the ``degenerate_image``.
     """
-    size = _table_size(f"{kind}({r})", n_qubits)
     n_modes = 1 << r
+    size = _table_size(f"{kind}({r})", n_qubits, n_modes)
     table = [occupation(w) for w in range(size)]
     decode: list[list[int]] = [[] for _ in range(n_modes)]
     for x, coeffs in enumerate(moebius(table)):
@@ -502,7 +509,7 @@ def enumerate_basis(spec: BasisSpec, budget: int | None = None) -> list[BitVec]:
     return vectors
 
 
-def decode_image(code: Code, budget: int = 1 << 22) -> list[BitVec]:
+def decode_image(code: Code, budget: int = DEFAULT_BUDGET) -> list[BitVec]:
     """Distinct decode images over all code words, sorted; requires small n."""
     if (1 << code.n_qubits) > budget:
         raise BudgetError(f"2**{code.n_qubits} code words exceed budget {budget}")

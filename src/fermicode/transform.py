@@ -155,18 +155,25 @@ def parity_function(code: Code, j: int) -> BoolPoly:
     return code.prefix_parities[j - 1]
 
 
-def _update_flips(code: Code, q: BitVec) -> int | tuple:
-    """``expand`` flips of the update by q: a linear encoding's mask, else (e, d, q)."""
-    if code.encode_is_linear:
-        return code.encode_linear_action(q).value
-    if q.n != code.n_modes:
-        raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
-    return code.encode, code.decode, q.value
+def _update_flips(code: Code, q: int) -> int | tuple:
+    """``expand`` flips of the update by mode mask q: a linear encoding's mask
+    (the XOR of q's encode columns), else the code's (e, d, q)."""
+    if not code.encode_is_linear:
+        return code.encode, code.decode, q
+    columns = code.encode_columns
+    flips = 0
+    while q:
+        low = q & -q
+        flips ^= columns[low.bit_length() - 1]
+        q ^= low
+    return flips
 
 
 def update_operator(code: Code, q: BitVec, budget: int | None = None) -> QubitOperator:
     """Operator satisfying U |e(v)> = |e(v + q)> for every encoded v."""
-    return expand(code.n_qubits, [], _update_flips(code, q), budget)
+    if q.n != code.n_modes:
+        raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
+    return expand(code.n_qubits, [], _update_flips(code, q.value), budget)
 
 
 # -- the general operator map --------------------------------------------------
@@ -209,7 +216,7 @@ def _term_triples(code: Code, term: FermionTerm, budget: int | None) -> list[tup
         # encoded space; emit the identity itself to stay hermitian.
         return [(0, 0, complex(term.coeff))] if abs(term.coeff) > DEFAULT_PRUNE else []
     global_sign, signs, q = _term_signs(term.ops)
-    flips = _update_flips(code, BitVec.from_int(q, code.n_modes))
+    flips = _update_flips(code, q)
     triples = _expand(code.n_qubits, _diagonal_factors(code, term.ops, signs), flips, budget)
     scale = term.coeff * global_sign
     return [(x, z, v) for x, z, c in triples if abs(v := scale * c) > DEFAULT_PRUNE]
@@ -270,7 +277,7 @@ def transform_hamiltonian(
     return out
 
 
-# -- linear-code fast path ------------------------------------------------------
+# -- linear-code index sets: a cross-check of the general map -------------------
 
 
 @dataclass(frozen=True)
@@ -282,41 +289,30 @@ class LinearSets:
     update_set: frozenset[int]
 
 
-def linear_sets(code: Code, j: int) -> LinearSets:
-    """Index sets from the parity matrix R, A^-1 rows, and A columns."""
-    if code.matrix is None or code.matrix_inv is None:
+def _linear_masks(code: Code, j: int) -> tuple[int, int, int]:
+    """Parity, flip and update masks of mode j: row j of R A^-1 (its prefix
+    parity), row j of A^-1 (its decode component) and column j of A."""
+    if code.matrix is None:
         raise UnsupportedCodeError("parity/flip/update sets need a linear n = N code")
     if not 1 <= j <= code.n_modes:
         raise IndexError(f"mode {j} outside 1..{code.n_modes}")
-    n = code.n_modes
-    a, a_inv = code.matrix, code.matrix_inv
-    # Row j of (R A^-1) is the mod-2 sum of rows 1..j-1 of A^-1.
-    p_value = 0
-    for i in range(1, j):
-        p_value ^= a_inv.row(i).value
-    return LinearSets(
-        parity_set=frozenset(BitVec.from_int(p_value, n).ones()),
-        flip_set=frozenset(a_inv.row(j).ones()),
-        update_set=frozenset(a.col(j).ones()),
-    )
+    return (code.prefix_parities[j - 1].linear_mask(), code.decode[j - 1].linear_mask(),
+            code.encode_columns[j - 1])
+
+
+def linear_sets(code: Code, j: int) -> LinearSets:
+    """Index sets from the parity matrix R A^-1, A^-1 rows, and A columns."""
+    masks = _linear_masks(code, j)
+    return LinearSets(*(frozenset(BitVec.from_int(m, code.n_modes).ones()) for m in masks))
 
 
 def transform_op_linear(code: Code, j: int, dagger: bool) -> QubitOperator:
-    """Single ladder operator on a full-Fock linear code, via index sets."""
-    sets = linear_sets(code, j)
+    """Single ladder operator on a full-Fock linear code, via its parity/flip/update
+    masks; an operator-algebra cross-check of the general map."""
+    parity, flip, update = _linear_masks(code, j)
     n = code.n_qubits
-
-    def mask(indices):
-        v = 0
-        for i in indices:
-            v |= 1 << (i - 1)
-        return v
-
-    x_part = QubitOperator.x_string(n, mask(sets.update_set), 0.5)
-    flip = QubitOperator.z_string(n, mask(sets.flip_set), -1.0 if dagger else 1.0)
-    projector = QubitOperator.identity(n, 1.0) + (-1.0) * flip
-    parity = QubitOperator.z_string(n, mask(sets.parity_set), 1.0)
-    return x_part * projector * parity
+    projector = QubitOperator.identity(n) + QubitOperator.z_string(n, flip, 1.0 if dagger else -1.0)
+    return QubitOperator.x_string(n, update, 0.5) * projector * QubitOperator.z_string(n, parity)
 
 
 def transform_single_two_codes(

@@ -283,6 +283,43 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "name, table",
+        [("binary_addressing_k2:10",
+          "binary_addressing_k2(10) needs 2**19 truth-table entries of 1024 bits (536870912 bits)"),
+         ("binary_addressing_k1:14",
+          "binary_addressing_k1(14) needs 2**14 truth-table entries of 16384 bits "
+          "(268435456 bits)")],
+    )
+    def test_wide_code_table_is_exit_3(self, capsys, name, table):
+        assert main(["transform", *H2_ARGS, "--code", name]) == 3
+        assert capsys.readouterr().err == (
+            f"resource budget exceeded: {table}, over the budget of 67108864 bits\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen-model", *H2_ARGS],
+         ["transform", *H2_ARGS, "--code", "jordan_wigner:4"],
+         ["verify", *H2_ARGS, "--code", "jordan_wigner:4", "--basis", "1-2:1;3-4:1"]],
+    )
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and repr(str(tmp_path)) in err
+
+    @pytest.mark.parametrize("command", [["transform", "--verify"], ["verify"]])
+    def test_verification_without_basis_is_exit_2_before_any_output(
+        self, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *H2_ARGS, "--code", "jordan_wigner:4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "verification needs --basis" in captured.err
+
+    @pytest.mark.parametrize(
         "name, constructor",
         [("jordan_wigner:1025", "jordan_wigner"), ("parity:1025", "parity_code"),
          ("bravyi_kitaev:1025", "bravyi_kitaev")],

@@ -27,6 +27,7 @@ from fermicode.codes import (
     segment_subcode,
     validate_code,
 )
+from fermicode.codes import _table_size
 from fermicode.errors import BudgetError, InputFormatError
 
 from helpers import random_invertible_bitmat
@@ -206,6 +207,15 @@ class TestBinaryAddressingK2:
             assert decode(encode(nu)) == nu
         word = c.encode_vec(BitVec.from_int(nu, 256))  # the evaluator against BoolPoly's
         assert word.value == encode(nu) and c.decode_vec(word).value == nu
+
+    def test_table_bits_bound_at_the_edge(self):
+        # k2(9) and k1(13) tabulate 2**26 bits and build; k2(10) and k1(14)
+        # are refused before their tables exist.
+        assert _table_size("binary_addressing_k2(9)", 17, 512) == 1 << 17
+        assert _table_size("binary_addressing_k1(13)", 13, 1 << 13) == 1 << 13
+        for make, r in ((binary_addressing_k2, 10), (binary_addressing_k1, 14)):
+            with pytest.raises(BudgetError, match="over the budget of 67108864 bits"):
+                make(r)
 
     def test_not_one_to_one_but_validates(self):
         c = binary_addressing_k2(2)

@@ -27,6 +27,7 @@ from fermicode.codes import (
 from fermicode.cli import h2_code, h2_hamiltonian, hubbard_hamiltonian
 from fermicode.errors import (
     BudgetError,
+    DimensionError,
     InputFormatError,
     NonHermitianError,
     UnsupportedCodeError,
@@ -145,6 +146,12 @@ class TestUpdateOperator:
         with pytest.raises(BudgetError, match="budget 100"):
             update_operator(c, q, budget=100)
 
+    @pytest.mark.parametrize("make, arg", [(jordan_wigner, 3), (binary_addressing_k2, 2)])
+    def test_wrong_length_q_raises_for_both_code_kinds(self, make, arg):
+        c = make(arg)
+        with pytest.raises(DimensionError, match=f"q has length 5, expected {c.n_modes}$"):
+            update_operator(c, BitVec.zeros(5))
+
     def test_table_over_budget_names_support(self):
         c = binary_addressing_k2(2)  # epsilon components span all 3 qubits
         q = BitVec.from_int(0b11, 4)
@@ -169,6 +176,33 @@ def test_update_matches_composed_epsilon(data):
     q = BitVec.from_int(data.draw(st.integers(0, (1 << code.n_modes) - 1)), code.n_modes)
     eps = _composed_epsilon(code.encode, code.decode, q)
     assert update_operator(code, q) == flip_operator(code.n_qubits, eps)
+
+
+@st.composite
+def linear_encodings(draw):
+    """Builtin codes with linear encodings (N up to 70, past one 64-bit word),
+    a concatenation of two of them, or a random invertible matrix's code."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        return linear_code(random_invertible_bitmat(rng, draw(st.integers(1, 70))))
+    weight = draw(st.integers(1, 2))  # concatenated segment codes share one K
+    names = st.one_of(
+        st.builds("{}:{}".format, st.sampled_from(["jordan_wigner", "parity", "bravyi_kitaev"]),
+                  st.integers(1, 70)),
+        st.builds("checksum:{}:{}".format, st.integers(2, 70), st.sampled_from(["even", "odd"])),
+        st.builds("segment:{}:{}".format, st.just(weight), st.integers(1, 3)),
+    )
+    return load_code("+".join(draw(st.lists(names, min_size=1, max_size=2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_linear_update_is_the_encoded_difference(data):
+    code = data.draw(linear_encodings())
+    n = code.n_modes
+    v, q = (BitVec.from_int(data.draw(st.integers(0, (1 << n) - 1)), n) for _ in range(2))
+    flips = code.encode_vec(v + q) + code.encode_vec(v)
+    assert update_operator(code, q) == QubitOperator.x_string(code.n_qubits, flips.value)
 
 
 @st.composite

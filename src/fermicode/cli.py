@@ -16,7 +16,10 @@ Exit codes: 0 success, 1 verification or hermiticity failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
+import stat
 import sys
 
 from .bitmath import DEFAULT_BUDGET, BoolPoly
@@ -52,15 +55,26 @@ def hubbard_hamiltonian(
     t: float = 1.0,
     u: float = 1.0,
     periodic_lateral: bool = True,
+    *,
+    budget: int | None = None,
 ) -> FermionHamiltonian:
     """Hubbard model on a rows x cols grid with spin doubling.
 
     Modes 1..rows*cols are spin-up sites (row-major), the next rows*cols
     spin-down. Hopping -t acts along grid edges in both directions and both
     spin sectors; the lateral direction closes periodically when requested.
-    Interaction +u couples each site's two spins.
+    Interaction +u couples each site's two spins. The model has four hopping
+    terms per edge and one interaction per site; more than ``budget``
+    (default ``DEFAULT_BUDGET``) raises ``BudgetError`` before any is built.
     """
     sites = rows * cols
+    wrap = rows if periodic_lateral and cols > 2 else 0
+    count = 4 * (rows * (cols - 1) + (rows - 1) * cols + wrap) + sites
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if count > budget:
+        raise BudgetError(
+            f"hubbard model {rows}x{cols} has {count} terms, over the budget of {budget}"
+        )
 
     def site(r: int, c: int) -> int:
         return r * cols + c + 1
@@ -140,7 +154,10 @@ def h2_code() -> Code:
 _MODELS = ("hubbard", "h2")
 
 
-def _load_hamiltonian(args) -> FermionHamiltonian:
+def _load_hamiltonian(args, budget: int | None = None) -> FermionHamiltonian:
+    """Read ``--hamiltonian`` or build ``--model``. A Hubbard model is refused
+    above ``DEFAULT_BUDGET`` terms, or above ``budget`` when that is larger: a
+    smaller ``--budget`` bounds the transform's sums, not the size of its input."""
     if (args.hamiltonian is None) == (args.model is None):
         raise InputFormatError("provide exactly one of --hamiltonian or --model")
     if args.hamiltonian is not None:
@@ -151,23 +168,10 @@ def _load_hamiltonian(args) -> FermionHamiltonian:
             raise InputFormatError(f"cannot read {args.hamiltonian!r}: {exc}") from exc
     if args.model == "hubbard":
         return hubbard_hamiltonian(
-            args.rows, args.cols, args.t, args.u, not args.open_lateral
+            args.rows, args.cols, args.t, args.u, not args.open_lateral,
+            budget=max(budget or 0, DEFAULT_BUDGET),
         )
-    if args.model == "h2":
-        return h2_hamiltonian(
-            args.h11, args.h22, args.h1331, args.h2442, args.h1221, args.h1212
-        )
-    raise InputFormatError(f"unknown model {args.model!r}")
-
-
-def _prepare(
-    code: Code, h: FermionHamiltonian, no_adjust: bool, budget: int | None
-) -> FermionHamiltonian:
-    """Normal-order and dress for the transform when the code caps segments."""
-    if code.segments and not no_adjust:
-        blocked = normal_order_blocks(h)
-        return adjust_for_segments(blocked, code.segments, code.segment_weight, budget)
-    return h
+    return h2_hamiltonian(args.h11, args.h22, args.h1331, args.h2442, args.h1221, args.h1212)
 
 
 def _cmd_gen_model(args) -> int:
@@ -181,41 +185,48 @@ def _cmd_gen_model(args) -> int:
     return 0
 
 
-def _cmd_transform(args) -> int:
-    h = _load_hamiltonian(args)
+def _replace(out, text: str) -> None:
+    """Make ``text`` all of ``out``; only a regular file truncates (not a pipe or /dev/null)."""
+    if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+        out.seek(0)
+        out.truncate()
+    out.write(text)
+    out.flush()
+
+
+def _cmd_run(args) -> int:
+    """``transform`` and ``verify``: check the Hamiltonian, the code, the basis and
+    ``--out`` before any work. ``--out`` is opened untruncated and replaced where
+    it is written, so a run that fails first leaves an existing file as it was."""
+    h = _load_hamiltonian(args, args.budget)
     code = load_code(args.code)
-    prepared = _prepare(code, h, args.no_adjust, args.budget)
-    hq = transform_hamiltonian(code, prepared, budget=args.budget)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(hq.serialize())
-    terms, gates = hq.stats()
-    print(f"qubits={hq.n} terms={terms} gates={gates}")
     if args.verify:
         basis = enumerate_basis(parse_basis_spec(args.basis, code.n_modes), args.budget)
-        report = verify_equivalence(code, h, hq, basis, tol=args.tol)
-        print(report.summary())
-        if not report.ok:
+    report_only = args.command == "verify"
+    with open(args.out, "a") if args.out else contextlib.nullcontext() as out:
+        prepared = h
+        if code.segments and not args.no_adjust:
+            blocked = normal_order_blocks(h)
+            prepared = adjust_for_segments(blocked, code.segments, code.segment_weight, args.budget)
+        try:
+            hq = transform_hamiltonian(code, prepared, budget=args.budget)
+        except NonHermitianError as exc:
+            if not report_only:
+                raise
+            print(f"verification failed: {exc}")
             return 1
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    h = _load_hamiltonian(args)
-    code = load_code(args.code)
-    prepared = _prepare(code, h, args.no_adjust, args.budget)
-    try:
-        hq = transform_hamiltonian(code, prepared, budget=args.budget)
-    except NonHermitianError as exc:
-        print(f"verification failed: {exc}")
-        return 1
-    basis = enumerate_basis(parse_basis_spec(args.basis, code.n_modes), args.budget)
-    report = verify_equivalence(code, h, hq, basis, tol=args.tol)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
-    print(report.summary())
-    return 0 if report.ok else 1
+        if not report_only:
+            if out:
+                _replace(out, hq.serialize())
+            terms, gates = hq.stats()
+            print(f"qubits={hq.n} terms={terms} gates={gates}")
+        if not args.verify:
+            return 0
+        report = verify_equivalence(code, h, hq, basis, tol=args.tol)
+        if report_only and out:
+            _replace(out, report.to_json() + "\n")
+        print(report.summary())
+        return 0 if report.ok else 1
 
 
 def _cmd_validate_code(args) -> int:
@@ -235,6 +246,13 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value
 
 
@@ -271,7 +289,7 @@ def _add_run_args(p: argparse.ArgumentParser):
     p.add_argument(
         "--budget", type=_positive_int, default=None, help="monomial/term/basis-state budget"
     )
-    p.add_argument("--tol", type=_finite_float, default=1e-9, help="verification tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="verification tolerance")
     p.add_argument(
         "--no-adjust",
         action="store_true",
@@ -297,12 +315,12 @@ def main(argv=None) -> int:
     _add_model_args(p)
     _add_run_args(p)
     p.add_argument("--verify", action="store_true", help="verify after transforming")
-    p.set_defaults(fn=_cmd_transform)
+    p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("verify", help="check a transform against the exact action")
     _add_model_args(p)
     _add_run_args(p)
-    p.set_defaults(fn=_cmd_verify, verify=True)
+    p.set_defaults(fn=_cmd_run, verify=True)
 
     p = sub.add_parser("validate-code", help="check code round-trips and images")
     p.add_argument("--code", required=True)
@@ -330,3 +348,7 @@ def main(argv=None) -> int:
 
 def entry():  # console-script hook
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

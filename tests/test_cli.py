@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from fermicode import cli
 from fermicode.cli import h2_hamiltonian, hubbard_hamiltonian, main
+from fermicode.errors import BudgetError
 from fermicode.pauli import QubitOperator
 from fermicode.transform import adjust_for_segments, parse_fermion_file
 
@@ -440,3 +445,167 @@ class TestExitCodes:
         path.write_text("nan 0 : +1 -1\n")
         assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:1"]) == 2
         assert "line 1: non-finite coefficient" in capsys.readouterr().err
+
+
+SEGMENT_ROW = ["--model", "hubbard", "--code", "segment:2:2+segment:2:2"]
+HALVES = ["--basis", "1-10:2;11-20:2"]
+
+
+@pytest.fixture
+def no_transform(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("transform_hamiltonian ran before every input was checked")
+
+    monkeypatch.setattr(cli, "transform_hamiltonian", refuse)
+
+
+class TestInputsBeforeTransform:
+    @pytest.mark.parametrize("command", [["transform", "--verify"], ["verify"]])
+    def test_malformed_basis_is_exit_2(self, capsys, no_transform, command):
+        assert main([*command, *SEGMENT_ROW, "--basis", "1-10:x"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: bad basis spec '1-10:x': weight 'x' is not a decimal number\n"
+        )
+
+    @pytest.mark.parametrize("command", [["transform", "--verify"], ["verify"]])
+    def test_basis_over_budget_is_exit_3(self, capsys, no_transform, command):
+        argv = [*command, *SEGMENT_ROW, "--basis", "1-20:10", "--budget", "100000"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "resource budget exceeded: basis 1-20:10 has 184756 states, "
+            "over the budget of 100000\n"
+        )
+
+    @pytest.mark.parametrize("command", [["transform"], ["transform", "--verify"], ["verify"]])
+    def test_out_directory_is_exit_2(self, tmp_path, capsys, no_transform, command):
+        assert main([*command, *SEGMENT_ROW, *HALVES, "--out", str(tmp_path)]) == 2
+        assert repr(str(tmp_path)) in capsys.readouterr().err
+
+    def test_transform_ignores_basis_without_verify(self, capsys):
+        argv = ["transform", *H2_ARGS, "--code", "jordan_wigner:4", "--basis", "1-4:x"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "qubits=4 terms=15 gates=32\n"
+
+
+class TestOutFile:
+    @pytest.mark.parametrize(
+        "argv, rc",
+        [(["transform", "--model", "hubbard", "--code", "jordan_wigner:20",
+           "--budget", "50"], 3),
+         (["verify", *SEGMENT_ROW, "--no-adjust", *HALVES], 1)],
+    )
+    def test_failed_run_keeps_existing_file(self, tmp_path, capsys, argv, rc):
+        out = tmp_path / "out.txt"
+        out.write_text("keep me\n")
+        assert main([*argv, "--out", str(out)]) == rc
+        assert out.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["transform", *H2_ARGS, "--code", "jordan_wigner:4"],
+         ["verify", *H2_ARGS, "--code", "jordan_wigner:4", "--basis", "1-2:1;3-4:1"]],
+    )
+    def test_shorter_output_replaces_whole_file(self, tmp_path, capsys, argv):
+        fresh, stale = tmp_path / "fresh.txt", tmp_path / "stale.txt"
+        stale.write_text("x" * 100_000)
+        assert main([*argv, "--out", str(fresh)]) == 0
+        assert main([*argv, "--out", str(stale)]) == 0
+        assert 0 < len(fresh.read_bytes()) < 100_000
+        assert stale.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["transform", *H2_ARGS, "--code", "jordan_wigner:4"],
+         ["verify", *H2_ARGS, "--code", "jordan_wigner:4", "--basis", "1-2:1;3-4:1"]],
+    )
+    def test_devnull_takes_the_output(self, capsys, argv):
+        assert main([*argv, "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("command", [["transform"], ["transform", "--verify", *HALVES]])
+    def test_unadjusted_segment_transform_is_exit_1(self, capsys, command):
+        assert main([*command, *SEGMENT_ROW, "--no-adjust"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: transformed Hamiltonian is not hermitian")
+
+
+class TestTolerance:
+    TOL_RUN = ["verify", "--model", "h2", "--h11", "1", "--code", "jordan_wigner:4",
+               "--basis", "1-2:1;3-4:1"]
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-12"])
+    def test_negative_tolerance_is_exit_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.TOL_RUN, f"--tol={value}"])
+        assert exc.value.code == 2
+        assert f"argument --tol: must be non-negative, got {value!r}" in capsys.readouterr().err
+
+    def test_zero_tolerance_passes(self, capsys):
+        assert main([*self.TOL_RUN, "--tol", "0"]) == 0
+        assert capsys.readouterr().out.startswith("status=pass states=4 max_deviation=0")
+
+
+class TestModelSize:
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 5), (3, 4)])
+    def test_term_count_is_exact(self, rows, cols, periodic):
+        count = len(hubbard_hamiltonian(rows, cols, periodic_lateral=periodic).terms)
+        hubbard_hamiltonian(rows, cols, periodic_lateral=periodic, budget=count)
+        with pytest.raises(BudgetError, match=f"has {count} terms, over the budget of"):
+            hubbard_hamiltonian(rows, cols, periodic_lateral=periodic, budget=count - 1)
+
+    def test_library_budget_names_size_and_count(self):
+        with pytest.raises(BudgetError) as exc:
+            hubbard_hamiltonian(20, 20, 1.0, 1.0, budget=1000)
+        assert str(exc.value) == "hubbard model 20x20 has 3520 terms, over the budget of 1000"
+
+    @pytest.mark.parametrize(
+        "argv, budget",
+        [(["gen-model"], 1048576),
+         (["transform", "--code", "jordan_wigner:4"], 1048576),
+         (["verify", "--code", "jordan_wigner:4", "--basis", "1-4:1"], 1048576),
+         (["transform", "--code", "jordan_wigner:4", "--budget", "1438399"], 1438399)],
+    )
+    def test_oversized_model_is_exit_3_before_any_term(self, monkeypatch, capsys, argv, budget):
+        class NoTerms:
+            @staticmethod
+            def of(*args):
+                pytest.fail("a term was built for an over-budget model")
+
+        monkeypatch.setattr(cli, "FermionTerm", NoTerms)
+        assert main([*argv, "--model", "hubbard", "--rows", "400", "--cols", "400"]) == 3
+        assert capsys.readouterr().err == (
+            "resource budget exceeded: hubbard model 400x400 has 1438400 terms, "
+            f"over the budget of {budget}\n"
+        )
+
+
+class TestModuleEntry:
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        return subprocess.run(
+            [sys.executable, "-m", "fermicode.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_transform_prints_stats(self):
+        done = self.run_module("transform", "--model", "h2", "--h11", "1",
+                               "--code", "jordan_wigner:4")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "qubits=4 terms=3 gates=2\n", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_to_a_pipe_comes_before_the_stats_line(self):
+        done = self.run_module("transform", "--model", "h2", "--h11", "1",
+                               "--code", "jordan_wigner:4", "--out", "/dev/stdout")
+        assert done.returncode == 0
+        assert done.stdout == "-1 0 I\n0.5 0 Z1\n0.5 0 Z3\nqubits=4 terms=3 gates=2\n"
+
+    def test_verify_without_basis_is_exit_2(self):
+        done = self.run_module("verify", "--model", "h2", "--code", "jordan_wigner:4")
+        assert done.returncode == 2
+        assert "verification needs --basis" in done.stderr

@@ -18,15 +18,37 @@ equality of their monomial sets.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import Iterable, Sequence
 
-from .errors import BudgetError, DimensionError, SingularMatrixError
+from .errors import BudgetError, DimensionError, NonFiniteError, SingularMatrixError
 
 # Cap on the number of monomials (or operator terms) an operation may create;
 # composing nonlinear functions can blow up exponentially, and silently
 # truncating would corrupt results, so we abort instead.
 DEFAULT_BUDGET = 1 << 20
+
+
+def ascii_real(text: str) -> float:
+    """A finite real written as ``float`` reads it, in ASCII without ``_``
+    separators (``1e-3``, ``-2.5E+1``, ``.5``, ``+1``). Other text raises
+    ``ValueError`` with ``float``'s message; an infinity or NaN raises
+    ``NonFiniteError``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    value = float(text)
+    if not math.isfinite(value):
+        raise NonFiniteError(f"non-finite value {text!r}")
+    return value
+
+
+def ascii_int(text: str, what: str) -> int:
+    """An index written in ASCII decimal digits only; ``ValueError`` naming
+    ``what`` otherwise."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} {text!r} is not a decimal number")
+    return int(text)
 
 
 def _parse_bits(bits) -> tuple[int, int]:
@@ -307,7 +329,7 @@ class BoolPoly(namedtuple("BoolPoly", "num_vars masks")):
                 factor = factor.strip()
                 if not factor.startswith("x"):
                     raise ValueError(f"bad monomial factor {factor!r}")
-                j = int(factor[1:])
+                j = ascii_int(factor[1:], "variable")
                 if not 1 <= j <= num_vars:
                     raise IndexError(f"variable {j} outside 1..{num_vars}")
                 m |= 1 << (j - 1)
@@ -388,9 +410,8 @@ class BoolPoly(namedtuple("BoolPoly", "num_vars masks")):
         self._check_vars(other)
         return tuple.__new__(BoolPoly, (self.num_vars, self.masks ^ other.masks))
 
-    def mul(self, other: "BoolPoly", budget: int | None = None) -> "BoolPoly":
+    def mul(self, other: "BoolPoly", budget: int = DEFAULT_BUDGET) -> "BoolPoly":
         self._check_vars(other)
-        budget = DEFAULT_BUDGET if budget is None else budget
         if len(self.masks) * len(other.masks) > 4 * budget:
             raise BudgetError(
                 f"product of {len(self.masks)} x {len(other.masks)} monomials "
@@ -409,7 +430,7 @@ class BoolPoly(namedtuple("BoolPoly", "num_vars masks")):
     def __mul__(self, other: "BoolPoly") -> "BoolPoly":
         return self.mul(other)
 
-    def compose(self, subs: Sequence["BoolPoly"], budget: int | None = None) -> "BoolPoly":
+    def compose(self, subs: Sequence["BoolPoly"], budget: int = DEFAULT_BUDGET) -> "BoolPoly":
         """Substitute ``subs[i]`` (all over k variables) for variable ``i+1``."""
         if len(subs) != self.num_vars:
             raise DimensionError(
@@ -419,7 +440,6 @@ class BoolPoly(namedtuple("BoolPoly", "num_vars masks")):
         for s in subs:
             if s.num_vars != k:
                 raise DimensionError("substitutions must share a variable count")
-        budget = DEFAULT_BUDGET if budget is None else budget
         acc = BoolPoly.zero(k)
         one = BoolPoly.one(k)
         for m in self.masks:

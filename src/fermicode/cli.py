@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import stat
 import sys
 
-from .bitmath import DEFAULT_BUDGET, BoolPoly
+from .bitmath import DEFAULT_BUDGET, BoolPoly, ascii_real
 from .codes import (
     Code,
     concat,
@@ -35,6 +34,7 @@ from .errors import (
     BudgetError,
     FermicodeError,
     InputFormatError,
+    NonFiniteError,
     NonHermitianError,
 )
 from .fock_oracle import verify_equivalence
@@ -56,7 +56,7 @@ def hubbard_hamiltonian(
     u: float = 1.0,
     periodic_lateral: bool = True,
     *,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> FermionHamiltonian:
     """Hubbard model on a rows x cols grid with spin doubling.
 
@@ -70,7 +70,6 @@ def hubbard_hamiltonian(
     sites = rows * cols
     wrap = rows if periodic_lateral and cols > 2 else 0
     count = 4 * (rows * (cols - 1) + (rows - 1) * cols + wrap) + sites
-    budget = DEFAULT_BUDGET if budget is None else budget
     if count > budget:
         raise BudgetError(
             f"hubbard model {rows}x{cols} has {count} terms, over the budget of {budget}"
@@ -154,7 +153,7 @@ def h2_code() -> Code:
 _MODELS = ("hubbard", "h2")
 
 
-def _load_hamiltonian(args, budget: int | None = None) -> FermionHamiltonian:
+def _load_hamiltonian(args, budget: int = DEFAULT_BUDGET) -> FermionHamiltonian:
     """Read ``--hamiltonian`` or build ``--model``. A Hubbard model is refused
     above ``DEFAULT_BUDGET`` terms, or above ``budget`` when that is larger: a
     smaller ``--budget`` bounds the transform's sums, not the size of its input."""
@@ -169,7 +168,7 @@ def _load_hamiltonian(args, budget: int | None = None) -> FermionHamiltonian:
     if args.model == "hubbard":
         return hubbard_hamiltonian(
             args.rows, args.cols, args.t, args.u, not args.open_lateral,
-            budget=max(budget or 0, DEFAULT_BUDGET),
+            budget=max(budget, DEFAULT_BUDGET),
         )
     return h2_hamiltonian(args.h11, args.h22, args.h1331, args.h2442, args.h1221, args.h1212)
 
@@ -241,12 +240,11 @@ def _cmd_validate_code(args) -> int:
 
 def _finite_float(text: str) -> float:
     try:
-        value = float(text)
+        return ascii_real(text)
+    except NonFiniteError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
-    return value
 
 
 def _tolerance(text: str) -> float:
@@ -287,7 +285,8 @@ def _add_run_args(p: argparse.ArgumentParser):
     p.add_argument("--code", required=True, help="code-spec file or builtin name")
     p.add_argument("--out", help="output path")
     p.add_argument(
-        "--budget", type=_positive_int, default=None, help="monomial/term/basis-state budget"
+        "--budget", type=_positive_int, default=DEFAULT_BUDGET,
+        help="monomial/term/basis-state budget",
     )
     p.add_argument("--tol", type=_tolerance, default=1e-9, help="verification tolerance")
     p.add_argument(

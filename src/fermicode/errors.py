@@ -32,5 +32,9 @@ class NonHermitianError(FermicodeError):
         self.witness = witness
 
 
+class NonFiniteError(FermicodeError, ValueError):
+    """A number field holds an infinity or NaN."""
+
+
 class InputFormatError(FermicodeError):
     """A Hamiltonian / code-spec / basis file failed to parse."""

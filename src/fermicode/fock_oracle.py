@@ -18,8 +18,8 @@ needs. Each term or string is packed once into such an item
 
 Verification encodes each fermionic image and compares it amplitude by
 amplitude with the qubit-side action, flagging Hamiltonians whose image
-leaves the encoded basis. Encoding and the escape check ``d(e(k)) = k`` are
-truth tables of the code's polynomials over the same limb arrays.
+leaves the encoded basis. Encoding and the escape check ``d(e(k)) = k`` use
+the code's own cached evaluator, ``Code.encode_words``/``decode_words``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .bitmath import BitVec
-from .codes import Code
+from .codes import Code, _ints, _words
 from .errors import DimensionError, UnsupportedCodeError
 from .pauli import QubitOperator
 from .transform import FermionHamiltonian, FermionTerm, transform_op_linear
@@ -99,20 +99,6 @@ def _apply_sparse(items: list, amplitudes: dict, n: int) -> dict[BitVec, complex
 _CELLS = 1 << 13
 
 
-def _words(values: list[int], n_bits: int) -> np.ndarray:
-    """Rows of 64-bit limbs, least significant first, one row per int."""
-    limbs = max(1, -(-n_bits // 64))
-    out = np.empty((len(values), limbs), dtype=np.uint64)
-    for j in range(limbs):
-        out[:, j] = [(v >> (64 * j)) & 0xFFFF_FFFF_FFFF_FFFF for v in values]
-    return out
-
-
-def _ints(words: np.ndarray) -> list[int]:
-    """The ints of limb rows (inverse of ``_words``)."""
-    return [sum(x << (64 * j) for j, x in enumerate(row)) for row in words.tolist()]
-
-
 class _Batch:
     """Packed items as limb arrays, with the distinct flips they move states by.
 
@@ -176,24 +162,6 @@ def _first_use(words: np.ndarray, b: _Batch) -> np.ndarray:
         return np.where(_acts(w, b, items), rank[items], n)
 
     return _scatter(np.full((len(words), len(b.flips)), n), words, b, np.minimum, values)
-
-
-def _monomials(polys, n_vars: int) -> list[np.ndarray]:
-    """Each polynomial's monomial masks as limb rows, shaped for ``_evaluate``."""
-    return [_words(sorted(p.masks), n_vars)[:, None] for p in polys]
-
-
-def _evaluate(polys: list[np.ndarray], words: np.ndarray) -> np.ndarray:
-    """Words whose bit ``i`` is polynomial ``i`` at each of ``words``.
-
-    ``polys`` comes from ``_monomials``; this is ``pauli.poly_table``'s truth
-    table with a monomial checked over every limb.
-    """
-    out = np.zeros((len(words), max(1, -(-len(polys) // 64))), dtype=np.uint64)
-    for i, m in enumerate(polys):
-        bit = np.bitwise_xor.reduce(((words & m) == m).all(axis=2), axis=0)
-        out[:, i // 64] |= bit.astype(np.uint64) << np.uint64(i % 64)
-    return out
 
 
 def _lookup(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -317,8 +285,6 @@ def verify_equivalence(
         raise DimensionError("code, Hamiltonian, and operator sizes must agree")
     terms = _Batch(_pack_terms(h.terms), code.n_modes)
     strings = _Batch(_pack_strings(hq), code.n_qubits)
-    encode = _monomials(code.encode, code.n_modes)
-    decode = _monomials(code.decode, code.n_qubits)
     words = _words([nu.value for nu in basis], code.n_modes)
     dev = np.zeros(len(basis))
     escaped = np.zeros(len(basis), dtype=bool)
@@ -329,8 +295,8 @@ def verify_equivalence(
         amp = _amplitudes(w, terms)
         s, g = np.nonzero(np.abs(amp) > 1e-13)
         image = w[s] ^ terms.flips[g]
-        ek = _evaluate(encode, image)
-        outside = ~(_evaluate(decode, ek) == image).all(axis=1)
+        ek = code.encode_words(image)
+        outside = ~(code.decode_words(ek) == image).all(axis=1)
         if outside.any():
             rows = np.unique(s[outside])
             escaped[r0 + rows] = True
@@ -347,7 +313,7 @@ def verify_equivalence(
         # The qubit-side image of e(v) minus the encoded fermionic one. The
         # images of an in-basis state encode to distinct words, so each is
         # subtracted once; an image the qubit side misses counts in full.
-        ew = _evaluate(encode, w)
+        ew = code.encode_words(w)
         diff = _amplitudes(ew, strings)
         hit = _lookup(strings.flips, ek ^ ew[s])
         found = hit >= 0
@@ -391,23 +357,19 @@ def verify_anticommutation(code: Code, atol: float = 1e-12) -> AnticommutationRe
     create = [transform_op_linear(code, j, dagger=True) for j in range(1, n + 1)]
     failures = []
     zero = QubitOperator.zero(code.n_qubits)
+    one = QubitOperator.identity(code.n_qubits)
+
+    def anticommutes_to(a: QubitOperator, b: QubitOperator, target: QubitOperator = zero) -> bool:
+        return (a * b + b * a).isclose(target, atol)
+
     for i in range(n):
         for j in range(n):
-            anti = annihilate[i] * create[j] + create[j] * annihilate[i]
-            target = (
-                QubitOperator.identity(code.n_qubits) if i == j else zero
-            )
-            if not anti.isclose(target, atol):
+            if not anticommutes_to(annihilate[i], create[j], one if i == j else zero):
                 failures.append(f"{{c_{i + 1}, c_{j + 1}^dag}} != {'I' if i == j else '0'}")
-            if j >= i:
-                if not (
-                    annihilate[i] * annihilate[j] + annihilate[j] * annihilate[i]
-                ).isclose(zero, atol):
-                    failures.append(f"{{c_{i + 1}, c_{j + 1}}} != 0")
-                if not (create[i] * create[j] + create[j] * create[i]).isclose(
-                    zero, atol
-                ):
-                    failures.append(f"{{c_{i + 1}^dag, c_{j + 1}^dag}} != 0")
+            if j >= i and not anticommutes_to(annihilate[i], annihilate[j]):
+                failures.append(f"{{c_{i + 1}, c_{j + 1}}} != 0")
+            if j >= i and not anticommutes_to(create[i], create[j]):
+                failures.append(f"{{c_{i + 1}^dag, c_{j + 1}^dag}} != 0")
     return AnticommutationReport(not failures, failures)
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitmath import DEFAULT_BUDGET, BoolPoly
+from .bitmath import DEFAULT_BUDGET, BoolPoly, ascii_real
 from .errors import BudgetError, DimensionError
 
 _LETTER_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -251,10 +251,9 @@ class QubitOperator:
             return QubitOperator._from_clean(self.n, out, eps)
         return NotImplemented
 
-    def mul(self, other: "QubitOperator", budget: int | None = None) -> "QubitOperator":
+    def mul(self, other: "QubitOperator", budget: int = DEFAULT_BUDGET) -> "QubitOperator":
         """Operator product (self applied after other)."""
         self._check_n(other)
-        budget = DEFAULT_BUDGET if budget is None else budget
         eps = min(self.prune_epsilon, other.prune_epsilon)
         acc: dict[tuple[int, int], complex] = {}
         for s1, c1 in self.terms.items():
@@ -319,7 +318,7 @@ class QubitOperator:
                 raise ValueError(f"line {lineno}: expected '<re> <im> <string>'")
             try:
                 ps = PauliString.from_text(parts[2], n)
-                c = complex(float(parts[0]), float(parts[1]))
+                c = complex(ascii_real(parts[0]), ascii_real(parts[1]))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             terms[ps] = terms.get(ps, 0.0) + c
@@ -418,10 +417,9 @@ def _group_terms(
     return terms
 
 
-def _expand(n: int, factors: Factors, flips: Flips, budget: int | None = None) -> list[tuple]:
+def _expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET) -> list[tuple]:
     """``expand`` as ``(x, z, c)`` triples: letter string ``(x, z)`` with ``c``
     including the phase ``i**(-|x & z|)`` of ``X^x Z^z``; each string once."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     t0, (encode, decode, _) = (flips, ((), (), 0)) if isinstance(flips, int) else (0, flips)
     for f in [f for f, _, _ in factors] + list(decode):
         if f.num_vars != n:
@@ -480,7 +478,7 @@ def _expand(n: int, factors: Factors, flips: Flips, budget: int | None = None) -
     return out
 
 
-def expand(n: int, factors: Factors, flips: Flips, budget: int | None = None) -> QubitOperator:
+def expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Operator ``sum_t X^t [eps(w) = t] * prod_k (a_k + b_k * (-1)**f_k(w))``.
 
     ``factors`` are ``(f_k, a_k, b_k)``: ``(f, 0, 1)`` is the sign
@@ -498,7 +496,7 @@ def expand(n: int, factors: Factors, flips: Flips, budget: int | None = None) ->
     return QubitOperator.from_triples(n, _expand(n, factors, flips, budget))
 
 
-def extract(f: BoolPoly, n: int | None = None, budget: int | None = None) -> QubitOperator:
+def extract(f: BoolPoly, n: int | None = None, budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Diagonal operator with eigenvalue ``(-1)**f(w)`` on basis state ``|w>``."""
     return expand(f.num_vars if n is None else n, [(f, 0, 1)], 0, budget)
 
@@ -515,7 +513,7 @@ def cphase_expand(indices: Iterable[int], n: int) -> QubitOperator:
     return expand(n, [(BoolPoly(n, [mask]), 0, 1)], 0)
 
 
-def flip_operator(n: int, eps: Sequence[BoolPoly], budget: int | None = None) -> QubitOperator:
+def flip_operator(n: int, eps: Sequence[BoolPoly], budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Operator ``sum_t X^t [eps(w) = t]`` sending ``|w>`` to ``|w + eps(w)>``."""
     encode = [e + BoolPoly.variable(n, j) for j, e in enumerate(eps, 1)]
     return expand(n, [], (encode, [BoolPoly.variable(n, j) for j in range(1, n + 1)], 0), budget)

@@ -18,18 +18,18 @@ hopping terms.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
-from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly
+from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly, ascii_real
 from .bitmath import poly_sum  # noqa: F401  (perfbench/spans.py patches it here)
 from .codes import Code
 from .errors import (
     BudgetError,
     DimensionError,
     InputFormatError,
+    NonFiniteError,
     NonHermitianError,
     UnsupportedCodeError,
 )
@@ -116,11 +116,11 @@ def parse_fermion_file(text: str, n_modes: int | None = None) -> FermionHamilton
         if len(parts) != 2:
             raise InputFormatError(f"line {lineno}: expected '<re> <im> :'")
         try:
-            coeff = complex(float(parts[0]), float(parts[1]))
+            coeff = complex(ascii_real(parts[0]), ascii_real(parts[1]))
+        except NonFiniteError:
+            raise InputFormatError(f"line {lineno}: non-finite coefficient {head.strip()!r}")
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: bad coefficient: {exc}") from exc
-        if not cmath.isfinite(coeff):
-            raise InputFormatError(f"line {lineno}: non-finite coefficient {head.strip()!r}")
         ops = []
         for tok in tail.split():
             if tok[0] not in "+-" or not (tok[1:].isascii() and tok[1:].isdigit()):
@@ -169,7 +169,7 @@ def _update_flips(code: Code, q: int) -> int | tuple:
     return flips
 
 
-def update_operator(code: Code, q: BitVec, budget: int | None = None) -> QubitOperator:
+def update_operator(code: Code, q: BitVec, budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Operator satisfying U |e(v)> = |e(v + q)> for every encoded v."""
     if q.n != code.n_modes:
         raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
@@ -206,7 +206,7 @@ def _diagonal_factors(code: Code, ops: tuple, signs: list[float]) -> list[tuple]
     ]
 
 
-def _term_triples(code: Code, term: FermionTerm, budget: int | None) -> list[tuple]:
+def _term_triples(code: Code, term: FermionTerm, budget: int) -> list[tuple]:
     """``(x, z, c)`` triples of one term's image, scaled by its coefficient and
     anticommutation sign and pruned as ``(coeff * sign) * op`` would be."""
     if term.max_mode() > code.n_modes:
@@ -222,7 +222,7 @@ def _term_triples(code: Code, term: FermionTerm, budget: int | None) -> list[tup
     return [(x, z, v) for x, z, c in triples if abs(v := scale * c) > DEFAULT_PRUNE]
 
 
-def transform_term(code: Code, term: FermionTerm, budget: int | None = None) -> QubitOperator:
+def transform_term(code: Code, term: FermionTerm, budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Qubit image of one fermionic term under the code's operator map."""
     return QubitOperator.from_triples(code.n_qubits, _term_triples(code, term, budget))
 
@@ -230,7 +230,7 @@ def transform_term(code: Code, term: FermionTerm, budget: int | None = None) -> 
 def transform_hamiltonian(
     code: Code,
     h: FermionHamiltonian,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     check_hermiticity: bool = True,
 ) -> QubitOperator:
     """Transform and sum all terms; flags non-hermitian results.
@@ -245,7 +245,6 @@ def transform_hamiltonian(
         raise DimensionError(
             f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}"
         )
-    budget = DEFAULT_BUDGET if budget is None else budget
     # Summed in term order on (x, z) masks: the order fixes the float sums.
     acc: dict[tuple[int, int], complex] = {}
     for index, term in enumerate(h.terms, start=1):
@@ -320,7 +319,7 @@ def transform_single_two_codes(
     code_odd: Code,
     j: int,
     dagger: bool,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> QubitOperator:
     """Single ladder operator using separate codes for the two particle sectors.
 
@@ -396,7 +395,7 @@ def adjust_for_segments(
     h: FermionHamiltonian,
     segments: tuple[tuple[int, ...], ...],
     weight: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> FermionHamiltonian:
     """Dress hops between occupation-capped segments so they cannot overfill.
 
@@ -410,7 +409,6 @@ def adjust_for_segments(
     running total over ``budget`` (default ``DEFAULT_BUDGET``) raises
     ``BudgetError`` naming the term.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     seg_of: dict[int, int] = {}
     for idx, seg in enumerate(segments):
         for m in seg:

@@ -4,7 +4,10 @@ The dense matrices are built from first principles with numpy kron products
 so the package's sparse algebra is checked against a separate code path.
 Basis states are indexed with qubit/mode 1 as the fastest (least
 significant) bit. ``nonlinear_codes`` draws random truth-table codes;
-``reference_transform`` sums per-term operators as the merge once did.
+``reference_transform`` sums per-term operators as the merge once did;
+``reference_validate_code``, ``reference_decode_image`` and
+``reference_is_degenerate_image`` check a code one word at a time, as
+``fermicode.codes`` once did.
 """
 
 import numpy as np
@@ -148,3 +151,65 @@ def reference_transform(code, h):
         for s, c in transform_term(code, term).terms.items():
             acc[s] = acc.get(s, 0.0) + c
     return QubitOperator(code.n_qubits, acc)
+
+
+def reference_is_degenerate_image(code, nu):
+    """Degenerate-image test by recursion over ``Code.parts``: a part's block
+    round-trips or is one of its degenerate images, and at least one is."""
+    from fermicode.bitmath import BitVec
+
+    if code.parts:
+        offset = 0
+        saw_degenerate = False
+        for part in code.parts:
+            block = BitVec.from_int((nu.value >> offset) & ((1 << part.n_modes) - 1), part.n_modes)
+            if part.in_basis(block):
+                pass
+            elif reference_is_degenerate_image(part, block):
+                saw_degenerate = True
+            else:
+                return False
+            offset += part.n_modes
+        return saw_degenerate
+    image = code.degenerate_image
+    return image is not None and nu == image and not code.in_basis(nu)
+
+
+def reference_decode_image(code):
+    """Distinct decode images of all code words, decoded one by one, sorted."""
+    from fermicode.bitmath import BitVec
+
+    seen = {}
+    for w in range(1 << code.n_qubits):
+        seen[code.decode_vec(BitVec.from_int(w, code.n_qubits))] = True
+    return sorted(seen, key=str)
+
+
+def reference_validate_code(code, spec, budget, sample=None, seed=0):
+    """``validate_code``'s report, checking one vector or word at a time."""
+    import random
+
+    from fermicode.bitmath import BitVec
+    from fermicode.codes import ValidationReport, enumerate_basis
+
+    declared = set(enumerate_basis(spec, budget))
+    failures = [nu for nu in sorted(declared, key=str) if not code.in_basis(nu)]
+    total = 1 << code.n_qubits
+    if total <= budget:
+        words = [BitVec.from_int(w, code.n_qubits) for w in range(total)]
+    else:
+        rng = random.Random(seed)
+        words = [BitVec.from_int(rng.randrange(total), code.n_qubits) for _ in range(sample)]
+    images_outside = []
+    degenerate = []
+    one_to_one = True
+    for w in words:
+        nu = code.decode_vec(w)
+        if nu not in declared:
+            if reference_is_degenerate_image(code, nu):
+                degenerate.append((w, nu))
+            else:
+                images_outside.append((w, nu))
+        if code.encode_vec(nu) != w:
+            one_to_one = False
+    return ValidationReport(failures, images_outside, degenerate, one_to_one, len(words))

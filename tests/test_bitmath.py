@@ -1,12 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermicode.bitmath import BitMat, BitVec, BoolPoly, poly_sum
-from fermicode.errors import BudgetError, DimensionError, SingularMatrixError
+from fermicode.bitmath import BitMat, BitVec, BoolPoly, ascii_int, ascii_real, poly_sum
+from fermicode.errors import BudgetError, DimensionError, NonFiniteError, SingularMatrixError
 
 from helpers import random_boolpoly, random_invertible_bitmat
 
@@ -236,3 +237,34 @@ def test_poly_sum_matches_pairwise_addition():
     for p in polys:
         acc = acc + p
     assert poly_sum(polys, 4) == acc
+
+
+class TestNumberFields:
+    @pytest.mark.parametrize(
+        "text, value", [("1e-3", 1e-3), ("-2.5E+1", -25.0), (".5", 0.5), ("+1", 1.0), ("7", 7.0)]
+    )
+    def test_ascii_real_reads_float_syntax(self, text, value):
+        assert ascii_real(text) == value
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "1\u00a0", "\uff11", "", "x", "1e"])
+    def test_ascii_real_refuses_other_text(self, text):
+        message = f"could not convert string to float: {text!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ascii_real(text)
+
+    @pytest.mark.parametrize("text", ["nan", "-inf", "inf", "1e400", "NaN"])
+    def test_ascii_real_refuses_non_finite_values(self, text):
+        with pytest.raises(NonFiniteError, match=re.escape(f"non-finite value {text!r}")):
+            ascii_real(text)
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0662", " 2", "+2", "-1", "", "2.0"])
+    def test_ascii_int_takes_ascii_digits_only(self, text):
+        assert ascii_int("102", "mode") == 102
+        with pytest.raises(ValueError, match=f"^mode {re.escape(repr(text))} is not a decimal"):
+            ascii_int(text, "mode")
+
+    @pytest.mark.parametrize("text", ["x1_0", "x\u0662", "x 2", "x+1", "x"])
+    def test_polynomial_variables_are_ascii_decimals(self, text):
+        assert BoolPoly.from_text(10, "x10 + x1*x2") == BoolPoly(10, [1 << 9, 3])
+        with pytest.raises(ValueError, match="variable .* is not a decimal number"):
+            BoolPoly.from_text(10, text)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -445,6 +446,87 @@ class TestExitCodes:
         path.write_text("nan 0 : +1 -1\n")
         assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:1"]) == 2
         assert "line 1: non-finite coefficient" in capsys.readouterr().err
+
+
+class TestNumberFields:
+    @pytest.mark.parametrize("line", ["1_0 0 : +1 -1", "\u0663 0 : +2 -2"])
+    def test_hamiltonian_coefficient_is_ascii_real(self, tmp_path, capsys, line):
+        path = tmp_path / "h.txt"
+        path.write_text(f"# modes: 2\n{line}\n")
+        assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:2"]) == 2
+        assert "input error: line 2: bad coefficient: could not convert" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["gen-model", "--model", "hubbard", "--rows", "1", "--cols", "2"], "--t", "1_0"),
+            (["transform", "--model", "hubbard", "--rows", "1", "--cols", "2",
+              "--code", "jordan_wigner:4"], "--t", "\u0663"),
+            (["gen-model", "--model", "hubbard"], "--u", "\uff11"),
+            (["gen-model", "--model", "h2"], "--h1221", "2_5"),
+            (["verify", "--model", "h2", "--code", "jordan_wigner:4", "--basis", "1-4:2"],
+             "--tol", "1_0"),
+        ],
+    )
+    def test_float_flag_is_ascii_real(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid float value: {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, coeff", [("1e-3", "-0.001"), ("-2.5E+1", "25"),
+                                              (".5", "-0.5"), ("+1", "-1")])
+    def test_float_flag_takes_float_syntax(self, capsys, value, coeff):
+        assert main(["gen-model", "--model", "hubbard", "--rows", "1", "--cols", "2",
+                     f"--t={value}"]) == 0
+        assert f"{coeff} 0 : +1 -2\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key, entries, at",
+        [
+            ("encode", ["x1", "x\u0662"], "entry 1: variable '\u0662'"),
+            ("encode", ["x1_0", "x2"], "entry 0: variable '1_0'"),
+            ("decode", ["x1", "x 2"], "entry 1: variable ' 2'"),
+        ],
+    )
+    def test_spec_variable_is_ascii_decimal(self, tmp_path, capsys, key, entries, at):
+        spec = {"kind": "custom", "n_modes": 10, "n_qubits": 10,
+                "encode": [f"x{j}" for j in range(1, 11)],
+                "decode": [f"x{j}" for j in range(1, 11)]}
+        spec[key] = entries + spec[key][len(entries):]
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec))
+        assert main(["validate-code", "--code", str(path), "--basis", "1-10:1"]) == 2
+        err = capsys.readouterr().err
+        assert f"code spec field {key!r} {at} is not a decimal number" in err
+
+
+def test_every_budget_parameter_defaults_to_the_default_budget():
+    from fermicode import bitmath, codes, pauli, transform
+
+    functions = [
+        bitmath.BoolPoly.mul, bitmath.BoolPoly.compose, hubbard_hamiltonian, cli._load_hamiltonian,
+        codes.enumerate_basis, codes.decode_image, codes.validate_code,
+        pauli.QubitOperator.mul, pauli._expand, pauli.expand, pauli.extract, pauli.flip_operator,
+        transform.update_operator, transform.transform_term, transform.transform_hamiltonian,
+        transform.transform_single_two_codes, transform.adjust_for_segments,
+    ]
+    for fn in functions:
+        assert inspect.signature(fn).parameters["budget"].default == bitmath.DEFAULT_BUDGET, fn
+
+
+@pytest.mark.parametrize("command", ["transform", "verify"])
+def test_run_budget_flag_defaults_to_the_default_budget(monkeypatch, capsys, command):
+    seen = []
+    real = cli.transform_hamiltonian
+
+    def spy(code, h, budget):
+        seen.append(budget)
+        return real(code, h, budget=budget)
+
+    monkeypatch.setattr(cli, "transform_hamiltonian", spy)
+    assert main([command, *H2_ARGS, "--code", "jordan_wigner:4", "--basis", "1-4:2"]) == 0
+    assert seen == [cli.DEFAULT_BUDGET]
 
 
 SEGMENT_ROW = ["--model", "hubbard", "--code", "segment:2:2+segment:2:2"]

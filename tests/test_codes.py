@@ -4,10 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fermicode.bitmath import BitMat, BitVec, BoolPoly
+from fermicode import codes
+from fermicode.bitmath import DEFAULT_BUDGET, BitMat, BitVec, BoolPoly
 from fermicode.codes import (
     BasisSpec,
+    Code,
     binary_addressing_k1,
     binary_addressing_k2,
     binary_switch,
@@ -30,7 +34,13 @@ from fermicode.codes import (
 from fermicode.codes import _table_size
 from fermicode.errors import BudgetError, InputFormatError
 
-from helpers import random_invertible_bitmat
+from helpers import (
+    nonlinear_codes,
+    random_invertible_bitmat,
+    reference_decode_image,
+    reference_is_degenerate_image,
+    reference_validate_code,
+)
 
 
 def anf_evaluator(polys):
@@ -408,6 +418,96 @@ class TestValidation:
         images = decode_image(c)
         assert len(images) == 8
         assert all(nu.weight() % 2 == 0 for nu in images)
+
+
+@pytest.fixture(params=["default", "tiny"])
+def eval_cells(request, monkeypatch):
+    """Run with the default evaluation step, and with 3-cell steps, in which a
+    table of two or more monomials takes one word per step."""
+    if request.param == "tiny":
+        monkeypatch.setattr(codes, "_EVAL_CELLS", 3)
+
+
+def assert_matches_reference(code, spec, budget=DEFAULT_BUDGET, sample=None, seed=0):
+    """``validate_code``, ``decode_image`` and ``is_degenerate_image`` give what
+    the word-by-word reference gives."""
+    report = validate_code(code, spec, budget, sample, seed)
+    assert report == reference_validate_code(code, spec, budget, sample, seed)
+    if 1 << code.n_qubits <= budget:
+        images = decode_image(code, budget)
+        assert images == reference_decode_image(code)
+        for nu in images:
+            assert code.is_degenerate_image(nu) == reference_is_degenerate_image(code, nu)
+    return report
+
+
+@st.composite
+def codes_with_specs(draw):
+    """A nonlinear code or the concatenation of two, with a basis spec that is
+    each part's own basis or other weights over the same modes."""
+    parts, suits, weights = [], [], []
+    for _ in range(draw(st.integers(1, 2))):
+        code, basis = draw(nonlinear_codes())
+        own = sorted({nu.weight() for nu in basis})
+        other = st.lists(st.integers(0, code.n_modes), min_size=1, max_size=3, unique=True)
+        offset = sum(len(suit) for suit in suits)
+        parts.append(code)
+        suits.append(tuple(range(offset + 1, offset + code.n_modes + 1)))
+        weights.append(tuple(draw(st.one_of(st.just(own), other))))
+    code = concat(*parts)
+    return code, BasisSpec(code.n_modes, tuple(suits), tuple(weights))
+
+
+@pytest.mark.usefixtures("eval_cells")
+class TestBatchValidation:
+    # ``eval_cells`` only sets a module constant, which holds for every example.
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(codes_with_specs())
+    def test_random_codes_match_the_reference(self, case):
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize(
+        "code, basis, counts",
+        [
+            # (round-trip failures, stray images, degenerate images)
+            (concat(concat(binary_addressing_k2(2), binary_addressing_k1(2)),
+                    binary_addressing_k2(2)), "1-4:2;5-8:1;9-12:2", (0, 0, 112)),
+            (concat(binary_addressing_k2(2), binary_addressing_k2(2)), "1-4:1,2;5-8:0,1",
+             (50, 36, 16)),
+            (load_code("segment:1:2"), "1-3:0,1;4-6:0,1", (0, 0, 0)),
+            (load_code("segment:1:2"), "1-3:1;4-6:0,1", (0, 4, 0)),
+            (load_code("segment:1:2"), "1-3:0,1,2;4-6:0,1", (12, 0, 0)),
+            (load_code("checksum:4:odd+binary_addressing_k1:2"), "1-4:1,3;5-8:1", (0, 0, 0)),
+        ],
+    )
+    def test_named_codes_match_the_reference(self, code, basis, counts):
+        report = assert_matches_reference(code, parse_basis_spec(basis, code.n_modes))
+        found = (report.round_trip_failures, report.images_outside, report.degenerate_images)
+        assert tuple(map(len, found)) == counts
+
+    def test_sampled_scan_matches_the_reference(self):
+        code = jordan_wigner(24)
+        report = assert_matches_reference(
+            code, BasisSpec.single(24, [1]), budget=1 << 10, sample=200, seed=3
+        )
+        assert report.summary() == (
+            "round_trip=ok images_in_basis=no one_to_one=yes (scanned 200 words, "
+            "0 round-trip failures, 200 stray images, 0 degenerate images)"
+        )
+
+    def test_no_word_by_word_evaluation(self, monkeypatch):
+        code = concat(binary_addressing_k2(2), binary_addressing_k1(2))
+        spec = parse_basis_spec("1-4:1,2;5-8:1", 8)
+        want = (reference_validate_code(code, spec, DEFAULT_BUDGET), reference_decode_image(code))
+
+        def scalar(*args):
+            raise AssertionError("evaluated one vector at a time")
+
+        for name in ("encode_vec", "decode_vec", "in_basis", "is_degenerate_image"):
+            monkeypatch.setattr(Code, name, scalar)
+        assert (validate_code(code, spec), decode_image(code)) == want
 
 
 class TestCodeSpecs:

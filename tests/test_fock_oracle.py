@@ -9,6 +9,8 @@ from fermicode import fock_oracle
 from fermicode.bitmath import BitVec
 from fermicode.codes import (
     BasisSpec,
+    _ints,
+    _words,
     checksum_code,
     enumerate_basis,
     jordan_wigner,
@@ -24,10 +26,8 @@ from fermicode.fock_oracle import (
     _Batch,
     _first_use,
     _image,
-    _ints,
     _pack_strings,
     _pack_terms,
-    _words,
     apply_fermion_term,
     apply_hamiltonian_fock,
     apply_qubit_operator,

@@ -419,9 +419,20 @@ class TestParsing:
             ("1 0 X1\n1 zero Z2\n", "line 2: could not convert string to float: 'zero'"),
             ("1 0 W1\n", "line 1: unknown Pauli letter 'W'"),
             ("1 0 X1*X1\n", "line 1: duplicate qubit 1 in 'X1*X1'"),
+            ("nan 0 X1\n", "line 1: non-finite value 'nan'"),
+            ("1 0 X1\n0 -inf Z2\n", "line 2: non-finite value '-inf'"),
+            ("1_0 0 Z1\n", "line 1: could not convert string to float: '1_0'"),
+            ("1 \u0663 Z1\n", "line 1: could not convert string to float: '\u0663'"),
         ],
     )
     def test_deserialize_names_the_line(self, text, message):
         with pytest.raises(ValueError) as info:
             QubitOperator.deserialize(text, 3)
         assert str(info.value) == message
+
+    def test_deserialize_reads_float_syntax(self):
+        op = QubitOperator.deserialize("1e-3 -2.5E+1 X1\n.5 +1 Z2\n", 2)
+        assert op.terms == {
+            PauliString(2, {1: "X"}): 0.001 - 25j,
+            PauliString(2, {2: "Z"}): 0.5 + 1j,
+        }

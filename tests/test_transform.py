@@ -682,6 +682,15 @@ class TestFermionFiles:
         with pytest.raises(InputFormatError, match="line 2: non-finite"):
             parse_fermion_file(f"1 0 : +1 -1\n{coeff} : +1 -1\n")
 
+    @pytest.mark.parametrize("coeff", ["1_0 0", "\u0663 0", "0 2_5", "1 \uff11"])
+    def test_coefficients_are_ascii_reals(self, coeff):
+        with pytest.raises(InputFormatError, match="line 3: bad coefficient: could not convert"):
+            parse_fermion_file(f"# modes: 2\n1 0 : +1 -1\n{coeff} : +2 -2\n")
+
+    def test_coefficients_take_float_syntax(self):
+        h = parse_fermion_file("1e-3 -2.5E+1 : +1 -1\n.5 +1 : +2 -2\n")
+        assert [t.coeff for t in h.terms] == [0.001 - 25j, 0.5 + 1j]
+
     @pytest.mark.parametrize("header", ["# modes: four", "# modes: -1", "# modes:"])
     def test_bad_mode_header_names_its_line(self, header):
         with pytest.raises(InputFormatError, match="line 2"):

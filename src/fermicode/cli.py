@@ -9,6 +9,9 @@ Subcommands
                  chosen occupation basis
   validate-code  round-trip / decode-image / one-to-one report for a code
 
+Through a segment code, the Hamiltonian as given, in any operator order, is
+dressed by each term's net gain per segment unless ``--no-adjust`` is set.
+
 Exit codes: 0 success, 1 verification or hermiticity failure, 2 input error,
 3 resource budget exceeded.
 """
@@ -43,7 +46,6 @@ from .transform import (
     FermionTerm,
     adjust_for_segments,
     format_fermion_file,
-    normal_order_blocks,
     parse_fermion_file,
     transform_hamiltonian,
 )
@@ -205,8 +207,7 @@ def _cmd_run(args) -> int:
     with open(args.out, "a") if args.out else contextlib.nullcontext() as out:
         prepared = h
         if code.segments and not args.no_adjust:
-            blocked = normal_order_blocks(h)
-            prepared = adjust_for_segments(blocked, code.segments, code.segment_weight, args.budget)
+            prepared = adjust_for_segments(h, code.segments, code.segment_weight, args.budget)
         try:
             hq = transform_hamiltonian(code, prepared, budget=args.budget)
         except NonHermitianError as exc:

@@ -30,12 +30,11 @@ _EVAL_CELLS = 1 << 16
 
 
 def _words(values: list[int], n_bits: int) -> np.ndarray:
-    """Rows of 64-bit limbs, least significant first, one row per int."""
+    """Rows of 64-bit limbs, least significant first, one row per int: a
+    read-only view of each value's little-endian bytes."""
     limbs = max(1, -(-n_bits // 64))
-    out = np.empty((len(values), limbs), dtype=np.uint64)
-    for j in range(limbs):
-        out[:, j] = [(v >> (64 * j)) & 0xFFFF_FFFF_FFFF_FFFF for v in values]
-    return out
+    raw = b"".join(v.to_bytes(8 * limbs, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(values), limbs)
 
 
 def _ints(words: np.ndarray) -> list[int]:

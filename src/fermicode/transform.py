@@ -12,8 +12,8 @@ collapses to Pauli strings over parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
 annihilation pair blocks, the two-code single-operator recipe, and the
-occupation-capping dressing that makes segment codes compatible with
-hopping terms.
+segment dressing, which caps each term once by its net particle gain per
+segment, so that segment codes take terms in any order.
 """
 
 from __future__ import annotations
@@ -340,10 +340,6 @@ def transform_single_two_codes(
 # -- reordering and segment dressing --------------------------------------------
 
 
-def _is_blocked(ops: tuple[tuple[int, bool], ...]) -> bool:
-    return all(d == (idx % 2 == 0) for idx, (_, d) in enumerate(ops))
-
-
 def normal_order_blocks(h: FermionHamiltonian) -> FermionHamiltonian:
     """Rewrite every term into creation/annihilation pair blocks.
 
@@ -382,12 +378,18 @@ def normal_order_blocks(h: FermionHamiltonian) -> FermionHamiltonian:
     return FermionHamiltonian(h.n_modes, tuple(out)).merged()
 
 
-def _capping_factor(segment: tuple[int, ...], weight: int) -> list[tuple[float, tuple]]:
-    """Terms of 1 - sum over weight-sized mode subsets of their number operators."""
+def _cap(segment: tuple[int, ...], weight: int, gain: int) -> list[tuple[float, tuple]]:
+    """Terms of the projector onto at most ``weight - gain`` particles in the
+    segment, exact on states with at most ``weight``: 1 - sum of a_j e_j for
+    j from weight - gain + 1 to weight, where e_j sums the weight-j number
+    products over the segment and a_j = sum of (-1)^(j-r) C(j, r) for r from
+    weight - gain + 1 to j (1 - e_K for a gain of one)."""
+    low = weight - gain + 1
     terms: list[tuple[float, tuple]] = [(1.0, ())]
-    for subset in itertools.combinations(sorted(segment), weight):
-        ops = tuple(op for m in subset for op in ((m, True), (m, False)))
-        terms.append((-1.0, ops))
+    for j in range(low, weight + 1):
+        a = sum((-1) ** (j - r) * math.comb(j, r) for r in range(low, j + 1))
+        for subset in itertools.combinations(sorted(segment), j):
+            terms.append((-float(a), tuple(op for m in subset for op in ((m, True), (m, False)))))
     return terms
 
 
@@ -397,13 +399,15 @@ def adjust_for_segments(
     weight: int,
     budget: int = DEFAULT_BUDGET,
 ) -> FermionHamiltonian:
-    """Dress hops between occupation-capped segments so they cannot overfill.
+    """Dress each term by its net gain g per segment so it cannot overfill one.
 
-    Each c_i^dag c_j block whose modes sit in different segments is wrapped
-    as (1 - sum of weight-K number products over j's segment) on the left
-    and the analogous factor for i's segment on the right; on states with
-    at most K particles per segment this exactly switches off transitions
-    that would exceed the cap, and the dressed pair stays hermitian.
+    g is the term's creations in a segment minus its annihilations there, so
+    terms may come in any order and need not conserve particle number. For
+    g > 0 the projector onto at most K - g particles (K = ``weight``) is a
+    right factor; for g < 0 the projector for -g is a left factor, so a term
+    and its adjoint stay adjoint; a term with |g| > K drops out. On states
+    with at most K particles per segment the dressed term acts as the term
+    with overfilled outputs removed.
 
     The dressed terms are counted before each term's product is built; a
     running total over ``budget`` (default ``DEFAULT_BUDGET``) raises
@@ -417,38 +421,25 @@ def adjust_for_segments(
             seg_of[m] = idx
     out: list[FermionTerm] = []
     for index, term in enumerate(h.terms, start=1):
-        if not _is_blocked(term.ops):
-            raise UnsupportedCodeError(
-                f"term {term} is not in creation/annihilation block form; "
-                "normal-order first"
-            )
-        factor_terms: list[list[tuple[float, tuple]]] = []
-        for b in range(0, len(term.ops), 2):
-            (i, _), (j, _) = term.ops[b], term.ops[b + 1]
-            block = ((i, True), (j, False))
-            si, sj = seg_of.get(i), seg_of.get(j)
-            if i != j and si != sj:
-                left = _capping_factor(segments[sj], weight) if sj is not None else [(1.0, ())]
-                right = _capping_factor(segments[si], weight) if si is not None else [(1.0, ())]
-                dressed = [
-                    (cl * cr, ol + block + orr)
-                    for cl, ol in left
-                    for cr, orr in right
-                ]
-                factor_terms.append(dressed)
-            else:
-                factor_terms.append([(1.0, block)])
-        count = len(out) + math.prod(len(f) for f in factor_terms)
+        gains = [0] * len(segments)
+        for m, dagger in term.ops:
+            if m in seg_of:
+                gains[seg_of[m]] += 1 if dagger else -1
+        if any(abs(g) > weight for g in gains):
+            continue
+        factors = (
+            [_cap(seg, weight, -g) for seg, g in zip(segments, gains) if g < 0]
+            + [[(term.coeff, term.ops)]]
+            + [_cap(seg, weight, g) for seg, g in zip(segments, gains) if g > 0]
+        )
+        count = len(out) + math.prod(len(f) for f in factors)
         if count > budget:
             raise BudgetError(
                 f"segment dressing: term {index} ({term}) brings the dressed terms "
                 f"to {count}, over the budget of {budget}"
             )
-        for combo in itertools.product(*factor_terms):
-            coeff = term.coeff
-            ops: tuple = ()
-            for c, o in combo:
-                coeff *= c
-                ops += o
-            out.append(FermionTerm(coeff, ops))
+        dressed = [(1.0, ())]
+        for factor in factors:
+            dressed = [(c * cf, o + of) for c, o in dressed for cf, of in factor]
+        out += (FermionTerm(c, ops) for c, ops in dressed)
     return FermionHamiltonian(h.n_modes, tuple(out)).merged()

@@ -10,6 +10,8 @@ significant) bit. ``nonlinear_codes`` draws random truth-table codes;
 ``fermicode.codes`` once did.
 """
 
+import functools
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -59,12 +61,37 @@ def dense_creator(n_modes, j):
     return dense_annihilator(n_modes, j).conj().T
 
 
+@functools.lru_cache(maxsize=64)
+def _ladder_columns(n_modes, mode, dagger):
+    """Row and value of the one nonzero (or a zero) in each column of a ladder
+    operator's dense matrix."""
+    m = dense_creator(n_modes, mode) if dagger else dense_annihilator(n_modes, mode)
+    rows = np.abs(m).argmax(axis=0)
+    return rows, m[rows, np.arange(len(rows))]
+
+
+def _term_columns(n_modes, term):
+    """Row and value of the one nonzero (or a zero) in each column of a
+    FermionTerm's dense matrix (leftmost operator applied last).
+
+    Every ladder matrix has at most one nonzero per column, and so has their
+    product: column c of ``A @ B`` is column ``rows_B[c]`` of A scaled by
+    ``values_B[c]``.
+    """
+    dim = 1 << n_modes
+    rows, values = np.arange(dim), np.full(dim, term.coeff, dtype=complex)
+    for mode, dagger in reversed(term.ops):
+        op_rows, op_values = _ladder_columns(n_modes, mode, dagger)
+        rows, values = op_rows[rows], op_values[rows] * values
+    return rows, values
+
+
 def dense_fermion_term(n_modes, term):
     """Dense matrix of a FermionTerm (leftmost operator applied last)."""
     dim = 1 << n_modes
-    out = np.eye(dim, dtype=complex) * term.coeff
-    for mode, dagger in term.ops:
-        out = out @ (dense_creator(n_modes, mode) if dagger else dense_annihilator(n_modes, mode))
+    rows, values = _term_columns(n_modes, term)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[rows, np.arange(dim)] = values
     return out
 
 
@@ -72,7 +99,8 @@ def dense_fermion_hamiltonian(h):
     dim = 1 << h.n_modes
     out = np.zeros((dim, dim), dtype=complex)
     for t in h.terms:
-        out += dense_fermion_term(h.n_modes, t)
+        rows, values = _term_columns(h.n_modes, t)
+        out[rows, np.arange(dim)] += values
     return out
 
 

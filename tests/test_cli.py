@@ -130,6 +130,17 @@ class TestTransformCommand:
         assert rc == 0
         assert capsys.readouterr().out.startswith("qubits=1 terms=2 gates=1")
 
+    @pytest.mark.parametrize("body, stats", [
+        ("1 0 : +1 +6 -6 -1\n", "qubits=4 terms=16 gates=32"),  # not in block form
+        ("1 0 : +1 +4\n1 0 : -4 -1\n", "qubits=4 terms=8 gates=24"),  # pair creation
+    ])
+    def test_segment_input_is_dressed_as_given(self, tmp_path, capsys, body, stats):
+        path = tmp_path / "h.txt"
+        path.write_text("# modes: 6\n" + body)
+        rc = main(["transform", "--hamiltonian", str(path), "--code", "segment:1:2"])
+        assert rc == 0
+        assert capsys.readouterr().out == stats + "\n"
+
 
 class TestVerifyCommand:
     def test_h2_verify_passes(self, tmp_path, capsys, h2_code_file):
@@ -160,6 +171,20 @@ class TestVerifyCommand:
         assert rc == 0
         assert "status=pass" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize("basis, states", [("1-3:0,1;4-6:0,1", 16), ("1-3:1;4-6:1", 9)])
+    def test_two_block_terms_keep_segment_counts(self, tmp_path, capsys, basis, states):
+        # Each term moves a particle out of and into both segments, so no
+        # segment's count changes and the dressing leaves both terms as given.
+        path = tmp_path / "h.txt"
+        path.write_text("# modes: 6\n1 0 : +4 -1 +2 -5\n1 0 : +5 -2 +1 -4\n")
+        rc = main([
+            "verify", "--hamiltonian", str(path), "--code", "segment:1:2", "--basis", basis,
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            f"status=pass states={states} max_deviation=0 failures=0\n"
+        )
 
     def test_report_checks_the_input_hamiltonian(self, monkeypatch, capsys):
         # A dressing fault must reach the report: scale every dressed term

@@ -31,7 +31,7 @@ from fermicode.codes import (
     segment_subcode,
     validate_code,
 )
-from fermicode.codes import _table_size
+from fermicode.codes import _ints, _table_size, _words
 from fermicode.errors import BudgetError, InputFormatError
 
 from helpers import (
@@ -456,6 +456,18 @@ def codes_with_specs(draw):
         weights.append(tuple(draw(st.one_of(st.just(own), other))))
     code = concat(*parts)
     return code, BasisSpec(code.n_modes, tuple(suits), tuple(weights))
+
+
+@pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 8192])
+def test_words_round_trip(n_bits):
+    rng = random.Random(n_bits)
+    values = [0, 1, (1 << n_bits) - 1, 1 << (n_bits - 1)]
+    values += [rng.getrandbits(n_bits) for _ in range(20)]
+    words = _words(values, n_bits)
+    assert words.shape == (len(values), -(-n_bits // 64))
+    assert _ints(words) == values
+    # limbs run least significant first
+    assert words[1, 0] == 1 and not words[1, 1:].any()
 
 
 @pytest.mark.usefixtures("eval_cells")

@@ -572,12 +572,78 @@ class TestSegmentAdjustment:
             m = dense_fermion_hamiltonian(dressed)
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
-    def test_requires_blocked_input(self):
-        h = FermionHamiltonian(
-            10, (FermionTerm.of(1.0, (1, True), (6, True), (6, False), (1, False)),)
+    def test_unblocked_term_is_dressed(self):
+        # c6 c5^dag c1^dag c1 gains one particle in A and loses one in B; out
+        # of block form it takes the same caps, so it acts as its
+        # normal-ordered form dressed.
+        term = FermionTerm.of(0.5, (6, False), (5, True), (1, True), (1, False))
+        h = FermionHamiltonian(10, (term, _adjoint(term)))
+        dressed = adjust_for_segments(h, self.SEGMENTS, 2)
+        assert dressed.terms[0] == term
+        assert len(dressed.terms) == 2 * 11 * 11
+        assert np.array_equal(
+            dense_fermion_hamiltonian(dressed),
+            dense_fermion_hamiltonian(adjust_for_segments(normal_order_blocks(h), self.SEGMENTS, 2)),
         )
-        with pytest.raises(UnsupportedCodeError):
-            adjust_for_segments(h, self.SEGMENTS, 2)
+
+    def test_gain_of_two_needs_room_for_two(self):
+        # c1^dag c2^dag gains two in A, so with K = 2 it acts only where A is empty.
+        from fermicode.fock_oracle import FockStateVector, apply_hamiltonian_fock
+
+        pair = FermionTerm.of(1.0, (1, True), (2, True))
+        dressed = adjust_for_segments(FermionHamiltonian(10, (pair,)), self.SEGMENTS, 2)
+        for occ, want in [("0000000000", {BitVec("1100000000"): 1.0}),
+                          ("0010000000", {}),
+                          ("0000010000", {BitVec("1100010000"): 1.0})]:
+            out = apply_hamiltonian_fock(dressed, FockStateVector.basis_state(BitVec(occ)))
+            assert out.amplitudes == want, occ
+
+    def test_gain_above_weight_drops_out(self):
+        # Three creations in A cannot act on states with at most two there.
+        fill = FermionTerm.of(1.0, (1, True), (2, True), (3, True))
+        hop = FermionHamiltonian(10, (FermionTerm.of(1.0, (1, True), (6, False)),))
+        h = FermionHamiltonian(10, (fill, _adjoint(fill)) + hop.terms)
+        assert adjust_for_segments(h, self.SEGMENTS, 2).terms == (
+            adjust_for_segments(hop, self.SEGMENTS, 2).terms
+        )
+
+
+def _adjoint(term):
+    return FermionTerm.of(term.coeff.conjugate(), *((m, not d) for m, d in reversed(term.ops)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dressing_acts_as_the_projected_hamiltonian(data):
+    # Ladder products in any order and of any particle change, each with its
+    # adjoint: the dressed Hamiltonian is hermitian on the full Fock space, on
+    # states with at most K particles per segment it acts as the raw one with
+    # overfilled outputs removed, and its image verifies on that basis.
+    weight = data.draw(st.integers(1, 2))
+    code = segment_code(weight, data.draw(st.integers(1, 3 if weight == 1 else 2)))
+    n = code.n_modes
+    products = st.lists(st.tuples(st.integers(1, n), st.booleans()), min_size=1, max_size=4)
+    coeffs = st.sampled_from([1.0, -0.5, 0.25 + 0.75j])
+    terms = []
+    for ops, coeff in data.draw(st.lists(st.tuples(products, coeffs), min_size=1, max_size=2)):
+        term = FermionTerm.of(coeff, *ops)
+        terms += [term, _adjoint(term)]
+    h = FermionHamiltonian(n, tuple(terms))
+    dressed = adjust_for_segments(h, code.segments, weight)
+    m = dense_fermion_hamiltonian(dressed)
+    assert np.max(np.abs(m - m.conj().T), initial=0.0) < 1e-12
+    states = np.arange(1 << n)
+    counts = [sum(states >> (j - 1) & 1 for j in seg) for seg in code.segments]
+    capped = np.all([c <= weight for c in counts], axis=0)
+    raw = dense_fermion_hamiltonian(h)[:, capped]
+    raw[~capped] = 0
+    assert np.allclose(m[:, capped], raw, atol=1e-12)
+    hq = transform_hamiltonian(code, dressed)
+    spec = ";".join(
+        f"{seg[0]}-{seg[-1]}:{','.join(map(str, range(weight + 1)))}" for seg in code.segments
+    )
+    basis = enumerate_basis(parse_basis_spec(spec, n))
+    assert verify_equivalence(code, dressed, hq, basis).status == "pass"
 
 
 class TestHamiltonianTransform:

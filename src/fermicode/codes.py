@@ -27,6 +27,9 @@ from .errors import BudgetError, DimensionError, InputFormatError, UnsupportedCo
 # (monomial, word) cells one evaluation step holds, a few dozen bytes of
 # temporaries each; 2^18 cells ran up to a quarter faster at 4x the memory.
 _EVAL_CELLS = 1 << 16
+# Code words ``validate_code`` scans at once; their rows, images and checks
+# are dropped before the next chunk, so the scan's memory does not grow with 2^n.
+_SCAN_WORDS = 1 << 12
 
 
 def _words(values: list[int], n_bits: int) -> np.ndarray:
@@ -620,7 +623,7 @@ def validate_code(
 
     total = 1 << code.n_qubits
     if total <= budget:
-        words = list(range(total))
+        words = range(total)
     elif sample is not None:
         rng = random.Random(seed)
         words = [rng.randrange(total) for _ in range(sample)]
@@ -629,16 +632,19 @@ def validate_code(
             f"2**{code.n_qubits} code words exceed budget {budget}; pass a sample size"
         )
 
-    scanned = _words(words, code.n_qubits)
-    images = code.decode_words(scanned)
     declared = {nu.value for nu in basis}
-    stray = [i for i, v in enumerate(_ints(images)) if v not in declared]
     outside, degenerate = [], []
-    flags = code.degenerate_rows(images[stray]).tolist()
-    for i, v, is_degenerate in zip(stray, _ints(images[stray]), flags):
-        pair = (BitVec.from_int(words[i], code.n_qubits), BitVec.from_int(v, code.n_modes))
-        (degenerate if is_degenerate else outside).append(pair)
-    one_to_one = bool((code.encode_words(images) == scanned).all())
+    one_to_one = True
+    for c0 in range(0, len(words), _SCAN_WORDS):
+        chunk = words[c0 : c0 + _SCAN_WORDS]
+        scanned = _words(chunk, code.n_qubits)
+        images = code.decode_words(scanned)
+        stray = [i for i, v in enumerate(_ints(images)) if v not in declared]
+        flags = code.degenerate_rows(images[stray]).tolist()
+        for i, v, is_degenerate in zip(stray, _ints(images[stray]), flags):
+            pair = (BitVec.from_int(chunk[i], code.n_qubits), BitVec.from_int(v, code.n_modes))
+            (degenerate if is_degenerate else outside).append(pair)
+        one_to_one &= bool((code.encode_words(images) == scanned).all())
     return ValidationReport(failures, outside, degenerate, one_to_one, len(words))
 
 

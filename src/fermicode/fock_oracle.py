@@ -6,20 +6,24 @@ ladder product a check that the touched modes start at the occupations it
 needs. Each term or string is packed once into such an item
 (``_pack_terms``/``_pack_strings``), and two kernels apply item lists:
 
-- ``_image`` maps one basis word, as Python ints. The single-state helpers
+- ``_image`` maps one basis word, as Python ints, to its targets in the
+  order its acting items meet them. The single-state helpers
   (``apply_fermion_term``, ``apply_hamiltonian_fock``,
   ``apply_qubit_operator``) use it; they are called one state at a time,
-  where arrays would only add overhead.
+  where arrays would only add overhead. It also answers every question of
+  order: the targets an escape detail or a ``fock_matrix`` error names.
 - ``_amplitudes`` maps a block of basis words at once, as numpy arrays of
-  64-bit limbs (one limb up to 64 modes or qubits). Items with the same
-  flip send a state to the same target, so each (state, flip) amplitude is
-  one ``np.add.at`` cell that adds the acting items in packed order, the
-  sum ``_image`` forms. ``verify_equivalence`` and ``fock_matrix`` use it.
+  64-bit limbs (one limb up to 64 modes or qubits), and says only which
+  amplitude goes to which flip group. Items with the same flip send a state
+  to the same target, so each (state, flip) amplitude is one ``np.add.at``
+  cell that adds the acting items in packed order, the sum ``_image``
+  forms. ``verify_equivalence`` and ``fock_matrix`` use it.
 
 Verification encodes each fermionic image and compares it amplitude by
-amplitude with the qubit-side action, flagging Hamiltonians whose image
-leaves the encoded basis. Encoding and the escape check ``d(e(k)) = k`` use
-the code's own cached evaluator, ``Code.encode_words``/``decode_words``.
+amplitude with the qubit-side action. It flags basis states that are not in
+the code space (``d(e(v)) != v``) and Hamiltonians whose image leaves it.
+Encoding and the round-trip checks use the code's own cached evaluator,
+``Code.encode_words``/``decode_words``.
 """
 
 from __future__ import annotations
@@ -113,55 +117,28 @@ class _Batch:
         self.coeff = np.array([it[4] for it in items], dtype=complex)
 
 
-def _acts(w: np.ndarray, b: _Batch, items: slice) -> np.ndarray:
-    """Whether each item of ``items`` acts on each state word of ``w[:, None]``."""
-    return ((w & b.care[items]) == b.want[items]).all(axis=2)
+def _amplitudes(words: np.ndarray, b: _Batch) -> np.ndarray:
+    """``out[s, g]``: amplitude state ``s`` sends to ``words[s] ^ b.flips[g]``.
 
-
-def _scatter(out: np.ndarray, words: np.ndarray, b: _Batch, ufunc, values) -> np.ndarray:
-    """Fold ``values(w, items)`` into ``out[state, group]`` with ``ufunc.at``.
-
-    ``ufunc.at`` applies the values one by one in index order, and a state's
-    items are visited in packed order, so each cell folds its items in the
-    order ``_image`` meets them. A step covers about ``_CELLS`` cells.
+    The batch form of ``_image``: an acting item adds ``c (-1)^|w & z|``.
+    ``np.add.at`` adds in index order and a state's items are visited in
+    packed order, so each cell sums its items in the order ``_image`` does,
+    bit for bit. A step covers about ``_CELLS`` cells.
     """
+    out = np.zeros((len(words), len(b.flips)), dtype=complex)
     flat = out.reshape(-1)
     tile = min(max(len(b.coeff), 1), _CELLS)
     step = _CELLS // tile
     for i0 in range(0, len(b.coeff), tile):
         items = slice(i0, i0 + tile)
+        c = b.coeff[items]
         for r0 in range(0, len(words), step):
             w = words[r0 : r0 + step, None]
+            acts = ((w & b.care[items]) == b.want[items]).all(axis=2)
+            odd = np.bitwise_xor.reduce(np.bitwise_count(w & b.z[items]), axis=2) & 1
             cells = np.arange(r0, r0 + len(w))[:, None] * out.shape[1] + b.group[items]
-            ufunc.at(flat, cells.ravel(), values(w, items).ravel())
+            np.add.at(flat, cells.ravel(), np.where(acts, np.where(odd, -c, c), 0.0).ravel())
     return out
-
-
-def _amplitudes(words: np.ndarray, b: _Batch) -> np.ndarray:
-    """``out[s, g]``: amplitude state ``s`` sends to ``words[s] ^ b.flips[g]``.
-
-    The batch form of ``_image``: an acting item adds ``c (-1)^|w & z|``;
-    the sums are the ones ``_image`` forms, bit for bit.
-    """
-
-    def values(w, items):
-        odd = np.bitwise_xor.reduce(np.bitwise_count(w & b.z[items]), axis=2) & 1
-        c = b.coeff[items]
-        return np.where(_acts(w, b, items), np.where(odd, -c, c), 0.0)
-
-    return _scatter(np.zeros((len(words), len(b.flips)), dtype=complex), words, b, np.add, values)
-
-
-def _first_use(words: np.ndarray, b: _Batch) -> np.ndarray:
-    """``out[s, g]``: packed position of the first item of group ``g`` acting on
-    state ``s`` (``len(b.coeff)`` if none), the order ``_image`` meets targets in."""
-    n = len(b.coeff)
-    rank = np.arange(n)
-
-    def values(w, items):
-        return np.where(_acts(w, b, items), rank[items], n)
-
-    return _scatter(np.full((len(words), len(b.flips)), n), words, b, np.minimum, values)
 
 
 def _lookup(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -275,45 +252,49 @@ def verify_equivalence(
     """Check that the qubit operator replicates the Hamiltonian on the basis.
 
     For every basis vector v the fermionic image of |v> is computed exactly;
-    if any component falls outside the code's encoded set the Hamiltonian is
-    incompatible with the code (its action cannot be represented). Otherwise
-    the encoded image is compared with the qubit operator applied to |e(v)>.
-    States are checked a block at a time; only the per-state deviation and
-    the report lists outlive a block.
+    if v itself does not round-trip (d(e(v)) != v), or any component of its
+    image falls outside the code's encoded set, the Hamiltonian is
+    incompatible with the code on this basis (its action cannot be
+    represented). Otherwise the encoded image is compared with the qubit
+    operator applied to |e(v)>. States are checked a block at a time; only
+    the per-state deviation and the report lists outlive a block.
     """
     if h.n_modes != code.n_modes or hq.n != code.n_qubits:
         raise DimensionError("code, Hamiltonian, and operator sizes must agree")
-    terms = _Batch(_pack_terms(h.terms), code.n_modes)
+    items = _pack_terms(h.terms)
+    terms = _Batch(items, code.n_modes)
     strings = _Batch(_pack_strings(hq), code.n_qubits)
     words = _words([nu.value for nu in basis], code.n_modes)
+    encoded = code.encode_words(words)
+    decoded = code.decode_words(encoded)
+    escaped = (decoded != words).any(axis=1)
     dev = np.zeros(len(basis))
-    escaped = np.zeros(len(basis), dtype=bool)
     escapes: list[dict] = []
     block = max(1, _CELLS // max(len(terms.flips), len(strings.flips), 1))
     for r0 in range(0, len(basis), block):
-        w = words[r0 : r0 + block]
+        w, ew = words[r0 : r0 + block], encoded[r0 : r0 + block]
         amp = _amplitudes(w, terms)
         s, g = np.nonzero(np.abs(amp) > 1e-13)
         image = w[s] ^ terms.flips[g]
         ek = code.encode_words(image)
         outside = ~(code.decode_words(ek) == image).all(axis=1)
-        if outside.any():
-            rows = np.unique(s[outside])
-            escaped[r0 + rows] = True
-            for row, first in zip(rows.tolist(), _first_use(w[rows], terms)):
-                bad = g[outside & (s == row)]
-                bad = bad[np.argsort(first[bad])][:4]
-                at = (BitVec.from_int(k, code.n_modes) for k in _ints(w[row] ^ terms.flips[bad]))
-                escapes.append(
-                    {
-                        "nu": str(basis[r0 + row]),
-                        "detail": "image leaves the encoded basis at " + ", ".join(map(str, at)),
-                    }
-                )
+        bad: dict[int, set[int]] = {}
+        for row, k in zip(s[outside].tolist(), _ints(image[outside])):
+            bad.setdefault(row, set()).add(k)
+        stray = set(np.flatnonzero(escaped[r0 : r0 + block]).tolist())
+        for row in sorted(bad.keys() | stray):
+            nu = basis[r0 + row]
+            if row in stray:
+                at = BitVec.from_int(_ints(decoded[[r0 + row]])[0], nu.n)
+                detail = f"state is outside the encoded basis (it decodes as {at})"
+            else:
+                at = [BitVec.from_int(k, nu.n) for k in _image(nu.value, items) if k in bad[row]]
+                detail = "image leaves the encoded basis at " + ", ".join(map(str, at[:4]))
+            escapes.append({"nu": str(nu), "detail": detail})
+            escaped[r0 + row] = True
         # The qubit-side image of e(v) minus the encoded fermionic one. The
         # images of an in-basis state encode to distinct words, so each is
         # subtracted once; an image the qubit side misses counts in full.
-        ew = code.encode_words(w)
         diff = _amplitudes(ew, strings)
         hit = _lookup(strings.flips, ek ^ ew[s])
         found = hit >= 0
@@ -377,7 +358,8 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
     """Dense matrix of the Hamiltonian over an occupation basis list."""
     if any(nu.n != h.n_modes for nu in basis):
         raise DimensionError("mode count mismatch")
-    terms = _Batch(_pack_terms(h.terms), h.n_modes)
+    items = _pack_terms(h.terms)
+    terms = _Batch(items, h.n_modes)
     words = _words([nu.value for nu in basis], h.n_modes)
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     block = max(1, _CELLS // max(len(terms.flips), 1))
@@ -385,14 +367,15 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
         w = words[c0 : c0 + block]
         amp = _amplitudes(w, terms)
         s, g = np.nonzero(np.abs(amp) > 1e-15)
-        row = _lookup(words, w[s] ^ terms.flips[g])
+        image = w[s] ^ terms.flips[g]
+        row = _lookup(words, image)
         if (row < 0).any():
             col = s[row < 0][0]
-            bad = g[(row < 0) & (s == col)]
-            first = _first_use(w[col : col + 1], terms)[0]
-            (k,) = _ints(w[col : col + 1] ^ terms.flips[bad[np.argmin(first[bad])]])
+            nu = basis[c0 + col]
+            missing = set(_ints(image[(row < 0) & (s == col)]))
+            k = next(k for k in _image(nu.value, items) if k in missing)
             raise ValueError(
-                f"Hamiltonian maps {basis[c0 + col]} outside the given basis "
+                f"Hamiltonian maps {nu} outside the given basis "
                 f"(to {BitVec.from_int(k, h.n_modes)})"
             )
         out[row, c0 + s] = amp[s, g]

@@ -186,6 +186,20 @@ class TestVerifyCommand:
             f"status=pass states={states} max_deviation=0 failures=0\n"
         )
 
+    def test_basis_states_outside_the_code_are_incompatible(self, tmp_path, capsys):
+        # Two particles in a K = 1 segment do not round-trip through the code,
+        # so the check is void there, not a fault of the transform.
+        path = tmp_path / "h.txt"
+        path.write_text("# modes: 6\n1 0 : +4 -1\n1 0 : +1 -4\n")
+        rc = main([
+            "verify", "--hamiltonian", str(path), "--code", "segment:1:2",
+            "--basis", "1-3:2;4-6:0",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "status=incompatible states=3 max_deviation=0 failures=3\n"
+        )
+
     def test_report_checks_the_input_hamiltonian(self, monkeypatch, capsys):
         # A dressing fault must reach the report: scale every dressed term
         # that spans two segments by 1.5, which keeps the Hamiltonian hermitian.

@@ -470,6 +470,19 @@ def test_words_round_trip(n_bits):
     assert words[1, 0] == 1 and not words[1, 1:].any()
 
 
+NAMED_CASES = [
+    # (round-trip failures, stray images, degenerate images)
+    (concat(concat(binary_addressing_k2(2), binary_addressing_k1(2)),
+            binary_addressing_k2(2)), "1-4:2;5-8:1;9-12:2", (0, 0, 112)),
+    (concat(binary_addressing_k2(2), binary_addressing_k2(2)), "1-4:1,2;5-8:0,1",
+     (50, 36, 16)),
+    (load_code("segment:1:2"), "1-3:0,1;4-6:0,1", (0, 0, 0)),
+    (load_code("segment:1:2"), "1-3:1;4-6:0,1", (0, 4, 0)),
+    (load_code("segment:1:2"), "1-3:0,1,2;4-6:0,1", (12, 0, 0)),
+    (load_code("checksum:4:odd+binary_addressing_k1:2"), "1-4:1,3;5-8:1", (0, 0, 0)),
+]
+
+
 @pytest.mark.usefixtures("eval_cells")
 class TestBatchValidation:
     # ``eval_cells`` only sets a module constant, which holds for every example.
@@ -480,20 +493,7 @@ class TestBatchValidation:
     def test_random_codes_match_the_reference(self, case):
         assert_matches_reference(*case)
 
-    @pytest.mark.parametrize(
-        "code, basis, counts",
-        [
-            # (round-trip failures, stray images, degenerate images)
-            (concat(concat(binary_addressing_k2(2), binary_addressing_k1(2)),
-                    binary_addressing_k2(2)), "1-4:2;5-8:1;9-12:2", (0, 0, 112)),
-            (concat(binary_addressing_k2(2), binary_addressing_k2(2)), "1-4:1,2;5-8:0,1",
-             (50, 36, 16)),
-            (load_code("segment:1:2"), "1-3:0,1;4-6:0,1", (0, 0, 0)),
-            (load_code("segment:1:2"), "1-3:1;4-6:0,1", (0, 4, 0)),
-            (load_code("segment:1:2"), "1-3:0,1,2;4-6:0,1", (12, 0, 0)),
-            (load_code("checksum:4:odd+binary_addressing_k1:2"), "1-4:1,3;5-8:1", (0, 0, 0)),
-        ],
-    )
+    @pytest.mark.parametrize("code, basis, counts", NAMED_CASES)
     def test_named_codes_match_the_reference(self, code, basis, counts):
         report = assert_matches_reference(code, parse_basis_spec(basis, code.n_modes))
         found = (report.round_trip_failures, report.images_outside, report.degenerate_images)
@@ -508,6 +508,18 @@ class TestBatchValidation:
             "round_trip=ok images_in_basis=no one_to_one=yes (scanned 200 words, "
             "0 round-trip failures, 200 stray images, 0 degenerate images)"
         )
+
+    def test_chunked_scan_gives_the_same_report(self, monkeypatch):
+        # 3-word chunks split every scan, the 200-word sample unevenly.
+        cases = [
+            (code, parse_basis_spec(basis, code.n_modes), {}) for code, basis, _ in NAMED_CASES
+        ]
+        cases.append(
+            (jordan_wigner(24), BasisSpec.single(24, [1]), {"budget": 1 << 10, "sample": 200})
+        )
+        want = [validate_code(code, spec, **kw) for code, spec, kw in cases]
+        monkeypatch.setattr(codes, "_SCAN_WORDS", 3)
+        assert [validate_code(code, spec, **kw) for code, spec, kw in cases] == want
 
     def test_no_word_by_word_evaluation(self, monkeypatch):
         code = concat(binary_addressing_k2(2), binary_addressing_k1(2))

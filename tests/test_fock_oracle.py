@@ -24,7 +24,6 @@ from fermicode.fock_oracle import (
     QubitStateVector,
     _amplitudes,
     _Batch,
-    _first_use,
     _image,
     _pack_strings,
     _pack_terms,
@@ -122,17 +121,16 @@ WIDTHS = (1, 2, 3, 5, 8, 13, 31, 63, 64, 65, 70)
 
 
 def assert_batch_matches_image(items, n, states):
-    """Per state, the batch kernel's targets, amplitudes and first-appearance
-    order equal the dict ``_image`` builds, zero sums included."""
+    """Per state, the batch kernel gives each target ``_image`` returns, zero
+    sums included, exactly ``_image``'s amplitude, and every other flip group 0."""
     b = _Batch(items, n)
     words = _words(states, n)
     amp = _amplitudes(words, b).tolist()
-    first = _first_use(words, b).tolist()
     for s, word in enumerate(states):
-        acting = sorted((r, g) for g, r in enumerate(first[s]) if r < len(items))
-        targets = _ints(words[s] ^ b.flips[[g for _, g in acting]])
-        got = [(k, amp[s][g]) for k, (_, g) in zip(targets, acting)]
-        assert got == list(_image(word, items).items())
+        image = _image(word, items)
+        targets = _ints(words[s] ^ b.flips)
+        assert {k: amp[s][g] for g, k in enumerate(targets) if k in image} == image
+        assert all(amp[s][g] == 0 for g, k in enumerate(targets) if k not in image)
 
 
 @pytest.fixture(params=["default", "tiny"])
@@ -374,6 +372,69 @@ class TestEquivalence:
             {"nu": "0010001000", "detail": "amplitude deviation 0.04"},
             {"nu": "0000000011", "detail": "amplitude deviation 0.04"},
         ]
+
+    def test_states_outside_the_code_are_escapes(self):
+        # Two particles in a K = 1 segment: e(v) encodes another state, so the
+        # comparison there says nothing about the transform. Every image stays
+        # in V, so only the states themselves make the report incompatible.
+        code = segment_code(1, 2)
+        h = FermionHamiltonian(
+            6, tuple(FermionTerm.of(1.0, (j, True), (i, False)) for i, j in ((1, 4), (4, 1)))
+        )
+        hq = transform_hamiltonian(code, adjust_for_segments(h, code.segments, 1))
+        basis = enumerate_basis(BasisSpec(6, ((1, 2, 3), (4, 5, 6)), ((1, 2), (0,))))
+        items = _pack_terms(h.terms)
+        assert all(
+            code.in_basis(BitVec.from_int(k, 6)) for nu in basis for k in _image(nu.value, items)
+        )
+        report = verify_equivalence(code, h, hq, basis)
+        outside = "state is outside the encoded basis (it decodes as {})"
+        assert (report.status, report.states_checked, report.max_deviation) == (
+            "incompatible", 6, 0.0
+        )
+        assert report.failures == [
+            {"nu": "011000", "detail": outside.format("100000")},
+            {"nu": "101000", "detail": outside.format("010000")},
+            {"nu": "110000", "detail": outside.format("001000")},
+        ]
+
+    def test_escapes_past_64_modes_list_targets_in_image_order(self):
+        # Segments 61-63, 64-66 and 67-69 each hold one particle; hops between
+        # them overfill a segment, and modes 65 and 66 lie past bit 64. The
+        # (1 - n_j)-conditioned hops come first, so where they do not act
+        # their targets are met later, by the plain hops.
+        rng = random.Random(53)
+        code = segment_code(1, 24)
+        n = code.n_modes
+        pairs = [(i, j) for i in (61, 62, 63) for j in (64, 65, 66)]
+        pairs += [(i, j) for i in (64, 65, 66) for j in (67, 68, 69)]
+        terms = []
+        for i, j in rng.sample(pairs, 6):
+            k = rng.choice((67, 68, 69))
+            terms.append(FermionTerm.of(0.5, (j, True), (k, False), (k, True), (i, False)))
+        for i, j in rng.sample(pairs, len(pairs)):
+            c = rng.uniform(0.5, 1.5)
+            terms.append(FermionTerm.of(c, (j, True), (i, False)))
+            terms.append(FermionTerm.of(c, (i, True), (j, False)))
+        h = FermionHamiltonian(n, tuple(terms))
+        suits = (tuple(range(1, 61)), (61, 62, 63), (64, 65, 66), (67, 68, 69), (70, 71, 72))
+        basis = enumerate_basis(BasisSpec(n, suits, ((0,), (1,), (1,), (1,), (0,))))
+        report = verify_equivalence(code, h, QubitOperator.zero(code.n_qubits), basis)
+        assert (report.status, len(report.failures)) == ("incompatible", len(basis))
+        items = _pack_terms(h.terms)
+        unsorted = 0
+        for nu, f in zip(basis, report.failures):
+            image = _image(nu.value, items)
+            at = [k for k, a in image.items() if abs(a) > 1e-13]
+            at = [k for k in at if not code.in_basis(BitVec.from_int(k, n))][:4]
+            assert any(k >> 64 for k in at)
+            assert f == {
+                "nu": str(nu),
+                "detail": "image leaves the encoded basis at "
+                + ", ".join(str(BitVec.from_int(k, n)) for k in at),
+            }
+            unsorted += at != sorted(at)
+        assert unsorted
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_seventy_mode_chain(self, k):

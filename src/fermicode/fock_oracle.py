@@ -268,30 +268,33 @@ def verify_equivalence(
     encoded = code.encode_words(words)
     decoded = code.decode_words(encoded)
     escaped = (decoded != words).any(axis=1)
+    # Report entries by basis index. A state outside the code space is
+    # reported as such and never passed through the kernels.
+    escapes: dict[int, dict] = {}
+    for i, k in zip(np.flatnonzero(escaped).tolist(), _ints(decoded[escaped])):
+        at = BitVec.from_int(k, basis[i].n)
+        detail = f"state is outside the encoded basis (it decodes as {at})"
+        escapes[i] = {"nu": str(basis[i]), "detail": detail}
+    inside = np.flatnonzero(~escaped)
     dev = np.zeros(len(basis))
-    escapes: list[dict] = []
     block = max(1, _CELLS // max(len(terms.flips), len(strings.flips), 1))
-    for r0 in range(0, len(basis), block):
-        w, ew = words[r0 : r0 + block], encoded[r0 : r0 + block]
+    for r0 in range(0, len(inside), block):
+        rows = inside[r0 : r0 + block]
+        w, ew = words[rows], encoded[rows]
         amp = _amplitudes(w, terms)
         s, g = np.nonzero(np.abs(amp) > 1e-13)
         image = w[s] ^ terms.flips[g]
         ek = code.encode_words(image)
         outside = ~(code.decode_words(ek) == image).all(axis=1)
         bad: dict[int, set[int]] = {}
-        for row, k in zip(s[outside].tolist(), _ints(image[outside])):
+        for row, k in zip(rows[s[outside]].tolist(), _ints(image[outside])):
             bad.setdefault(row, set()).add(k)
-        stray = set(np.flatnonzero(escaped[r0 : r0 + block]).tolist())
-        for row in sorted(bad.keys() | stray):
-            nu = basis[r0 + row]
-            if row in stray:
-                at = BitVec.from_int(_ints(decoded[[r0 + row]])[0], nu.n)
-                detail = f"state is outside the encoded basis (it decodes as {at})"
-            else:
-                at = [BitVec.from_int(k, nu.n) for k in _image(nu.value, items) if k in bad[row]]
-                detail = "image leaves the encoded basis at " + ", ".join(map(str, at[:4]))
-            escapes.append({"nu": str(nu), "detail": detail})
-            escaped[r0 + row] = True
+        for i, targets in bad.items():
+            nu = basis[i]
+            at = [BitVec.from_int(k, nu.n) for k in _image(nu.value, items) if k in targets]
+            detail = "image leaves the encoded basis at " + ", ".join(map(str, at[:4]))
+            escapes[i] = {"nu": str(nu), "detail": detail}
+            escaped[i] = True
         # The qubit-side image of e(v) minus the encoded fermionic one. The
         # images of an in-basis state encode to distinct words, so each is
         # subtracted once; an image the qubit side misses counts in full.
@@ -301,14 +304,15 @@ def verify_equivalence(
         diff[s[found], hit[found]] -= amp[s[found], g[found]]
         d = np.abs(diff).max(axis=1, initial=0.0)
         np.maximum.at(d, s[~found], np.abs(amp[s[~found], g[~found]]))
-        dev[r0 : r0 + block] = d
+        dev[rows] = d
     failures = [
         {"nu": str(basis[i]), "detail": f"amplitude deviation {dev[i]:.3g}"}
         for i in np.flatnonzero(~escaped & (dev > tol)).tolist()
     ]
     max_dev = float(dev[~escaped].max(initial=0.0))
     if escapes:
-        return EquivalenceReport("incompatible", max_dev, escapes + failures, len(basis))
+        listed = [escapes[i] for i in sorted(escapes)]
+        return EquivalenceReport("incompatible", max_dev, listed + failures, len(basis))
     status = "pass" if not failures else "fail"
     return EquivalenceReport(status, max_dev, failures, len(basis))
 

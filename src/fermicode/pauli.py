@@ -13,10 +13,13 @@ a constant mask or a code's ``(encode, decode, q)``, standing for
 ``eps(w) = encode(decode(w) + q) + w``. Affine parts multiply as Z-strings;
 the nonlinear rest splits into groups on disjoint qubits, each a
 Walsh-Hadamard transform of its own truth table, where ``eps`` is evaluated
-too, and the groups combine as a tensor product. The kernel ``_expand``
-returns ``(x, z, c)`` int-mask triples, each string's phase in ``c``;
-``transform_hamiltonian`` merges them and ``serialize`` sorts on masks, and
-``expand`` (so ``extract``, ``cphase_expand``, ``flip_operator``) wraps them.
+too, and the groups combine as a tensor product. A group whose table is
+zero makes the whole image zero, so the expansion stops there. The kernel
+``_expand`` returns ``(x, z, c)`` int-mask triples, each string's phase in
+``c``; ``transform_hamiltonian`` passes one memo of group tables to all of
+its terms, so each distinct group is tabulated once per call, and merges
+the triples. ``serialize`` sorts on masks, and ``expand`` (so ``extract``,
+``cphase_expand``, ``flip_operator``) wraps the triples.
 """
 
 from __future__ import annotations
@@ -417,10 +420,19 @@ def _group_terms(
     return terms
 
 
-def _expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET) -> list[tuple]:
+def _expand(
+    n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET, memo: dict | None = None
+) -> list[tuple]:
     """``expand`` as ``(x, z, c)`` triples: letter string ``(x, z)`` with ``c``
-    including the phase ``i**(-|x & z|)`` of ``X^x Z^z``; each string once."""
-    t0, (encode, decode, _) = (flips, ((), (), 0)) if isinstance(flips, int) else (0, flips)
+    including the phase ``i**(-|x & z|)`` of ``X^x Z^z``; each string once.
+
+    ``memo`` holds group tables across calls that share ``n``, the code's
+    encode and decode, and ``budget``, keyed by the group's qubit mask, its
+    members and, for a group with update members, ``q``; its tables are
+    read-only tuples. A group whose table is empty makes the whole image
+    zero, so the remaining groups are not built.
+    """
+    t0, (encode, decode, q) = (flips, ((), (), 0)) if isinstance(flips, int) else (0, flips)
     for f in [f for f, _, _ in factors] + list(decode):
         if f.num_vars != n:
             raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
@@ -458,8 +470,14 @@ def _expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET
             members += groups.pop(g)
             mask |= g
         groups[mask] = members
+    memo = {} if memo is None else memo
     for mask, members in groups.items():
-        part = _group_terms(n, mask, members, flips, budget)
+        key = (mask, tuple(members), q if any(kind == 2 for kind, _ in members) else None)
+        part = memo.get(key)
+        if part is None:
+            part = memo[key] = tuple(_group_terms(n, mask, members, flips, budget))
+        if not part:
+            return []
         if len(terms) * len(part) > budget:
             raise BudgetError(f"expansion reached {len(terms) * len(part)} terms, budget {budget}")
         terms = [(t ^ tg, z ^ zg, c * cg) for t, z, c in terms for tg, zg, cg in part]

@@ -206,9 +206,12 @@ def _diagonal_factors(code: Code, ops: tuple, signs: list[float]) -> list[tuple]
     ]
 
 
-def _term_triples(code: Code, term: FermionTerm, budget: int) -> list[tuple]:
+def _term_triples(
+    code: Code, term: FermionTerm, budget: int, memo: dict | None = None
+) -> list[tuple]:
     """``(x, z, c)`` triples of one term's image, scaled by its coefficient and
-    anticommutation sign and pruned as ``(coeff * sign) * op`` would be."""
+    anticommutation sign and pruned as ``(coeff * sign) * op`` would be;
+    ``memo`` is ``_expand``'s group-table memo."""
     if term.max_mode() > code.n_modes:
         raise DimensionError(f"term touches mode {term.max_mode()}, code has {code.n_modes}")
     if not term.ops:
@@ -217,7 +220,7 @@ def _term_triples(code: Code, term: FermionTerm, budget: int) -> list[tuple]:
         return [(0, 0, complex(term.coeff))] if abs(term.coeff) > DEFAULT_PRUNE else []
     global_sign, signs, q = _term_signs(term.ops)
     flips = _update_flips(code, q)
-    triples = _expand(code.n_qubits, _diagonal_factors(code, term.ops, signs), flips, budget)
+    triples = _expand(code.n_qubits, _diagonal_factors(code, term.ops, signs), flips, budget, memo)
     scale = term.coeff * global_sign
     return [(x, z, v) for x, z, c in triples if abs(v := scale * c) > DEFAULT_PRUNE]
 
@@ -240,6 +243,11 @@ def transform_hamiltonian(
     segments, or a not-one-to-one code without balanced degenerate states).
     A ``BudgetError`` names the term that tripped it (1-based index, text),
     in its own expansion or by growing the merged sum past ``budget``.
+
+    The terms share one memo of group tables (see ``_expand``), which lives
+    for this call only. A term whose image vanishes on the code space stops
+    at its first group with an all-zero table, so it never reaches a later
+    group's budget check.
     """
     if h.n_modes != code.n_modes:
         raise DimensionError(
@@ -247,9 +255,10 @@ def transform_hamiltonian(
         )
     # Summed in term order on (x, z) masks: the order fixes the float sums.
     acc: dict[tuple[int, int], complex] = {}
+    memo: dict = {}
     for index, term in enumerate(h.terms, start=1):
         try:
-            triples = _term_triples(code, term, budget)
+            triples = _term_triples(code, term, budget, memo)
         except BudgetError as exc:
             raise BudgetError(f"term {index} ({term}): {exc}") from exc
         for x, z, c in triples:

@@ -398,6 +398,34 @@ class TestEquivalence:
             {"nu": "110000", "detail": outside.format("001000")},
         ]
 
+    def test_states_outside_the_code_skip_the_kernels(self, monkeypatch):
+        # Unadjusted hops between K = 1 segments: a basis with states outside
+        # the code space and states whose image leaves it. Both are listed in
+        # basis order, and only the states in the code space reach a kernel.
+        code = segment_code(1, 2)
+        h = FermionHamiltonian(
+            6, tuple(FermionTerm.of(1.0, (j, True), (i, False)) for i, j in ((1, 4), (4, 1)))
+        )
+        hq = transform_hamiltonian(code, h, check_hermiticity=False)
+        basis = enumerate_basis(BasisSpec(6, ((1, 2, 3), (4, 5, 6)), ((0, 1, 2), (0, 1))))
+        rows = []
+        real = fock_oracle._amplitudes
+
+        def counting(words, batch):
+            rows.append(len(words))
+            return real(words, batch)
+
+        monkeypatch.setattr(fock_oracle, "_amplitudes", counting)
+        report = verify_equivalence(code, h, hq, basis)
+        outside = {str(nu) for nu in basis if not code.in_basis(nu)}
+        assert outside and sum(rows) == 2 * (len(basis) - len(outside))
+        escapes = [f for f in report.failures if not f["detail"].startswith("amplitude")]
+        order = [str(nu) for nu in basis]
+        listed = [f["nu"] for f in escapes]
+        assert listed == sorted(listed, key=order.index)
+        assert outside == {f["nu"] for f in escapes if f["detail"].startswith("state is outside")}
+        assert len(escapes) > len(outside)
+
     def test_escapes_past_64_modes_list_targets_in_image_order(self):
         # Segments 61-63, 64-66 and 67-69 each hold one particle; hops between
         # them overfill a segment, and modes 65 and 66 lie past bit 64. The

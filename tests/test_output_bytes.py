@@ -6,7 +6,10 @@ output. Its seed-0 input and that of the two-particle workload are
 regenerated from ``perfbench/models.py`` exactly as the benchmark does
 (generate, format, parse) and checked against the sha256 recorded in
 ``perfbench/expected.json``, which is only read. Seeds 1 and 2 are compared
-with ``helpers.reference_transform``, the per-term merge.
+with ``helpers.reference_transform``, the per-term merge, and so are the
+Hubbard rows of the resource table and the 3x5 segment row: there
+``transform_hamiltonian`` shares group tables across terms, where each
+``transform_term`` builds its own.
 """
 
 import hashlib
@@ -16,8 +19,15 @@ from pathlib import Path
 
 import pytest
 
+from fermicode.cli import hubbard_hamiltonian
 from fermicode.codes import load_code
-from fermicode.transform import format_fermion_file, parse_fermion_file, transform_hamiltonian
+from fermicode.transform import (
+    adjust_for_segments,
+    format_fermion_file,
+    normal_order_blocks,
+    parse_fermion_file,
+    transform_hamiltonian,
+)
 
 from helpers import reference_transform
 
@@ -63,3 +73,27 @@ def test_merge_matches_per_term_reference(models, name, seed):
     reference = reference_transform(code, h)
     assert hq == reference
     assert hq.serialize() == reference.serialize()
+
+
+# (rows, cols, code) of the periodic t = U = 1 Hubbard rows; the 3x5 row
+# is pinned by the sha256 prefix of its serialized operator.
+HUBBARD_ROWS = [
+    (2, 5, "jordan_wigner:20"),
+    (2, 5, "bravyi_kitaev:20"),
+    (2, 5, "checksum:10:even+checksum:10:even"),
+    (2, 5, "checksum:10:even+segment:2:2"),
+    (2, 5, "segment:2:2+segment:2:2"),
+    (3, 5, "segment:2:3+segment:2:3"),
+]
+
+
+@pytest.mark.parametrize("rows, cols, spec", HUBBARD_ROWS)
+def test_shared_group_tables_match_per_term_reference(rows, cols, spec):
+    code = load_code(spec)
+    h = hubbard_hamiltonian(rows, cols, 1.0, 1.0, periodic_lateral=True)
+    if code.segments:
+        h = adjust_for_segments(normal_order_blocks(h), code.segments, code.segment_weight)
+    text = transform_hamiltonian(code, h).serialize()
+    assert text == reference_transform(code, h).serialize()
+    if rows == 3:
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "10c79df1ec5bee0b"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fermicode import pauli
 from fermicode.bitmath import BitVec, BoolPoly
+from fermicode.codes import binary_addressing_k2
 from fermicode.errors import BudgetError, DimensionError
 from fermicode.fock_oracle import QubitStateVector, apply_qubit_operator
 from fermicode.pauli import (
@@ -188,6 +189,34 @@ class TestExpand:
             assert np.allclose(got, self._expected(n, factors, eps), atol=1e-12)
             diagonal = dense_operator(pauli.expand(n, factors, 0))
             assert np.allclose(diagonal, self._expected(n, factors, []), atol=1e-12)
+
+    def test_shared_memo_tells_update_masks_apart(self):
+        # Every q gives the same group of update members; only the key's q
+        # keeps one q's table from serving another.
+        code = binary_addressing_k2(2)
+        memo: dict = {}
+        for q in range(1 << code.n_modes):
+            flips = (code.encode, code.decode, q)
+            shared = pauli._expand(code.n_qubits, [], flips, memo=memo)
+            assert shared == pauli._expand(code.n_qubits, [], flips)
+        assert len(memo) > 1
+
+    def test_zero_group_ends_the_expansion(self, monkeypatch):
+        # Projectors onto x1 x2 = 1 and onto x1 x2 = 0: the first group's
+        # table is empty, so the group on qubits 3 and 4 is never built.
+        n = 4
+        first, second = BoolPoly(n, [0b11]), BoolPoly(n, [0b1100])
+        factors = [(first, 0.5, -0.5), (first, 0.5, 0.5), (second, 0.5, -0.5)]
+        built = []
+        real = pauli._group_terms
+
+        def recording(n, mask, members, flips, budget):
+            built.append(mask)
+            return real(n, mask, members, flips, budget)
+
+        monkeypatch.setattr(pauli, "_group_terms", recording)
+        assert pauli._expand(n, factors, 0) == []
+        assert built == [0b11]
 
 
 class TestFlipOperator:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fermicode import pauli
 from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.codes import (
     Code,
@@ -646,6 +648,12 @@ def test_dressing_acts_as_the_projected_hamiltonian(data):
     assert verify_equivalence(code, dressed, hq, basis).status == "pass"
 
 
+def _dressed_hubbard_2x5():
+    code = load_code("segment:2:2+segment:2:2")
+    h = hubbard_hamiltonian(2, 5, 1.0, 1.0, periodic_lateral=True)
+    return code, adjust_for_segments(h, code.segments, code.segment_weight)
+
+
 class TestHamiltonianTransform:
     def test_empty_hamiltonian(self):
         jw = jordan_wigner(3)
@@ -701,6 +709,31 @@ class TestHamiltonianTransform:
         h = hubbard_hamiltonian(1, 2, 1.0, 1.0, periodic_lateral=False)
         with pytest.raises(BudgetError, match=rf"^term 1 \({re.escape(str(h.terms[0]))}\): "):
             transform_hamiltonian(code, h, budget=2)
+
+    def test_each_group_table_is_built_once(self, monkeypatch):
+        code, h = _dressed_hubbard_2x5()
+        built = Counter()
+        real = pauli._group_terms
+
+        def counting(n, mask, members, flips, budget):
+            built[mask, tuple(members)] += 1
+            return real(n, mask, members, flips, budget)
+
+        monkeypatch.setattr(pauli, "_group_terms", counting)
+        transform_hamiltonian(code, h)
+        assert built and set(built.values()) == {1}
+        assert sum(built.values()) < len(h.terms)
+
+    def test_group_tables_do_not_outlive_the_call(self):
+        # A table kept from the first call would let term 1 skip its table's
+        # budget check in the second.
+        code, h = _dressed_hubbard_2x5()
+        transform_hamiltonian(code, h)
+        with pytest.raises(
+            BudgetError,
+            match=rf"^term 1 \({re.escape(str(h.terms[0]))}\): table over a support of 4 qubits",
+        ):
+            transform_hamiltonian(code, h, budget=15)
 
     def test_non_hermitian_flagged(self):
         code = segment_code(2, 2)

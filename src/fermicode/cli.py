@@ -153,6 +153,8 @@ def h2_code() -> Code:
 
 
 _MODELS = ("hubbard", "h2")
+_H2_COEFFS = ("h11", "h22", "h1331", "h2442", "h1221", "h1212")
+_FLOAT_FLAGS = {"--t", "--u", "--tol", *(f"--{name}" for name in _H2_COEFFS)}
 
 
 def _load_hamiltonian(args, budget: int = DEFAULT_BUDGET) -> FermionHamiltonian:
@@ -278,8 +280,21 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--u", type=_finite_float, default=1.0)
     p.add_argument("--open-lateral", action="store_true", help="no periodic wrap")
-    for name in ("h11", "h22", "h1331", "h2442", "h1221", "h1212"):
+    for name in _H2_COEFFS:
         p.add_argument(f"--{name}", type=_finite_float, default=0.0)
+
+
+def _join_negative_floats(argv: list[str]) -> list[str]:
+    """Write ``--t -2.5E+1`` as ``--t=-2.5E+1``: argparse reads a value that
+    starts with ``-`` as an option unless it is a plain decimal."""
+    out: list[str] = []
+    for arg in argv:
+        negative = len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."
+        if negative and out and out[-1] in _FLOAT_FLAGS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _add_run_args(p: argparse.ArgumentParser):
@@ -330,7 +345,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=_decimal_int, default=0)
     p.set_defaults(fn=_cmd_validate_code)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_floats(sys.argv[1:] if argv is None else argv))
     if getattr(args, "verify", False) and not args.basis:
         parser.error("verification needs --basis")
     try:

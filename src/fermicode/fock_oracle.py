@@ -1,29 +1,21 @@
 """Ground-truth fermionic semantics and transform verification.
 
-On a basis word a ladder-operator product and a Pauli string have the same
-form: a flip mask, a Z-mask parity sign and a coefficient, and for the
-ladder product a check that the touched modes start at the occupations it
-needs. Each term or string is packed once into such an item
-(``_pack_terms``/``_pack_strings``), and two kernels apply item lists:
-
-- ``_image`` maps one basis word, as Python ints, to its targets in the
-  order its acting items meet them. The single-state helpers
-  (``apply_fermion_term``, ``apply_hamiltonian_fock``,
-  ``apply_qubit_operator``) use it; they are called one state at a time,
-  where arrays would only add overhead. It also answers every question of
-  order: the targets an escape detail or a ``fock_matrix`` error names.
-- ``_amplitudes`` maps a block of basis words at once, as numpy arrays of
-  64-bit limbs (one limb up to 64 modes or qubits), and says only which
-  amplitude goes to which flip group. Items with the same flip send a state
-  to the same target, so each (state, flip) amplitude is one ``np.add.at``
-  cell that adds the acting items in packed order, the sum ``_image``
-  forms. ``verify_equivalence`` and ``fock_matrix`` use it.
+A ladder-operator product and a Pauli string act on a basis word alike: a
+flip mask, a Z-mask parity sign and a coefficient, and for the ladder product
+a check that the touched modes hold the occupations it needs. Each is packed
+once into such an item (``_pack_terms``/``_pack_strings``); two kernels apply
+item lists. ``_image`` maps one word, as Python ints, to its targets in the
+order its acting items meet them: the single-state helpers use it, and so
+does every question of order (escape details, the ``fock_matrix`` error).
+``_amplitudes`` maps many words, as rows of 64-bit limbs, to one amplitude
+per flip group. An item's action factors over the two halves of the word, so
+a group is summed directly per state, bit for bit as ``_image`` sums it, or
+through a table over the distinct halves, whichever costs fewer cells.
 
 Verification encodes each fermionic image and compares it amplitude by
-amplitude with the qubit-side action. It flags basis states that are not in
-the code space (``d(e(v)) != v``) and Hamiltonians whose image leaves it.
-Encoding and the round-trip checks use the code's own cached evaluator,
-``Code.encode_words``/``decode_words``.
+amplitude with the qubit-side action, through the code's cached evaluator
+(``Code.encode_words``/``decode_words``). It flags basis states outside the
+code space (``d(e(v)) != v``) and Hamiltonians whose image leaves it.
 """
 
 from __future__ import annotations
@@ -35,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .bitmath import BitVec
-from .codes import Code, _ints, _words
+from .codes import Code, _ints, _labels, _lookup, _words
 from .errors import DimensionError, UnsupportedCodeError
 from .pauli import QubitOperator
 from .transform import FermionHamiltonian, FermionTerm, transform_op_linear
@@ -74,11 +66,8 @@ def _pack_strings(op: QubitOperator) -> list[tuple[int, int, int, int, complex]]
 
 
 def _image(word: int, items: list) -> dict[int, complex]:
-    """Image of basis word ``word`` under a sum of packed action items.
-
-    Item ``(flip, z, care, want, c)`` maps ``|w>`` to
-    ``c (-1)^|w & z| |w ^ flip>`` when ``w & care == want``, else to 0.
-    """
+    """Image of basis word ``word`` under packed items: item ``(flip, z, care,
+    want, c)`` maps ``|w>`` to ``c (-1)^|w & z| |w ^ flip>`` if ``w & care == want``."""
     out: dict[int, complex] = {}
     for flip, z, care, want, c in items:
         if word & care != want:
@@ -97,17 +86,16 @@ def _apply_sparse(items: list, amplitudes: dict, n: int) -> dict[BitVec, complex
     return {BitVec.from_int(k, n): v for k, v in out.items() if abs(v) > 1e-15}
 
 
-# State x item cells one kernel step handles. A cell costs about 0.1 KiB of
-# temporaries; 2^13 cells keep the oracle's peak within 2 MiB of the
-# process's, as fast as 2^14 cells in measurements.
+# Cells (states x items or keys) one kernel step handles, about 0.1 KiB of
+# temporaries each: 2^13 keep the oracle's peak within 2 MiB of the process's,
+# as fast as 2^14. A split costs about 2^4 steps more numpy calls than the
+# direct sum, so a batch of at most 2^17 (state, item) cells is summed directly.
 _CELLS = 1 << 13
 
 
 class _Batch:
-    """Packed items as limb arrays, with the distinct flips they move states by.
-
-    Item ``i`` sends an acting state ``w`` to ``w ^ flips[group[i]]``.
-    """
+    """Packed items as limb arrays; item ``i`` sends an acting state ``w`` to
+    ``w ^ flips[group[i]]``. ``halves`` masks the low and the high half of a word."""
 
     def __init__(self, items: list, n_bits: int):
         ids: dict[int, int] = {}
@@ -115,46 +103,76 @@ class _Batch:
         self.flips = _words(list(ids), n_bits)
         self.z, self.care, self.want = (_words([it[k] for it in items], n_bits) for k in (1, 2, 3))
         self.coeff = np.array([it[4] for it in items], dtype=complex)
+        low = (1 << n_bits // 2) - 1
+        self.halves = _words([low, low ^ (1 << n_bits) - 1], n_bits)
+
+    def keys(self, items: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_labels`` of the items' (z, care, want) on ``half`` within their
+        group, so numbered group-major, with the first item of each number."""
+        rows = [a[items] & half for a in (self.z, self.care, self.want)]
+        return _labels(np.hstack([*rows, self.group[items, None].astype(np.uint64)]))
+
+    def plan(self, words: np.ndarray) -> np.ndarray:
+        """Per flip group, the plan of fewest cells on the ``S`` ``words``: 0
+        sums each state's ``N_g`` items, ``S N_g`` cells; ``1 + h`` sums the
+        items over the ``U_h`` distinct halves ``h``, then each state over the
+        group's ``K_g`` keys on the other half, ``U_h N_g + S K_g`` cells."""
+        n = np.bincount(self.group, minlength=len(self.flips))
+        cost = [len(words) * n]
+        if len(words) * len(self.coeff) > _CELLS << 4:
+            for h, o in ((0, 1), (1, 0)):
+                first = self.keys(slice(None), self.halves[o])[1]
+                k = np.bincount(self.group[first], minlength=len(n))
+                cost.append(len(_labels(words & self.halves[h])[1]) * n + len(words) * k)
+        return np.argmin(cost, axis=0)
 
 
-def _amplitudes(words: np.ndarray, b: _Batch) -> np.ndarray:
-    """``out[s, g]``: amplitude state ``s`` sends to ``words[s] ^ b.flips[g]``.
-
-    The batch form of ``_image``: an acting item adds ``c (-1)^|w & z|``.
-    ``np.add.at`` adds in index order and a state's items are visited in
-    packed order, so each cell sums its items in the order ``_image`` does,
-    bit for bit. A step covers about ``_CELLS`` cells.
-    """
-    out = np.zeros((len(words), len(b.flips)), dtype=complex)
-    flat = out.reshape(-1)
-    tile = min(max(len(b.coeff), 1), _CELLS)
-    step = _CELLS // tile
-    for i0 in range(0, len(b.coeff), tile):
-        items = slice(i0, i0 + tile)
-        c = b.coeff[items]
-        for r0 in range(0, len(words), step):
-            w = words[r0 : r0 + step, None]
-            acts = ((w & b.care[items]) == b.want[items]).all(axis=2)
-            odd = np.bitwise_xor.reduce(np.bitwise_count(w & b.z[items]), axis=2) & 1
-            cells = np.arange(r0, r0 + len(w))[:, None] * out.shape[1] + b.group[items]
-            np.add.at(flat, cells.ravel(), np.where(acts, np.where(odd, -c, c), 0.0).ravel())
-    return out
+def _sum(u: np.ndarray, b: _Batch, items, half, keys, width: int, c) -> np.ndarray:
+    """``table[r, k]``: the sum of ``c[j] [u & care == want] (-1)^|u & z|`` at
+    ``u = u[r]`` over the ``items[j]`` of key ``keys[j] = k``, with care and
+    want on ``half``; each cell adds its items in order (``np.add.at``)."""
+    table = np.zeros((len(u), width), dtype=c.dtype)
+    tile = max(1, _CELLS // max(len(u), 1))
+    for j in range(0, len(items), tile):
+        i, cj = items[j : j + tile], c[j : j + tile]
+        acts = ((u[:, None] & b.care[i]) == b.want[i] & half).all(axis=2)
+        odd = np.bitwise_xor.reduce(np.bitwise_count(u[:, None] & b.z[i]), axis=2) & 1
+        cells = (np.arange(len(u))[:, None] * width + keys[j : j + tile]).ravel()
+        np.add.at(table.reshape(-1), cells, np.where(acts, np.where(odd, -cj, cj), 0).ravel())
+    return table
 
 
-def _lookup(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Row of ``table`` (distinct limb rows) equal to each key row, -1 if none.
-
-    Table and key rows are numbered together by their distinct value.
-    """
-    rows = np.concatenate([table, keys])
-    order = np.lexsort(rows.T)
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
-    label = np.empty(len(rows), dtype=np.int64)
-    label[order] = np.cumsum(new) - 1
-    row = np.full(len(rows), -1)
-    row[label[: len(table)]] = np.arange(len(table))
-    return row[label[len(table) :]]
+def _amplitudes(words: np.ndarray, b: _Batch, step: int):
+    """Yield ``out[s, g]``, ``step`` rows at a time: the amplitude state ``s``
+    sends to ``words[s] ^ b.flips[g]``, summed by the group's ``b.plan``. Plan
+    0 is ``_sum`` over the states, the sum ``_image`` forms bit for bit. Plan
+    ``1 + h`` is ``_sum`` over the distinct halves ``h`` per key (the items'
+    z, care, want on the other half ``o``), times each key's factor on half
+    ``o``, added over the group's keys by ``np.add.reduceat``."""
+    plan = b.plan(words)[b.group]
+    halves = [_labels(words & half) for half in b.halves] if plan.any() else []
+    split = []
+    for h, o in ((0, 1), (1, 0)):
+        items = np.flatnonzero(plan == 1 + h)
+        if len(items):
+            (ku, u), (kv, v), mask = halves[h], halves[o], b.halves
+            at, one = b.keys(items, mask[o])
+            n, one = len(one), items[one]
+            table = _sum(words[u] & mask[h], b, items, mask[h], at, n, b.coeff[items])
+            sign = _sum(words[v] & mask[o], b, one, mask[o], np.arange(n), n, np.ones(n, np.int8))
+            runs = np.flatnonzero(np.diff(b.group[one], prepend=-1))
+            split.append((ku, kv, table, sign, runs, b.group[one[runs]]))
+    direct, full = np.flatnonzero(plan == 0), b.halves[0] | b.halves[1]
+    for r0 in range(0, len(words), step):
+        w = words[r0 : r0 + step]
+        out = _sum(w, b, direct, full, b.group[direct], len(b.flips), b.coeff[direct])
+        for ku, kv, table, sign, runs, groups in split:
+            rows = max(1, _CELLS // table.shape[1])
+            for s0 in range(0, len(w), rows):
+                s = slice(r0 + s0, r0 + min(s0 + rows, len(w)))
+                cells = table[ku[s]] * sign[kv[s]]
+                out[s0 : s0 + rows, groups] = np.add.reduceat(cells, runs, axis=1)
+        yield out
 
 
 class _SparseState:
@@ -188,9 +206,7 @@ class QubitStateVector(_SparseState):
     amplitudes: dict[BitVec, complex] = field(default_factory=dict)
 
 
-def apply_fermion_term(
-    term: FermionTerm, nu: BitVec
-) -> tuple[complex, BitVec] | None:
+def apply_fermion_term(term: FermionTerm, nu: BitVec) -> tuple[complex, BitVec] | None:
     """Image (coefficient, state) of one basis state; None when annihilated."""
     for occ, coeff in _image(nu.value, _pack_terms([term])).items():
         return coeff, BitVec.from_int(occ, nu.n)
@@ -225,29 +241,16 @@ class EquivalenceReport:
         return self.status == "pass"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "status": self.status,
-                "max_deviation": self.max_deviation,
-                "states_checked": self.states_checked,
-                "failures": self.failures,
-            },
-            indent=2,
-        )
+        keys = ("status", "max_deviation", "states_checked", "failures")
+        return json.dumps({k: getattr(self, k) for k in keys}, indent=2)
 
     def summary(self) -> str:
-        return (
-            f"status={self.status} states={self.states_checked} "
-            f"max_deviation={self.max_deviation:.3g} failures={len(self.failures)}"
-        )
+        counts = f"states={self.states_checked} max_deviation={self.max_deviation:.3g}"
+        return f"status={self.status} {counts} failures={len(self.failures)}"
 
 
 def verify_equivalence(
-    code: Code,
-    h: FermionHamiltonian,
-    hq: QubitOperator,
-    basis: list[BitVec],
-    tol: float = 1e-9,
+    code: Code, h: FermionHamiltonian, hq: QubitOperator, basis: list[BitVec], tol: float = 1e-9
 ) -> EquivalenceReport:
     """Check that the qubit operator replicates the Hamiltonian on the basis.
 
@@ -256,8 +259,8 @@ def verify_equivalence(
     image falls outside the code's encoded set, the Hamiltonian is
     incompatible with the code on this basis (its action cannot be
     represented). Otherwise the encoded image is compared with the qubit
-    operator applied to |e(v)>. States are checked a block at a time; only
-    the per-state deviation and the report lists outlive a block.
+    operator applied to |e(v)>. The kernels yield a tile of states at a time;
+    only the per-state deviation and the report lists outlive a tile.
     """
     if h.n_modes != code.n_modes or hq.n != code.n_qubits:
         raise DimensionError("code, Hamiltonian, and operator sizes must agree")
@@ -277,11 +280,12 @@ def verify_equivalence(
         escapes[i] = {"nu": str(basis[i]), "detail": detail}
     inside = np.flatnonzero(~escaped)
     dev = np.zeros(len(basis))
-    block = max(1, _CELLS // max(len(terms.flips), len(strings.flips), 1))
-    for r0 in range(0, len(inside), block):
-        rows = inside[r0 : r0 + block]
+    step = max(1, _CELLS // max(len(terms.flips), len(strings.flips), 1))
+    fermion = _amplitudes(words[inside], terms, step)
+    qubit = _amplitudes(encoded[inside], strings, step)
+    for r0, amp, diff in zip(range(0, len(inside), step), fermion, qubit):
+        rows = inside[r0 : r0 + step]
         w, ew = words[rows], encoded[rows]
-        amp = _amplitudes(w, terms)
         s, g = np.nonzero(np.abs(amp) > 1e-13)
         image = w[s] ^ terms.flips[g]
         ek = code.encode_words(image)
@@ -298,7 +302,6 @@ def verify_equivalence(
         # The qubit-side image of e(v) minus the encoded fermionic one. The
         # images of an in-basis state encode to distinct words, so each is
         # subtracted once; an image the qubit side misses counts in full.
-        diff = _amplitudes(ew, strings)
         hit = _lookup(strings.flips, ek ^ ew[s])
         found = hit >= 0
         diff[s[found], hit[found]] -= amp[s[found], g[found]]
@@ -323,9 +326,9 @@ class AnticommutationReport:
     failures: list[str]
 
     def summary(self) -> str:
-        return "all anticommutation relations hold" if self.ok else (
-            f"{len(self.failures)} violations, first: {self.failures[0]}"
-        )
+        if self.ok:
+            return "all anticommutation relations hold"
+        return f"{len(self.failures)} violations, first: {self.failures[0]}"
 
 
 def verify_anticommutation(code: Code, atol: float = 1e-12) -> AnticommutationReport:
@@ -366,10 +369,9 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
     terms = _Batch(items, h.n_modes)
     words = _words([nu.value for nu in basis], h.n_modes)
     out = np.zeros((len(basis), len(basis)), dtype=complex)
-    block = max(1, _CELLS // max(len(terms.flips), 1))
-    for c0 in range(0, len(basis), block):
-        w = words[c0 : c0 + block]
-        amp = _amplitudes(w, terms)
+    step = max(1, _CELLS // max(len(terms.flips), 1))
+    for c0, amp in zip(range(0, len(basis), step), _amplitudes(words, terms, step)):
+        w = words[c0 : c0 + step]
         s, g = np.nonzero(np.abs(amp) > 1e-15)
         image = w[s] ^ terms.flips[g]
         row = _lookup(words, image)
@@ -378,9 +380,7 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
             nu = basis[c0 + col]
             missing = set(_ints(image[(row < 0) & (s == col)]))
             k = next(k for k in _image(nu.value, items) if k in missing)
-            raise ValueError(
-                f"Hamiltonian maps {nu} outside the given basis "
-                f"(to {BitVec.from_int(k, h.n_modes)})"
-            )
+            at = BitVec.from_int(k, h.n_modes)
+            raise ValueError(f"Hamiltonian maps {nu} outside the given basis (to {at})")
         out[row, c0 + s] = amp[s, g]
     return out

@@ -521,6 +521,24 @@ class TestNumberFields:
         assert f"{coeff} 0 : +1 -2\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
+        "model, flag",
+        [("hubbard", "--t"), ("hubbard", "--u"), ("h2", "--h11"), ("h2", "--h1212")],
+    )
+    def test_negative_exponent_float_needs_no_equals(self, capsys, model, flag):
+        argv = ["gen-model", "--model", model, "--rows", "1", "--cols", "2"]
+        assert main([*argv, flag, "-2.5E+1"]) == 0
+        spaced = capsys.readouterr().out
+        assert main([*argv, f"{flag}=-2.5E+1"]) == 0
+        assert spaced == capsys.readouterr().out and "25 0 : " in spaced
+
+    def test_negative_tolerance_is_refused_by_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", "h2", "--code", "jordan_wigner:4", "--basis", "1-4:2",
+                  "--tol", "-1e-3"])
+        assert exc.value.code == 2
+        assert "argument --tol: must be non-negative, got '-1e-3'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "key, entries, at",
         [
             ("encode", ["x1", "x\u0662"], "entry 1: variable '\u0662'"),

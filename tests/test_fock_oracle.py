@@ -11,11 +11,14 @@ from fermicode.codes import (
     BasisSpec,
     _ints,
     _words,
+    binary_addressing_k2,
     checksum_code,
     enumerate_basis,
     jordan_wigner,
     linear_code,
+    load_code,
     parity_code,
+    parse_basis_spec,
     segment_code,
 )
 from fermicode.cli import hubbard_hamiltonian
@@ -120,17 +123,74 @@ class TestFermionAction:
 WIDTHS = (1, 2, 3, 5, 8, 13, 31, 63, 64, 65, 70)
 
 
-def assert_batch_matches_image(items, n, states):
-    """Per state, the batch kernel gives each target ``_image`` returns, zero
-    sums included, exactly ``_image``'s amplitude, and every other flip group 0."""
+def batch_amplitudes(items, n, states, plan=None):
+    """``_amplitudes`` of ``states`` as one array, yielded 5 rows at a time,
+    with every flip group on ``plan`` when given."""
     b = _Batch(items, n)
-    words = _words(states, n)
-    amp = _amplitudes(words, b).tolist()
+    if plan is not None:
+        b.plan = lambda words: np.full(len(b.flips), plan)
+    tiles = list(_amplitudes(_words(states, n), b, 5))
+    return b, np.concatenate([np.zeros((0, len(b.flips)))] + tiles)
+
+
+def assert_batch_matches_image(items, n, states):
+    """Per state, the direct plan gives each target ``_image`` returns, zero
+    sums included, exactly ``_image``'s amplitude, and every other flip group 0."""
+    b, amp = batch_amplitudes(items, n, states, plan=0)
+    amp = amp.tolist()
     for s, word in enumerate(states):
         image = _image(word, items)
-        targets = _ints(words[s] ^ b.flips)
+        targets = _ints(_words([word], n) ^ b.flips)
         assert {k: amp[s][g] for g, k in enumerate(targets) if k in image} == image
         assert all(amp[s][g] == 0 for g, k in enumerate(targets) if k not in image)
+
+
+def assert_plans_match_image(items, n, states):
+    """Under each plan, every cell is within 1e-12 sum|c| of ``_image``'s
+    amplitude, and exactly 0 where no item acts."""
+    scale = 1e-12 * sum(abs(it[4]) for it in items)
+    for plan in (0, 1, 2):
+        b, amp = batch_amplitudes(items, n, states, plan)
+        for s, word in enumerate(states):
+            image = _image(word, items)
+            targets = _ints(_words([word], n) ^ b.flips)
+            for g, k in enumerate(targets):
+                if k in image:
+                    assert abs(amp[s, g] - image[k]) <= scale
+                else:
+                    assert amp[s, g] == 0
+
+
+def ladder_items(rng, n):
+    terms = [FermionTerm.of(0.5, (1, True), (1, True))]  # vanishes everywhere
+    for _ in range(30):
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        ops = tuple(
+            (rng.randrange(1, n + 1), rng.random() < 0.5) for _ in range(rng.randrange(1, 5))
+        )
+        terms.append(FermionTerm(c, ops))
+        if rng.random() < 0.3:  # same target, amplitudes that cancel
+            terms.append(FermionTerm(-c, ops))
+    items = _pack_terms(terms)
+    states = [rng.getrandbits(n) for _ in range(12)]
+    # states each of some items acts on, other bits random
+    states += [want | (rng.getrandbits(n) & ~care) for _, _, care, want, _ in items[:12]]
+    return items, states
+
+
+def pauli_items(rng, n):
+    flips = [rng.getrandbits(n) for _ in range(4)]
+    terms = {}
+    for _ in range(25):
+        s = PauliString.from_masks(n, rng.choice(flips), rng.getrandbits(n))
+        terms[s] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    # X1 and X1 Z2 cancel on every state with qubit 2 set
+    terms[PauliString.from_masks(n, 1, 0)] = 0.25
+    terms[PauliString.from_masks(n, 1, 0b10 if n > 1 else 0)] = 0.25
+    op = QubitOperator(n, terms)
+    assert any(s.y_count() for s in op.terms)
+    states = [rng.getrandbits(n) for _ in range(12)] + [0b10 if n > 1 else 0]
+    return _pack_strings(op), states
 
 
 @pytest.fixture(params=["default", "tiny"])
@@ -145,39 +205,107 @@ class TestBatchKernel:
     def test_ladder_products(self):
         rng = random.Random(43)
         for n in WIDTHS:
-            terms = [FermionTerm.of(0.5, (1, True), (1, True))]  # vanishes everywhere
-            for _ in range(30):
-                c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                ops = tuple(
-                    (rng.randrange(1, n + 1), rng.random() < 0.5)
-                    for _ in range(rng.randrange(1, 5))
-                )
-                terms.append(FermionTerm(c, ops))
-                if rng.random() < 0.3:  # same target, amplitudes that cancel
-                    terms.append(FermionTerm(-c, ops))
-            items = _pack_terms(terms)
-            states = [rng.getrandbits(n) for _ in range(12)]
-            # states each of some items acts on, other bits random
-            states += [
-                want | (rng.getrandbits(n) & ~care) for _, _, care, want, _ in items[:12]
-            ]
+            items, states = ladder_items(rng, n)
             assert_batch_matches_image(items, n, states)
 
     def test_pauli_strings(self):
         rng = random.Random(47)
         for n in WIDTHS:
-            flips = [rng.getrandbits(n) for _ in range(4)]
-            terms = {}
-            for _ in range(25):
-                s = PauliString.from_masks(n, rng.choice(flips), rng.getrandbits(n))
-                terms[s] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            # X1 and X1 Z2 cancel on every state with qubit 2 set
-            terms[PauliString.from_masks(n, 1, 0)] = 0.25
-            terms[PauliString.from_masks(n, 1, 0b10 if n > 1 else 0)] = 0.25
-            op = QubitOperator(n, terms)
-            assert any(s.y_count() for s in op.terms)
-            states = [rng.getrandbits(n) for _ in range(12)] + [0b10 if n > 1 else 0]
-            assert_batch_matches_image(_pack_strings(op), n, states)
+            items, states = pauli_items(rng, n)
+            assert_batch_matches_image(items, n, states)
+
+    def test_ladder_products_under_each_plan(self):
+        rng = random.Random(59)
+        for n in WIDTHS:
+            items, states = ladder_items(rng, n)
+            assert_plans_match_image(items, n, states)
+
+    def test_pauli_strings_under_each_plan(self):
+        rng = random.Random(61)
+        for n in WIDTHS:
+            items, states = pauli_items(rng, n)
+            assert_plans_match_image(items, n, states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plans_match_image_on_random_items(data):
+    n = data.draw(st.sampled_from(WIDTHS))
+    word = st.integers(0, (1 << n) - 1)
+    coeff = st.sampled_from([1, -0.5, 0.3 + 0.7j, -2j, 1e-3])
+    flip = st.sampled_from(data.draw(st.lists(word, min_size=1, max_size=3)))
+    items = []
+    for _ in range(data.draw(st.integers(1, 24))):
+        flip_z_care = [data.draw(flip), data.draw(word), data.draw(word)]
+        items.append((*flip_z_care, data.draw(word) & flip_z_care[2], data.draw(coeff)))
+    if data.draw(st.booleans()):  # Pauli strings: no occupation check
+        items = [(flip, z, 0, 0, c) for flip, z, _, _, c in items]
+    states = data.draw(st.lists(word, min_size=1, max_size=12))
+    assert_plans_match_image(items, n, states)
+
+
+def two_particle_hamiltonian(rng, n):
+    """Every one-body term and every density-density term n_i n_j, i < j."""
+    terms = []
+    for p in range(1, n + 1):
+        for q in range(p, n + 1):
+            c = rng.uniform(-1, 1)
+            terms.append(FermionTerm.of(c, (p, True), (q, False)))
+            if p != q:
+                terms.append(FermionTerm.of(c, (q, True), (p, False)))
+                c = rng.uniform(-1, 1)
+                terms.append(FermionTerm.of(c, (p, True), (p, False), (q, True), (q, False)))
+    return FermionHamiltonian(n, tuple(terms))
+
+
+class TestPlan:
+    def test_z_masks_in_one_half_take_the_single_key_orientation(self):
+        n = 16
+        words = _words(list(range(0, 1 << n, 7)), n)
+        for shift, plan in ((0, 1), (8, 2)):
+            op = QubitOperator(
+                n, {PauliString.from_masks(n, 0b101000, z << shift): 1 + z for z in range(1, 65)}
+            )
+            assert _Batch(_pack_strings(op), n).plan(words).tolist() == [plan]
+
+    def test_tiny_batch_sums_directly(self):
+        code = binary_addressing_k2(3)
+        hq = transform_hamiltonian(code, two_particle_hamiltonian(random.Random(67), 8))
+        basis = enumerate_basis(BasisSpec.single(8, [2]))
+        words = code.encode_words(_words([nu.value for nu in basis], 8))
+        b = _Batch(_pack_strings(hq), code.n_qubits)
+        assert (len(words), len(b.coeff)) == (28, 384)
+        assert not b.plan(words).any()
+
+    def test_plan_is_the_cheapest_of_three_cell_counts(self):
+        code = load_code("segment:2:2+segment:2:2")
+        h = adjust_for_segments(hubbard_hamiltonian(2, 5, 1.0, 1.0), code.segments, 2)
+        hq = transform_hamiltonian(code, h)
+        # 45 distinct low halves, 10 distinct high halves
+        basis = enumerate_basis(parse_basis_spec("1-10:2;11-20:1", 20))
+        words = _words([nu.value for nu in basis], 20)
+        sides = [(_pack_terms(h.terms), words, 20),
+                 (_pack_strings(hq), code.encode_words(words), code.n_qubits)]
+        chosen = set()
+        for items, w, n in sides:
+            plan = _Batch(items, n).plan(w).tolist()
+            ints = _ints(w)
+            low = (1 << n // 2) - 1
+            halves = (low, ((1 << n) - 1) ^ low)
+            distinct = [len({k & m for k in ints}) for m in halves]
+            flips = list(dict.fromkeys(it[0] for it in items))
+            for g, flip in enumerate(flips):
+                members = [it for it in items if it[0] == flip]
+                keys = [len({(z & m, care & m, want & m) for _, z, care, want, _ in members})
+                        for m in halves]
+                cells = [
+                    len(ints) * len(members),
+                    distinct[0] * len(members) + len(ints) * keys[1],
+                    distinct[1] * len(members) + len(ints) * keys[0],
+                ]
+                assert cells[plan[g]] == min(cells)
+                chosen.add(plan[g])
+        assert chosen == {0, 1, 2}
 
 
 class TestHamiltonianAction:
@@ -411,9 +539,9 @@ class TestEquivalence:
         rows = []
         real = fock_oracle._amplitudes
 
-        def counting(words, batch):
+        def counting(words, batch, step):
             rows.append(len(words))
-            return real(words, batch)
+            return real(words, batch, step)
 
         monkeypatch.setattr(fock_oracle, "_amplitudes", counting)
         report = verify_equivalence(code, h, hq, basis)

@@ -10,6 +10,10 @@ with ``helpers.reference_transform``, the per-term merge, and so are the
 Hubbard rows of the resource table and the 3x5 segment row: there
 ``transform_hamiltonian`` shares group tables across terms, where each
 ``transform_term`` builds its own.
+
+The ``verify --out`` reports of the resource-table rows, of the same 2x5
+model on an overfilled basis, and of the undressed segment row (which stops
+at the hermiticity check and writes nothing) are pinned by their sha256.
 """
 
 import hashlib
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from fermicode.cli import hubbard_hamiltonian
+from fermicode.cli import hubbard_hamiltonian, main
 from fermicode.codes import load_code
 from fermicode.transform import (
     adjust_for_segments,
@@ -97,3 +101,29 @@ def test_shared_group_tables_match_per_term_reference(rows, cols, spec):
     assert text == reference_transform(code, h).serialize()
     if rows == 3:
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "10c79df1ec5bee0b"
+
+
+PASS_REPORT = "b06943748979624a92d23ea5162d3342bd4178c381011b1780cc2e1424095a1b"
+# (code, basis, extra flags): (exit code, sha256 of the --out file)
+VERIFY_REPORTS = {
+    ("jordan_wigner:20", "1-10:2;11-20:2", ()): (0, PASS_REPORT),
+    ("bravyi_kitaev:20", "1-10:2;11-20:2", ()): (0, PASS_REPORT),
+    ("checksum:10:even+checksum:10:even", "1-10:2;11-20:2", ()): (0, PASS_REPORT),
+    ("checksum:10:even+segment:2:2", "1-10:2;11-20:2", ()): (0, PASS_REPORT),
+    ("segment:2:2+segment:2:2", "1-10:2;11-20:2", ()): (0, PASS_REPORT),
+    ("segment:2:2+segment:2:2", "1-10:2;11-20:2", ("--no-adjust",)): (
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    ("segment:2:2+segment:2:2", "1-10:3;11-20:3", ()): (
+        1, "eb6ce9fc96fcd3b2c0196a4ea1d7ffc5634efbc7afd1cc8df82c168b06cd66a4"
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, basis, flags", sorted(VERIFY_REPORTS))
+def test_verify_report_bytes_are_pinned(tmp_path, spec, basis, flags):
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--model", "hubbard", "--code", spec, "--basis", basis,
+               "--out", str(out), *flags])
+    digest = hashlib.sha256(out.read_bytes() if out.exists() else b"").hexdigest()
+    assert (rc, digest) == VERIFY_REPORTS[spec, basis, flags]

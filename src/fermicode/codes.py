@@ -33,12 +33,9 @@ _SCAN_WORDS = 1 << 12
 
 
 def _words(values: list[int], n_bits: int) -> np.ndarray:
-    """Rows of 64-bit limbs, least significant first, one row per int: the
-    values themselves up to 64 bits, else a read-only view of each value's
-    little-endian bytes."""
+    """Rows of 64-bit limbs, least significant first, one row per int: a
+    read-only view of each value's little-endian bytes."""
     limbs = max(1, -(-n_bits // 64))
-    if limbs == 1:
-        return np.array(values, dtype="<u8").reshape(-1, 1)
     raw = b"".join(v.to_bytes(8 * limbs, "little") for v in values)
     return np.frombuffer(raw, dtype="<u8").reshape(len(values), limbs)
 
@@ -47,26 +44,6 @@ def _ints(words: np.ndarray) -> list[int]:
     """The ints of limb rows (inverse of ``_words``), read from each row's bytes."""
     rows = np.ascontiguousarray(words, dtype="<u8").view(f"V{8 * words.shape[1]}")[:, 0]
     return [int.from_bytes(row, "little") for row in rows.tolist()]
-
-
-def _labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's number among the distinct rows, in ``np.lexsort`` order (last
-    column first), and the index of the first row of each number."""
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    label = np.empty(len(rows), dtype=np.int64)
-    label[order] = np.cumsum(new) - 1
-    return label, order[new]
-
-
-def _lookup(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Row of ``table`` (distinct limb rows) equal to each key row, -1 if none."""
-    label, _ = _labels(np.concatenate([table, keys]))
-    row = np.full(len(label), -1)
-    row[label[: len(table)]] = np.arange(len(table))
-    return row[label[len(table) :]]
 
 
 def _evaluate(table: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> np.ndarray:
@@ -177,20 +154,15 @@ class Code:
     @cached_property
     def tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Encode and decode as ``_evaluate`` tables: the distinct monomials of
-        the components in order of first use and, for each, the mask of the
-        components it occurs in, as limb rows. The (component, monomial) rows
-        are numbered by ``_labels`` and the masks set by ``np.bitwise_or.at``."""
+        the components and, for each, the mask of the components it occurs in,
+        as limb rows."""
         out = []
         for polys, n_vars in ((self.encode, self.n_modes), (self.decode, self.n_qubits)):
-            rows = _words([m for p in polys for m in p.masks], n_vars)
-            owner = np.array([i for i, p in enumerate(polys) for _ in p.masks], dtype=np.uint64)
-            label, first = _labels(rows)
-            new = np.zeros(len(rows), dtype=bool)
-            new[first] = True
-            rank = (np.cumsum(new) - 1)[first[label]]
-            masks = np.zeros((len(first), max(1, -(-len(polys) // 64))), dtype=np.uint64)
-            np.bitwise_or.at(masks, (rank, owner >> 6), np.uint64(1) << (owner & 63))
-            out.append((rows[new], masks))
+            owners: dict[int, int] = {}
+            for i, p in enumerate(polys):
+                for m in p.masks:
+                    owners[m] = owners.get(m, 0) | 1 << i
+            out.append((_words(list(owners), n_vars), _words(list(owners.values()), len(polys))))
         return tuple(out)
 
     @cached_property

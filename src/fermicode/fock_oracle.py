@@ -1,21 +1,32 @@
 """Ground-truth fermionic semantics and transform verification.
 
-A ladder-operator product and a Pauli string act on a basis word alike: a
-flip mask, a Z-mask parity sign and a coefficient, and for the ladder product
-a check that the touched modes hold the occupations it needs. Each is packed
-once into such an item (``_pack_terms``/``_pack_strings``); two kernels apply
-item lists. ``_image`` maps one word, as Python ints, to its targets in the
-order its acting items meet them: the single-state helpers use it, and so
-does every question of order (escape details, the ``fock_matrix`` error).
-``_amplitudes`` maps many words, as rows of 64-bit limbs, to one amplitude
-per flip group. An item's action factors over the two halves of the word, so
-a group is summed directly per state, bit for bit as ``_image`` sums it, or
-through a table over the distinct halves, whichever costs fewer cells.
+On a basis word a ladder-operator product and a Pauli string have the same
+form: a flip mask, a Z-mask parity sign and a coefficient, and for the
+ladder product a check that the touched modes start at the occupations it
+needs. Each term or string is packed once into such an item
+(``_pack_terms``/``_pack_strings``), and two kernels apply item lists:
+
+- ``_image`` maps one basis word, as Python ints, to its targets in the
+  order its acting items meet them. The single-state helpers
+  (``apply_fermion_term``, ``apply_hamiltonian_fock``,
+  ``apply_qubit_operator``) use it; they are called one state at a time,
+  where arrays would only add overhead. It also answers every question of
+  order: the targets an escape detail or a ``fock_matrix`` error names.
+- ``_amplitudes`` maps many basis words at once, as numpy arrays of 64-bit
+  limbs (one limb up to 64 modes or qubits), and says only which amplitude
+  goes to which flip group: items with the same flip send a state to the
+  same target. An item's action factors over the low and the high half of
+  the word, so each group is summed in the way of fewest cells: per state,
+  one ``np.add.at`` cell that adds the acting items in packed order, the
+  sum ``_image`` forms bit for bit; or through a table over the distinct
+  halves of the words, which adds the same terms in another order.
+  ``verify_equivalence`` and ``fock_matrix`` use it.
 
 Verification encodes each fermionic image and compares it amplitude by
-amplitude with the qubit-side action, through the code's cached evaluator
-(``Code.encode_words``/``decode_words``). It flags basis states outside the
-code space (``d(e(v)) != v``) and Hamiltonians whose image leaves it.
+amplitude with the qubit-side action. It flags basis states that are not in
+the code space (``d(e(v)) != v``) and Hamiltonians whose image leaves it.
+Encoding and the round-trip checks use the code's own cached evaluator,
+``Code.encode_words``/``decode_words``.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from .bitmath import BitVec
-from .codes import Code, _ints, _labels, _lookup, _words
+from .codes import Code, _ints, _words
 from .errors import DimensionError, UnsupportedCodeError
 from .pauli import QubitOperator
 from .transform import FermionHamiltonian, FermionTerm, transform_op_linear
@@ -66,8 +77,11 @@ def _pack_strings(op: QubitOperator) -> list[tuple[int, int, int, int, complex]]
 
 
 def _image(word: int, items: list) -> dict[int, complex]:
-    """Image of basis word ``word`` under packed items: item ``(flip, z, care,
-    want, c)`` maps ``|w>`` to ``c (-1)^|w & z| |w ^ flip>`` if ``w & care == want``."""
+    """Image of basis word ``word`` under a sum of packed action items.
+
+    Item ``(flip, z, care, want, c)`` maps ``|w>`` to
+    ``c (-1)^|w & z| |w ^ flip>`` when ``w & care == want``, else to 0.
+    """
     out: dict[int, complex] = {}
     for flip, z, care, want, c in items:
         if word & care != want:
@@ -86,16 +100,38 @@ def _apply_sparse(items: list, amplitudes: dict, n: int) -> dict[BitVec, complex
     return {BitVec.from_int(k, n): v for k, v in out.items() if abs(v) > 1e-15}
 
 
-# Cells (states x items or keys) one kernel step handles, about 0.1 KiB of
-# temporaries each: 2^13 keep the oracle's peak within 2 MiB of the process's,
-# as fast as 2^14. A split costs about 2^4 steps more numpy calls than the
-# direct sum, so a batch of at most 2^17 (state, item) cells is summed directly.
+def _labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's number among the distinct rows, in ``np.lexsort`` order (last
+    column first), and the index of the first row of each number."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    label = np.empty(len(rows), dtype=np.int64)
+    label[order] = np.cumsum(new) - 1
+    return label, order[new]
+
+
+# Cells (state x item, or half x item) one table-filling step handles. A cell
+# costs about 0.1 KiB of temporaries; 2^13 cells keep a step within 1 MiB,
+# as fast as 2^14 cells in measurements. A combining step handles at least
+# one state's split keys. The split tables (distinct halves x keys) and the
+# words' half labels are held for a whole ``_amplitudes`` call.
 _CELLS = 1 << 13
+
+# (state, item) cells up to which a batch is summed directly, unlabelled:
+# labelling the halves and the keys costs about 1 ms, more than the split
+# saves on small batches. On prefixes of the perfbench batches (both sides of
+# hubbard_segment and molecular_bk) the split first wins at 2^16.8 to 2^18.1.
+_DIRECT = 1 << 17
 
 
 class _Batch:
-    """Packed items as limb arrays; item ``i`` sends an acting state ``w`` to
-    ``w ^ flips[group[i]]``. ``halves`` masks the low and the high half of a word."""
+    """Packed items as limb arrays, with the distinct flips they move states by.
+
+    Item ``i`` sends an acting state ``w`` to ``w ^ flips[group[i]]``.
+    ``halves`` masks the low and the high half of a word.
+    """
 
     def __init__(self, items: list, n_bits: int):
         ids: dict[int, int] = {}
@@ -106,62 +142,69 @@ class _Batch:
         low = (1 << n_bits // 2) - 1
         self.halves = _words([low, low ^ (1 << n_bits) - 1], n_bits)
 
-    def keys(self, items: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_labels`` of the items' (z, care, want) on ``half`` within their
-        group, so numbered group-major, with the first item of each number."""
-        rows = [a[items] & half for a in (self.z, self.care, self.want)]
-        return _labels(np.hstack([*rows, self.group[items, None].astype(np.uint64)]))
-
-    def plan(self, words: np.ndarray) -> np.ndarray:
-        """Per flip group, the plan of fewest cells on the ``S`` ``words``: 0
-        sums each state's ``N_g`` items, ``S N_g`` cells; ``1 + h`` sums the
-        items over the ``U_h`` distinct halves ``h``, then each state over the
-        group's ``K_g`` keys on the other half, ``U_h N_g + S K_g`` cells."""
+    def plan(self, words: np.ndarray) -> tuple[np.ndarray, list]:
+        """Per flip group, the plan of fewest cells on the ``S`` ``words``, and
+        the labels it counted them with. Plan 0 sums each state's ``N_g``
+        items, ``S N_g`` cells. Plan ``1 + h`` sums the items over the ``U_h``
+        distinct ``h`` halves of the words per key, the items' (z, care,
+        want) on the other half, then each state over the group's ``K_g``
+        keys, ``U_h N_g + S K_g`` cells. ``labels[h]`` holds the ``_labels``
+        of the words' ``h`` halves and of the keys, numbered group-major; it
+        is empty for a batch of at most ``_DIRECT`` cells, all on plan 0."""
         n = np.bincount(self.group, minlength=len(self.flips))
-        cost = [len(words) * n]
-        if len(words) * len(self.coeff) > _CELLS << 4:
-            for h, o in ((0, 1), (1, 0)):
-                first = self.keys(slice(None), self.halves[o])[1]
-                k = np.bincount(self.group[first], minlength=len(n))
-                cost.append(len(_labels(words & self.halves[h])[1]) * n + len(words) * k)
-        return np.argmin(cost, axis=0)
+        if len(words) * len(self.coeff) <= _DIRECT:
+            return np.zeros(len(n), dtype=np.int64), []
+        cost, labels = [len(words) * n], []
+        for h, other in zip(self.halves, self.halves[::-1]):
+            keys = [a & other for a in (self.z, self.care, self.want)]
+            keys.append(self.group[:, None].astype(np.uint64))
+            labels.append((_labels(words & h), _labels(np.hstack(keys))))
+            u, one = labels[-1][0][1], labels[-1][1][1]
+            cost.append(len(u) * n + len(words) * np.bincount(self.group[one], minlength=len(n)))
+        return np.argmin(cost, axis=0), labels
 
 
 def _sum(u: np.ndarray, b: _Batch, items, half, keys, width: int, c) -> np.ndarray:
     """``table[r, k]``: the sum of ``c[j] [u & care == want] (-1)^|u & z|`` at
     ``u = u[r]`` over the ``items[j]`` of key ``keys[j] = k``, with care and
-    want on ``half``; each cell adds its items in order (``np.add.at``)."""
+    want on ``half``. ``np.add.at`` adds in index order, so each cell adds
+    its items in the order of ``items``. A step covers about ``_CELLS`` cells."""
     table = np.zeros((len(u), width), dtype=c.dtype)
-    tile = max(1, _CELLS // max(len(u), 1))
+    tile = min(max(len(items), 1), _CELLS)
+    step = _CELLS // tile
     for j in range(0, len(items), tile):
         i, cj = items[j : j + tile], c[j : j + tile]
-        acts = ((u[:, None] & b.care[i]) == b.want[i] & half).all(axis=2)
-        odd = np.bitwise_xor.reduce(np.bitwise_count(u[:, None] & b.z[i]), axis=2) & 1
-        cells = (np.arange(len(u))[:, None] * width + keys[j : j + tile]).ravel()
-        np.add.at(table.reshape(-1), cells, np.where(acts, np.where(odd, -cj, cj), 0).ravel())
+        for r0 in range(0, len(u), step):
+            w = u[r0 : r0 + step, None]
+            acts = ((w & b.care[i]) == b.want[i] & half).all(axis=2)
+            odd = np.bitwise_xor.reduce(np.bitwise_count(w & b.z[i]), axis=2) & 1
+            cells = np.arange(r0, r0 + len(w))[:, None] * width + keys[j : j + tile]
+            terms = np.where(acts, np.where(odd, -cj, cj), 0)
+            np.add.at(table.reshape(-1), cells.ravel(), terms.ravel())
     return table
 
 
 def _amplitudes(words: np.ndarray, b: _Batch, step: int):
-    """Yield ``out[s, g]``, ``step`` rows at a time: the amplitude state ``s``
-    sends to ``words[s] ^ b.flips[g]``, summed by the group's ``b.plan``. Plan
-    0 is ``_sum`` over the states, the sum ``_image`` forms bit for bit. Plan
-    ``1 + h`` is ``_sum`` over the distinct halves ``h`` per key (the items'
-    z, care, want on the other half ``o``), times each key's factor on half
-    ``o``, added over the group's keys by ``np.add.reduceat``."""
-    plan = b.plan(words)[b.group]
-    halves = [_labels(words & half) for half in b.halves] if plan.any() else []
+    """Yield ``out[s, g]``, ``step`` states at a time: the amplitude state
+    ``s`` sends to ``words[s] ^ b.flips[g]``, summed by the group's
+    ``b.plan``. Plan 0 is ``_sum`` over the states in packed order, the sum
+    ``_image`` forms bit for bit. Plan ``1 + h`` is ``_sum`` over the distinct
+    ``h`` halves per key, times each key's factor on the other half, added
+    over the group's keys by ``np.add.reduceat``."""
+    plan, labels = b.plan(words)
+    plan = plan[b.group]
     split = []
-    for h, o in ((0, 1), (1, 0)):
-        items = np.flatnonzero(plan == 1 + h)
-        if len(items):
-            (ku, u), (kv, v), mask = halves[h], halves[o], b.halves
-            at, one = b.keys(items, mask[o])
-            n, one = len(one), items[one]
-            table = _sum(words[u] & mask[h], b, items, mask[h], at, n, b.coeff[items])
-            sign = _sum(words[v] & mask[o], b, one, mask[o], np.arange(n), n, np.ones(n, np.int8))
-            runs = np.flatnonzero(np.diff(b.group[one], prepend=-1))
-            split.append((ku, kv, table, sign, runs, b.group[one[runs]]))
+    for h, ((ku, u), (at, one)) in enumerate(labels):
+        used = plan[one] == 1 + h  # the keys of the groups on this plan
+        if not used.any():
+            continue
+        items, one = np.flatnonzero(plan == 1 + h), one[used]
+        at, k = (np.cumsum(used) - 1)[at[items]], len(one)  # still group-major
+        (kv, v), half, other = labels[1 - h][0], b.halves[h], b.halves[1 - h]
+        table = _sum(words[u] & half, b, items, half, at, k, b.coeff[items])
+        sign = _sum(words[v] & other, b, one, other, np.arange(k), k, np.ones(k, np.int8))
+        runs = np.flatnonzero(np.diff(b.group[one], prepend=-1))
+        split.append((ku, kv, table, sign, runs, b.group[one[runs]]))
     direct, full = np.flatnonzero(plan == 0), b.halves[0] | b.halves[1]
     for r0 in range(0, len(words), step):
         w = words[r0 : r0 + step]
@@ -173,6 +216,17 @@ def _amplitudes(words: np.ndarray, b: _Batch, step: int):
                 cells = table[ku[s]] * sign[kv[s]]
                 out[s0 : s0 + rows, groups] = np.add.reduceat(cells, runs, axis=1)
         yield out
+
+
+def _lookup(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Row of ``table`` (distinct limb rows) equal to each key row, -1 if none.
+
+    Table and key rows are numbered together by their distinct value.
+    """
+    label, _ = _labels(np.concatenate([table, keys]))
+    row = np.full(len(label), -1)
+    row[label[: len(table)]] = np.arange(len(table))
+    return row[label[len(table) :]]
 
 
 class _SparseState:
@@ -206,7 +260,9 @@ class QubitStateVector(_SparseState):
     amplitudes: dict[BitVec, complex] = field(default_factory=dict)
 
 
-def apply_fermion_term(term: FermionTerm, nu: BitVec) -> tuple[complex, BitVec] | None:
+def apply_fermion_term(
+    term: FermionTerm, nu: BitVec
+) -> tuple[complex, BitVec] | None:
     """Image (coefficient, state) of one basis state; None when annihilated."""
     for occ, coeff in _image(nu.value, _pack_terms([term])).items():
         return coeff, BitVec.from_int(occ, nu.n)
@@ -241,16 +297,29 @@ class EquivalenceReport:
         return self.status == "pass"
 
     def to_json(self) -> str:
-        keys = ("status", "max_deviation", "states_checked", "failures")
-        return json.dumps({k: getattr(self, k) for k in keys}, indent=2)
+        return json.dumps(
+            {
+                "status": self.status,
+                "max_deviation": self.max_deviation,
+                "states_checked": self.states_checked,
+                "failures": self.failures,
+            },
+            indent=2,
+        )
 
     def summary(self) -> str:
-        counts = f"states={self.states_checked} max_deviation={self.max_deviation:.3g}"
-        return f"status={self.status} {counts} failures={len(self.failures)}"
+        return (
+            f"status={self.status} states={self.states_checked} "
+            f"max_deviation={self.max_deviation:.3g} failures={len(self.failures)}"
+        )
 
 
 def verify_equivalence(
-    code: Code, h: FermionHamiltonian, hq: QubitOperator, basis: list[BitVec], tol: float = 1e-9
+    code: Code,
+    h: FermionHamiltonian,
+    hq: QubitOperator,
+    basis: list[BitVec],
+    tol: float = 1e-9,
 ) -> EquivalenceReport:
     """Check that the qubit operator replicates the Hamiltonian on the basis.
 
@@ -326,9 +395,9 @@ class AnticommutationReport:
     failures: list[str]
 
     def summary(self) -> str:
-        if self.ok:
-            return "all anticommutation relations hold"
-        return f"{len(self.failures)} violations, first: {self.failures[0]}"
+        return "all anticommutation relations hold" if self.ok else (
+            f"{len(self.failures)} violations, first: {self.failures[0]}"
+        )
 
 
 def verify_anticommutation(code: Code, atol: float = 1e-12) -> AnticommutationReport:
@@ -380,7 +449,9 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
             nu = basis[c0 + col]
             missing = set(_ints(image[(row < 0) & (s == col)]))
             k = next(k for k in _image(nu.value, items) if k in missing)
-            at = BitVec.from_int(k, h.n_modes)
-            raise ValueError(f"Hamiltonian maps {nu} outside the given basis (to {at})")
+            raise ValueError(
+                f"Hamiltonian maps {nu} outside the given basis "
+                f"(to {BitVec.from_int(k, h.n_modes)})"
+            )
         out[row, c0 + s] = amp[s, g]
     return out

@@ -7,8 +7,7 @@ significant) bit. ``nonlinear_codes`` draws random truth-table codes;
 ``reference_transform`` sums per-term operators as the merge once did;
 ``reference_validate_code``, ``reference_decode_image`` and
 ``reference_is_degenerate_image`` check a code one word at a time, as
-``fermicode.codes`` once did; ``reference_tables`` builds ``Code.tables``
-with a dict of int masks, as it once was.
+``fermicode.codes`` once did.
 """
 
 import functools
@@ -242,17 +241,3 @@ def reference_validate_code(code, spec, budget, sample=None, seed=0):
         if code.encode_vec(nu) != w:
             one_to_one = False
     return ValidationReport(failures, images_outside, degenerate, one_to_one, len(words))
-
-
-def reference_tables(code):
-    """``Code.tables`` from one dict entry per distinct monomial, in order of first use."""
-    from fermicode.codes import _words
-
-    out = []
-    for polys, n_vars in ((code.encode, code.n_modes), (code.decode, code.n_qubits)):
-        owners = {}
-        for i, p in enumerate(polys):
-            for m in p.masks:
-                owners[m] = owners.get(m, 0) | 1 << i
-        out.append((_words(list(owners), n_vars), _words(list(owners.values()), len(polys))))
-    return tuple(out)

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,7 +39,6 @@ from helpers import (
     random_invertible_bitmat,
     reference_decode_image,
     reference_is_degenerate_image,
-    reference_tables,
     reference_validate_code,
 )
 
@@ -470,37 +468,6 @@ def test_words_round_trip(n_bits):
     assert _ints(words) == values
     # limbs run least significant first
     assert words[1, 0] == 1 and not words[1, 1:].any()
-
-
-def assert_tables_match_reference(code):
-    for ours, theirs in zip(code.tables, reference_tables(code), strict=True):
-        for a, b in zip(ours, theirs, strict=True):
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-
-
-@pytest.mark.parametrize("spec", [
-    "jordan_wigner:6", "jordan_wigner:70", "parity:9", "bravyi_kitaev:65",
-    "checksum:5:odd", "checksum:10:even+checksum:10:even", "segment:2:3",
-    "checksum:10:even+segment:2:2", "segment:2:2+segment:2:2", "binary_addressing_k1:4",
-    "binary_addressing_k1:7", "binary_addressing_k2:5", "binary_addressing_k2:4+segment:1:2",
-])
-def test_tables_match_dict_reference(spec):
-    assert_tables_match_reference(load_code(spec))
-
-
-@settings(max_examples=40, deadline=None)
-@given(nonlinear_codes())
-def test_tables_of_random_codes_match_dict_reference(case):
-    assert_tables_match_reference(case[0])
-
-
-def test_wide_addressing_tables_are_fast():
-    # 1.1 M (component, monomial) pairs over 512 modes; the dict of int masks
-    # took 4.9-5.8 s of CPU, most of it in hash collisions of the masks.
-    code = binary_addressing_k2(9)
-    start = time.process_time()
-    assert len(code.tables[0][0]) == 130815
-    assert time.process_time() - start <= 4.0
 
 
 NAMED_CASES = [

@@ -125,11 +125,14 @@ WIDTHS = (1, 2, 3, 5, 8, 13, 31, 63, 64, 65, 70)
 
 def batch_amplitudes(items, n, states, plan=None):
     """``_amplitudes`` of ``states`` as one array, yielded 5 rows at a time,
-    with every flip group on ``plan`` when given."""
-    b = _Batch(items, n)
+    with every flip group on ``plan`` when given, labelled as in a large batch."""
+    b, words = _Batch(items, n), _words(states, n)
     if plan is not None:
-        b.plan = lambda words: np.full(len(b.flips), plan)
-    tiles = list(_amplitudes(_words(states, n), b, 5))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fock_oracle, "_DIRECT", -1)
+            labels = b.plan(words)[1]
+        b.plan = lambda words: (np.full(len(b.flips), plan), labels)
+    tiles = list(_amplitudes(words, b, 5))
     return b, np.concatenate([np.zeros((0, len(b.flips)))] + tiles)
 
 
@@ -259,6 +262,12 @@ def two_particle_hamiltonian(rng, n):
 
 
 class TestPlan:
+    @pytest.fixture
+    def no_direct_bound(self, monkeypatch):
+        """Plans chosen by cell count alone, whatever the batch size."""
+        monkeypatch.setattr(fock_oracle, "_DIRECT", -1)
+
+    @pytest.mark.usefixtures("no_direct_bound")
     def test_z_masks_in_one_half_take_the_single_key_orientation(self):
         n = 16
         words = _words(list(range(0, 1 << n, 7)), n)
@@ -266,7 +275,7 @@ class TestPlan:
             op = QubitOperator(
                 n, {PauliString.from_masks(n, 0b101000, z << shift): 1 + z for z in range(1, 65)}
             )
-            assert _Batch(_pack_strings(op), n).plan(words).tolist() == [plan]
+            assert _Batch(_pack_strings(op), n).plan(words)[0].tolist() == [plan]
 
     def test_tiny_batch_sums_directly(self):
         code = binary_addressing_k2(3)
@@ -275,8 +284,10 @@ class TestPlan:
         words = code.encode_words(_words([nu.value for nu in basis], 8))
         b = _Batch(_pack_strings(hq), code.n_qubits)
         assert (len(words), len(b.coeff)) == (28, 384)
-        assert not b.plan(words).any()
+        plan, labels = b.plan(words)
+        assert not plan.any() and labels == []
 
+    @pytest.mark.usefixtures("no_direct_bound")
     def test_plan_is_the_cheapest_of_three_cell_counts(self):
         code = load_code("segment:2:2+segment:2:2")
         h = adjust_for_segments(hubbard_hamiltonian(2, 5, 1.0, 1.0), code.segments, 2)
@@ -288,7 +299,7 @@ class TestPlan:
                  (_pack_strings(hq), code.encode_words(words), code.n_qubits)]
         chosen = set()
         for items, w, n in sides:
-            plan = _Batch(items, n).plan(w).tolist()
+            plan = _Batch(items, n).plan(w)[0].tolist()
             ints = _ints(w)
             low = (1 << n // 2) - 1
             halves = (low, ((1 << n) - 1) ^ low)

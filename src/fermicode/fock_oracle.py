@@ -3,8 +3,9 @@
 On a basis word a ladder-operator product and a Pauli string have the same
 form: a flip mask, a Z-mask parity sign and a coefficient, and for the
 ladder product a check that the touched modes start at the occupations it
-needs. Each term or string is packed once into such an item
-(``_pack_terms``/``_pack_strings``), and two kernels apply item lists:
+needs. Each term or string is packed once into such an item (a term by
+``transform.pack_terms``, the packer the operator map uses too, a string by
+``_pack_strings``), and two kernels apply item lists:
 
 - ``_image`` maps one basis word, as Python ints, to its targets in the
   order its acting items meet them. The single-state helpers
@@ -41,34 +42,12 @@ from .bitmath import BitVec
 from .codes import Code, _ints, _words
 from .errors import DimensionError, UnsupportedCodeError
 from .pauli import QubitOperator
-from .transform import FermionHamiltonian, FermionTerm, transform_op_linear
+from .transform import FermionHamiltonian, FermionTerm, pack_terms, transform_op_linear
 
 
 def _pack_terms(terms: Iterable[FermionTerm]) -> list[tuple[int, int, int, int, complex]]:
-    """One action item per ladder product; products that vanish on every state drop out.
-
-    Walking the operators in application order, mode ``m`` must start at the
-    occupation its operator needs once the earlier flips are undone; its
-    parity string joins ``z``, and the earlier flips below ``m`` fix the sign.
-    """
-    items = []
-    for t in terms:
-        flip = z = care = want = 0
-        c = t.coeff
-        for m, dagger in reversed(t.ops):
-            bit = 1 << (m - 1)
-            need = (0 if dagger else bit) ^ (flip & bit)
-            if care & bit and want & bit != need:
-                break
-            care |= bit
-            want |= need
-            z ^= bit - 1
-            if (flip & (bit - 1)).bit_count() & 1:
-                c = -c
-            flip ^= bit
-        else:
-            items.append((flip, z, care, want, c))
-    return items
+    """``pack_terms`` of the ladder products, leaving out those that vanish on every state."""
+    return [item for item in pack_terms(terms) if item is not None]
 
 
 def _pack_strings(op: QubitOperator) -> list[tuple[int, int, int, int, complex]]:
@@ -264,6 +243,7 @@ def apply_fermion_term(
     term: FermionTerm, nu: BitVec
 ) -> tuple[complex, BitVec] | None:
     """Image (coefficient, state) of one basis state; None when annihilated."""
+    term.check_modes(nu.n)
     for occ, coeff in _image(nu.value, _pack_terms([term])).items():
         return coeff, BitVec.from_int(occ, nu.n)
     return None

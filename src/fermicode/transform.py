@@ -3,11 +3,13 @@
 The general weight-l operator map composes, per operator in the sequence,
 a projector onto the correct occupation and a parity-sign operator (both
 diagonal), followed by a single update operator that flips the code word.
-Each term is one ``pauli.expand`` call: the parity signs (from
-``Code.prefix_parities``) and projectors as factors, and as flips the
-update's constant mask (linear encodings) or the code's ``(encode, decode,
-q)``, whose flip pattern ``encode(decode(w) + q) + w`` ``expand`` evaluates
-on its truth-table grids. For classical n = N codes the construction
+``pack_terms``, which the Fock oracle shares, walks a term once into its
+action item; a product that vanishes on every state stops there. Else the
+term is one ``pauli.expand`` call: a sign ``(-1)^d_m`` per parity mode and
+a projector per needed occupation as factors, and as flips the update's
+constant mask (linear encodings) or the code's ``(encode, decode, q)``,
+whose flip pattern ``encode(decode(w) + q) + w`` ``expand`` evaluates on
+its truth-table grids. For classical n = N codes the construction
 collapses to Pauli strings over parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly, ascii_real
 from .bitmath import poly_sum  # noqa: F401  (perfbench/spans.py patches it here)
@@ -52,12 +55,44 @@ class FermionTerm:
     def of(cls, coeff: complex, *ops: tuple[int, bool]) -> "FermionTerm":
         return cls(complex(coeff), tuple((int(m), bool(d)) for m, d in ops))
 
-    def max_mode(self) -> int:
-        return max((m for m, _ in self.ops), default=0)
+    def check_modes(self, n_modes: int) -> None:
+        """Raise ``DimensionError`` naming the first mode outside 1..n_modes."""
+        for m, _ in self.ops:
+            if not 1 <= m <= n_modes:
+                raise DimensionError(f"mode {m} outside 1..{n_modes}")
 
     def __str__(self) -> str:
         body = " ".join(("+" if d else "-") + str(m) for m, d in self.ops)
         return f"({self.coeff}) {body or '1'}"
+
+
+def pack_terms(terms: Iterable[FermionTerm]) -> Iterator[tuple[int, int, int, int, complex] | None]:
+    """Action item ``(flip, z, care, want, c)`` of each ladder product, or None
+    when it vanishes on every state: the product maps ``|w>`` to
+    ``c (-1)^|w & z| |w ^ flip>`` when ``w & care == want``, else to 0.
+
+    Walking the operators in application order, mode ``m`` must start at the
+    occupation its operator needs once the earlier flips are undone (None if
+    it must start both empty and occupied); its parity string joins ``z``,
+    and the earlier flips below ``m`` fix the sign. One generator over all
+    terms costs less per term than a call each.
+    """
+    for term in terms:
+        flip = z = care = want = odd = 0
+        for m, dagger in reversed(term.ops):
+            bit = 1 << m - 1
+            below = bit - 1
+            need = (0 if dagger else bit) ^ (flip & bit)
+            if care & bit and want & bit != need:
+                yield None
+                break
+            care |= bit
+            want |= need
+            z ^= below
+            odd += (flip & below).bit_count()
+            flip ^= bit
+        else:  # times a float sign, so zeros keep the signs of ``coeff * sign``
+            yield flip, z, care, want, term.coeff * (-1.0 if odd & 1 else 1.0)
 
 
 @dataclass(frozen=True)
@@ -69,9 +104,7 @@ class FermionHamiltonian:
 
     def __post_init__(self):
         for t in self.terms:
-            for m, _ in t.ops:
-                if not 1 <= m <= self.n_modes:
-                    raise DimensionError(f"mode {m} outside 1..{self.n_modes}")
+            t.check_modes(self.n_modes)
 
     def merged(self) -> "FermionHamiltonian":
         """Combine identical operator sequences and drop vanished terms."""
@@ -179,55 +212,39 @@ def update_operator(code: Code, q: BitVec, budget: int = DEFAULT_BUDGET) -> Qubi
 # -- the general operator map --------------------------------------------------
 
 
-def _term_signs(ops: tuple[tuple[int, bool], ...]) -> tuple[float, list[float], int]:
-    """Global anticommutation sign, per-factor projector signs and the mode mask q.
-
-    Walks right to left keeping ``q``, the modes seen an odd number of times
-    so far. A factor adds the modes of ``q`` below its own to the inversion
-    count, and its sign flips once more when its own mode is in ``q`` (its
-    occupation has changed by the time that factor acts).
-    """
-    inversions = 0
-    q = 0
-    signs = [0.0] * len(ops)
-    for x in range(len(ops) - 1, -1, -1):
-        mode, dagger = ops[x]
-        bit = 1 << (mode - 1)
-        inversions += (q & (bit - 1)).bit_count()
-        signs[x] = -1.0 if bool(q & bit) != dagger else 1.0
-        q ^= bit
-    return (-1.0 if inversions & 1 else 1.0), signs, q
-
-
-def _diagonal_factors(code: Code, ops: tuple, signs: list[float]) -> list[tuple]:
-    """``expand`` factors of one term: parity signs and occupation projectors."""
-    return [(parity_function(code, m), 0, 1) for m, _ in ops] + [
-        (code.decode[m - 1], 0.5, -0.5 * s) for (m, _), s in zip(ops, signs)
+def _diagonal_factors(code: Code, item: tuple) -> list[tuple]:
+    """``expand`` factors of an action item: the sign ``(-1)^d_m`` for each
+    mode of ``z``, and for each mode of ``care`` the projector onto the
+    ``d_m`` that ``want`` holds."""
+    _, z, care, want, _ = item
+    decode = code.decode
+    return [(decode[m], 0, 1) for m in range(z.bit_length()) if z >> m & 1] + [
+        (decode[m], 0.5, -0.5 if want >> m & 1 else 0.5)
+        for m in range(care.bit_length()) if care >> m & 1
     ]
 
 
-def _term_triples(
-    code: Code, term: FermionTerm, budget: int, memo: dict | None = None
-) -> list[tuple]:
-    """``(x, z, c)`` triples of one term's image, scaled by its coefficient and
-    anticommutation sign and pruned as ``(coeff * sign) * op`` would be;
-    ``memo`` is ``_expand``'s group-table memo."""
-    if term.max_mode() > code.n_modes:
-        raise DimensionError(f"term touches mode {term.max_mode()}, code has {code.n_modes}")
-    if not term.ops:
+def _term_triples(code: Code, item: tuple | None, budget: int, memo: dict | None = None) -> list:
+    """``(x, z, c)`` triples of a term's image from its ``pack_terms`` item,
+    scaled by the item's ``c`` and pruned as ``c * op`` would be; ``memo`` is
+    ``_expand``'s group-table memo. A vanishing product builds no factor."""
+    if item is None:
+        return []
+    flip, _, care, _, scale = item
+    if not care:
         # Scalar term: the map's empty product acts as the identity on the
         # encoded space; emit the identity itself to stay hermitian.
-        return [(0, 0, complex(term.coeff))] if abs(term.coeff) > DEFAULT_PRUNE else []
-    global_sign, signs, q = _term_signs(term.ops)
-    flips = _update_flips(code, q)
-    triples = _expand(code.n_qubits, _diagonal_factors(code, term.ops, signs), flips, budget, memo)
-    scale = term.coeff * global_sign
+        return [(0, 0, complex(scale))] if abs(scale) > DEFAULT_PRUNE else []
+    flips = _update_flips(code, flip)
+    triples = _expand(code.n_qubits, _diagonal_factors(code, item), flips, budget, memo)
     return [(x, z, v) for x, z, c in triples if abs(v := scale * c) > DEFAULT_PRUNE]
 
 
 def transform_term(code: Code, term: FermionTerm, budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Qubit image of one fermionic term under the code's operator map."""
-    return QubitOperator.from_triples(code.n_qubits, _term_triples(code, term, budget))
+    term.check_modes(code.n_modes)
+    triples = _term_triples(code, next(pack_terms([term])), budget)
+    return QubitOperator.from_triples(code.n_qubits, triples)
 
 
 def transform_hamiltonian(
@@ -247,7 +264,8 @@ def transform_hamiltonian(
     The terms share one memo of group tables (see ``_expand``), which lives
     for this call only. A term whose image vanishes on the code space stops
     at its first group with an all-zero table, so it never reaches a later
-    group's budget check.
+    group's budget check; a ladder product that vanishes on every state
+    never reaches ``_expand``.
     """
     if h.n_modes != code.n_modes:
         raise DimensionError(
@@ -256,9 +274,9 @@ def transform_hamiltonian(
     # Summed in term order on (x, z) masks: the order fixes the float sums.
     acc: dict[tuple[int, int], complex] = {}
     memo: dict = {}
-    for index, term in enumerate(h.terms, start=1):
+    for index, (term, item) in enumerate(zip(h.terms, pack_terms(h.terms)), start=1):
         try:
-            triples = _term_triples(code, term, budget, memo)
+            triples = _term_triples(code, item, budget, memo)
         except BudgetError as exc:
             raise BudgetError(f"term {index} ({term}): {exc}") from exc
         for x, z, c in triples:
@@ -339,11 +357,12 @@ def transform_single_two_codes(
     """
     if code_even.n_qubits != code_odd.n_qubits or code_even.n_modes != code_odd.n_modes:
         raise DimensionError("sector codes must share mode and qubit counts")
+    term = FermionTerm.of(1, (j, dagger))
+    term.check_modes(code_even.n_modes)
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
-    ops = ((j, dagger),)
-    _, signs, q = _term_signs(ops)
-    flips = (outgoing.encode, incoming.decode, q)
-    return expand(code_even.n_qubits, _diagonal_factors(incoming, ops, signs), flips, budget)
+    item = next(pack_terms([term]))
+    flips = (outgoing.encode, incoming.decode, item[0])
+    return item[4] * expand(code_even.n_qubits, _diagonal_factors(incoming, item), flips, budget)
 
 
 # -- reordering and segment dressing --------------------------------------------

@@ -22,6 +22,7 @@ from fermicode.codes import (
     segment_code,
 )
 from fermicode.cli import hubbard_hamiltonian
+from fermicode.errors import DimensionError
 from fermicode.fock_oracle import (
     FockStateVector,
     QubitStateVector,
@@ -71,6 +72,11 @@ class TestFermionAction:
             BitVec("101"),
         )
         assert coeff == 1.0 and out == BitVec("101")
+
+    @pytest.mark.parametrize("mode", [0, 5])
+    def test_out_of_range_mode_is_named(self, mode):
+        with pytest.raises(DimensionError, match=rf"^mode {mode} outside 1\.\.4$"):
+            apply_fermion_term(FermionTerm.of(1.0, (mode, True)), BitVec("0000"))
 
     def test_matches_dense_singles(self):
         for n in range(1, 6):

@@ -11,6 +11,10 @@ Hubbard rows of the resource table and the 3x5 segment row: there
 ``transform_hamiltonian`` shares group tables across terms, where each
 ``transform_term`` builds its own.
 
+With t = 0.7 and U = 1.3 the Hubbard coefficients are not dyadic, so the
+order of every float product and sum shows in the bytes; the ``transform
+--out`` files of two segment rows are pinned by their sha256.
+
 The ``verify --out`` reports of the resource-table rows, of the same 2x5
 model on an overfilled basis, and of the undressed segment row (which stops
 at the hermiticity check and writes nothing) are pinned by their sha256.
@@ -101,6 +105,22 @@ def test_shared_group_tables_match_per_term_reference(rows, cols, spec):
     assert text == reference_transform(code, h).serialize()
     if rows == 3:
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "10c79df1ec5bee0b"
+
+
+# code: sha256 of ``transform --out`` on the 2x5 model with t = 0.7, U = 1.3.
+NON_DYADIC_ROWS = {
+    "segment:2:2+segment:2:2": "ef11277e3d3b79d05396c42477918b0c376a0c40493e26618d16e0b6dda8f2e2",
+    "checksum:10:even+segment:2:2": "0254e242d777e3d0682a0113d08e9d483c0a657a2d4e200568f2ff9e4961be7a",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(NON_DYADIC_ROWS))
+def test_non_dyadic_transform_bytes_are_pinned(tmp_path, spec):
+    model, out = tmp_path / "model.txt", tmp_path / "out.txt"
+    assert main(["gen-model", "--model", "hubbard", "--rows", "2", "--cols", "5",
+                 "--t", "0.7", "--u", "1.3", "--out", str(model)]) == 0
+    assert main(["transform", "--hamiltonian", str(model), "--code", spec, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NON_DYADIC_ROWS[spec]
 
 
 PASS_REPORT = "b06943748979624a92d23ea5162d3342bd4178c381011b1780cc2e1424095a1b"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fermicode import pauli
+from fermicode import pauli, transform
 from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.codes import (
     Code,
@@ -285,6 +285,24 @@ class TestTransformTerm:
             got = dense_operator(transform_term(jw, term))
             want = dense_fermion_term(4, term)
             assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("ops", [((1, True), (1, True)),
+                                     ((1, True), (6, False), (1, True), (1, False))])
+    def test_vanishing_product_is_zero_under_any_budget(self, ops):
+        # A product that needs mode 1 both empty and occupied builds no
+        # factor, so no group table can trip a budget of 1.
+        code = load_code("segment:2:2+segment:2:2")
+        term = FermionTerm.of(1.0, *ops)
+        assert transform_term(code, term).is_zero()
+        assert transform_term(code, term, budget=1).is_zero()
+
+    @pytest.mark.parametrize("mode", [0, 5])
+    def test_out_of_range_mode_is_named(self, mode):
+        term = FermionTerm.of(1.0, (mode, True))
+        with pytest.raises(DimensionError, match=rf"^mode {mode} outside 1\.\.4$"):
+            transform_term(jordan_wigner(4), term)
+        with pytest.raises(DimensionError, match=rf"^mode {mode} outside 1\.\.4$"):
+            transform_single_two_codes(checksum_code(4, "even"), checksum_code(4, "odd"), mode, True)
 
     def test_h2_support(self):
         code = h2_code()
@@ -709,6 +727,20 @@ class TestHamiltonianTransform:
         h = hubbard_hamiltonian(1, 2, 1.0, 1.0, periodic_lateral=False)
         with pytest.raises(BudgetError, match=rf"^term 1 \({re.escape(str(h.terms[0]))}\): "):
             transform_hamiltonian(code, h, budget=2)
+
+    def test_vanishing_products_never_reach_expand(self, monkeypatch):
+        # 1440 of the 2470 dressed terms need some mode both empty and occupied.
+        code, h = _dressed_hubbard_2x5()
+        calls = []
+        real = transform._expand
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(transform, "_expand", counting)
+        hq = transform_hamiltonian(code, h)
+        assert (len(h.terms), len(calls), hq.num_terms) == (2470, 1030, 1855)
 
     def test_each_group_table_is_built_once(self, monkeypatch):
         code, h = _dressed_hubbard_2x5()

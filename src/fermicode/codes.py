@@ -69,9 +69,9 @@ class Code:
     monomials. ``segments`` lists mode blocks whose occupation the code
     caps at ``segment_weight``.
 
-    Structure derived from encode/decode (prefix parities, linearity, the
-    encode's linear columns, a linear code's matrices, the monomial tables,
-    the leaf blocks) is computed on first use and kept on the instance;
+    Structure derived from encode/decode (linearity, the encode's linear
+    columns, a linear code's matrices, the monomial tables, the leaf
+    blocks) is computed on first use and kept on the instance;
     ``dataclasses.replace`` builds a new instance, so it never sees stale
     values.
     """
@@ -178,16 +178,6 @@ class Code:
         for part in self.parts:
             out += [(m << offset, None if i is None else i << offset) for m, i in part.blocks]
             offset += part.n_modes
-        return tuple(out)
-
-    @cached_property
-    def prefix_parities(self) -> tuple[BoolPoly, ...]:
-        """Entry ``j - 1`` is the mod-2 sum of the decode components below mode j."""
-        acc = BoolPoly.zero(self.n_qubits)
-        out = []
-        for d in self.decode:
-            out.append(acc)
-            acc = acc + d
         return tuple(out)
 
     @cached_property

@@ -421,17 +421,19 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
     step = max(1, _CELLS // max(len(terms.flips), 1))
     for c0, amp in zip(range(0, len(basis), step), _amplitudes(words, terms, step)):
         w = words[c0 : c0 + step]
-        s, g = np.nonzero(np.abs(amp) > 1e-15)
+        s, g = np.nonzero(amp)
         image = w[s] ^ terms.flips[g]
         row = _lookup(words, image)
-        if (row < 0).any():
-            col = s[row < 0][0]
+        escape = (row < 0) & (np.abs(amp[s, g]) > 1e-15)
+        if escape.any():
+            col = s[escape][0]
             nu = basis[c0 + col]
-            missing = set(_ints(image[(row < 0) & (s == col)]))
+            missing = set(_ints(image[escape & (s == col)]))
             k = next(k for k in _image(nu.value, items) if k in missing)
             raise ValueError(
                 f"Hamiltonian maps {nu} outside the given basis "
                 f"(to {BitVec.from_int(k, h.n_modes)})"
             )
-        out[row, c0 + s] = amp[s, g]
+        inside = row >= 0
+        out[row[inside], c0 + s[inside]] = amp[s[inside], g[inside]]
     return out

@@ -485,8 +485,6 @@ def _expand(
         merged: dict[tuple[int, int], float] = {}
         for t, z, c in terms:
             merged[t, z] = merged.get((t, z), 0.0) + c
-        if len(merged) > budget:
-            raise BudgetError(f"expansion reached {len(merged)} terms, budget {budget}")
         terms = [(t, z, c) for (t, z), c in merged.items() if abs(c) > DEFAULT_PRUNE]
     out = []
     for t, z, c in terms:  # times i**-k, k = |t & z| mod 4, exactly

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly, ascii_real
-from .bitmath import poly_sum  # noqa: F401  (perfbench/spans.py patches it here)
+from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly, ascii_real, poly_sum
 from .codes import Code
 from .errors import (
     BudgetError,
@@ -185,7 +184,7 @@ def parity_function(code: Code, j: int) -> BoolPoly:
     """Mod-2 sum of the decode components below mode j."""
     if not 1 <= j <= code.n_modes:
         raise IndexError(f"mode {j} outside 1..{code.n_modes}")
-    return code.prefix_parities[j - 1]
+    return poly_sum(code.decode[: j - 1], code.n_qubits)
 
 
 def _update_flips(code: Code, q: int) -> int | tuple:
@@ -316,13 +315,11 @@ class LinearSets:
 
 
 def _linear_masks(code: Code, j: int) -> tuple[int, int, int]:
-    """Parity, flip and update masks of mode j: row j of R A^-1 (its prefix
-    parity), row j of A^-1 (its decode component) and column j of A."""
+    """Parity, flip and update masks of mode j: row j of R A^-1 (its parity
+    function), row j of A^-1 (its decode component) and column j of A."""
     if code.matrix is None:
         raise UnsupportedCodeError("parity/flip/update sets need a linear n = N code")
-    if not 1 <= j <= code.n_modes:
-        raise IndexError(f"mode {j} outside 1..{code.n_modes}")
-    return (code.prefix_parities[j - 1].linear_mask(), code.decode[j - 1].linear_mask(),
+    return (parity_function(code, j).linear_mask(), code.decode[j - 1].linear_mask(),
             code.encode_columns[j - 1])
 
 

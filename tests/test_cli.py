@@ -259,6 +259,21 @@ class TestExitCodes:
         assert rc == 3
         assert re.search(r"^resource budget exceeded: term \d+ \(", capsys.readouterr().err)
 
+    def test_expansion_over_budget_is_exit_3(self, capsys):
+        rc = main(["transform", "--model", "hubbard", "--code", "jordan_wigner:20",
+                   "--budget", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "resource budget exceeded: term 1 (((-1+0j)) +1 -2): "
+            "expansion reached 2 terms, budget 1\n"
+        )
+
+    def test_zero_mode_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text("1 0 : +0 -1\n")
+        assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:2"]) == 2
+        assert capsys.readouterr().err == "input error: line 1: modes are 1-based\n"
+
     def test_merge_over_budget_is_exit_3(self, capsys):
         # Every term expands to at most 4 strings, but the merged sum of the
         # 91-string JW row passes 50 strings at term 25.
@@ -298,6 +313,7 @@ class TestExitCodes:
             ("jordan_wigner:1_0", "bad n_modes '1_0' in builtin code 'jordan_wigner:1_0'"),
             ("segment:2:\u0663", "bad segments '\u0663' in builtin code 'segment:2:\u0663'"),
             ("jordan_wigner: 3", "bad n_modes ' 3' in builtin code 'jordan_wigner: 3'"),
+            ("segment:2:2+segment:1:2", "cannot concatenate segment codes of different weights"),
         ],
     )
     def test_malformed_builtin_name_names_field(self, capsys, name, message):

@@ -714,6 +714,27 @@ class TestFockMatrix:
         m = fock_matrix(h, basis)
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
+    def test_keeps_tiny_in_basis_entries(self):
+        # h = 1e-16 n_1 + (a+_2 a_1 + h.c.) on the one-particle sector
+        h = FermionHamiltonian(
+            2,
+            (
+                FermionTerm.of(1e-16, (1, True), (1, False)),
+                FermionTerm.of(1.0, (2, True), (1, False)),
+                FermionTerm.of(1.0, (1, True), (2, False)),
+            ),
+        )
+        basis = enumerate_basis(parse_basis_spec("1-2:1", 2))
+        assert basis == [BitVec("01"), BitVec("10")]
+        assert fock_matrix(h, basis).tolist() == [[0, 1], [1, 1e-16]]
+
+    def test_cancellation_residue_does_not_escape(self):
+        # 0.1 + 0.2 - 0.3 leaves 5.6e-17 on |01>, which is not in the basis.
+        h = FermionHamiltonian(
+            2, tuple(FermionTerm.of(c, (2, True), (1, False)) for c in (0.1, 0.2, -0.3))
+        )
+        assert fock_matrix(h, [BitVec("10")]).tolist() == [[0]]
+
     def test_rejects_escaping_basis(self):
         h = FermionHamiltonian(2, (FermionTerm.of(1.0, (1, True), (2, False)),))
         with pytest.raises(ValueError):

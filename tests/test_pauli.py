@@ -70,6 +70,21 @@ class TestOperatorAlgebra:
         minus = QubitOperator.identity(1, 0.5) + QubitOperator.z_string(1, 1, -0.5)
         assert (plus * minus).is_zero()
 
+    def test_isclose_rejects_one_distant_coefficient(self):
+        a = QubitOperator.identity(1) + QubitOperator.z_string(1, 1, 0.5)
+        b = QubitOperator.identity(1) + QubitOperator.z_string(1, 1, 0.5 + 1e-6)
+        assert a.isclose(b, 1e-5)
+        assert not a.isclose(b, 1e-7)
+        assert not b.isclose(a, 1e-7)
+
+    def test_product_over_budget_raises(self):
+        # (I + Z)(I + X) = I + X + Z + iY: four strings
+        a = QubitOperator.identity(1) + QubitOperator.z_string(1, 1)
+        b = QubitOperator.identity(1) + QubitOperator.x_string(1, 1)
+        assert a.mul(b, budget=4).num_terms == 4
+        with pytest.raises(BudgetError, match="^operator product has 4 terms, budget 3$"):
+            a.mul(b, budget=3)
+
     def test_algebra_matches_dense(self):
         rng = random.Random(23)
         letters = ["I", "X", "Y", "Z"]
@@ -217,6 +232,11 @@ class TestExpand:
         monkeypatch.setattr(pauli, "_group_terms", recording)
         assert pauli._expand(n, factors, 0) == []
         assert built == [0b11]
+
+
+    def test_factor_over_other_variable_count_raises(self):
+        with pytest.raises(DimensionError, match="function over 2 variables on 3 qubits"):
+            pauli.expand(3, [(BoolPoly(2, [3]), 0, 1)], 0)
 
 
 class TestFlipOperator:

@@ -728,6 +728,22 @@ class TestHamiltonianTransform:
         with pytest.raises(BudgetError, match=rf"^term 1 \({re.escape(str(h.terms[0]))}\): "):
             transform_hamiltonian(code, h, budget=2)
 
+    @pytest.mark.parametrize(
+        "code, line, budget, reached",
+        [
+            (jordan_wigner(4), "1 0 : +1 -3", 1, 2),  # the affine sign stage
+            (binary_addressing_k2(3), "1 0 : +1 -5", 40, 52),  # a group table
+        ],
+    )
+    def test_expansion_over_budget_names_the_term(self, code, line, budget, reached):
+        h = parse_fermion_file(line, code.n_modes)
+        with pytest.raises(
+            BudgetError,
+            match=rf"^term 1 \({re.escape(str(h.terms[0]))}\): "
+            rf"expansion reached {reached} terms, budget {budget}$",
+        ):
+            transform_hamiltonian(code, h, budget=budget)
+
     def test_vanishing_products_never_reach_expand(self, monkeypatch):
         # 1440 of the 2470 dressed terms need some mode both empty and occupied.
         code, h = _dressed_hubbard_2x5()

@@ -114,9 +114,7 @@ class BitVec(namedtuple("BitVec", "n value")):
         return [j + 1 for j in range(self.n) if (self.value >> j) & 1]
 
     def concat(self, other: "BitVec") -> "BitVec":
-        return BitVec.from_int(
-            self.value | (other.value << self.n), self.n + other.n
-        )
+        return BitVec.from_int(self.value | (other.value << self.n), self.n + other.n)
 
     def to_tuple(self) -> tuple[int, ...]:
         return tuple((self.value >> j) & 1 for j in range(self.n))
@@ -202,9 +200,7 @@ class BitMat(namedtuple("BitMat", "rows cols packed")):
         work = list(self.packed)
         aug = [1 << i for i in range(n)]
         for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if (work[r] >> col) & 1), None
-            )
+            pivot = next((r for r in range(col, n) if (work[r] >> col) & 1), None)
             if pivot is None:
                 raise SingularMatrixError(f"matrix is singular at column {col + 1}")
             work[col], work[pivot] = work[pivot], work[col]
@@ -359,23 +355,12 @@ class BoolPoly(namedtuple("BoolPoly", "num_vars masks")):
             for m in self.masks
         )
 
-    def degree(self) -> int:
-        return max((m.bit_count() for m in self.masks), default=0)
-
     def is_linear(self) -> bool:
         """Degree at most 1 (affine functions included)."""
-        return self.degree() <= 1
+        return not self.split()[3]
 
     def is_zero(self) -> bool:
         return not self.masks
-
-    def linear_mask(self) -> int:
-        """Packed coefficients of the degree-1 monomials."""
-        mask = 0
-        for m in self.masks:
-            if m.bit_count() == 1:
-                mask |= m
-        return mask
 
     def support(self) -> int:
         """Mask of all variables occurring in any monomial."""
@@ -383,6 +368,20 @@ class BoolPoly(namedtuple("BoolPoly", "num_vars masks")):
         for m in self.masks:
             s |= m
         return s
+
+    def split(self) -> tuple[int, int, int, frozenset]:
+        """``(linear mask, constant bit, support, monomials)``: the packed
+        coefficients of the degree-1 monomials and of the constant 1, the mask
+        of all variables, and ``masks`` when some monomial has degree 2 or
+        more, else the empty set (the function is affine)."""
+        linear = support = nonlinear = 0
+        for m in self.masks:
+            support |= m
+            if m & (m - 1):
+                nonlinear = 1
+            else:
+                linear |= m
+        return linear, int(0 in self.masks), support, self.masks if nonlinear else frozenset()
 
     def evaluate(self, x) -> int:
         """Evaluate at a BitVec or packed-int assignment."""

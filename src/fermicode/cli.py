@@ -142,13 +142,8 @@ def h2_code() -> Code:
     Concatenation of two single-qubit blocks, each storing one spin sector's
     single particle position: decode (w+1, w), encode picks the second mode.
     """
-    block = Code(
-        n_modes=2,
-        n_qubits=1,
-        encode=(BoolPoly.from_text(2, "x2"),),
-        decode=(BoolPoly.from_text(1, "1 + x1"), BoolPoly.from_text(1, "x1")),
-        kind="custom",
-    )
+    decode = (BoolPoly.from_text(1, "1 + x1"), BoolPoly.from_text(1, "x1"))
+    block = Code(2, 1, (BoolPoly.from_text(2, "x2"),), decode)
     return concat(block, block)
 
 

@@ -10,14 +10,19 @@ The module also maps boolean functions to qubit operators through one
 kernel, ``expand``: the update operator ``sum_t X^t [eps(w) = t]`` times
 the diagonal ``prod_k (a_k + b_k * (-1)**f_k(w))``. The flips ``eps`` are
 a constant mask or a code's ``(encode, decode, q)``, standing for
-``eps(w) = encode(decode(w) + q) + w``. Affine parts multiply as Z-strings;
-the nonlinear rest splits into groups on disjoint qubits, each a
-Walsh-Hadamard transform of its own truth table, where ``eps`` is evaluated
-too, and the groups combine as a tensor product. A group whose table is
-zero makes the whole image zero, so the expansion stops there. The kernel
-``_expand`` returns ``(x, z, c)`` int-mask triples, each string's phase in
-``c``; ``transform_hamiltonian`` passes one memo of group tables to all of
-its terms, so each distinct group is tabulated once per call, and merges
+``eps(w) = encode(decode(w) + q) + w``. The kernel ``_expand`` reads each
+factor as ``BoolPoly.split`` gives it (Z mask, constant, support, and the
+monomials of a nonlinear one) and each flip piece's qubit support from
+``flip_supports``; a code derives both once (``Code.decode_split``,
+``Code.flip_supports``). Affine factors multiply as Z-strings and the
+sign's linear part is an XOR of masks; the nonlinear rest splits into
+groups on disjoint qubits, each a Walsh-Hadamard transform of its own truth
+table, where ``eps`` is evaluated too, and the groups combine as a tensor
+product. A group whose table is zero makes the whole image zero, so the
+expansion stops there. ``_expand`` returns ``(x, z, c)`` int-mask triples,
+each string's phase in ``c``; ``transform_hamiltonian`` passes one memo to
+all of its terms, so each distinct group table, and each decode
+component's table over a group's grid, is built once per call, and merges
 the triples. ``serialize`` sorts on masks, and ``expand`` (so ``extract``,
 ``cphase_expand``, ``flip_operator``) wraps the triples.
 """
@@ -264,8 +269,8 @@ class QubitOperator:
                 x, z, k = _mul_masks(s1.x, s1.z, s2.x, s2.z)
                 acc_key = (x, z)
                 acc[acc_key] = acc.get(acc_key, 0.0) + c1 * c2 * _PHASES[k]
-        if len(acc) > budget:
-            raise BudgetError(f"operator product has {len(acc)} terms, budget {budget}")
+            if len(acc) > budget:  # checked per row, before the rest is formed
+                raise BudgetError(f"operator product has {len(acc)} terms, budget {budget}")
         return QubitOperator.from_triples(self.n, ((x, z, c) for (x, z), c in acc.items()), eps)
 
     def __mul__(self, other):
@@ -359,18 +364,19 @@ def poly_table(masks: Iterable[int], grid: np.ndarray) -> np.ndarray:
 
 
 def _group_terms(
-    n: int, mask: int, members: list, flips, budget: int
+    n: int, mask: int, members: list, flips, budget: int, memo: dict
 ) -> list[tuple[int, int, float]]:
     """``(t, z, c)`` terms of ``sum c X^t Z^z`` for one group of qubits.
 
-    ``members`` are ``(0, monomial)`` of the sign, ``(1, (f, a, b))``
+    ``members`` are ``(0, monomial)`` of the sign, ``(1, (split, a, b))``
     nonlinear factors and ``(2, (j, e_j))`` update components, with
-    ``flips = (encode, decode, q)`` as in ``expand``. Each decode component
-    that an ``e_j`` reads is tabulated once over the group's qubits; XOR-ed
-    with ``q`` they give the occupation word at every grid point, on which
-    ``e_j`` is evaluated and grid bit ``j`` XOR-ed in. Each flip pattern's
-    share of the table is Walsh-transformed; the table and the terms count
-    against ``budget``.
+    ``flips = (encode, decode, supports, q)`` as in ``_expand``. Each decode
+    component that an ``e_j`` reads is tabulated over the group's qubits
+    once per ``memo``, keyed by (group mask, mode); XOR-ed with ``q`` they
+    give the occupation word at every grid point, on which ``e_j`` is
+    evaluated and grid bit ``j`` XOR-ed in. Each flip pattern's share of the
+    table is Walsh-transformed; the table and the terms count against
+    ``budget``.
     """
     k = mask.bit_count()
     if 1 << k > budget:
@@ -382,19 +388,22 @@ def _group_terms(
         grid = np.concatenate([grid, grid | (1 << j)])
     sign = [m for kind, m in members if kind == 0]
     values = 1.0 - 2.0 * poly_table(sign, grid) if sign else np.ones(1 << k)
-    for f, a, b in (piece for kind, piece in members if kind == 1):
-        values *= a + b * (1.0 - 2.0 * poly_table(f.masks, grid))
+    for (_, _, _, masks), a, b in (piece for kind, piece in members if kind == 1):
+        values *= a + b * (1.0 - 2.0 * poly_table(masks, grid))
     updates = [piece for kind, piece in members if kind == 2]
     rows = [(0, values)]
     if updates:
-        _, decode, q = flips
+        _, decode, _, q = flips
         # Occupation words span all modes: Python ints from 64 modes on.
         occupation = np.full(1 << k, q, dtype=np.int64 if len(decode) < 64 else object)
         read = 0
         for _, e in updates:
             read |= e.support()
         for m in (m for m in range(len(decode)) if read >> m & 1):
-            occupation ^= poly_table(decode[m].masks, grid).astype(occupation.dtype) << m
+            if (mask, m) not in memo:
+                memo[mask, m] = poly_table(decode[m].masks, grid).astype(occupation.dtype) << m
+                memo[mask, m].setflags(write=False)
+            occupation ^= memo[mask, m]
         pattern = np.zeros(1 << k, dtype=np.int64)
         for r, (j, e) in enumerate(updates):
             flip = poly_table(e.masks, occupation) ^ (grid >> j & 1).astype(bool)
@@ -420,48 +429,67 @@ def _group_terms(
     return terms
 
 
-def _expand(
-    n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET, memo: dict | None = None
-) -> list[tuple]:
-    """``expand`` as ``(x, z, c)`` triples: letter string ``(x, z)`` with ``c``
-    including the phase ``i**(-|x & z|)`` of ``X^x Z^z``; each string once.
-
-    ``memo`` holds group tables across calls that share ``n``, the code's
-    encode and decode, and ``budget``, keyed by the group's qubit mask, its
-    members and, for a group with update members, ``q``; its tables are
-    read-only tuples. A group whose table is empty makes the whole image
-    zero, so the remaining groups are not built.
-    """
-    t0, (encode, decode, q) = (flips, ((), (), 0)) if isinstance(flips, int) else (0, flips)
-    for f in [f for f, _, _ in factors] + list(decode):
-        if f.num_vars != n:
-            raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
-    reads = [d.support() for d in decode]
-    pieces = []  # (qubit mask, kind, payload), kinds as in _group_terms
+def flip_supports(encode: Sequence[BoolPoly], reads: Sequence[int]) -> tuple[int, ...]:
+    """Qubit support of each flip piece of ``encode(decode(w) + q) + w``: qubit
+    j and the supports ``reads[m]`` of the decode components ``encode[j]`` reads."""
+    out = []
     for j, e in enumerate(encode):
         support, modes = 1 << j, e.support()
         for m, read in enumerate(reads):
             if modes >> m & 1:
                 support |= read
-        pieces.append((support, 2, (j, e)))
+        out.append(support)
+    return tuple(out)
+
+
+def _expand(
+    n: int, factors: Sequence[tuple], flips, budget: int = DEFAULT_BUDGET, memo: dict | None = None
+) -> list[tuple]:
+    """``expand`` as ``(x, z, c)`` triples: letter string ``(x, z)`` with ``c``
+    including the phase ``i**(-|x & z|)`` of ``X^x Z^z``; each string once.
+
+    ``factors`` are ``(f.split(), a, b)`` and ``flips`` a mask or ``(encode,
+    decode, flip_supports(encode, ...), q)``, so no polynomial is scanned
+    here. ``memo`` holds, across calls that share ``n``, the code's encode and
+    decode, and ``budget``, the group tables, keyed by the group's qubit mask,
+    its members and, for a group with update members, ``q``, and the decode
+    tables of ``_group_terms``; all are read-only. A group whose table is
+    empty makes the whole image zero, so the remaining groups are not built.
+    """
+    if isinstance(flips, int):
+        t0, q, pieces = flips, 0, []  # (qubit mask, kind, payload), kinds as in _group_terms
+    else:
+        encode, _, supports, q = flips
+        t0, pieces = 0, [(s, 2, (j, e)) for j, (s, e) in enumerate(zip(supports, encode))]
+    linear = odd = seen = 0
     sign: frozenset = frozenset()
-    affine = {0: 1.0}  # Z mask -> coefficient; the flips are t0 until the groups
-    for f, a, b in factors:
-        if (a, b) == (0, 1):
-            sign = sign ^ f.masks
-        elif any(m & (m - 1) for m in f.masks):
-            pieces.append((f.support(), 1, (f, a, b)))
+    affine, low = {0: 1.0}, 1.0  # Z mask -> coefficient, and the least |coefficient|
+    for split, a, b in factors:  # the flips are t0 until the groups
+        zf, bit, support, masks = split
+        if a == 0 and b == 1:
+            linear, odd = linear ^ zf, odd ^ bit
+            if masks:
+                sign = sign ^ masks
+        elif masks:
+            pieces.append((support, 1, (split, a, b)))
         else:  # (-1)**f is a Z-string, negated by f's constant
-            zf, bf = f.support(), -b if 0 in f.masks else b
+            bf, least = -b if bit else b, min(abs(a), abs(b))
+            # A qubit no earlier Z mask has: every string is new, none is pruned.
+            fresh = zf & ~seen and low * least > DEFAULT_PRUNE
             step: dict[int, float] = {}
             for z, c in affine.items():
-                step[z] = step.get(z, 0.0) + c * a
-                step[z ^ zf] = step.get(z ^ zf, 0.0) + c * bf
+                if fresh:
+                    step[z], step[z ^ zf] = c * a, c * bf
+                else:
+                    step[z] = step.get(z, 0.0) + c * a
+                    step[z ^ zf] = step.get(z ^ zf, 0.0) + c * bf
             if len(step) > budget:
                 raise BudgetError(f"expansion reached {len(step)} terms, budget {budget}")
-            affine = {z: c for z, c in step.items() if abs(c) > DEFAULT_PRUNE}
+            seen |= zf
+            affine = step if fresh else {z: c for z, c in step.items() if abs(c) > DEFAULT_PRUNE}
+            low = low * least if fresh else min(map(abs, affine.values()), default=1.0)
     pieces += [(m, 0, m) for m in sign if m & (m - 1)]
-    linear, s0 = sum(m for m in sign if not m & (m - 1)), -1.0 if 0 in sign else 1.0
+    s0 = -1.0 if odd else 1.0
     terms = [(t0, z ^ linear, s0 * c) for z, c in affine.items()]
     groups: dict[int, list] = {}  # connected components: disjoint qubit masks
     for mask, kind, payload in pieces:
@@ -475,7 +503,7 @@ def _expand(
         key = (mask, tuple(members), q if any(kind == 2 for kind, _ in members) else None)
         part = memo.get(key)
         if part is None:
-            part = memo[key] = tuple(_group_terms(n, mask, members, flips, budget))
+            part = memo[key] = tuple(_group_terms(n, mask, members, flips, budget, memo))
         if not part:
             return []
         if len(terms) * len(part) > budget:
@@ -486,12 +514,11 @@ def _expand(
         for t, z, c in terms:
             merged[t, z] = merged.get((t, z), 0.0) + c
         terms = [(t, z, c) for (t, z), c in merged.items() if abs(c) > DEFAULT_PRUNE]
-    out = []
-    for t, z, c in terms:  # times i**-k, k = |t & z| mod 4, exactly
-        k = (t & z).bit_count() & 3
-        out.append((t, z, complex(c, 0.0) if k == 0 else complex(0.0, -c) if k == 1
-                    else complex(-c, 0.0) if k == 2 else complex(0.0, c)))
-    return out
+    return [  # times i**-k, k = |t & z| mod 4, exactly
+        (t, z, complex(c, 0.0) if k == 0 else complex(0.0, -c) if k == 1
+         else complex(-c, 0.0) if k == 2 else complex(0.0, c))
+        for t, z, c in terms for k in [(t & z).bit_count() & 3]
+    ]
 
 
 def expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET) -> QubitOperator:
@@ -507,9 +534,17 @@ def expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET)
     ``eps_j`` on qubit ``j`` and the qubits of the decode components
     ``encode[j]`` reads) splits into groups on disjoint qubits
     (``_group_terms``), which combine as a tensor product. The kernel
-    ``_expand`` returns the terms as ``(x, z, c)`` triples; this wraps them.
+    ``_expand`` returns the terms as ``(x, z, c)`` triples; this checks the
+    variable counts, splits the factors and wraps the triples.
     """
-    return QubitOperator.from_triples(n, _expand(n, factors, flips, budget))
+    encode, decode, q = ((), (), 0) if isinstance(flips, int) else flips
+    for f in [f for f, _, _ in factors] + list(decode):
+        if f.num_vars != n:
+            raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
+    if not isinstance(flips, int):
+        flips = (encode, decode, flip_supports(encode, [d.support() for d in decode]), q)
+    triples = _expand(n, [(f.split(), a, b) for f, a, b in factors], flips, budget)
+    return QubitOperator.from_triples(n, triples)
 
 
 def extract(f: BoolPoly, n: int | None = None, budget: int = DEFAULT_BUDGET) -> QubitOperator:

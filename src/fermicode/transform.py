@@ -5,12 +5,14 @@ a projector onto the correct occupation and a parity-sign operator (both
 diagonal), followed by a single update operator that flips the code word.
 ``pack_terms``, which the Fock oracle shares, walks a term once into its
 action item; a product that vanishes on every state stops there. Else the
-term is one ``pauli.expand`` call: a sign ``(-1)^d_m`` per parity mode and
-a projector per needed occupation as factors, and as flips the update's
-constant mask (linear encodings) or the code's ``(encode, decode, q)``,
-whose flip pattern ``encode(decode(w) + q) + w`` ``expand`` evaluates on
-its truth-table grids. For classical n = N codes the construction
-collapses to Pauli strings over parity/flip/update index sets.
+term is one ``pauli._expand`` call on structure the code derives once: a
+sign ``(-1)^d_m`` per parity mode and a projector per needed occupation as
+factors, read from ``Code.decode_split``, and as flips the update's
+constant mask (linear encodings) or the code's ``(encode, decode,
+flip_supports, q)``, whose flip pattern ``encode(decode(w) + q) + w`` is
+evaluated on truth-table grids; ``transform_hamiltonian``'s memo holds one
+table per decode component per grid. For classical n = N codes the
+construction collapses to Pauli strings over parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
 annihilation pair blocks, the two-code single-operator recipe, and the
@@ -35,7 +37,7 @@ from .errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from .pauli import DEFAULT_PRUNE, QubitOperator, _expand, expand
+from .pauli import DEFAULT_PRUNE, QubitOperator, _expand, flip_supports
 from .pauli import extract, poly_table  # noqa: F401  (perfbench/spans.py patches them here)
 
 
@@ -110,9 +112,7 @@ class FermionHamiltonian:
         acc: dict[tuple, complex] = {}
         for t in self.terms:
             acc[t.ops] = acc.get(t.ops, 0.0) + t.coeff
-        kept = tuple(
-            FermionTerm(c, ops) for ops, c in acc.items() if abs(c) > 0
-        )
+        kept = tuple(FermionTerm(c, ops) for ops, c in acc.items() if abs(c) > 0)
         return FermionHamiltonian(self.n_modes, kept)
 
 
@@ -136,9 +136,7 @@ def parse_fermion_file(text: str, n_modes: int | None = None) -> FermionHamilton
             if header.startswith("modes:"):
                 value = header[len("modes:"):].strip()
                 if declared is not None or not (value.isascii() and value.isdigit()):
-                    raise InputFormatError(
-                        f"line {lineno}: bad mode count header {raw.strip()!r}"
-                    )
+                    raise InputFormatError(f"line {lineno}: bad mode count header {raw.strip()!r}")
                 declared = int(value)
             continue
         if ":" not in line:
@@ -188,10 +186,10 @@ def parity_function(code: Code, j: int) -> BoolPoly:
 
 
 def _update_flips(code: Code, q: int) -> int | tuple:
-    """``expand`` flips of the update by mode mask q: a linear encoding's mask
-    (the XOR of q's encode columns), else the code's (e, d, q)."""
+    """``_expand`` flips of the update by mode mask q: a linear encoding's mask
+    (the XOR of q's encode columns), else the code's (e, d, flip supports, q)."""
     if not code.encode_is_linear:
-        return code.encode, code.decode, q
+        return code.encode, code.decode, code.flip_supports, q
     columns = code.encode_columns
     flips = 0
     while q:
@@ -205,7 +203,8 @@ def update_operator(code: Code, q: BitVec, budget: int = DEFAULT_BUDGET) -> Qubi
     """Operator satisfying U |e(v)> = |e(v + q)> for every encoded v."""
     if q.n != code.n_modes:
         raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
-    return expand(code.n_qubits, [], _update_flips(code, q.value), budget)
+    triples = _expand(code.n_qubits, [], _update_flips(code, q.value), budget)
+    return QubitOperator.from_triples(code.n_qubits, triples)
 
 
 # -- the general operator map --------------------------------------------------
@@ -216,11 +215,16 @@ def _diagonal_factors(code: Code, item: tuple) -> list[tuple]:
     mode of ``z``, and for each mode of ``care`` the projector onto the
     ``d_m`` that ``want`` holds."""
     _, z, care, want, _ = item
-    decode = code.decode
-    return [(decode[m], 0, 1) for m in range(z.bit_length()) if z >> m & 1] + [
-        (decode[m], 0.5, -0.5 if want >> m & 1 else 0.5)
-        for m in range(care.bit_length()) if care >> m & 1
-    ]
+    split, factors = code.decode_split, []
+    while z:
+        low = z & -z
+        factors.append((split[low.bit_length() - 1], 0, 1))
+        z ^= low
+    while care:
+        low = care & -care
+        factors.append((split[low.bit_length() - 1], 0.5, -0.5 if want & low else 0.5))
+        care ^= low
+    return factors
 
 
 def _term_triples(code: Code, item: tuple | None, budget: int, memo: dict | None = None) -> list:
@@ -267,9 +271,7 @@ def transform_hamiltonian(
     never reaches ``_expand``.
     """
     if h.n_modes != code.n_modes:
-        raise DimensionError(
-            f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}"
-        )
+        raise DimensionError(f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}")
     # Summed in term order on (x, z) masks: the order fixes the float sums.
     acc: dict[tuple[int, int], complex] = {}
     memo: dict = {}
@@ -315,12 +317,16 @@ class LinearSets:
 
 
 def _linear_masks(code: Code, j: int) -> tuple[int, int, int]:
-    """Parity, flip and update masks of mode j: row j of R A^-1 (its parity
-    function), row j of A^-1 (its decode component) and column j of A."""
+    """Parity, flip and update masks of mode j: row j of R A^-1 (the XOR of the
+    decode Z masks below j), row j of A^-1 (its Z mask) and column j of A."""
     if code.matrix is None:
         raise UnsupportedCodeError("parity/flip/update sets need a linear n = N code")
-    return (parity_function(code, j).linear_mask(), code.decode[j - 1].linear_mask(),
-            code.encode_columns[j - 1])
+    if not 1 <= j <= code.n_modes:
+        raise IndexError(f"mode {j} outside 1..{code.n_modes}")
+    split, parity = code.decode_split, 0
+    for z, _, _, _ in split[: j - 1]:
+        parity ^= z
+    return parity, split[j - 1][0], code.encode_columns[j - 1]
 
 
 def linear_sets(code: Code, j: int) -> LinearSets:
@@ -358,8 +364,10 @@ def transform_single_two_codes(
     term.check_modes(code_even.n_modes)
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
     item = next(pack_terms([term]))
-    flips = (outgoing.encode, incoming.decode, item[0])
-    return item[4] * expand(code_even.n_qubits, _diagonal_factors(incoming, item), flips, budget)
+    reads = [support for _, _, support, _ in incoming.decode_split]
+    flips = (outgoing.encode, incoming.decode, flip_supports(outgoing.encode, reads), item[0])
+    triples = _expand(code_even.n_qubits, _diagonal_factors(incoming, item), flips, budget)
+    return item[4] * QubitOperator.from_triples(code_even.n_qubits, triples)
 
 
 # -- reordering and segment dressing --------------------------------------------
@@ -377,15 +385,11 @@ def normal_order_blocks(h: FermionHamiltonian) -> FermionHamiltonian:
     for term in h.terms:
         daggers = sum(1 for _, d in term.ops if d)
         if 2 * daggers != len(term.ops):
-            raise UnsupportedCodeError(
-                f"term {term} does not conserve particle number"
-            )
+            raise UnsupportedCodeError(f"term {term} does not conserve particle number")
         stack = [(term.coeff, list(term.ops))]
         while stack:
             coeff, ops = stack.pop()
-            pos = next(
-                (idx for idx, (_, d) in enumerate(ops) if d != (idx % 2 == 0)), None
-            )
+            pos = next((idx for idx, (_, d) in enumerate(ops) if d != (idx % 2 == 0)), None)
             if pos is None:
                 out.append(FermionTerm(coeff, tuple(ops)))
                 continue

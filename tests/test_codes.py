@@ -2,6 +2,10 @@ import itertools
 import json
 import math
 import random
+from dataclasses import fields, replace
+from functools import cached_property
+
+import numpy as np
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -67,6 +71,41 @@ def anf_evaluator(polys):
 def weight_k_vectors(n, k):
     for combo in itertools.combinations(range(1, n + 1), k):
         yield BitVec.from_int(sum(1 << (m - 1) for m in combo), n)
+
+
+def _same(a, b) -> bool:
+    """Equality that compares numpy arrays (the monomial tables) by value."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+CACHED = sorted(name for name, value in vars(Code).items() if isinstance(value, cached_property))
+
+
+@pytest.mark.parametrize("spec, donor", [
+    ("jordan_wigner:4", "bravyi_kitaev:4"),
+    ("bravyi_kitaev:4", "jordan_wigner:4"),
+    ("checksum:4:even", "checksum:4:odd"),
+    ("segment:2:2", "checksum:5:even+checksum:5:odd"),
+    ("binary_addressing_k2:2", "checksum:4:odd"),
+])
+def test_replaced_polynomials_leave_no_cached_property_stale(spec, donor):
+    # Every cache of the original is filled before the replace; the replaced
+    # code must then agree with a code built afresh from its public fields,
+    # under a kind of its own so that it shares nothing with the original.
+    code, other = load_code(spec), load_code(donor)
+    assert {"decode_split", "flip_supports", "encode_columns", "tables"} <= set(CACHED)
+    for name in CACHED:
+        getattr(code, name)
+    replaced = replace(code, encode=other.encode, decode=other.decode)
+    public = {f.name: getattr(replaced, f.name) for f in fields(Code) if not f.name.startswith("_")}
+    fresh = Code(**{**public, "kind": "fresh " + spec})
+    for name in CACHED:
+        assert _same(getattr(replaced, name), getattr(fresh, name)), name
+    assert not all(_same(getattr(code, name), getattr(fresh, name)) for name in CACHED)
 
 
 class TestClassicalTransforms:

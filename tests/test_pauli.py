@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,23 @@ class TestOperatorAlgebra:
         assert a.mul(b, budget=4).num_terms == 4
         with pytest.raises(BudgetError, match="^operator product has 4 terms, budget 3$"):
             a.mul(b, budget=3)
+
+    def test_product_stops_at_the_first_row_over_budget(self):
+        # 600 x 600 strings on 24 qubits have up to 360,000 products; the
+        # check after each row of the outer loop stops the first row past 10.
+        rng = random.Random(67)
+
+        def operator():
+            masks = {(rng.getrandbits(24), rng.getrandbits(24)) for _ in range(600)}
+            while len(masks) < 600:
+                masks.add((rng.getrandbits(24), rng.getrandbits(24)))
+            return QubitOperator(24, {PauliString.from_masks(24, x, z): 1.0 for x, z in masks})
+
+        a, b = operator(), operator()
+        pattern = r"^operator product has (\d+) terms, budget 10$"
+        with pytest.raises(BudgetError, match=pattern) as err:
+            a.mul(b, budget=10)
+        assert int(re.match(pattern, str(err.value))[1]) <= 600 + 10
 
     def test_algebra_matches_dense(self):
         rng = random.Random(23)
@@ -211,7 +229,7 @@ class TestExpand:
         code = binary_addressing_k2(2)
         memo: dict = {}
         for q in range(1 << code.n_modes):
-            flips = (code.encode, code.decode, q)
+            flips = (code.encode, code.decode, code.flip_supports, q)
             shared = pauli._expand(code.n_qubits, [], flips, memo=memo)
             assert shared == pauli._expand(code.n_qubits, [], flips)
         assert len(memo) > 1
@@ -225,12 +243,12 @@ class TestExpand:
         built = []
         real = pauli._group_terms
 
-        def recording(n, mask, members, flips, budget):
+        def recording(n, mask, members, flips, budget, memo):
             built.append(mask)
-            return real(n, mask, members, flips, budget)
+            return real(n, mask, members, flips, budget, memo)
 
         monkeypatch.setattr(pauli, "_group_terms", recording)
-        assert pauli._expand(n, factors, 0) == []
+        assert pauli._expand(n, [(f.split(), a, b) for f, a, b in factors], 0) == []
         assert built == [0b11]
 
 

@@ -246,6 +246,44 @@ def test_two_code_single_matches_composed_epsilon(codes, data):
     assert np.allclose(got, expected, atol=1e-12)
 
 
+@st.composite
+def affine_codes(draw):
+    """``(code, basis, odd_terms)``: a random affine n = N code (invertible A
+    and offset c, e(v) = A v + c and d(w) = A^-1 (w + c)) on all 2^N states,
+    or ``checksum:N:even|odd`` on its parity sector, for N = 2..6. A
+    checksum code keeps only parity-conserving terms in its sector."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        flavor = draw(st.sampled_from(["even", "odd"]))
+        parity = int(flavor == "odd")
+        basis = [BitVec.from_int(v, n) for v in range(1 << n) if v.bit_count() % 2 == parity]
+        return checksum_code(n, flavor), basis, False
+    base = linear_code(random_invertible_bitmat(random.Random(draw(st.integers(0, 2**32))), n))
+    c = draw(st.integers(0, (1 << n) - 1))
+    encode = tuple(e + BoolPoly.constant(n, c >> i & 1) for i, e in enumerate(base.encode))
+    code = Code(n, n, encode, tuple(d + BoolPoly.constant(n, d.evaluate(c)) for d in base.decode))
+    return code, [BitVec.from_int(v, n) for v in range(1 << n)], True
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes=affine_codes(), data=st.data())
+def test_affine_decodes_match_dense_action(codes, data):
+    # Every factor is affine; the checksum's decode rows are dependent, so
+    # its projector products meet and cancel in the Z-mask dict.
+    code, basis, odd_terms = codes
+    n = code.n_modes
+    length = data.draw(st.sampled_from([1, 2, 3, 4] if odd_terms else [2, 4]))
+    ops = data.draw(st.lists(st.tuples(st.integers(1, n), st.booleans()),
+                             min_size=length, max_size=length))
+    term = FermionTerm.of(complex(data.draw(st.floats(-1, 1)), data.draw(st.floats(-1, 1))), *ops)
+    occupied = [nu.value for nu in basis]
+    encoded = [code.encode_vec(nu).value for nu in basis]
+    expected = np.zeros((1 << code.n_qubits, len(basis)), dtype=complex)
+    expected[encoded] = dense_fermion_term(n, term)[np.ix_(occupied, occupied)]
+    got = dense_operator(transform_term(code, term))[:, encoded]
+    np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
 class TestTransformTerm:
     def test_jw_number_operator(self):
         jw = jordan_wigner(3)
@@ -326,6 +364,21 @@ class TestLinearSets:
         assert s2.flip_set == {1, 2}
         assert s2.update_set == {2, 3, 4}
         assert linear_sets(c, 1).parity_set == frozenset()
+
+    def test_sets_read_the_parity_function_and_the_matrices(self):
+        # The parity set XORs the decode's Z masks below j: the support of
+        # parity_function(code, j), row j of R A^-1.
+        rng = random.Random(71)
+        for n in range(1, 9):
+            code = linear_code(random_invertible_bitmat(rng, n))
+            for j in range(1, n + 1):
+                s = linear_sets(code, j)
+                assert s.parity_set == frozenset(BitVec.from_int(
+                    parity_function(code, j).support(), n).ones())
+                assert s.flip_set == frozenset(code.matrix_inv.row(j).ones())
+                assert s.update_set == frozenset(code.matrix.col(j).ones())
+        with pytest.raises(IndexError, match=r"^mode 0 outside 1\.\.4$"):
+            linear_sets(jordan_wigner(4), 0)
 
     def test_requires_linear_code(self):
         with pytest.raises(UnsupportedCodeError):
@@ -763,14 +816,50 @@ class TestHamiltonianTransform:
         built = Counter()
         real = pauli._group_terms
 
-        def counting(n, mask, members, flips, budget):
+        def counting(n, mask, members, flips, budget, memo):
             built[mask, tuple(members)] += 1
-            return real(n, mask, members, flips, budget)
+            return real(n, mask, members, flips, budget, memo)
 
         monkeypatch.setattr(pauli, "_group_terms", counting)
         transform_hamiltonian(code, h)
         assert built and set(built.values()) == {1}
         assert sum(built.values()) < len(h.terms)
+
+    def test_each_decode_table_is_built_once_per_call(self, monkeypatch):
+        # One-body and density-density terms on 8 modes: every update group
+        # of binary_addressing_k2:3 reads the decode components over one
+        # grid, so there is a table per (group mask, mode), 8 in all.
+        modes = range(1, 9)
+        h = FermionHamiltonian(8, tuple(
+            [FermionTerm.of(0.5, (p, True), (q, False)) for p in modes for q in modes]
+            + [FermionTerm.of(0.3, (i, True), (i, False), (j, True), (j, False))
+               for i, j in itertools.combinations(modes, 2)]))
+        code = load_code("binary_addressing_k2:3")
+        built = Counter()
+        real = pauli._group_terms
+
+        class Spy:  # the call's memo, counting the decode tables stored in it
+            def __init__(self, memo):
+                self.memo = memo
+
+            def __contains__(self, key):
+                return key in self.memo
+
+            def __getitem__(self, key):
+                return self.memo[key]
+
+            def __setitem__(self, key, value):
+                built[key] += 1
+                self.memo[key] = value
+
+        def counting(n, mask, members, flips, budget, memo):
+            return real(n, mask, members, flips, budget, Spy(memo))
+
+        monkeypatch.setattr(pauli, "_group_terms", counting)
+        transform_hamiltonian(code, h)
+        assert len(built) == 8 and set(built.values()) == {1}
+        transform_hamiltonian(code, h)
+        assert set(built.values()) == {2}
 
     def test_group_tables_do_not_outlive_the_call(self):
         # A table kept from the first call would let term 1 skip its table's

@@ -114,7 +114,9 @@ class BitVec(namedtuple("BitVec", "n value")):
         return [j + 1 for j in range(self.n) if (self.value >> j) & 1]
 
     def concat(self, other: "BitVec") -> "BitVec":
-        return BitVec.from_int(self.value | (other.value << self.n), self.n + other.n)
+        return BitVec.from_int(
+            self.value | (other.value << self.n), self.n + other.n
+        )
 
     def to_tuple(self) -> tuple[int, ...]:
         return tuple((self.value >> j) & 1 for j in range(self.n))
@@ -200,7 +202,9 @@ class BitMat(namedtuple("BitMat", "rows cols packed")):
         work = list(self.packed)
         aug = [1 << i for i in range(n)]
         for col in range(n):
-            pivot = next((r for r in range(col, n) if (work[r] >> col) & 1), None)
+            pivot = next(
+                (r for r in range(col, n) if (work[r] >> col) & 1), None
+            )
             if pivot is None:
                 raise SingularMatrixError(f"matrix is singular at column {col + 1}")
             work[col], work[pivot] = work[pivot], work[col]

@@ -142,8 +142,13 @@ def h2_code() -> Code:
     Concatenation of two single-qubit blocks, each storing one spin sector's
     single particle position: decode (w+1, w), encode picks the second mode.
     """
-    decode = (BoolPoly.from_text(1, "1 + x1"), BoolPoly.from_text(1, "x1"))
-    block = Code(2, 1, (BoolPoly.from_text(2, "x2"),), decode)
+    block = Code(
+        n_modes=2,
+        n_qubits=1,
+        encode=(BoolPoly.from_text(2, "x2"),),
+        decode=(BoolPoly.from_text(1, "1 + x1"), BoolPoly.from_text(1, "x1")),
+        kind="custom",
+    )
     return concat(block, block)
 
 

@@ -204,7 +204,7 @@ class Code:
     def flip_supports(self) -> tuple[int, ...]:
         """``pauli.flip_supports`` of the update: entry j is qubit j and the
         supports of the decode components that e_j reads."""
-        return flip_supports(self.encode, [support for _, _, support, _ in self.decode_split])
+        return flip_supports(self.encode, self.decode)
 
     @cached_property
     def matrix(self) -> BitMat | None:
@@ -238,9 +238,15 @@ def linear_code(a: BitMat, kind: str = "linear") -> Code:
     """Full-Fock n = N code defined by an invertible matrix A."""
     if a.rows != a.cols:
         raise DimensionError("linear codes need a square matrix")
-    n, a_inv = a.rows, a.inverse()
-    encode = tuple(BoolPoly.linear(a.row(i)) for i in range(1, n + 1))
-    return Code(n, n, encode, tuple(BoolPoly.linear(a_inv.row(i)) for i in range(1, n + 1)), kind)
+    n = a.rows
+    a_inv = a.inverse()
+    return Code(
+        n_modes=n,
+        n_qubits=n,
+        encode=tuple(BoolPoly.linear(a.row(i)) for i in range(1, n + 1)),
+        decode=tuple(BoolPoly.linear(a_inv.row(i)) for i in range(1, n + 1)),
+        kind=kind,
+    )
 
 
 def _check_linear_size(constructor: str, n_modes: int) -> None:
@@ -298,10 +304,16 @@ def checksum_code(n_modes: int, flavor: str = "even") -> Code:
     if flavor not in ("even", "odd"):
         raise ValueError(f"flavor must be 'even' or 'odd', got {flavor!r}")
     n = n_modes - 1
-    last = BoolPoly.linear(BitVec.from_int((1 << n) - 1, n), constant=int(flavor == "odd"))
-    encode = tuple(BoolPoly.variable(n_modes, j) for j in range(1, n_modes))
-    return Code(n_modes, n, encode, (*(BoolPoly.variable(n, j) for j in range(1, n_modes)), last),
-                kind="checksum")
+    return Code(
+        n_modes=n_modes,
+        n_qubits=n,
+        encode=tuple(BoolPoly.variable(n_modes, j) for j in range(1, n_modes)),
+        decode=(
+            *(BoolPoly.variable(n, j) for j in range(1, n_modes)),
+            BoolPoly.linear(BitVec.from_int((1 << n) - 1, n), constant=int(flavor == "odd")),
+        ),
+        kind="checksum",
+    )
 
 
 def _table_size(what: str, n_vars: int, width: int = 1) -> int:
@@ -342,9 +354,14 @@ def _addressing_code(kind: str, r: int, n_qubits: int, occupation) -> Code:
             for i in range(n_qubits):
                 if w >> i & 1:
                     encode[i].append(mono)
-    return Code(n_modes, n_qubits, tuple(BoolPoly(n_modes, masks) for masks in encode),
-                tuple(BoolPoly(n_qubits, masks) for masks in decode), kind,
-                degenerate_image=BitVec.zeros(n_modes) if 0 in table else None)
+    return Code(
+        n_modes=n_modes,
+        n_qubits=n_qubits,
+        encode=tuple(BoolPoly(n_modes, masks) for masks in encode),
+        decode=tuple(BoolPoly(n_qubits, masks) for masks in decode),
+        kind=kind,
+        degenerate_image=BitVec.zeros(n_modes) if 0 in table else None,
+    )
 
 
 def binary_addressing_k1(r: int) -> Code:
@@ -395,12 +412,24 @@ def segment_subcode(weight: int) -> Code:
     """One segment: 2K + 1 modes on 2K qubits, encoding all words of weight <= K."""
     if weight < 1:
         raise ValueError("need weight >= 1")
-    n_hat, big_n, switch = 2 * weight, 2 * weight + 1, binary_switch(weight)
-    decode = (*(BoolPoly.variable(n_hat, j) + switch for j in range(1, n_hat + 1)), switch)
-    last = BoolPoly.variable(big_n, big_n)
-    encode = tuple(BoolPoly.variable(big_n, j) + last for j in range(1, n_hat + 1))
-    return Code(big_n, n_hat, encode, decode, "segment_subcode",
-                segments=(tuple(range(1, big_n + 1)),), segment_weight=weight)
+    n_hat = 2 * weight
+    big_n = n_hat + 1
+    switch = binary_switch(weight)
+    decode = [BoolPoly.variable(n_hat, j) + switch for j in range(1, n_hat + 1)]
+    decode.append(switch)
+    encode = tuple(
+        BoolPoly.variable(big_n, j) + BoolPoly.variable(big_n, big_n)
+        for j in range(1, n_hat + 1)
+    )
+    return Code(
+        n_modes=big_n,
+        n_qubits=n_hat,
+        encode=encode,
+        decode=tuple(decode),
+        kind="segment_subcode",
+        segments=(tuple(range(1, big_n + 1)),),
+        segment_weight=weight,
+    )
 
 
 def segment_code(weight: int, n_segments: int) -> Code:
@@ -422,17 +451,28 @@ def concat(*codes: Code) -> Code:
     decode: list[BoolPoly] = []
     segments: list[tuple[int, ...]] = []
     weights = {c.segment_weight for c in codes if c.segment_weight is not None}
-    mode_offset = qubit_offset = 0
+    mode_offset = 0
+    qubit_offset = 0
     for c in codes:
         encode.extend(p.shift_vars(mode_offset, n_modes) for p in c.encode)
         decode.extend(p.shift_vars(qubit_offset, n_qubits) for p in c.decode)
-        segments.extend(tuple(m + mode_offset for m in seg) for seg in c.segments)
+        segments.extend(
+            tuple(m + mode_offset for m in seg) for seg in c.segments
+        )
         mode_offset += c.n_modes
         qubit_offset += c.n_qubits
     if len(weights) > 1:
         raise UnsupportedCodeError("cannot concatenate segment codes of different weights")
-    return Code(n_modes, n_qubits, tuple(encode), tuple(decode), "concat", tuple(codes),
-                segments=tuple(segments), segment_weight=next(iter(weights)) if weights else None)
+    return Code(
+        n_modes=n_modes,
+        n_qubits=n_qubits,
+        encode=tuple(encode),
+        decode=tuple(decode),
+        kind="concat",
+        parts=tuple(codes),
+        segments=tuple(segments),
+        segment_weight=next(iter(weights)) if weights else None,
+    )
 
 
 # -- basis sets -------------------------------------------------------------
@@ -661,7 +701,14 @@ def _custom_code(spec: dict) -> Code:
     degenerate = spec.get("degenerate_image")
     if degenerate is not None:
         degenerate = BitVec(_spec_bits(spec, "degenerate_image", n_modes))
-    return Code(n_modes, n_qubits, tuple(encode), tuple(decode), degenerate_image=degenerate)
+    return Code(
+        n_modes=n_modes,
+        n_qubits=n_qubits,
+        encode=tuple(encode),
+        decode=tuple(decode),
+        kind="custom",
+        degenerate_image=degenerate,
+    )
 
 
 # Builtin kinds: constructor and its fields with their types, in the order of

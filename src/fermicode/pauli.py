@@ -12,18 +12,19 @@ the diagonal ``prod_k (a_k + b_k * (-1)**f_k(w))``. The flips ``eps`` are
 a constant mask or a code's ``(encode, decode, q)``, standing for
 ``eps(w) = encode(decode(w) + q) + w``. The kernel ``_expand`` reads each
 factor as ``BoolPoly.split`` gives it (Z mask, constant, support, and the
-monomials of a nonlinear one) and each flip piece's qubit support from
-``flip_supports``; a code derives both once (``Code.decode_split``,
-``Code.flip_supports``). Affine factors multiply as Z-strings and the
-sign's linear part is an XOR of masks; the nonlinear rest splits into
-groups on disjoint qubits, each a Walsh-Hadamard transform of its own truth
-table, where ``eps`` is evaluated too, and the groups combine as a tensor
-product. A group whose table is zero makes the whole image zero, so the
-expansion stops there. ``_expand`` returns ``(x, z, c)`` int-mask triples,
-each string's phase in ``c``; ``transform_hamiltonian`` passes one memo to
-all of its terms, so each distinct group table, and each decode
-component's table over a group's grid, is built once per call, and merges
-the triples. ``serialize`` sorts on masks, and ``expand`` (so ``extract``,
+monomials of a nonlinear one) and its flips as ``update_flips`` builds
+them, with each flip piece's qubit support (``flip_supports``); a code
+derives both once (``Code.decode_split``, ``Code.flip_supports``). Affine
+factors multiply as Z-strings and the sign's linear part is an XOR of
+masks; the nonlinear rest splits into groups on disjoint qubits, each a
+Walsh-Hadamard transform of its own truth table, where ``eps`` is
+evaluated too, and the groups combine as a tensor product. A group whose
+table is zero makes the whole image zero, so the expansion stops there.
+``_expand`` returns ``(x, z, c)`` int-mask triples, each string's phase in
+``c``; ``transform_hamiltonian`` passes one memo to all of its terms, so
+each distinct group table, and each decode component's table over a
+group's grid, is built once per call, and merges the triples.
+``serialize`` sorts on masks, and ``expand`` (so ``extract``,
 ``cphase_expand``, ``flip_operator``) wraps the triples.
 """
 
@@ -429,9 +430,10 @@ def _group_terms(
     return terms
 
 
-def flip_supports(encode: Sequence[BoolPoly], reads: Sequence[int]) -> tuple[int, ...]:
+def flip_supports(encode: Sequence[BoolPoly], decode: Sequence[BoolPoly]) -> tuple[int, ...]:
     """Qubit support of each flip piece of ``encode(decode(w) + q) + w``: qubit
-    j and the supports ``reads[m]`` of the decode components ``encode[j]`` reads."""
+    j and the supports of the decode components ``encode[j]`` reads."""
+    reads = [d.support() for d in decode]
     out = []
     for j, e in enumerate(encode):
         support, modes = 1 << j, e.support()
@@ -442,15 +444,22 @@ def flip_supports(encode: Sequence[BoolPoly], reads: Sequence[int]) -> tuple[int
     return tuple(out)
 
 
+def update_flips(encode, decode, q: int, supports: tuple | None = None) -> tuple:
+    """``_expand`` flips ``(encode, decode, supports, q)`` of ``eps(w) =
+    encode(decode(w) + q) + w``, with ``supports = flip_supports(encode,
+    decode)`` unless given (a code keeps them as ``Code.flip_supports``)."""
+    return encode, decode, flip_supports(encode, decode) if supports is None else supports, q
+
+
 def _expand(
     n: int, factors: Sequence[tuple], flips, budget: int = DEFAULT_BUDGET, memo: dict | None = None
 ) -> list[tuple]:
     """``expand`` as ``(x, z, c)`` triples: letter string ``(x, z)`` with ``c``
     including the phase ``i**(-|x & z|)`` of ``X^x Z^z``; each string once.
 
-    ``factors`` are ``(f.split(), a, b)`` and ``flips`` a mask or ``(encode,
-    decode, flip_supports(encode, ...), q)``, so no polynomial is scanned
-    here. ``memo`` holds, across calls that share ``n``, the code's encode and
+    ``factors`` are ``(f.split(), a, b)`` and ``flips`` a mask or
+    ``update_flips(encode, decode, q)``, so no polynomial is scanned here.
+    ``memo`` holds, across calls that share ``n``, the code's encode and
     decode, and ``budget``, the group tables, keyed by the group's qubit mask,
     its members and, for a group with update members, ``q``, and the decode
     tables of ``_group_terms``; all are read-only. A group whose table is
@@ -461,10 +470,10 @@ def _expand(
     else:
         encode, _, supports, q = flips
         t0, pieces = 0, [(s, 2, (j, e)) for j, (s, e) in enumerate(zip(supports, encode))]
-    linear = odd = seen = 0
+    linear = odd = 0
     sign: frozenset = frozenset()
-    affine, low = {0: 1.0}, 1.0  # Z mask -> coefficient, and the least |coefficient|
-    for split, a, b in factors:  # the flips are t0 until the groups
+    affine = {0: 1.0}  # Z mask -> coefficient; the flips are t0 until the groups
+    for split, a, b in factors:
         zf, bit, support, masks = split
         if a == 0 and b == 1:
             linear, odd = linear ^ zf, odd ^ bit
@@ -473,21 +482,14 @@ def _expand(
         elif masks:
             pieces.append((support, 1, (split, a, b)))
         else:  # (-1)**f is a Z-string, negated by f's constant
-            bf, least = -b if bit else b, min(abs(a), abs(b))
-            # A qubit no earlier Z mask has: every string is new, none is pruned.
-            fresh = zf & ~seen and low * least > DEFAULT_PRUNE
+            bf = -b if bit else b
             step: dict[int, float] = {}
             for z, c in affine.items():
-                if fresh:
-                    step[z], step[z ^ zf] = c * a, c * bf
-                else:
-                    step[z] = step.get(z, 0.0) + c * a
-                    step[z ^ zf] = step.get(z ^ zf, 0.0) + c * bf
+                step[z] = step.get(z, 0.0) + c * a
+                step[z ^ zf] = step.get(z ^ zf, 0.0) + c * bf
             if len(step) > budget:
                 raise BudgetError(f"expansion reached {len(step)} terms, budget {budget}")
-            seen |= zf
-            affine = step if fresh else {z: c for z, c in step.items() if abs(c) > DEFAULT_PRUNE}
-            low = low * least if fresh else min(map(abs, affine.values()), default=1.0)
+            affine = {z: c for z, c in step.items() if abs(c) > DEFAULT_PRUNE}
     pieces += [(m, 0, m) for m in sign if m & (m - 1)]
     s0 = -1.0 if odd else 1.0
     terms = [(t0, z ^ linear, s0 * c) for z, c in affine.items()]
@@ -514,11 +516,12 @@ def _expand(
         for t, z, c in terms:
             merged[t, z] = merged.get((t, z), 0.0) + c
         terms = [(t, z, c) for (t, z), c in merged.items() if abs(c) > DEFAULT_PRUNE]
-    return [  # times i**-k, k = |t & z| mod 4, exactly
-        (t, z, complex(c, 0.0) if k == 0 else complex(0.0, -c) if k == 1
-         else complex(-c, 0.0) if k == 2 else complex(0.0, c))
-        for t, z, c in terms for k in [(t & z).bit_count() & 3]
-    ]
+    out = []
+    for t, z, c in terms:  # times i**-k, k = |t & z| mod 4, exactly
+        k = (t & z).bit_count() & 3
+        out.append((t, z, complex(c, 0.0) if k == 0 else complex(0.0, -c) if k == 1
+                    else complex(-c, 0.0) if k == 2 else complex(0.0, c)))
+    return out
 
 
 def expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET) -> QubitOperator:
@@ -542,7 +545,7 @@ def expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET)
         if f.num_vars != n:
             raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
     if not isinstance(flips, int):
-        flips = (encode, decode, flip_supports(encode, [d.support() for d in decode]), q)
+        flips = update_flips(encode, decode, q)
     triples = _expand(n, [(f.split(), a, b) for f, a, b in factors], flips, budget)
     return QubitOperator.from_triples(n, triples)
 

@@ -8,11 +8,12 @@ action item; a product that vanishes on every state stops there. Else the
 term is one ``pauli._expand`` call on structure the code derives once: a
 sign ``(-1)^d_m`` per parity mode and a projector per needed occupation as
 factors, read from ``Code.decode_split``, and as flips the update's
-constant mask (linear encodings) or the code's ``(encode, decode,
-flip_supports, q)``, whose flip pattern ``encode(decode(w) + q) + w`` is
-evaluated on truth-table grids; ``transform_hamiltonian``'s memo holds one
-table per decode component per grid. For classical n = N codes the
-construction collapses to Pauli strings over parity/flip/update index sets.
+constant mask (linear encodings) or the code's flips from
+``update_flips`` (encode, decode, ``Code.flip_supports``, q), whose flip
+pattern ``encode(decode(w) + q) + w`` is evaluated on truth-table grids;
+``transform_hamiltonian``'s memo holds one table per decode component per
+grid. For classical n = N codes the construction collapses to Pauli
+strings over parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
 annihilation pair blocks, the two-code single-operator recipe, and the
@@ -37,7 +38,7 @@ from .errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from .pauli import DEFAULT_PRUNE, QubitOperator, _expand, flip_supports
+from .pauli import DEFAULT_PRUNE, QubitOperator, _expand, update_flips
 from .pauli import extract, poly_table  # noqa: F401  (perfbench/spans.py patches them here)
 
 
@@ -112,7 +113,9 @@ class FermionHamiltonian:
         acc: dict[tuple, complex] = {}
         for t in self.terms:
             acc[t.ops] = acc.get(t.ops, 0.0) + t.coeff
-        kept = tuple(FermionTerm(c, ops) for ops, c in acc.items() if abs(c) > 0)
+        kept = tuple(
+            FermionTerm(c, ops) for ops, c in acc.items() if abs(c) > 0
+        )
         return FermionHamiltonian(self.n_modes, kept)
 
 
@@ -136,7 +139,9 @@ def parse_fermion_file(text: str, n_modes: int | None = None) -> FermionHamilton
             if header.startswith("modes:"):
                 value = header[len("modes:"):].strip()
                 if declared is not None or not (value.isascii() and value.isdigit()):
-                    raise InputFormatError(f"line {lineno}: bad mode count header {raw.strip()!r}")
+                    raise InputFormatError(
+                        f"line {lineno}: bad mode count header {raw.strip()!r}"
+                    )
                 declared = int(value)
             continue
         if ":" not in line:
@@ -189,7 +194,7 @@ def _update_flips(code: Code, q: int) -> int | tuple:
     """``_expand`` flips of the update by mode mask q: a linear encoding's mask
     (the XOR of q's encode columns), else the code's (e, d, flip supports, q)."""
     if not code.encode_is_linear:
-        return code.encode, code.decode, code.flip_supports, q
+        return update_flips(code.encode, code.decode, q, code.flip_supports)
     columns = code.encode_columns
     flips = 0
     while q:
@@ -271,7 +276,9 @@ def transform_hamiltonian(
     never reaches ``_expand``.
     """
     if h.n_modes != code.n_modes:
-        raise DimensionError(f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}")
+        raise DimensionError(
+            f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}"
+        )
     # Summed in term order on (x, z) masks: the order fixes the float sums.
     acc: dict[tuple[int, int], complex] = {}
     memo: dict = {}
@@ -364,8 +371,7 @@ def transform_single_two_codes(
     term.check_modes(code_even.n_modes)
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
     item = next(pack_terms([term]))
-    reads = [support for _, _, support, _ in incoming.decode_split]
-    flips = (outgoing.encode, incoming.decode, flip_supports(outgoing.encode, reads), item[0])
+    flips = update_flips(outgoing.encode, incoming.decode, item[0])
     triples = _expand(code_even.n_qubits, _diagonal_factors(incoming, item), flips, budget)
     return item[4] * QubitOperator.from_triples(code_even.n_qubits, triples)
 
@@ -385,11 +391,15 @@ def normal_order_blocks(h: FermionHamiltonian) -> FermionHamiltonian:
     for term in h.terms:
         daggers = sum(1 for _, d in term.ops if d)
         if 2 * daggers != len(term.ops):
-            raise UnsupportedCodeError(f"term {term} does not conserve particle number")
+            raise UnsupportedCodeError(
+                f"term {term} does not conserve particle number"
+            )
         stack = [(term.coeff, list(term.ops))]
         while stack:
             coeff, ops = stack.pop()
-            pos = next((idx for idx, (_, d) in enumerate(ops) if d != (idx % 2 == 0)), None)
+            pos = next(
+                (idx for idx, (_, d) in enumerate(ops) if d != (idx % 2 == 0)), None
+            )
             if pos is None:
                 out.append(FermionTerm(coeff, tuple(ops)))
                 continue

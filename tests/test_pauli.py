@@ -229,7 +229,7 @@ class TestExpand:
         code = binary_addressing_k2(2)
         memo: dict = {}
         for q in range(1 << code.n_modes):
-            flips = (code.encode, code.decode, code.flip_supports, q)
+            flips = pauli.update_flips(code.encode, code.decode, q)
             shared = pauli._expand(code.n_qubits, [], flips, memo=memo)
             assert shared == pauli._expand(code.n_qubits, [], flips)
         assert len(memo) > 1

@@ -22,12 +22,41 @@ import math
 from collections import namedtuple
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import BudgetError, DimensionError, NonFiniteError, SingularMatrixError
 
 # Cap on the number of monomials (or operator terms) an operation may create;
 # composing nonlinear functions can blow up exponentially, and silently
 # truncating would corrupt results, so we abort instead.
 DEFAULT_BUDGET = 1 << 20
+
+
+def _words(values: list[int], n_bits: int) -> np.ndarray:
+    """Rows of 64-bit limbs, least significant first, one row per int: a
+    read-only view of each value's little-endian bytes."""
+    limbs = max(1, -(-n_bits // 64))
+    raw = b"".join(v.to_bytes(8 * limbs, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(values), limbs)
+
+
+def _ints(words: np.ndarray) -> list[int]:
+    """The ints of limb rows (inverse of ``_words``), read from each row's bytes."""
+    rows = np.ascontiguousarray(words, dtype="<u8").view(f"V{8 * words.shape[1]}")[:, 0]
+    return [int.from_bytes(row, "little") for row in rows.tolist()]
+
+
+def _labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's number among the distinct rows, in ``np.lexsort`` order (last
+    column first), and the index of the first row of each number: its
+    earliest row, as ``np.lexsort`` is stable."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    label = np.empty(len(rows), dtype=np.int64)
+    label[order] = np.cumsum(new) - 1
+    return label, order[new]
 
 
 def ascii_real(text: str) -> float:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitmath import DEFAULT_BUDGET, BitMat, BitVec, BoolPoly, ascii_int, moebius
+from .bitmath import DEFAULT_BUDGET, BitMat, BitVec, BoolPoly, _ints, _words, ascii_int, moebius
 from .errors import BudgetError, DimensionError, InputFormatError, UnsupportedCodeError
 from .pauli import flip_supports
 
@@ -31,20 +31,6 @@ _EVAL_CELLS = 1 << 16
 # Code words ``validate_code`` scans at once; their rows, images and checks
 # are dropped before the next chunk, so the scan's memory does not grow with 2^n.
 _SCAN_WORDS = 1 << 12
-
-
-def _words(values: list[int], n_bits: int) -> np.ndarray:
-    """Rows of 64-bit limbs, least significant first, one row per int: a
-    read-only view of each value's little-endian bytes."""
-    limbs = max(1, -(-n_bits // 64))
-    raw = b"".join(v.to_bytes(8 * limbs, "little") for v in values)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(values), limbs)
-
-
-def _ints(words: np.ndarray) -> list[int]:
-    """The ints of limb rows (inverse of ``_words``), read from each row's bytes."""
-    rows = np.ascontiguousarray(words, dtype="<u8").view(f"V{8 * words.shape[1]}")[:, 0]
-    return [int.from_bytes(row, "little") for row in rows.tolist()]
 
 
 def _evaluate(table: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> np.ndarray:

@@ -38,8 +38,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .bitmath import BitVec
-from .codes import Code, _ints, _words
+from .bitmath import BitVec, _ints, _labels, _words
+from .codes import Code
 from .errors import DimensionError, UnsupportedCodeError
 from .pauli import QubitOperator
 from .transform import FermionHamiltonian, FermionTerm, pack_terms, transform_op_linear
@@ -77,18 +77,6 @@ def _apply_sparse(items: list, amplitudes: dict, n: int) -> dict[BitVec, complex
         for k, v in _image(key.value, items).items():
             out[k] = out.get(k, 0.0) + amp * v
     return {BitVec.from_int(k, n): v for k, v in out.items() if abs(v) > 1e-15}
-
-
-def _labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's number among the distinct rows, in ``np.lexsort`` order (last
-    column first), and the index of the first row of each number."""
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    label = np.empty(len(rows), dtype=np.int64)
-    label[order] = np.cumsum(new) - 1
-    return label, order[new]
 
 
 # Cells (state x item, or half x item) one table-filling step handles. A cell

@@ -7,35 +7,36 @@ exact, in powers of i. ``PauliString`` is the named tuple ``(n, x, z)``:
 immutable, and equal and hashed as that tuple.
 
 The module also maps boolean functions to qubit operators through one
-kernel, ``expand``: the update operator ``sum_t X^t [eps(w) = t]`` times
-the diagonal ``prod_k (a_k + b_k * (-1)**f_k(w))``. The flips ``eps`` are
-a constant mask or a code's ``(encode, decode, q)``, standing for
-``eps(w) = encode(decode(w) + q) + w``. The kernel ``_expand`` reads each
-factor as ``BoolPoly.split`` gives it (Z mask, constant, support, and the
-monomials of a nonlinear one) and its flips as ``update_flips`` builds
-them, with each flip piece's qubit support (``flip_supports``); a code
-derives both once (``Code.decode_split``, ``Code.flip_supports``). Affine
-factors multiply as Z-strings and the sign's linear part is an XOR of
-masks; the nonlinear rest splits into groups on disjoint qubits, each a
-Walsh-Hadamard transform of its own truth table, where ``eps`` is
-evaluated too, and the groups combine as a tensor product. A group whose
-table is zero makes the whole image zero, so the expansion stops there.
-``_expand`` returns ``(x, z, c)`` int-mask triples, each string's phase in
-``c``; ``transform_hamiltonian`` passes one memo to all of its terms, so
-each distinct group table, and each decode component's table over a
-group's grid, is built once per call, and merges the triples.
-``serialize`` sorts on masks, and ``expand`` (so ``extract``,
-``cphase_expand``, ``flip_operator``) wraps the triples.
+kernel: the update operator ``sum_t X^t [eps(w) = t]`` times the diagonal
+``prod_k (a_k + b_k * (-1)**f_k(w))``, with the flips ``eps`` a constant
+mask or a code's ``(encode, decode, q)``, standing for ``eps(w) =
+encode(decode(w) + q) + w``. The kernel ``_expand`` takes a batch of such
+action items as columns (``Items``): each factor a ``BoolPoly.split`` from
+a shared table of pieces (a code's ``Code.decode_split``), each update as
+``update_flips`` builds it, with each flip piece's qubit support
+(``flip_supports``, ``Code.flip_supports``). Its stages run over all items
+at once on rows of 64-bit limbs: signs XOR their Z masks; affine factors
+multiply as Z-strings, one step per factor position, merging rows with
+equal (item, Z mask); the nonlinear rest splits into groups on disjoint
+qubits, each a Walsh-Hadamard transform of its own truth table, where
+``eps`` is evaluated too, kept as read-only columns in a memo; the groups
+combine with the affine rows as tensor products, and each item's rows are
+merged, phased and scaled. A group whose table is zero makes the item's
+image zero, so the item stops there. Every merge sorts packed keys
+(``_merge``) and adds in row order, so its sums (from a complex +0.0) and
+its first-appearance order are a dict's. ``expand`` (so ``extract``,
+``cphase_expand``, ``flip_operator``) runs the kernel on one item and
+``transform_hamiltonian`` on chunks of terms; ``serialize`` sorts on masks.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitmath import DEFAULT_BUDGET, BoolPoly, ascii_real
+from .bitmath import DEFAULT_BUDGET, BoolPoly, _ints, _labels, _words, ascii_real
 from .errors import BudgetError, DimensionError
 
 _LETTER_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -366,18 +367,20 @@ def poly_table(masks: Iterable[int], grid: np.ndarray) -> np.ndarray:
 
 def _group_terms(
     n: int, mask: int, members: list, flips, budget: int, memo: dict
-) -> list[tuple[int, int, float]]:
-    """``(t, z, c)`` terms of ``sum c X^t Z^z`` for one group of qubits.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sum c X^t Z^z`` for one group of qubits, as read-only columns: the
+    limb rows of ``t`` and ``z`` and the coefficients ``c``.
 
-    ``members`` are ``(0, monomial)`` of the sign, ``(1, (split, a, b))``
+    ``members`` are ``(0, monomial)`` of the sign, ``(1, (key, masks, a, b))``
     nonlinear factors and ``(2, (j, e_j))`` update components, with
-    ``flips = (encode, decode, supports, q)`` as in ``_expand``. Each decode
-    component that an ``e_j`` reads is tabulated over the group's qubits
-    once per ``memo``, keyed by (group mask, mode); XOR-ed with ``q`` they
-    give the occupation word at every grid point, on which ``e_j`` is
-    evaluated and grid bit ``j`` XOR-ed in. Each flip pattern's share of the
-    table is Walsh-transformed; the table and the terms count against
-    ``budget``.
+    ``flips = (encode, decode, supports, q)`` the item's update at its ``q``
+    (see ``_expand``). The table of each factor and of each decode component
+    that an ``e_j`` reads is built over the group's qubits once per ``memo``,
+    keyed by (group mask, key): decode component m has key m, and so has a
+    factor on it. XOR-ed with ``q`` the decode tables give the occupation
+    word at every grid point, on which ``e_j`` is evaluated and grid bit
+    ``j`` XOR-ed in. Each flip pattern's share of the table is
+    Walsh-transformed; the table and the terms count against ``budget``.
     """
     k = mask.bit_count()
     if 1 << k > budget:
@@ -387,10 +390,17 @@ def _group_terms(
     grid = np.zeros(1, dtype=np.int64 if n < 64 else object)
     for j in (j for j in range(n) if mask >> j & 1):
         grid = np.concatenate([grid, grid | (1 << j)])
+
+    def table(key, masks):
+        if (mask, key) not in memo:
+            memo[mask, key] = poly_table(masks, grid)
+            memo[mask, key].setflags(write=False)
+        return memo[mask, key]
+
     sign = [m for kind, m in members if kind == 0]
     values = 1.0 - 2.0 * poly_table(sign, grid) if sign else np.ones(1 << k)
-    for (_, _, _, masks), a, b in (piece for kind, piece in members if kind == 1):
-        values *= a + b * (1.0 - 2.0 * poly_table(masks, grid))
+    for key, masks, a, b in (piece for kind, piece in members if kind == 1):
+        values *= a + b * (1.0 - 2.0 * table(key, masks))
     updates = [piece for kind, piece in members if kind == 2]
     rows = [(0, values)]
     if updates:
@@ -401,10 +411,7 @@ def _group_terms(
         for _, e in updates:
             read |= e.support()
         for m in (m for m in range(len(decode)) if read >> m & 1):
-            if (mask, m) not in memo:
-                memo[mask, m] = poly_table(decode[m].masks, grid).astype(occupation.dtype) << m
-                memo[mask, m].setflags(write=False)
-            occupation ^= memo[mask, m]
+            occupation ^= table(m, decode[m].masks).astype(occupation.dtype) << m
         pattern = np.zeros(1 << k, dtype=np.int64)
         for r, (j, e) in enumerate(updates):
             flip = poly_table(e.masks, occupation) ^ (grid >> j & 1).astype(bool)
@@ -420,14 +427,24 @@ def _group_terms(
              np.where(pattern == t, values, 0.0))
             for t in patterns
         ]
-    terms: list[tuple[int, int, float]] = []
-    for t, row in rows:
+    points, cs, reached = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], 0
+    for _, row in rows:
         coeffs = _fwht(row) / (1 << k)
-        idx = np.flatnonzero(np.abs(coeffs) > DEFAULT_PRUNE)
-        terms.extend(zip([t] * len(idx), grid[idx].tolist(), coeffs[idx].tolist()))
-        if len(terms) > budget:
-            raise BudgetError(f"expansion reached {len(terms)} terms, budget {budget}")
-    return terms
+        points.append(np.flatnonzero(np.abs(coeffs) > DEFAULT_PRUNE))
+        cs.append(coeffs[points[-1]])
+        reached += len(points[-1])
+        if reached > budget:
+            raise BudgetError(f"expansion reached {reached} terms, budget {budget}")
+    # Grid point g as limb rows: bit i of g on the group's i-th qubit.
+    g = np.concatenate(points)
+    z = np.zeros((len(g), max(1, -(-n // 64))), dtype=np.uint64)
+    for i, j in enumerate(j for j in range(n) if mask >> j & 1):
+        z[:, j // 64] |= (g >> i & 1).astype(np.uint64) << np.uint64(j % 64)
+    t = np.repeat(_words([t for t, _ in rows], n), [len(p) for p in points[1:]], axis=0)
+    c = np.concatenate(cs)
+    for column in (t, z, c):
+        column.setflags(write=False)
+    return t, z, c
 
 
 def flip_supports(encode: Sequence[BoolPoly], decode: Sequence[BoolPoly]) -> tuple[int, ...]:
@@ -444,84 +461,349 @@ def flip_supports(encode: Sequence[BoolPoly], decode: Sequence[BoolPoly]) -> tup
     return tuple(out)
 
 
-def update_flips(encode, decode, q: int, supports: tuple | None = None) -> tuple:
-    """``_expand`` flips ``(encode, decode, supports, q)`` of ``eps(w) =
-    encode(decode(w) + q) + w``, with ``supports = flip_supports(encode,
-    decode)`` unless given (a code keeps them as ``Code.flip_supports``)."""
-    return encode, decode, flip_supports(encode, decode) if supports is None else supports, q
+def update_flips(encode, decode, supports: tuple | None = None) -> tuple:
+    """``_expand``'s update ``(encode, decode, supports)``, standing for the
+    flips ``eps(w) = encode(decode(w) + q) + w`` of each item's ``q``, with
+    ``supports = flip_supports(encode, decode)`` unless given (a code keeps
+    them as ``Code.flip_supports``)."""
+    return encode, decode, flip_supports(encode, decode) if supports is None else supports
+
+
+# Rows the map holds at once, each a few limbs and floats: ``_expand`` forms
+# the tensor products of at most this many rows at a time,
+# ``transform_hamiltonian`` hands it terms whose affine stage has at most
+# this many (``_chunked``), and ``_Sum`` merges its rows at least this many
+# at a time, so memory does not grow with the number of terms.
+_CHUNK_ROWS = 1 << 13
+
+# The action items of one ``_expand`` call, as columns. ``signs`` are
+# ``(item, piece)`` rows of the sign factors ``(-1)**f``; ``factors`` are
+# ``(item, piece, a, b)`` rows of the factors ``a + b * (-1)**f``, in item
+# order; ``flips`` are limb rows of each item's constant flip mask; ``qs``
+# hold each item's mode mask ``q`` of the update, or None; ``scale`` the
+# complex scale of each item.
+Items = namedtuple("Items", "signs factors flips qs scale")
+
+
+def _item(n: int, signs=(), factors=(), flips: int = 0, q: int | None = None) -> Items:
+    """``Items`` of one action item with scale 1: the pieces of its sign
+    factors, its ``(piece, a, b)`` factors, its constant flip mask and its
+    update's ``q`` (None for no update)."""
+    rest = np.array(factors, dtype=float).reshape(-1, 3)
+    return Items(
+        (np.zeros(len(signs), dtype=np.intp), np.array(signs, dtype=np.intp)),
+        (np.zeros(len(rest), dtype=np.intp), rest[:, 0].astype(np.intp), rest[:, 1], rest[:, 2]),
+        _words([flips], n),
+        [q],
+        np.ones(1, dtype=complex),
+    )
+
+
+def _bits(values: Sequence[int], width: int) -> np.ndarray:
+    """Boolean rows: entry ``(r, i)`` is bit ``i`` of ``values[r]``."""
+    octets = _words(values, width).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=width, bitorder="little").view(bool)
+
+
+def _packed(fields: Sequence[tuple]) -> np.ndarray:
+    """Rows of 64-bit words holding the limbs of the ``(limb rows, width)``
+    fields side by side, each limb inside one word; a field of width w has
+    values below ``2**w``."""
+    words = [np.zeros(len(fields[0][0]), dtype=np.uint64)]
+    at = 0
+    for limbs, width in fields:
+        for i in range(limbs.shape[1]):
+            bits = min(64, width - 64 * i)
+            if at + bits > 64:
+                words.append(np.zeros(len(limbs), dtype=np.uint64))
+                at = 0
+            words[-1] |= limbs[:, i] << np.uint64(at)
+            at += bits
+    return np.column_stack(words)
+
+
+def _merge(fields: Sequence[tuple], values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, sums)`` of the rows grouped by equal ``_packed`` fields
+    (``_labels``): the row where each distinct key first appears, ascending,
+    and its values summed from +0.0 (a complex +0.0 for complex values) in
+    row order, as ``np.add.at`` is unbuffered. Packed, the fields give
+    ``np.lexsort`` fewer keys: an item and two masks on 14 qubits fit one
+    word instead of three, which sorts 60k rows about 8 times faster."""
+    label, first = _labels(_packed(fields))
+    seen = np.zeros(len(values), dtype=bool)
+    seen[first] = True
+    rank = np.cumsum(seen) - 1  # a first row's place among the first rows
+    sums = np.zeros(len(first), dtype=values.dtype)
+    np.add.at(sums, rank[first][label], values)
+    return np.flatnonzero(seen), sums
 
 
 def _expand(
-    n: int, factors: Sequence[tuple], flips, budget: int = DEFAULT_BUDGET, memo: dict | None = None
-) -> list[tuple]:
-    """``expand`` as ``(x, z, c)`` triples: letter string ``(x, z)`` with ``c``
-    including the phase ``i**(-|x & z|)`` of ``X^x Z^z``; each string once.
+    n: int,
+    pieces: Sequence[tuple],
+    items: Items,
+    update: tuple | None = None,
+    budget: int = DEFAULT_BUDGET,
+    memo: dict | None = None,
+):
+    """Image of each action item, yielded as columns ``(item, x, z, c)`` over
+    ranges of items: letter strings ``(x, z)`` as limb rows, each once per
+    item, and ``c`` the complex coefficient including the phase
+    ``i**(-|x & z|)`` of ``X^x Z^z``, times the item's scale.
 
-    ``factors`` are ``(f.split(), a, b)`` and ``flips`` a mask or
-    ``update_flips(encode, decode, q)``, so no polynomial is scanned here.
-    ``memo`` holds, across calls that share ``n``, the code's encode and
-    decode, and ``budget``, the group tables, keyed by the group's qubit mask,
-    its members and, for a group with update members, ``q``, and the decode
-    tables of ``_group_terms``; all are read-only. A group whose table is
-    empty makes the whole image zero, so the remaining groups are not built.
+    Item ``i`` stands for ``scale[i] * sum_t X^t [eps(w) = t] * prod (a + b *
+    (-1)**f(w))`` over its sign factors (``a, b = 0, 1``) and factors, each
+    ``f`` a ``BoolPoly.split`` of ``pieces``, with ``eps`` its constant flips
+    or, when its ``q`` is set, ``update = update_flips(encode, decode)`` at
+    that ``q``. An item with neither factors nor flips is its scale times the
+    identity, emitted as the scale itself.
+
+    The stages run over all items at once. Signs XOR their Z masks and
+    constants. The affine stage takes one step per factor position, each
+    item's k-th affine factor doubling its rows into ``a`` and ``b`` times a
+    Z-string, then merges rows with equal (item, Z mask) and checks each
+    item's count. The nonlinear rest of an item splits into groups on
+    disjoint qubits (``_group_terms``), kept in ``memo`` across calls that
+    share ``n``, the pieces and the update, and keyed by the group's qubit
+    mask, its members and, for a group with update members, ``q``. A group
+    whose table is empty makes the item's image zero, so its remaining
+    groups are not built. The groups combine with the affine rows as tensor
+    products, at most ``_CHUNK_ROWS`` rows at a time, and each item's rows are
+    merged, phased, scaled and pruned.
+
+    A ``BudgetError`` is raised with ``item`` set to the first item that
+    runs out of budget, in that item's own check order, after the columns of
+    every item before it have been yielded.
     """
-    if isinstance(flips, int):
-        t0, q, pieces = flips, 0, []  # (qubit mask, kind, payload), kinds as in _group_terms
-    else:
-        encode, _, supports, q = flips
-        t0, pieces = 0, [(s, 2, (j, e)) for j, (s, e) in enumerate(zip(supports, encode))]
-    linear = odd = 0
-    sign: frozenset = frozenset()
-    affine = {0: 1.0}  # Z mask -> coefficient; the flips are t0 until the groups
-    for split, a, b in factors:
-        zf, bit, support, masks = split
-        if a == 0 and b == 1:
-            linear, odd = linear ^ zf, odd ^ bit
-            if masks:
-                sign = sign ^ masks
-        elif masks:
-            pieces.append((support, 1, (split, a, b)))
-        else:  # (-1)**f is a Z-string, negated by f's constant
-            bf = -b if bit else b
-            step: dict[int, float] = {}
-            for z, c in affine.items():
-                step[z] = step.get(z, 0.0) + c * a
-                step[z ^ zf] = step.get(z ^ zf, 0.0) + c * bf
-            if len(step) > budget:
-                raise BudgetError(f"expansion reached {len(step)} terms, budget {budget}")
-            affine = {z: c for z, c in step.items() if abs(c) > DEFAULT_PRUNE}
-    pieces += [(m, 0, m) for m in sign if m & (m - 1)]
-    s0 = -1.0 if odd else 1.0
-    terms = [(t0, z ^ linear, s0 * c) for z, c in affine.items()]
-    groups: dict[int, list] = {}  # connected components: disjoint qubit masks
-    for mask, kind, payload in pieces:
-        members = [(kind, payload)]
-        for g in [g for g in groups if g & mask]:
-            members += groups.pop(g)
-            mask |= g
-        groups[mask] = members
+    (s_item, s_piece), (f_item, f_piece, fa, fb), flips, qs, scale = items
+    count = len(qs)
     memo = {} if memo is None else memo
-    for mask, members in groups.items():
-        key = (mask, tuple(members), q if any(kind == 2 for kind, _ in members) else None)
-        part = memo.get(key)
-        if part is None:
-            part = memo[key] = tuple(_group_terms(n, mask, members, flips, budget, memo))
-        if not part:
-            return []
-        if len(terms) * len(part) > budget:
-            raise BudgetError(f"expansion reached {len(terms) * len(part)} terms, budget {budget}")
-        terms = [(t ^ tg, z ^ zg, c * cg) for t, z, c in terms for tg, zg, cg in part]
-    if groups:  # the affine strings are distinct, the products need not be
-        merged: dict[tuple[int, int], float] = {}
-        for t, z, c in terms:
-            merged[t, z] = merged.get((t, z), 0.0) + c
-        terms = [(t, z, c) for (t, z), c in merged.items() if abs(c) > DEFAULT_PRUNE]
-    out = []
-    for t, z, c in terms:  # times i**-k, k = |t & z| mod 4, exactly
-        k = (t & z).bit_count() & 3
-        out.append((t, z, complex(c, 0.0) if k == 0 else complex(0.0, -c) if k == 1
-                    else complex(-c, 0.0) if k == 2 else complex(0.0, c)))
-    return out
+    piece_z = _words([p[0] for p in pieces], n)
+    piece_bit = np.array([p[1] for p in pieces], dtype=bool)
+    affine = np.array([not p[3] for p in pieces], dtype=bool)
+    plain = np.bincount(s_item, minlength=count) + np.bincount(f_item, minlength=count) == 0
+    plain &= ~flips.any(axis=1) & np.array([q is None for q in qs], dtype=bool)
+
+    # (-1)**f of an affine f is a Z-string, negated by f's constant.
+    on = affine[f_piece]
+    signed = np.where(piece_bit[f_piece[on]], -fb[on], fb[on])
+    item, z, c, fail, error = _affine_stage(
+        n, count, f_item[on], piece_z[f_piece[on]], fa[on], signed, budget
+    )
+    linear = np.zeros((count, piece_z.shape[1]), dtype=np.uint64)
+    np.bitwise_xor.at(linear, s_item, piece_z[s_piece])
+    odd = np.bincount(s_item[piece_bit[s_piece]], minlength=count) & 1
+    z ^= linear[item]
+    c = np.where(odd[item] == 1, -c, c)
+
+    # Groups: the sign's nonlinear monomials, nonlinear factors and updates.
+    sign: dict[int, frozenset] = {}
+    nonlinear = ~affine[s_piece]
+    for i, p in zip(s_item[nonlinear].tolist(), s_piece[nonlinear].tolist()):
+        sign[i] = sign.get(i, frozenset()) ^ pieces[p][3]
+    members: dict[int, list] = {}
+    for i, p, a, b in zip(*(col[~on].tolist() for col in (f_item, f_piece, fa, fb))):
+        members.setdefault(i, []).append((pieces[p][2], 1, (p, pieces[p][3], a, b)))
+    if update is not None:
+        encode, _, supports = update
+        updates = [(s, 2, (j, e)) for j, (s, e) in enumerate(zip(supports, encode))]
+    sizes = np.bincount(item, minlength=count)  # rows of each item's image
+    parts: list[tuple[int, list]] = []  # (item, its group tables) of items with groups
+    for i in sorted(sign.keys() | members.keys() | {i for i, q in enumerate(qs) if q is not None}):
+        if i >= fail:
+            break
+        q = qs[i]
+        found = (updates if q is not None else []) + members.get(i, [])
+        found += [(m, 0, m) for m in sign.get(i, ()) if m & (m - 1)]
+        groups: dict[int, list] = {}  # connected components: disjoint qubit masks
+        for mask, kind, payload in found:
+            joined = [(kind, payload)]
+            for g in [g for g in groups if g & mask]:
+                joined += groups.pop(g)
+                mask |= g
+            groups[mask] = joined
+        size, got = int(sizes[i]), []
+        try:
+            for mask, joined in groups.items():
+                key = (mask, tuple(joined), q if any(kind == 2 for kind, _ in joined) else None)
+                part = memo.get(key)
+                if part is None:
+                    flip = None if q is None else (*update, q)
+                    part = memo[key] = _group_terms(n, mask, joined, flip, budget, memo)
+                if not len(part[2]):
+                    size = 0
+                    break
+                size *= len(part[2])
+                if size > budget:
+                    raise BudgetError(f"expansion reached {size} terms, budget {budget}")
+                got.append(part)
+        except BudgetError as exc:
+            fail, error = i, exc
+            break
+        sizes[i] = size
+        if size:
+            parts.append((i, got))
+    keep = (item < fail) & (sizes[item] > 0)
+    item, t, z, c = item[keep], flips[item[keep]], z[keep], c[keep]
+
+    # Tensor products, merge, phase and scale over ranges of items.
+    ends = np.cumsum(sizes[:fail])
+    lo = next_part = 0
+    while lo < fail:
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _CHUNK_ROWS, "right")))
+        first_part = next_part
+        while next_part < len(parts) and parts[next_part][0] < hi:
+            next_part += 1
+        r0, r1 = np.searchsorted(item, [lo, hi])
+        ri, rt, rz, rc = item[r0:r1], t[r0:r1], z[r0:r1], c[r0:r1]
+        if next_part > first_part:
+            ri, rt, rz, rc = _products(n, parts[first_part:next_part], ri, rt, rz, rc, lo, hi)
+        lo = hi
+        if not len(ri):
+            continue
+        phase = np.bitwise_count(rt & rz).sum(axis=1) & 3
+        cr = np.where(phase == 0, rc, np.where(phase == 2, -rc, 0.0))
+        ci = np.where(phase == 1, -rc, np.where(phase == 3, rc, 0.0))
+        sr, si = scale.real[ri], scale.imag[ri]
+        out = np.empty(len(ri), dtype=complex)
+        out.real = np.where(plain[ri], sr, sr * cr - si * ci)
+        out.imag = np.where(plain[ri], si, sr * ci + si * cr)
+        keep = np.abs(out) > DEFAULT_PRUNE
+        yield ri[keep], rt[keep], rz[keep], out[keep]
+    if error is not None:
+        error.item = fail
+        raise error
+
+
+def _affine_stage(n, count, item_of, zf, a, b, budget):
+    """Rows ``(item, Z mask, c)`` of each item's product of ``a + b Z^zf``
+    over its affine factors, one step per factor position: each row doubles
+    into ``c a`` at its mask and ``c b`` at the mask XOR ``zf``, rows with
+    equal (item, mask) merge, and an item over ``budget`` fails. Returns the
+    rows of the items before the first failing one, pruned, that item (or
+    ``count``) and its error."""
+    position = np.arange(len(item_of)) - np.searchsorted(item_of, item_of)
+    item, z, c = np.arange(count), np.zeros((count, zf.shape[1]), dtype=np.uint64), np.ones(count)
+    fail, error = count, None
+    for k in range(int(position.max()) + 1 if len(position) else 0):
+        step = np.full(count, -1)
+        at = np.flatnonzero(position == k)
+        step[item_of[at]] = at
+        f = step[item]
+        doubled = np.repeat(np.arange(len(item)), 1 + (f >= 0))
+        second = np.zeros(len(doubled), dtype=bool)
+        second[np.cumsum(1 + (f >= 0))[f >= 0] - 1] = True
+        f = f[doubled]
+        item, z = item[doubled], z[doubled]
+        z[second] ^= zf[f[second]]
+        first, c = _merge(
+            [(item[:, None].astype(np.uint64), (count - 1).bit_length()), (z, n)],
+            c[doubled] * np.where(second, b[f], np.where(f >= 0, a[f], 1.0)),
+        )
+        item, z = item[first], z[first]
+        over = np.flatnonzero(np.bincount(item, minlength=count) > budget)
+        if len(over) and over[0] < fail:
+            fail = int(over[0])
+            reached = np.count_nonzero(item == fail)
+            error = BudgetError(f"expansion reached {reached} terms, budget {budget}")
+        keep = (np.abs(c) > DEFAULT_PRUNE) & (item < fail)
+        item, z, c = item[keep], z[keep], c[keep]
+    return item, z, c, fail, error
+
+
+def _products(n, parts, item, t, z, c, lo, hi):
+    """The rows of items ``lo`` to ``hi`` times each item's group tables
+    ``parts``, as tensor products in emission order (rows outer, table rows
+    inner), then merged per item and pruned."""
+    index: dict[int, int] = {}
+    tables = []
+    for _, got in parts:
+        for part in got:
+            if id(part) not in index:
+                index[id(part)] = len(tables)
+                tables.append(part)
+    # A last one-row table (t = z = 0, c = 1) for items without a g-th group.
+    lengths = np.array([len(p[2]) for p in tables] + [1])
+    offsets = np.cumsum(lengths) - lengths
+    none = np.zeros((1, t.shape[1]), dtype=np.uint64)
+    pt, pz = (np.concatenate([p[s] for p in tables] + [none]) for s in (0, 1))
+    pc = np.concatenate([p[2] for p in tables] + [np.ones(1)])
+    for g in range(max(len(got) for _, got in parts)):
+        table = np.full(hi - lo, len(tables))
+        for i, got in parts:
+            if g < len(got):
+                table[i - lo] = index[id(got[g])]
+        m = lengths[table[item - lo]]
+        rows = np.repeat(np.arange(len(item)), m)
+        at = np.repeat(offsets[table[item - lo]] - (np.cumsum(m) - m), m) + np.arange(len(rows))
+        item, t, z, c = item[rows], t[rows] ^ pt[at], z[rows] ^ pz[at], c[rows] * pc[at]
+    key = (item - lo)[:, None].astype(np.uint64)
+    first, c = _merge([(key, (hi - lo - 1).bit_length()), (t, n), (z, n)], c)
+    keep = np.abs(c) > DEFAULT_PRUNE
+    first = first[keep]
+    return item[first], t[first], z[first], c[keep]
+
+
+def _operator(n: int, parts) -> QubitOperator:
+    """Operator of ``_expand``'s columns ``(item, x, z, c)`` on distinct strings."""
+    return QubitOperator.from_triples(
+        n, (t for _, x, z, c in parts for t in zip(_ints(x), _ints(z), c.tolist()))
+    )
+
+
+def _chunked(entries: Iterable[tuple[int, object]]) -> Iterator[list]:
+    """The entries of ``(rows, entry)`` pairs in lists whose rows add up to
+    at most ``_CHUNK_ROWS`` (an entry over it on its own)."""
+    chunk: list = []
+    total = 0
+    for rows, entry in entries:
+        if chunk and total + rows > _CHUNK_ROWS:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(entry)
+        total += rows
+    if chunk:
+        yield chunk
+
+
+class _Sum:
+    """Columns ``(x, z, c)`` summed in the order they are added, as a dict
+    on ``(x, z)`` sums them: each string once, in first-appearance order,
+    its coefficient summed from a complex +0.0 in row order. Added rows wait
+    until a merge is due: a merge sorts the held strings again, so it waits
+    for half as many new rows, and for at least ``_CHUNK_ROWS``."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.x = self.z = np.zeros((0, max(1, -(-n // 64))), dtype=np.uint64)
+        self.c = np.zeros(0, dtype=complex)
+        self.waiting: list[tuple] = []
+
+    def add(self, item: np.ndarray, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> bool:
+        """Hold the rows, each tagged with its ``item``; True once a merge is due."""
+        self.waiting.append((item, x, z, c))
+        return sum(len(w[3]) for w in self.waiting) >= max(len(self.c) // 2, _CHUNK_ROWS)
+
+    def merge(self) -> np.ndarray:
+        """Merge the waiting rows; return the item of each that brought a new
+        string, in row order. A held sum is never -0.0, so summing it again
+        from +0.0 keeps it."""
+        if not self.waiting:
+            return np.zeros(0, dtype=np.intp)
+        item, x, z, c = (np.concatenate(column) for column in zip(*self.waiting))
+        self.waiting.clear()
+        held = len(self.c)
+        x, z = np.concatenate([self.x, x]), np.concatenate([self.z, z])
+        first, self.c = _merge([(x, self.n), (z, self.n)], np.concatenate([self.c, c]))
+        self.x, self.z = x[first], z[first]
+        return item[first[held:] - held]
+
+    def operator(self) -> QubitOperator:
+        """The merged sum, with coefficients of magnitude at most ``DEFAULT_PRUNE``
+        dropped before any string is built."""
+        kept = np.abs(self.c) > DEFAULT_PRUNE
+        return _operator(self.n, [(None, self.x[kept], self.z[kept], self.c[kept])])
 
 
 def expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET) -> QubitOperator:
@@ -532,22 +814,24 @@ def expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET)
     ``flips`` is the mask of a constant ``eps``, or a code's ``(encode,
     decode, q)`` with ``q`` a mode mask, for ``eps(w) = encode(decode(w) +
     q) + w``. The signs add mod 2 into one function; affine factors multiply
-    in as ``a + b * Z-string`` on a dict keyed by the Z mask. The nonlinear
-    rest (the sign's nonlinear monomials, nonlinear factors, and each
-    ``eps_j`` on qubit ``j`` and the qubits of the decode components
+    in as ``a + b * Z-string``, merged on the Z mask after each. The
+    nonlinear rest (the sign's nonlinear monomials, nonlinear factors, and
+    each ``eps_j`` on qubit ``j`` and the qubits of the decode components
     ``encode[j]`` reads) splits into groups on disjoint qubits
-    (``_group_terms``), which combine as a tensor product. The kernel
-    ``_expand`` returns the terms as ``(x, z, c)`` triples; this checks the
-    variable counts, splits the factors and wraps the triples.
+    (``_group_terms``), which combine as a tensor product. This checks the
+    variable counts and runs the kernel ``_expand`` on one item, whose
+    pieces are the decode's splits and then the factors'.
     """
-    encode, decode, q = ((), (), 0) if isinstance(flips, int) else flips
+    encode, decode, q = ((), (), None) if isinstance(flips, int) else flips
     for f in [f for f, _, _ in factors] + list(decode):
         if f.num_vars != n:
             raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
-    if not isinstance(flips, int):
-        flips = update_flips(encode, decode, q)
-    triples = _expand(n, [(f.split(), a, b) for f, a, b in factors], flips, budget)
-    return QubitOperator.from_triples(n, triples)
+    pieces = [d.split() for d in decode] + [f.split() for f, _, _ in factors]
+    signs = [len(decode) + k for k, (_, a, b) in enumerate(factors) if a == 0 and b == 1]
+    rest = [(len(decode) + k, a, b) for k, (_, a, b) in enumerate(factors) if (a, b) != (0, 1)]
+    items = _item(n, signs, rest, flips if q is None else 0, q)
+    update = None if q is None else update_flips(encode, decode)
+    return _operator(n, _expand(n, pieces, items, update, budget))
 
 
 def extract(f: BoolPoly, n: int | None = None, budget: int = DEFAULT_BUDGET) -> QubitOperator:

@@ -4,16 +4,17 @@ The general weight-l operator map composes, per operator in the sequence,
 a projector onto the correct occupation and a parity-sign operator (both
 diagonal), followed by a single update operator that flips the code word.
 ``pack_terms``, which the Fock oracle shares, walks a term once into its
-action item; a product that vanishes on every state stops there. Else the
-term is one ``pauli._expand`` call on structure the code derives once: a
-sign ``(-1)^d_m`` per parity mode and a projector per needed occupation as
-factors, read from ``Code.decode_split``, and as flips the update's
-constant mask (linear encodings) or the code's flips from
-``update_flips`` (encode, decode, ``Code.flip_supports``, q), whose flip
-pattern ``encode(decode(w) + q) + w`` is evaluated on truth-table grids;
-``transform_hamiltonian``'s memo holds one table per decode component per
-grid. For classical n = N codes the construction collapses to Pauli
-strings over parity/flip/update index sets.
+action item; a product that vanishes on every state stops there. ``_items``
+turns a batch of action items into ``pauli._expand``'s columns over the
+pieces the code derives once (``Code.decode_split``): a sign ``(-1)^d_m``
+per parity mode and a projector per needed occupation, and as flips the
+update's constant mask (linear encodings: the XOR of the encode columns)
+or the update at q = the flip (``update_flips`` with ``Code.flip_supports``),
+whose flip pattern ``encode(decode(w) + q) + w`` is evaluated on
+truth-table grids. ``transform_hamiltonian`` runs the kernel over chunks
+of terms with one memo of group and decode tables per call, and merges
+the columns in term order. For classical n = N codes the construction
+collapses to Pauli strings over parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
 annihilation pair blocks, the two-code single-operator recipe, and the
@@ -28,7 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly, ascii_real, poly_sum
+import numpy as np
+
+from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly, _words, ascii_real, poly_sum
 from .codes import Code
 from .errors import (
     BudgetError,
@@ -38,7 +41,16 @@ from .errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from .pauli import DEFAULT_PRUNE, QubitOperator, _expand, update_flips
+from .pauli import (
+    Items,
+    QubitOperator,
+    _bits,
+    _chunked,
+    _expand,
+    _operator,
+    _Sum,
+    update_flips,
+)
 from .pauli import extract, poly_table  # noqa: F401  (perfbench/spans.py patches them here)
 
 
@@ -190,69 +202,69 @@ def parity_function(code: Code, j: int) -> BoolPoly:
     return poly_sum(code.decode[: j - 1], code.n_qubits)
 
 
-def _update_flips(code: Code, q: int) -> int | tuple:
-    """``_expand`` flips of the update by mode mask q: a linear encoding's mask
-    (the XOR of q's encode columns), else the code's (e, d, flip supports, q)."""
-    if not code.encode_is_linear:
-        return update_flips(code.encode, code.decode, q, code.flip_supports)
-    columns = code.encode_columns
-    flips = 0
-    while q:
-        low = q & -q
-        flips ^= columns[low.bit_length() - 1]
-        q ^= low
-    return flips
+def _update(code: Code) -> tuple | None:
+    """``_expand``'s update of a nonlinear encoding (None for a linear one,
+    whose flips are constant masks)."""
+    if code.encode_is_linear:
+        return None
+    return update_flips(code.encode, code.decode, code.flip_supports)
+
+
+def _items(
+    code: Code, packed: list[tuple], update: tuple | None = None, updates_only: bool = False
+) -> Items:
+    """``_expand`` items of ``pack_terms`` action items over the pieces
+    ``Code.decode_split``: the sign ``(-1)^d_m`` for each mode of ``z``, the
+    projector onto the ``d_m`` that ``want`` holds for each mode of ``care``,
+    and as flips a linear encoding's mask (the XOR of the encode columns of
+    the flipped modes) or, for a nonlinear encoding or a given ``update``,
+    the update at ``q = flip``. A scalar (empty ``care``) has no flips,
+    unless ``updates_only`` says the items are bare updates."""
+    flip, z, care, want, scale = zip(*packed)
+    n_modes, n = code.n_modes, code.n_qubits
+    s_item, s_piece = np.nonzero(_bits(z, n_modes))
+    f_item, f_piece = np.nonzero(_bits(care, n_modes))
+    b = np.where(_bits(want, n_modes)[f_item, f_piece], -0.5, 0.5)
+    flips = np.zeros((len(packed), max(1, -(-n // 64))), dtype=np.uint64)
+    qs = [None] * len(packed)
+    if update is None and code.encode_is_linear:
+        t_item, t_mode = np.nonzero(_bits(flip, n_modes))
+        np.bitwise_xor.at(flips, t_item, _words(code.encode_columns, n)[t_mode])
+    else:
+        qs = [q if c or updates_only else None for q, c in zip(flip, care)]
+    factors = (f_item, f_piece, np.full(len(f_item), 0.5), b)
+    return Items((s_item, s_piece), factors, flips, qs, np.array(scale, dtype=complex))
 
 
 def update_operator(code: Code, q: BitVec, budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Operator satisfying U |e(v)> = |e(v + q)> for every encoded v."""
     if q.n != code.n_modes:
         raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
-    triples = _expand(code.n_qubits, [], _update_flips(code, q.value), budget)
-    return QubitOperator.from_triples(code.n_qubits, triples)
+    items = _items(code, [(q.value, 0, 0, 0, 1.0)], updates_only=True)
+    parts = _expand(code.n_qubits, code.decode_split, items, _update(code), budget)
+    return _operator(code.n_qubits, parts)
 
 
 # -- the general operator map --------------------------------------------------
 
 
-def _diagonal_factors(code: Code, item: tuple) -> list[tuple]:
-    """``expand`` factors of an action item: the sign ``(-1)^d_m`` for each
-    mode of ``z``, and for each mode of ``care`` the projector onto the
-    ``d_m`` that ``want`` holds."""
-    _, z, care, want, _ = item
-    split, factors = code.decode_split, []
-    while z:
-        low = z & -z
-        factors.append((split[low.bit_length() - 1], 0, 1))
-        z ^= low
-    while care:
-        low = care & -care
-        factors.append((split[low.bit_length() - 1], 0.5, -0.5 if want & low else 0.5))
-        care ^= low
-    return factors
-
-
-def _term_triples(code: Code, item: tuple | None, budget: int, memo: dict | None = None) -> list:
-    """``(x, z, c)`` triples of a term's image from its ``pack_terms`` item,
-    scaled by the item's ``c`` and pruned as ``c * op`` would be; ``memo`` is
-    ``_expand``'s group-table memo. A vanishing product builds no factor."""
-    if item is None:
-        return []
-    flip, _, care, _, scale = item
-    if not care:
-        # Scalar term: the map's empty product acts as the identity on the
-        # encoded space; emit the identity itself to stay hermitian.
-        return [(0, 0, complex(scale))] if abs(scale) > DEFAULT_PRUNE else []
-    flips = _update_flips(code, flip)
-    triples = _expand(code.n_qubits, _diagonal_factors(code, item), flips, budget, memo)
-    return [(x, z, v) for x, z, c in triples if abs(v := scale * c) > DEFAULT_PRUNE]
-
-
 def transform_term(code: Code, term: FermionTerm, budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Qubit image of one fermionic term under the code's operator map."""
     term.check_modes(code.n_modes)
-    triples = _term_triples(code, next(pack_terms([term])), budget)
-    return QubitOperator.from_triples(code.n_qubits, triples)
+    item = next(pack_terms([term]))
+    if item is None:
+        return QubitOperator.zero(code.n_qubits)
+    parts = _expand(code.n_qubits, code.decode_split, _items(code, [item]), _update(code), budget)
+    return _operator(code.n_qubits, parts)
+
+
+def _named(parts: Iterator[tuple], chunk: list[tuple]) -> Iterator[tuple]:
+    """``parts`` with an item's ``BudgetError`` prefixed by its term."""
+    try:
+        yield from parts
+    except BudgetError as exc:
+        index, term, _ = chunk[exc.item]
+        raise BudgetError(f"term {index} ({term}): {exc}") from exc
 
 
 def transform_hamiltonian(
@@ -267,35 +279,49 @@ def transform_hamiltonian(
     action inside the encoded basis (for example unadjusted hops between
     segments, or a not-one-to-one code without balanced degenerate states).
     A ``BudgetError`` names the term that tripped it (1-based index, text),
-    in its own expansion or by growing the merged sum past ``budget``.
+    in its own expansion or by growing the merged sum past ``budget``; the
+    checks run in term order, each term's own before its merge.
 
-    The terms share one memo of group tables (see ``_expand``), which lives
-    for this call only. A term whose image vanishes on the code space stops
-    at its first group with an all-zero table, so it never reaches a later
-    group's budget check; a ladder product that vanishes on every state
-    never reaches ``_expand``.
+    The terms go through ``_expand`` in chunks (``pauli._chunked``) that
+    share one memo of group tables, which lives for this call only. A term
+    whose image vanishes on the code space stops at its first group with an
+    all-zero table, so it never reaches a later group's budget check; a
+    ladder product that vanishes on every state never reaches ``_expand``.
+    The columns are summed in term order (``pauli._Sum``), as a dict on
+    ``(x, z)`` would sum them from a complex +0.0.
     """
     if h.n_modes != code.n_modes:
         raise DimensionError(
             f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}"
         )
-    # Summed in term order on (x, z) masks: the order fixes the float sums.
-    acc: dict[tuple[int, int], complex] = {}
-    memo: dict = {}
-    for index, (term, item) in enumerate(zip(h.terms, pack_terms(h.terms)), start=1):
-        try:
-            triples = _term_triples(code, item, budget, memo)
-        except BudgetError as exc:
-            raise BudgetError(f"term {index} ({term}): {exc}") from exc
-        for x, z, c in triples:
-            key = (x, z)
-            acc[key] = acc.get(key, 0.0) + c
-        if len(acc) > budget:
+    memo, update, total = {}, _update(code), _Sum(code.n_qubits)
+
+    def merge():
+        new = total.merge()  # the term index of each row that brought a new string
+        held = len(total.c) - len(new)
+        if held <= budget < len(total.c):  # the first term whose new strings pass it
+            j = new[budget - held]
             raise BudgetError(
-                f"merge: term {index} ({term}) brings the merged operator to "
-                f"{len(acc)} terms, over the budget of {budget}"
+                f"merge: term {j} ({h.terms[j - 1]}) brings the merged operator to "
+                f"{held + np.count_nonzero(new <= j)} terms, over the budget of {budget}"
             )
-    out = QubitOperator.from_triples(code.n_qubits, ((x, z, c) for (x, z), c in acc.items()))
+
+    live = (  # 2**|care| bounds a term's affine rows
+        (1 << item[2].bit_count(), (index, term, item))
+        for index, (term, item) in enumerate(zip(h.terms, pack_terms(h.terms)), start=1)
+        if item is not None
+    )
+    for chunk in _chunked(live):
+        indices = np.array([index for index, _, _ in chunk])
+        items = _items(code, [item for _, _, item in chunk])
+        parts = _expand(code.n_qubits, code.decode_split, items, update, budget, memo)
+        try:
+            for item, x, z, c in _named(parts, chunk):
+                if total.add(indices[item], x, z, c):
+                    merge()
+        finally:  # the terms before a failing one are merged, and checked, first
+            merge()
+    out = total.operator()
     if check_hermiticity:
         ok, witness = out.check_hermitian()
         if not ok:
@@ -370,10 +396,10 @@ def transform_single_two_codes(
     term = FermionTerm.of(1, (j, dagger))
     term.check_modes(code_even.n_modes)
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
-    item = next(pack_terms([term]))
-    flips = update_flips(outgoing.encode, incoming.decode, item[0])
-    triples = _expand(code_even.n_qubits, _diagonal_factors(incoming, item), flips, budget)
-    return item[4] * QubitOperator.from_triples(code_even.n_qubits, triples)
+    update = update_flips(outgoing.encode, incoming.decode)
+    items = _items(incoming, [next(pack_terms([term]))], update)
+    n = code_even.n_qubits
+    return _operator(n, _expand(n, incoming.decode_split, items, update, budget))
 
 
 # -- reordering and segment dressing --------------------------------------------

@@ -170,14 +170,14 @@ def nonlinear_codes(draw):
 def reference_transform(code, h):
     """The Hamiltonian's image merged the per-term way: each term's
     ``transform_term`` operator summed into a dict on ``PauliString`` keys, in
-    term order, then pruned as ``QubitOperator`` does."""
+    term order from a complex +0.0, then pruned as ``QubitOperator`` does."""
     from fermicode.pauli import QubitOperator
     from fermicode.transform import transform_term
 
     acc = {}
     for term in h.terms:
         for s, c in transform_term(code, term).terms.items():
-            acc[s] = acc.get(s, 0.0) + c
+            acc[s] = acc.get(s, 0j) + c
     return QubitOperator(code.n_qubits, acc)
 
 

@@ -227,11 +227,14 @@ class TestExpand:
         # Every q gives the same group of update members; only the key's q
         # keeps one q's table from serving another.
         code = binary_addressing_k2(2)
+        update = pauli.update_flips(code.encode, code.decode)
         memo: dict = {}
         for q in range(1 << code.n_modes):
-            flips = pauli.update_flips(code.encode, code.decode, q)
-            shared = pauli._expand(code.n_qubits, [], flips, memo=memo)
-            assert shared == pauli._expand(code.n_qubits, [], flips)
+            items = pauli._item(code.n_qubits, q=q)
+            shared = list(pauli._expand(code.n_qubits, code.decode_split, items, update, memo=memo))
+            alone = list(pauli._expand(code.n_qubits, code.decode_split, items, update))
+            assert len(shared) == len(alone) == 1
+            assert all(np.array_equal(a, b) for a, b in zip(shared[0], alone[0]))
         assert len(memo) > 1
 
     def test_zero_group_ends_the_expansion(self, monkeypatch):
@@ -248,9 +251,8 @@ class TestExpand:
             return real(n, mask, members, flips, budget, memo)
 
         monkeypatch.setattr(pauli, "_group_terms", recording)
-        assert pauli._expand(n, [(f.split(), a, b) for f, a, b in factors], 0) == []
+        assert pauli.expand(n, factors, 0).is_zero()
         assert built == [0b11]
-
 
     def test_factor_over_other_variable_count_raises(self):
         with pytest.raises(DimensionError, match="function over 2 variables on 3 qubits"):

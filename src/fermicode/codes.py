@@ -6,8 +6,8 @@ degenerate image). Constructors cover the classical full-Fock transforms
 (identity / parity accumulation / binary-tree) and the qubit-saving families:
 checksum codes, binary addressing codes with target weight one or two, and
 segment codes. Codes concatenate block-wise. A code evaluates many words at
-once (numpy rows of 64-bit limbs) through its cached monomial tables; the
-validation below and the Fock oracle use that one evaluator.
+once (rows of 64-bit limbs) by ``bitmath._evaluate`` on its cached monomial
+tables, the one evaluator that validation, the oracle and the map share.
 """
 
 from __future__ import annotations
@@ -21,30 +21,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitmath import DEFAULT_BUDGET, BitMat, BitVec, BoolPoly, _ints, _words, ascii_int, moebius
+from .bitmath import DEFAULT_BUDGET, BitMat, BitVec, BoolPoly, ascii_int, moebius
+from .bitmath import _evaluate, _ints, _table, _words
 from .errors import BudgetError, DimensionError, InputFormatError, UnsupportedCodeError
 from .pauli import flip_supports
 
-# (monomial, word) cells one evaluation step holds, a few dozen bytes of
-# temporaries each; 2^18 cells ran up to a quarter faster at 4x the memory.
-_EVAL_CELLS = 1 << 16
 # Code words ``validate_code`` scans at once; their rows, images and checks
 # are dropped before the next chunk, so the scan's memory does not grow with 2^n.
 _SCAN_WORDS = 1 << 12
-
-
-def _evaluate(table: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> np.ndarray:
-    """Rows whose bit ``i`` is polynomial ``i`` of ``table`` (``Code.tables``)
-    at each row of ``words``: the XOR of the component masks of the monomials
-    a word contains. A step covers about ``_EVAL_CELLS`` (monomial, word) cells."""
-    monomials, owners = (rows[:, None] for rows in table)  # (monomial, word, limb)
-    out = np.empty((len(words), owners.shape[2]), dtype=np.uint64)
-    step = max(1, _EVAL_CELLS // max(len(monomials), 1))
-    for r0 in range(0, len(words), step):
-        w = words[r0 : r0 + step]
-        hit = ((w & monomials) == monomials).all(axis=2, keepdims=True)
-        out[r0 : r0 + step] = np.bitwise_xor.reduce(hit * owners, axis=0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -141,17 +125,11 @@ class Code:
 
     @cached_property
     def tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Encode and decode as ``_evaluate`` tables: the distinct monomials of
-        the components and, for each, the mask of the components it occurs in,
-        as limb rows."""
-        out = []
-        for polys, n_vars in ((self.encode, self.n_modes), (self.decode, self.n_qubits)):
-            owners: dict[int, int] = {}
-            for i, p in enumerate(polys):
-                for m in p.masks:
-                    owners[m] = owners.get(m, 0) | 1 << i
-            out.append((_words(list(owners), n_vars), _words(list(owners.values()), len(polys))))
-        return tuple(out)
+        """Encode and decode as ``bitmath._evaluate`` tables (``_table``)."""
+        return (
+            _table(enumerate(p.masks for p in self.encode), self.n_modes, self.n_qubits),
+            _table(enumerate(p.masks for p in self.decode), self.n_qubits, self.n_modes),
+        )
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int | None], ...]:

@@ -7,22 +7,15 @@ exact, in powers of i. ``PauliString`` is the named tuple ``(n, x, z)``:
 immutable, and equal and hashed as that tuple.
 
 The module also maps boolean functions to qubit operators through one
-kernel: the update operator ``sum_t X^t [eps(w) = t]`` times the diagonal
-``prod_k (a_k + b_k * (-1)**f_k(w))``, with the flips ``eps`` a constant
-mask or a code's ``(encode, decode, q)``, standing for ``eps(w) =
-encode(decode(w) + q) + w``. The kernel ``_expand`` takes a batch of such
-action items as columns (``Items``): each factor a ``BoolPoly.split`` from
-a shared table of pieces (a code's ``Code.decode_split``), each update as
-``update_flips`` builds it, with each flip piece's qubit support
-(``flip_supports``, ``Code.flip_supports``). Its stages run over all items
-at once on rows of 64-bit limbs: signs XOR their Z masks; affine factors
-multiply as Z-strings, one step per factor position, merging rows with
-equal (item, Z mask); the nonlinear rest splits into groups on disjoint
-qubits, each a Walsh-Hadamard transform of its own truth table, where
-``eps`` is evaluated too, kept as read-only columns in a memo; the groups
-combine with the affine rows as tensor products, and each item's rows are
-merged, phased and scaled. A group whose table is zero makes the item's
-image zero, so the item stops there. Every merge sorts packed keys
+kernel, ``_expand``: the update operator ``sum_t X^t [eps(w) = t]`` times
+the diagonal ``prod_k (a_k + b_k * (-1)**f_k(w))`` for a batch of action
+items held as columns (``Items``), with the flips ``eps`` a constant mask
+or a code's update ``eps(w) = encode(decode(w) + q) + w`` (``update_flips``).
+Its stages run over all items at once on rows of 64-bit limbs, one path
+for every width: signs XOR their Z masks, affine factors multiply as
+Z-strings, and the nonlinear rest splits into groups on disjoint qubits,
+each a Walsh-Hadamard transform of truth tables that ``bitmath._evaluate``
+builds on the group's grid, ``eps`` included. Every merge sorts packed keys
 (``_merge``) and adds in row order, so its sums (from a complex +0.0) and
 its first-appearance order are a dict's. ``expand`` (so ``extract``,
 ``cphase_expand``, ``flip_operator``) runs the kernel on one item and
@@ -36,7 +29,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitmath import DEFAULT_BUDGET, BoolPoly, _ints, _labels, _words, ascii_real
+from .bitmath import DEFAULT_BUDGET, BoolPoly, ascii_real
+from .bitmath import _evaluate, _ints, _labels, _table, _words
 from .errors import BudgetError, DimensionError
 
 _LETTER_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -360,9 +354,9 @@ def _fwht(values: np.ndarray) -> np.ndarray:
 
 
 def poly_table(masks: Iterable[int], grid: np.ndarray) -> np.ndarray:
-    """Truth table of the polynomial with monomial ``masks`` at each assignment of ``grid``."""
-    m = np.array(list(masks), dtype=grid.dtype)[:, None]
-    return np.bitwise_xor.reduce((grid & m) == m, axis=0)
+    """Truth table of the polynomial with monomial ``masks`` at each limb row of
+    ``grid``: the one-polynomial call of ``bitmath._evaluate``."""
+    return _evaluate(_table([(0, masks)], 64 * grid.shape[1], 1), grid)[:, 0] == 1
 
 
 def _group_terms(
@@ -374,73 +368,74 @@ def _group_terms(
     ``members`` are ``(0, monomial)`` of the sign, ``(1, (key, masks, a, b))``
     nonlinear factors and ``(2, (j, e_j))`` update components, with
     ``flips = (encode, decode, supports, q)`` the item's update at its ``q``
-    (see ``_expand``). The table of each factor and of each decode component
-    that an ``e_j`` reads is built over the group's qubits once per ``memo``,
-    keyed by (group mask, key): decode component m has key m, and so has a
-    factor on it. XOR-ed with ``q`` the decode tables give the occupation
-    word at every grid point, on which ``e_j`` is evaluated and grid bit
-    ``j`` XOR-ed in. Each flip pattern's share of the table is
-    Walsh-transformed; the table and the terms count against ``budget``.
+    (see ``_expand``). Each truth table is a ``bitmath._evaluate`` on the
+    group's grid: limb rows, row g holding bit i of g on the group's i-th
+    qubit, so also the Z masks. ``memo`` keeps per group mask the grid and
+    rows whose bit p is piece p (a factor's key; ``d_m`` is piece m), each
+    evaluated once per grid. The flips ``e(d(w) + q) + w`` are the decode
+    rows XOR ``q``, one evaluation of the ``e_j`` (table kept in ``memo``),
+    XOR the grid. Each flip pattern's share of the table, patterns in X-mask
+    order, is Walsh-transformed; without update members the one pattern is
+    0. The table and the terms count against ``budget``.
     """
     k = mask.bit_count()
     if 1 << k > budget:
         raise BudgetError(f"table over a support of {k} qubits exceeds budget {budget}")
-    # grid[g] is the assignment whose i-th qubit of the group is bit i of g;
-    # Python ints once a mask no longer fits an int64.
-    grid = np.zeros(1, dtype=np.int64 if n < 64 else object)
-    for j in (j for j in range(n) if mask >> j & 1):
-        grid = np.concatenate([grid, grid | (1 << j)])
-
-    def table(key, masks):
-        if (mask, key) not in memo:
-            memo[mask, key] = poly_table(masks, grid)
-            memo[mask, key].setflags(write=False)
-        return memo[mask, key]
-
-    sign = [m for kind, m in members if kind == 0]
-    values = 1.0 - 2.0 * poly_table(sign, grid) if sign else np.ones(1 << k)
-    for key, masks, a, b in (piece for kind, piece in members if kind == 1):
-        values *= a + b * (1.0 - 2.0 * table(key, masks))
+    factors = [piece for kind, piece in members if kind == 1]
     updates = [piece for kind, piece in members if kind == 2]
-    rows = [(0, values)]
+    pieces = {key: masks for key, masks, _, _ in factors}
     if updates:
         _, decode, _, q = flips
-        # Occupation words span all modes: Python ints from 64 modes on.
-        occupation = np.full(1 << k, q, dtype=np.int64 if len(decode) < 64 else object)
         read = 0
         for _, e in updates:
             read |= e.support()
-        for m in (m for m in range(len(decode)) if read >> m & 1):
-            occupation ^= table(m, decode[m].masks).astype(occupation.dtype) << m
-        pattern = np.zeros(1 << k, dtype=np.int64)
-        for r, (j, e) in enumerate(updates):
-            flip = poly_table(e.masks, occupation) ^ (grid >> j & 1).astype(bool)
-            pattern |= flip.astype(np.int64) << r
-        patterns = np.unique(pattern[values != 0]).tolist()
+        pieces |= {m: decode[m].masks for m in range(len(decode)) if read >> m & 1}
+    if mask not in memo:
+        grid = np.zeros((1, max(1, -(-n // 64))), dtype=np.uint64)
+        for j in (j for j in range(n) if mask >> j & 1):
+            grid = np.concatenate([grid, grid | _words([1 << j], n)])
+        memo[mask] = grid, 0, np.zeros((len(grid), 1), dtype=np.uint64)
+    grid, done, evaluated = memo[mask]
+    new = {p: masks for p, masks in pieces.items() if not done >> p & 1}
+    if new:  # one evaluation of the pieces this grid has not met
+        more = _evaluate(_table(new.items(), n, max(done.bit_length(), max(new) + 1)), grid)
+        more[:, : evaluated.shape[1]] ^= evaluated
+        evaluated = more
+        memo[mask] = grid, done | sum(1 << p for p in new), evaluated
+    sign = [m for kind, m in members if kind == 0]
+    values = 1.0 - 2.0 * poly_table(sign, grid) if sign else np.ones(1 << k)
+    for key, _, a, b in factors:
+        values *= a + b * (1.0 - 2.0 * (evaluated[:, key // 64] >> np.uint64(key % 64) & 1))
+    patterns, shares = np.zeros((1, grid.shape[1]), dtype=np.uint64), [values]
+    if updates:
+        t = np.repeat(_words([q], len(decode)), 1 << k, axis=0)
+        common = min(t.shape[1], evaluated.shape[1])
+        t[:, :common] ^= evaluated[:, :common]
+        if tuple(updates) not in memo:
+            memo[tuple(updates)] = _table([(j, e.masks) for j, e in updates], len(decode), n)
+        update_qubits = _words([sum(1 << j for j, _ in updates)], n)
+        t = _evaluate(memo[tuple(updates)], t) ^ (grid & update_qubits)
+        nonzero = np.flatnonzero(values)
+        label, first = _labels(t[nonzero])
         # Pattern t's share has at least 2**k / |its grid points| terms, so
         # the p shares together have at least p**2.
-        p = len(patterns)
+        p = len(first)
         if p * p > budget:
             raise BudgetError(f"{p} flip patterns need at least {p * p} terms, budget {budget}")
-        rows = [
-            (sum(1 << j for r, (j, _) in enumerate(updates) if t >> r & 1),
-             np.where(pattern == t, values, 0.0))
-            for t in patterns
-        ]
+        share = np.full(1 << k, -1)
+        share[nonzero] = label
+        patterns = t[nonzero[first]]
+        shares = [np.where(share == i, values, 0.0) for i in range(p)]
     points, cs, reached = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], 0
-    for _, row in rows:
+    for row in shares:
         coeffs = _fwht(row) / (1 << k)
         points.append(np.flatnonzero(np.abs(coeffs) > DEFAULT_PRUNE))
         cs.append(coeffs[points[-1]])
         reached += len(points[-1])
         if reached > budget:
             raise BudgetError(f"expansion reached {reached} terms, budget {budget}")
-    # Grid point g as limb rows: bit i of g on the group's i-th qubit.
-    g = np.concatenate(points)
-    z = np.zeros((len(g), max(1, -(-n // 64))), dtype=np.uint64)
-    for i, j in enumerate(j for j in range(n) if mask >> j & 1):
-        z[:, j // 64] |= (g >> i & 1).astype(np.uint64) << np.uint64(j % 64)
-    t = np.repeat(_words([t for t, _ in rows], n), [len(p) for p in points[1:]], axis=0)
+    t = np.repeat(patterns, [len(p) for p in points[1:]], axis=0)
+    z = grid[np.concatenate(points)]
     c = np.concatenate(cs)
     for column in (t, z, c):
         column.setflags(write=False)
@@ -555,8 +550,8 @@ def _expand(
     (-1)**f(w))`` over its sign factors (``a, b = 0, 1``) and factors, each
     ``f`` a ``BoolPoly.split`` of ``pieces``, with ``eps`` its constant flips
     or, when its ``q`` is set, ``update = update_flips(encode, decode)`` at
-    that ``q``. An item with neither factors nor flips is its scale times the
-    identity, emitted as the scale itself.
+    that ``q``, the first pieces being the splits of ``decode``. An item with
+    no factors or flips is its scale times the identity, emitted as is.
 
     The stages run over all items at once. Signs XOR their Z masks and
     constants. The affine stage takes one step per factor position, each
@@ -813,14 +808,9 @@ def expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET)
     ``(-1)**f`` and ``(f, 1/2, -1/2)`` the projector onto ``f = 1``.
     ``flips`` is the mask of a constant ``eps``, or a code's ``(encode,
     decode, q)`` with ``q`` a mode mask, for ``eps(w) = encode(decode(w) +
-    q) + w``. The signs add mod 2 into one function; affine factors multiply
-    in as ``a + b * Z-string``, merged on the Z mask after each. The
-    nonlinear rest (the sign's nonlinear monomials, nonlinear factors, and
-    each ``eps_j`` on qubit ``j`` and the qubits of the decode components
-    ``encode[j]`` reads) splits into groups on disjoint qubits
-    (``_group_terms``), which combine as a tensor product. This checks the
-    variable counts and runs the kernel ``_expand`` on one item, whose
-    pieces are the decode's splits and then the factors'.
+    q) + w``. This checks the variable counts and runs the kernel
+    ``_expand`` on one item, whose pieces are the decode's splits and then
+    the factors'.
     """
     encode, decode, q = ((), (), None) if isinstance(flips, int) else flips
     for f in [f for f, _, _ in factors] + list(decode):

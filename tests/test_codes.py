@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fermicode import codes
+from fermicode import bitmath, codes
 from fermicode.bitmath import DEFAULT_BUDGET, BitMat, BitVec, BoolPoly
 from fermicode.codes import (
     BasisSpec,
@@ -464,7 +464,7 @@ def eval_cells(request, monkeypatch):
     """Run with the default evaluation step, and with 3-cell steps, in which a
     table of two or more monomials takes one word per step."""
     if request.param == "tiny":
-        monkeypatch.setattr(codes, "_EVAL_CELLS", 3)
+        monkeypatch.setattr(bitmath, "_EVAL_CELLS", 3)
 
 
 def assert_matches_reference(code, spec, budget=DEFAULT_BUDGET, sample=None, seed=0):

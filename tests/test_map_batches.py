@@ -165,8 +165,8 @@ def test_small_chunks_give_the_same_operator(monkeypatch):
 
 def test_projectors_read_the_decode_tables(monkeypatch):
     # One-body and density-density terms through binary_addressing_k2:3: a
-    # projector onto a nonlinear d_m reads the call's (group mask, m) decode
-    # table, so only those 8 tables evaluate a decode component (184 when
+    # projector onto a nonlinear d_m reads the call's evaluation of d_m over
+    # its grid, so only those 8 evaluations hold a decode component (184 when
     # each projector tabulated its own).
     modes = range(1, 9)
     h = FermionHamiltonian(8, tuple(
@@ -175,12 +175,13 @@ def test_projectors_read_the_decode_tables(monkeypatch):
     code = load_code("binary_addressing_k2:3")
     components = {id(d.masks) for d in code.decode}
     calls = []
-    real = pauli.poly_table
+    real = pauli._table
 
-    def counting(masks, grid):
-        calls.append(id(masks) in components)
-        return real(masks, grid)
+    def counting(polys, n_vars, width):
+        polys = list(polys)
+        calls.extend(id(masks) in components for _, masks in polys)
+        return real(polys, n_vars, width)
 
-    monkeypatch.setattr(pauli, "poly_table", counting)
+    monkeypatch.setattr(pauli, "_table", counting)
     transform_hamiltonian(code, h)
     assert sum(calls) == 8

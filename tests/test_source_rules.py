@@ -1,0 +1,65 @@
+"""Rules the package source keeps, checked on its syntax tree.
+
+One path serves every width: bit vectors wider than 64 bits are rows of
+64-bit limbs (``bitmath._words``), never numpy arrays of Python ints. An
+array of ``object`` dtype would bring back a second, slower path for wide
+codes, so no module of the package may create one.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "fermicode"
+
+
+def _names_object(expr: ast.AST) -> bool:
+    """Whether a dtype expression can be numpy's object dtype: it mentions
+    ``object``, ``np.object_`` or the strings ``"O"``/``"object"`` anywhere,
+    so also in a conditional such as ``np.int64 if n < 64 else object``."""
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Name) and node.id == "object":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "object_":
+            return True
+        if isinstance(node, ast.Constant) and node.value in ("O", "object", "|O", "=O"):
+            return True
+    return False
+
+
+def _object_arrays(source: str) -> list[int]:
+    """Lines of calls that pass an object dtype: as a ``dtype=`` keyword, or
+    positionally to a ``np.``/``numpy.`` function or to ``.astype``/``.view``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+        func = node.func
+        if isinstance(func, ast.Attribute) and (
+            func.attr in ("astype", "view")
+            or isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+        ):
+            dtypes += node.args
+        if any(_names_object(d) for d in dtypes):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_detector_finds_object_arrays():
+    source = "\n".join([
+        "grid = np.zeros(1, dtype=np.int64 if n < 64 else object)",
+        "occupation = np.full(8, q, dtype=object)",
+        "a = np.array(values, object)",
+        "b = rows.astype('O')",
+        "c = np.empty(3, dtype=np.object_)",
+        "d = np.zeros(3, dtype=np.uint64)",
+        "e = isinstance(x, object)",
+        "object.__setattr__(op, 'n', n)",
+    ])
+    assert _object_arrays(source) == [1, 2, 3, 4, 5]
+
+
+def test_no_module_creates_an_object_array():
+    paths = sorted(SOURCES.glob("*.py"))
+    found = [f"{path.name}:{line}" for path in paths for line in _object_arrays(path.read_text())]
+    assert paths and found == []

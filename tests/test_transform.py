@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fermicode import pauli, transform
-from fermicode.bitmath import BitVec, BoolPoly
+from fermicode.bitmath import BitMat, BitVec, BoolPoly
 from fermicode.codes import (
     Code,
     binary_addressing_k1,
@@ -35,12 +36,14 @@ from fermicode.errors import (
     UnsupportedCodeError,
 )
 from fermicode.fock_oracle import (
+    FockStateVector,
     QubitStateVector,
+    apply_hamiltonian_fock,
     apply_qubit_operator,
     verify_anticommutation,
     verify_equivalence,
 )
-from fermicode.pauli import PauliString, QubitOperator, flip_operator
+from fermicode.pauli import DEFAULT_PRUNE, PauliString, QubitOperator, flip_operator
 from fermicode.transform import (
     FermionHamiltonian,
     FermionTerm,
@@ -130,7 +133,7 @@ class TestUpdateOperator:
             assert got.isclose(want, 1e-12)
 
     def test_k2_r6_update_moves_encoded_pairs(self):
-        # 64 modes on 11 qubits: the occupation words no longer fit an int64.
+        # 64 modes on 11 qubits: each occupation word fills a whole 64-bit limb.
         c = binary_addressing_k2(6)
         q = BitVec.unit(64, 1) + BitVec.unit(64, 41)
         u = update_operator(c, q)
@@ -265,6 +268,18 @@ def affine_codes(draw):
     return code, [BitVec.from_int(v, n) for v in range(1 << n)], True
 
 
+def assert_matches_dense(code, basis, term):
+    """``transform_term`` acts on the encoded ``basis`` as ``term`` does. The
+    map drops strings with |c| <= ``DEFAULT_PRUNE``, and a matrix element is
+    a sum over at most 2**n strings, so it may be off by that much."""
+    occupied = [nu.value for nu in basis]
+    encoded = [code.encode_vec(nu).value for nu in basis]
+    expected = np.zeros((1 << code.n_qubits, len(basis)), dtype=complex)
+    expected[encoded] = dense_fermion_term(code.n_modes, term)[np.ix_(occupied, occupied)]
+    got = dense_operator(transform_term(code, term))[:, encoded]
+    np.testing.assert_allclose(got, expected, atol=1e-12 + 2**code.n_qubits * DEFAULT_PRUNE)
+
+
 @settings(max_examples=80, deadline=None)
 @given(codes=affine_codes(), data=st.data())
 def test_affine_decodes_match_dense_action(codes, data):
@@ -276,12 +291,16 @@ def test_affine_decodes_match_dense_action(codes, data):
     ops = data.draw(st.lists(st.tuples(st.integers(1, n), st.booleans()),
                              min_size=length, max_size=length))
     term = FermionTerm.of(complex(data.draw(st.floats(-1, 1)), data.draw(st.floats(-1, 1))), *ops)
-    occupied = [nu.value for nu in basis]
-    encoded = [code.encode_vec(nu).value for nu in basis]
-    expected = np.zeros((1 << code.n_qubits, len(basis)), dtype=complex)
-    expected[encoded] = dense_fermion_term(n, term)[np.ix_(occupied, occupied)]
-    got = dense_operator(transform_term(code, term))[:, encoded]
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+    assert_matches_dense(code, basis, term)
+
+
+def test_coefficient_at_the_prune_threshold_matches_dense_action():
+    # Decode (x1 + x2, x1): both image strings of c_1 have |c| = 7.1e-13 <=
+    # DEFAULT_PRUNE, so the map returns 0 against a 1.41e-12 matrix element.
+    code = linear_code(BitMat(["01", "11"]))
+    term = FermionTerm.of(1e-12 + 1e-12j, (1, False))
+    assert transform_term(code, term).is_zero()
+    assert_matches_dense(code, [BitVec.from_int(v, 2) for v in range(4)], term)
 
 
 class TestTransformTerm:
@@ -731,6 +750,30 @@ class TestHamiltonianTransform:
         out = transform_hamiltonian(jw, FermionHamiltonian(3, ()))
         assert out.is_zero()
 
+    def test_k2_r6_hamiltonian_moves_encoded_pairs(self):
+        # 64 modes on 11 qubits: hops and densities on modes 1, 41, 63 and 64
+        # through the nonlinear encoding, with every occupation word filling
+        # a whole limb. The sha256 was recorded before the map's group tables
+        # moved onto the shared evaluator.
+        c = binary_addressing_k2(6)
+        h = FermionHamiltonian(64, (
+            FermionTerm.of(0.5, (1, True), (41, False)),
+            FermionTerm.of(0.5, (41, True), (1, False)),
+            FermionTerm.of(-0.25, (63, True), (64, False)),
+            FermionTerm.of(-0.25, (64, True), (63, False)),
+            FermionTerm.of(0.75, (64, True), (64, False)),
+            FermionTerm.of(0.3, (41, True), (41, False), (63, True), (63, False)),
+        ))
+        hq = transform_hamiltonian(c, h)
+        assert hashlib.sha256(hq.serialize().encode()).hexdigest() == (
+            "3661f8d869cb78ee338046d8d1fd6ffaf49f1b09444f6132ff0ee49ad520ae73")
+        for a, b in [(1, 63), (1, 64), (41, 63), (41, 64), (7, 41)]:
+            nu = BitVec.unit(64, a) + BitVec.unit(64, b)
+            image = apply_hamiltonian_fock(h, FockStateVector.basis_state(nu)).amplitudes
+            want = QubitStateVector(11, {c.encode_vec(m): v for m, v in image.items()})
+            got = apply_qubit_operator(hq, QubitStateVector.basis_state(c.encode_vec(nu)))
+            assert got.isclose(want, 1e-12), (a, b)
+
     def test_h2_five_terms(self):
         code = h2_code()
         hq = transform_hamiltonian(code, h2_hamiltonian(1.0, 0.5, 0.2, 0.2, 0.3, 0.1))
@@ -828,7 +871,7 @@ class TestHamiltonianTransform:
     def test_each_decode_table_is_built_once_per_call(self, monkeypatch):
         # One-body and density-density terms on 8 modes: every update group
         # of binary_addressing_k2:3 reads the decode components over one
-        # grid, so there is a table per (group mask, mode), 8 in all.
+        # grid, so each component is evaluated once per (grid, call), 8 in all.
         modes = range(1, 9)
         h = FermionHamiltonian(8, tuple(
             [FermionTerm.of(0.5, (p, True), (q, False)) for p in modes for q in modes]
@@ -838,7 +881,7 @@ class TestHamiltonianTransform:
         built = Counter()
         real = pauli._group_terms
 
-        class Spy:  # the call's memo, counting the decode tables stored in it
+        class Spy:  # the call's memo, counting the pieces each grid gains
             def __init__(self, memo):
                 self.memo = memo
 
@@ -849,7 +892,10 @@ class TestHamiltonianTransform:
                 return self.memo[key]
 
             def __setitem__(self, key, value):
-                built[key] += 1
+                if isinstance(key, int):  # a grid: (rows, evaluated pieces, their rows)
+                    done = self.memo[key][1] if key in self.memo else 0
+                    built.update((key, p) for p in range(value[1].bit_length())
+                                 if (value[1] & ~done) >> p & 1)
                 self.memo[key] = value
 
         def counting(n, mask, members, flips, budget, memo):

@@ -301,6 +301,9 @@ def verify_equivalence(
     """
     if h.n_modes != code.n_modes or hq.n != code.n_qubits:
         raise DimensionError("code, Hamiltonian, and operator sizes must agree")
+    for i, nu in enumerate(basis):
+        if nu.n != code.n_modes:
+            raise DimensionError(f"basis[{i}] = {nu} has {nu.n} modes, code encodes {code.n_modes}")
     items = _pack_terms(h.terms)
     terms = _Batch(items, code.n_modes)
     strings = _Batch(_pack_strings(hq), code.n_qubits)

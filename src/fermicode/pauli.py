@@ -11,11 +11,14 @@ kernel, ``_expand``: the update operator ``sum_t X^t [eps(w) = t]`` times
 the diagonal ``prod_k (a_k + b_k * (-1)**f_k(w))`` for a batch of action
 items held as columns (``Items``), with the flips ``eps`` a constant mask
 or a code's update ``eps(w) = encode(decode(w) + q) + w`` (``update_flips``).
-Its stages run over all items at once on rows of 64-bit limbs, one path
-for every width: signs XOR their Z masks, affine factors multiply as
-Z-strings, and the nonlinear rest splits into groups on disjoint qubits,
-each a Walsh-Hadamard transform of truth tables that ``bitmath._evaluate``
-builds on the group's grid, ``eps`` included. Every merge sorts packed keys
+It runs over all items at once on rows of 64-bit limbs, one path for
+every width. Every factor is a table of ``(t, z, c)`` rows: an item starts
+as one row, its flips and its signs' affine Z masks; an affine factor is the
+two rows ``a I`` and ``+-b Z^f``; the nonlinear rest splits into groups on
+disjoint qubits, each a Walsh-Hadamard transform of truth tables that
+``bitmath._evaluate`` builds on the group's grid, ``eps`` included. One
+tensor product per item (``_products``) multiplies the tables and merges
+the rows once. Every merge sorts packed keys
 (``_merge``) and adds in row order, so its sums (from a complex +0.0) and
 its first-appearance order are a dict's. ``expand`` (so ``extract``,
 ``cphase_expand``, ``flip_operator``) runs the kernel on one item and
@@ -373,10 +376,11 @@ def _group_terms(
     qubit, so also the Z masks. ``memo`` keeps per group mask the grid and
     rows whose bit p is piece p (a factor's key; ``d_m`` is piece m), each
     evaluated once per grid. The flips ``e(d(w) + q) + w`` are the decode
-    rows XOR ``q``, one evaluation of the ``e_j`` (table kept in ``memo``),
-    XOR the grid. Each flip pattern's share of the table, patterns in X-mask
-    order, is Walsh-transformed; without update members the one pattern is
-    0. The table and the terms count against ``budget``.
+    rows XOR ``q``, one evaluation of the ``e_j`` (table kept in ``memo``
+    with the decode components they read, so their supports are scanned
+    once), XOR the grid. Each flip pattern's share of the table, patterns in
+    X-mask order, is Walsh-transformed; without update members the one
+    pattern is 0. The table and the terms count against ``budget``.
     """
     k = mask.bit_count()
     if 1 << k > budget:
@@ -386,10 +390,16 @@ def _group_terms(
     pieces = {key: masks for key, masks, _, _ in factors}
     if updates:
         _, decode, _, q = flips
-        read = 0
-        for _, e in updates:
-            read |= e.support()
-        pieces |= {m: decode[m].masks for m in range(len(decode)) if read >> m & 1}
+        if tuple(updates) not in memo:  # the e_j table and the decode pieces they read
+            read = 0
+            for _, e in updates:
+                read |= e.support()
+            memo[tuple(updates)] = (
+                _table([(j, e.masks) for j, e in updates], len(decode), n),
+                {m: decode[m].masks for m in range(len(decode)) if read >> m & 1},
+            )
+        update_table, reads = memo[tuple(updates)]
+        pieces |= reads
     if mask not in memo:
         grid = np.zeros((1, max(1, -(-n // 64))), dtype=np.uint64)
         for j in (j for j in range(n) if mask >> j & 1):
@@ -411,10 +421,8 @@ def _group_terms(
         t = np.repeat(_words([q], len(decode)), 1 << k, axis=0)
         common = min(t.shape[1], evaluated.shape[1])
         t[:, :common] ^= evaluated[:, :common]
-        if tuple(updates) not in memo:
-            memo[tuple(updates)] = _table([(j, e.masks) for j, e in updates], len(decode), n)
         update_qubits = _words([sum(1 << j for j, _ in updates)], n)
-        t = _evaluate(memo[tuple(updates)], t) ^ (grid & update_qubits)
+        t = _evaluate(update_table, t) ^ (grid & update_qubits)
         nonzero = np.flatnonzero(values)
         label, first = _labels(t[nonzero])
         # Pattern t's share has at least 2**k / |its grid points| terms, so
@@ -466,9 +474,9 @@ def update_flips(encode, decode, supports: tuple | None = None) -> tuple:
 
 # Rows the map holds at once, each a few limbs and floats: ``_expand`` forms
 # the tensor products of at most this many rows at a time,
-# ``transform_hamiltonian`` hands it terms whose affine stage has at most
-# this many (``_chunked``), and ``_Sum`` merges its rows at least this many
-# at a time, so memory does not grow with the number of terms.
+# ``transform_hamiltonian`` hands it terms whose affine tables multiply to at
+# most this many rows (``_chunked``), and ``_Sum`` merges its rows at least
+# this many at a time, so memory does not grow with the number of terms.
 _CHUNK_ROWS = 1 << 13
 
 # The action items of one ``_expand`` call, as columns. ``signs`` are
@@ -553,18 +561,21 @@ def _expand(
     that ``q``, the first pieces being the splits of ``decode``. An item with
     no factors or flips is its scale times the identity, emitted as is.
 
-    The stages run over all items at once. Signs XOR their Z masks and
-    constants. The affine stage takes one step per factor position, each
-    item's k-th affine factor doubling its rows into ``a`` and ``b`` times a
-    Z-string, then merges rows with equal (item, Z mask) and checks each
-    item's count. The nonlinear rest of an item splits into groups on
-    disjoint qubits (``_group_terms``), kept in ``memo`` across calls that
-    share ``n``, the pieces and the update, and keyed by the group's qubit
-    mask, its members and, for a group with update members, ``q``. A group
-    whose table is empty makes the item's image zero, so its remaining
-    groups are not built. The groups combine with the affine rows as tensor
-    products, at most ``_CHUNK_ROWS`` rows at a time, and each item's rows are
-    merged, phased, scaled and pruned.
+    Every factor is a table of ``(t, z, c)`` rows. An item starts as one row:
+    its constant flips, the XOR of its signs' affine Z masks and ``(-1)`` to
+    their constants. An affine factor is the two rows ``a I`` and ``+-b Z^f``,
+    less those of magnitude at most ``DEFAULT_PRUNE``. The nonlinear rest
+    splits into groups on disjoint qubits (``_group_terms``), kept in
+    ``memo`` across calls that share ``n``, the pieces and the update, and
+    keyed by the group's qubit mask, its members and, for a group with
+    update members, ``q``. An item's count of rows is the product of its
+    tables' lengths, the affine tables first: the rows formed before the
+    merge, also where its affine Z masks are dependent. The group tables are
+    built in turn while the count is within ``budget`` and nonzero, so an
+    empty table (an image of zero) stops the item's later groups; a count
+    over ``budget`` raises. ``_products`` forms each item's tensor product
+    and merges it, at most ``_CHUNK_ROWS`` rows at a time, and the rows are
+    then phased, scaled and pruned.
 
     A ``BudgetError`` is raised with ``item`` set to the first item that
     runs out of budget, in that item's own check order, after the columns of
@@ -579,17 +590,27 @@ def _expand(
     plain = np.bincount(s_item, minlength=count) + np.bincount(f_item, minlength=count) == 0
     plain &= ~flips.any(axis=1) & np.array([q is None for q in qs], dtype=bool)
 
-    # (-1)**f of an affine f is a Z-string, negated by f's constant.
+    # Each item's first row; (-1)**f of an affine f is a Z-string, negated by f's constant.
+    z = np.zeros((count, piece_z.shape[1]), dtype=np.uint64)
+    np.bitwise_xor.at(z, s_item, piece_z[s_piece])
+    c = 1.0 - 2.0 * (np.bincount(s_item[piece_bit[s_piece]], minlength=count) & 1)
+    # The k-th affine factor's table: rows bounds[k] to bounds[k + 1] of rows_z, rows_c.
     on = affine[f_piece]
-    signed = np.where(piece_bit[f_piece[on]], -fb[on], fb[on])
-    item, z, c, fail, error = _affine_stage(
-        n, count, f_item[on], piece_z[f_piece[on]], fa[on], signed, budget
-    )
-    linear = np.zeros((count, piece_z.shape[1]), dtype=np.uint64)
-    np.bitwise_xor.at(linear, s_item, piece_z[s_piece])
-    odd = np.bincount(s_item[piece_bit[s_piece]], minlength=count) & 1
-    z ^= linear[item]
-    c = np.where(odd[item] == 1, -c, c)
+    a_item, a_piece = f_item[on], f_piece[on]
+    rows_z = np.zeros((2 * len(a_item), z.shape[1]), dtype=np.uint64)
+    rows_z[1::2] = piece_z[a_piece]
+    signed = np.where(piece_bit[a_piece], -fb[on], fb[on])
+    rows_c = np.column_stack([fa[on], signed]).ravel()
+    kept = np.abs(rows_c) > DEFAULT_PRUNE
+    rows_z, rows_c = rows_z[kept], rows_c[kept]
+    length = kept[0::2] + kept[1::2].astype(np.intp)
+    bounds = np.concatenate([[0], np.cumsum(length)])
+    fail, error, bits = count, None, min(int(budget).bit_length(), 62)
+    # Rows of each affine product: 0 past an empty table, else 2**twos, capped
+    # at the first power of 2 over the budget (and at 2**62, within int64).
+    twos = np.bincount(a_item, length == 2, count).astype(np.intp)
+    empty = np.bincount(a_item, length == 0, count) > 0
+    sizes = np.where(empty, 0, np.left_shift(1, np.minimum(twos, bits)))
 
     # Groups: the sign's nonlinear monomials, nonlinear factors and updates.
     sign: dict[int, frozenset] = {}
@@ -602,11 +623,10 @@ def _expand(
     if update is not None:
         encode, _, supports = update
         updates = [(s, 2, (j, e)) for j, (s, e) in enumerate(zip(supports, encode))]
-    sizes = np.bincount(item, minlength=count)  # rows of each item's image
-    parts: list[tuple[int, list]] = []  # (item, its group tables) of items with groups
-    for i in sorted(sign.keys() | members.keys() | {i for i, q in enumerate(qs) if q is not None}):
-        if i >= fail:
-            break
+    grouped: list[tuple] = []  # (item, its group tables) of each item with groups
+    visit = sign.keys() | members.keys() | {i for i, q in enumerate(qs) if q is not None}
+    visit |= set(np.flatnonzero(sizes > budget).tolist())  # affine rows alone pass the budget
+    for i in sorted(visit):
         q = qs[i]
         found = (updates if q is not None else []) + members.get(i, [])
         found += [(m, 0, m) for m in sign.get(i, ()) if m & (m - 1)]
@@ -620,40 +640,37 @@ def _expand(
         size, got = int(sizes[i]), []
         try:
             for mask, joined in groups.items():
+                if not 0 < size <= budget:
+                    break
                 key = (mask, tuple(joined), q if any(kind == 2 for kind, _ in joined) else None)
                 part = memo.get(key)
                 if part is None:
                     flip = None if q is None else (*update, q)
                     part = memo[key] = _group_terms(n, mask, joined, flip, budget, memo)
-                if not len(part[2]):
-                    size = 0
-                    break
                 size *= len(part[2])
-                if size > budget:
-                    raise BudgetError(f"expansion reached {size} terms, budget {budget}")
                 got.append(part)
+            if size > budget:
+                raise BudgetError(f"expansion reached {size} terms, budget {budget}")
         except BudgetError as exc:
             fail, error = i, exc
             break
         sizes[i] = size
         if size:
-            parts.append((i, got))
-    keep = (item < fail) & (sizes[item] > 0)
-    item, t, z, c = item[keep], flips[item[keep]], z[keep], c[keep]
+            grouped.append((i, got))
 
     # Tensor products, merge, phase and scale over ranges of items.
     ends = np.cumsum(sizes[:fail])
-    lo = next_part = 0
+    g_item = np.array([i for i, _ in grouped], dtype=np.intp)
+    lo = 0
     while lo < fail:
         start = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, start + _CHUNK_ROWS, "right")))
-        first_part = next_part
-        while next_part < len(parts) and parts[next_part][0] < hi:
-            next_part += 1
-        r0, r1 = np.searchsorted(item, [lo, hi])
-        ri, rt, rz, rc = item[r0:r1], t[r0:r1], z[r0:r1], c[r0:r1]
-        if next_part > first_part:
-            ri, rt, rz, rc = _products(n, parts[first_part:next_part], ri, rt, rz, rc, lo, hi)
+        a0, a1 = np.searchsorted(a_item, [lo, hi])
+        g0, g1 = np.searchsorted(g_item, [lo, hi])
+        rows = slice(bounds[a0], bounds[a1])
+        affines = a_item[a0:a1], length[a0:a1], rows_z[rows], rows_c[rows]
+        ri = lo + np.flatnonzero(sizes[lo:hi])
+        ri, rt, rz, rc = _products(n, lo, hi, affines, grouped[g0:g1], ri, flips[ri], z[ri], c[ri])
         lo = hi
         if not len(ri):
             continue
@@ -671,67 +688,34 @@ def _expand(
         raise error
 
 
-def _affine_stage(n, count, item_of, zf, a, b, budget):
-    """Rows ``(item, Z mask, c)`` of each item's product of ``a + b Z^zf``
-    over its affine factors, one step per factor position: each row doubles
-    into ``c a`` at its mask and ``c b`` at the mask XOR ``zf``, rows with
-    equal (item, mask) merge, and an item over ``budget`` fails. Returns the
-    rows of the items before the first failing one, pruned, that item (or
-    ``count``) and its error."""
-    position = np.arange(len(item_of)) - np.searchsorted(item_of, item_of)
-    item, z, c = np.arange(count), np.zeros((count, zf.shape[1]), dtype=np.uint64), np.ones(count)
-    fail, error = count, None
-    for k in range(int(position.max()) + 1 if len(position) else 0):
-        step = np.full(count, -1)
-        at = np.flatnonzero(position == k)
-        step[item_of[at]] = at
-        f = step[item]
-        doubled = np.repeat(np.arange(len(item)), 1 + (f >= 0))
-        second = np.zeros(len(doubled), dtype=bool)
-        second[np.cumsum(1 + (f >= 0))[f >= 0] - 1] = True
-        f = f[doubled]
-        item, z = item[doubled], z[doubled]
-        z[second] ^= zf[f[second]]
-        first, c = _merge(
-            [(item[:, None].astype(np.uint64), (count - 1).bit_length()), (z, n)],
-            c[doubled] * np.where(second, b[f], np.where(f >= 0, a[f], 1.0)),
-        )
-        item, z = item[first], z[first]
-        over = np.flatnonzero(np.bincount(item, minlength=count) > budget)
-        if len(over) and over[0] < fail:
-            fail = int(over[0])
-            reached = np.count_nonzero(item == fail)
-            error = BudgetError(f"expansion reached {reached} terms, budget {budget}")
-        keep = (np.abs(c) > DEFAULT_PRUNE) & (item < fail)
-        item, z, c = item[keep], z[keep], c[keep]
-    return item, z, c, fail, error
-
-
-def _products(n, parts, item, t, z, c, lo, hi):
-    """The rows of items ``lo`` to ``hi`` times each item's group tables
-    ``parts``, as tensor products in emission order (rows outer, table rows
-    inner), then merged per item and pruned."""
-    index: dict[int, int] = {}
-    tables = []
-    for _, got in parts:
-        for part in got:
-            if id(part) not in index:
-                index[id(part)] = len(tables)
-                tables.append(part)
-    # A last one-row table (t = z = 0, c = 1) for items without a g-th group.
-    lengths = np.array([len(p[2]) for p in tables] + [1])
-    offsets = np.cumsum(lengths) - lengths
-    none = np.zeros((1, t.shape[1]), dtype=np.uint64)
-    pt, pz = (np.concatenate([p[s] for p in tables] + [none]) for s in (0, 1))
-    pc = np.concatenate([p[2] for p in tables] + [np.ones(1)])
-    for g in range(max(len(got) for _, got in parts)):
-        table = np.full(hi - lo, len(tables))
-        for i, got in parts:
-            if g < len(got):
-                table[i - lo] = index[id(got[g])]
-        m = lengths[table[item - lo]]
+def _products(n, lo, hi, affines, grouped, item, t, z, c):
+    """The rows of items ``lo`` to ``hi`` times each item's tables, as tensor
+    products in emission order (rows outer, table rows inner), then merged
+    per item and pruned. ``affines`` are the affine tables (the item and row
+    count of each, then their rows ``z, c`` in order), ``grouped`` the
+    ``(item, group tables)`` of the items with groups."""
+    a_item, length, a_z, a_c = affines
+    parts = list({id(part): part for _, got in grouped for part in got}.values())
+    numbers = {id(part): 1 + len(a_item) + k for k, part in enumerate(parts)}
+    gi = np.repeat([i for i, _ in grouped], [len(got) for _, got in grouped]).astype(np.intp)
+    # Table 0 is the one row I, past an item's last table; 1 + k the k-th affine one.
+    before = np.bincount(a_item - lo, minlength=hi - lo)  # affine tables of each item
+    depth = before + np.bincount(gi - lo, minlength=hi - lo)
+    slot = np.zeros((hi - lo, int(depth.max())), dtype=np.intp)
+    a_at = np.arange(len(a_item)) - np.searchsorted(a_item, a_item)
+    slot[a_item - lo, a_at] = 1 + np.arange(len(a_item))
+    g_at = before[gi - lo] + np.arange(len(gi)) - np.searchsorted(gi, gi)
+    slot[gi - lo, g_at] = [numbers[id(part)] for _, got in grouped for part in got]
+    lengths = np.concatenate([[1], length, [len(p[2]) for p in parts]]).astype(np.intp)
+    starts = np.cumsum(lengths) - lengths
+    pt = np.concatenate([np.zeros((1 + len(a_c), t.shape[1]), np.uint64)] + [p[0] for p in parts])
+    pz = np.concatenate([np.zeros((1, t.shape[1]), np.uint64), a_z] + [p[1] for p in parts])
+    pc = np.concatenate([[1.0], a_c] + [p[2] for p in parts])
+    for g in range(slot.shape[1]):
+        table = slot[item - lo, g]
+        m = lengths[table]
         rows = np.repeat(np.arange(len(item)), m)
-        at = np.repeat(offsets[table[item - lo]] - (np.cumsum(m) - m), m) + np.arange(len(rows))
+        at = np.repeat(starts[table] - (np.cumsum(m) - m), m) + np.arange(len(rows))
         item, t, z, c = item[rows], t[rows] ^ pt[at], z[rows] ^ pz[at], c[rows] * pc[at]
     key = (item - lo)[:, None].astype(np.uint64)
     first, c = _merge([(key, (hi - lo - 1).bit_length()), (t, n), (z, n)], c)

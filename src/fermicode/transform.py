@@ -306,7 +306,7 @@ def transform_hamiltonian(
                 f"{held + np.count_nonzero(new <= j)} terms, over the budget of {budget}"
             )
 
-    live = (  # 2**|care| bounds a term's affine rows
+    live = (  # 2**|care| bounds the rows of a term's affine tables
         (1 << item[2].bit_count(), (index, term, item))
         for index, (term, item) in enumerate(zip(h.terms, pack_terms(h.terms)), start=1)
         if item is not None

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -636,6 +637,18 @@ class TestEquivalence:
             for nu in basis
             if nu[64] != nu[65]
         ]
+
+    @pytest.mark.parametrize("basis, wrong", [
+        (["10", "01"], "basis[0] = 10 has 2 modes"),
+        (["100", "1000", "0100"], "basis[1] = 1000 has 4 modes"),
+    ])
+    def test_rejects_basis_vectors_of_another_length(self, basis, wrong):
+        code = jordan_wigner(3)
+        h = FermionHamiltonian(3, (FermionTerm.of(1.0, (1, True), (2, False)),
+                                   FermionTerm.of(1.0, (2, True), (1, False))))
+        hq = transform_hamiltonian(code, h)
+        with pytest.raises(DimensionError, match=rf"^{re.escape(wrong)}, code encodes 3$"):
+            verify_equivalence(code, h, hq, [BitVec(b) for b in basis])
 
     def test_report_json_shape(self):
         import json

@@ -114,7 +114,7 @@ def _flip_pattern_code():
 T = FermionTerm.of
 # (code, terms, budget, message): a later term's own check would fail too.
 BUDGET_ORDER = [
-    # Term 2's merge check comes before term 3's affine stage.
+    # Term 2's merge check comes before term 3's affine tables.
     ("jordan_wigner:6", [T(0.3, (1, True), (2, False)), T(0.45, (3, True), (4, False)),
                          T(0.7, *_numbers(range(1, 7)))], 6,
      "merge: term 2 (((0.45+0j)) +3 -4) brings the merged operator to 8 terms, "
@@ -123,8 +123,8 @@ BUDGET_ORDER = [
                          T(0.7, *_numbers(range(1, 7)))], 8,
      "term 3 (((0.7+0j)) +1 -1 +2 -2 +3 -3 +4 -4 +5 -5 +6 -6): "
      "expansion reached 16 terms, budget 8"),
-    # Term 1's affine stage fits 4 strings; its update group then needs a
-    # table over 3 qubits, before term 2's 16 affine strings.
+    # Term 1's affine tables fit 4 rows; its update group then needs a
+    # table over 3 qubits, before term 2's 16 affine rows.
     ("jordan_wigner:4+binary_addressing_k2:2",
      [T(0.3, (1, True), (2, False), (5, True), (6, False)), T(0.7, *_numbers(range(1, 5)))], 4,
      "term 1 (((0.3+0j)) +1 -2 +5 -6): table over a support of 3 qubits exceeds budget 4"),
@@ -132,7 +132,7 @@ BUDGET_ORDER = [
      [T(0.3, (1, True), (2, False), (5, True), (6, False)), T(0.7, *_numbers(range(1, 5)))], 16,
      "term 2 (((0.7+0j)) +1 -1 +2 -2 +3 -3 +4 -4): expansion reached 20 terms, budget 16"),
     # Term 1's projector passes; its flip patterns fail before term 2's
-    # eight affine factors reach 32 strings.
+    # eight affine tables reach 32 rows.
     (_flip_pattern_code, [T(0.3, *_numbers([1])), T(0.7, *_numbers(range(1, 9)))], 16,
      "term 1 (((0.3+0j)) +1 -1): 14 flip patterns need at least 196 terms, budget 16"),
 ]

@@ -11,7 +11,9 @@ the per-term merge; that reference runs the same kernel, so only the pins
 catch an error both share. The Hubbard rows of the resource table and the
 3x5 segment row are compared with the reference too: there
 ``transform_hamiltonian`` shares group tables across terms, where each
-``transform_term`` builds its own.
+``transform_term`` builds its own. The 2-orbital molecular model through
+the checksum codes, whose projectors' affine Z masks collide, is pinned by
+its sha256.
 
 With t = 0.7 and U = 1.3 the Hubbard coefficients are not dyadic, so the
 order of every float product and sum shows in the bytes; the ``transform
@@ -93,6 +95,25 @@ def test_merge_matches_per_term_reference(models, name, seed):
     text = hq.serialize()
     assert text == reference.serialize()
     assert hashlib.sha256(text.encode()).hexdigest() == SEED_PINS[name, seed]
+
+
+# (flavor, seed): sha256 of the serialized operator of the 2-orbital molecular
+# model through checksum:4; the checksum's last decode component is the sum
+# of the others, so the affine Z masks of a term's projectors collide.
+CHECKSUM_PINS = {
+    ("even", 1): "97d1962539d6d66332ed40a2fde7d92ec8c4c9d59990ae1565c18c365c512990",
+    ("even", 2): "67c3e832fae037898b08400d854500306fcddce3a5d82de0aa3316b2491ffd24",
+    ("odd", 1): "3ca8649790eafd6bff991e87296c5f107a291e4cb521e270bed294cdae91c9cf",
+    ("odd", 2): "7728566f75d7054925fa6c047ebaf31ff952352c46093e688113636a9f57000d",
+}
+
+
+@pytest.mark.parametrize("flavor, seed", sorted(CHECKSUM_PINS))
+def test_colliding_affine_masks_bytes_are_pinned(models, flavor, seed):
+    text = format_fermion_file(models.GENERATORS["molecular"](seed, orbitals=2))
+    hq = transform_hamiltonian(load_code(f"checksum:4:{flavor}"), parse_fermion_file(text))
+    digest = hashlib.sha256(hq.serialize().encode()).hexdigest()
+    assert digest == CHECKSUM_PINS[flavor, seed]
 
 
 # (rows, cols, code) of the periodic t = U = 1 Hubbard rows; the 3x5 row

@@ -254,6 +254,12 @@ class TestExpand:
         assert pauli.expand(n, factors, 0).is_zero()
         assert built == [0b11]
 
+    def test_pruned_table_rows_do_not_count_against_the_budget(self):
+        # The factor 1 + 0 * Z1 is the one row I, so two rows fit budget 2.
+        x1, x2 = BoolPoly.variable(2, 1), BoolPoly.variable(2, 2)
+        got = pauli.expand(2, [(x1, 1.0, 0.0), (x2, 0.5, 0.5)], 0, budget=2)
+        assert got == QubitOperator(2, {PauliString(2): 0.5, PauliString(2, {2: "Z"}): 0.5})
+
     def test_factor_over_other_variable_count_raises(self):
         with pytest.raises(DimensionError, match="function over 2 variables on 3 qubits"):
             pauli.expand(3, [(BoolPoly(2, [3]), 0, 1)], 0)

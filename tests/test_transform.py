@@ -827,8 +827,13 @@ class TestHamiltonianTransform:
     @pytest.mark.parametrize(
         "code, line, budget, reached",
         [
-            (jordan_wigner(4), "1 0 : +1 -3", 1, 2),  # the affine sign stage
+            (jordan_wigner(4), "1 0 : +1 -3", 1, 2),  # an affine table
             (binary_addressing_k2(3), "1 0 : +1 -5", 40, 52),  # a group table
+            # Dependent affine Z masks: the count is of the rows formed, before the merge.
+            (checksum_code(3), "0.3 0 : +1 -1 +2 -2 +3 -3", 4, 8),
+            # 70 projectors: 2**70 rows would overflow an int64 count.
+            (jordan_wigner(70), "1 0 : " + " ".join(f"+{m} -{m}" for m in range(1, 71)),
+             1 << 20, 1 << 21),
         ],
     )
     def test_expansion_over_budget_names_the_term(self, code, line, budget, reached):

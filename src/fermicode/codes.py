@@ -24,7 +24,6 @@ import numpy as np
 from .bitmath import DEFAULT_BUDGET, BitMat, BitVec, BoolPoly, ascii_int, moebius
 from .bitmath import _evaluate, _ints, _table, _words
 from .errors import BudgetError, DimensionError, InputFormatError, UnsupportedCodeError
-from .pauli import flip_supports
 
 # Code words ``validate_code`` scans at once; their rows, images and checks
 # are dropped before the next chunk, so the scan's memory does not grow with 2^n.
@@ -43,7 +42,7 @@ class Code:
     Structure derived from encode/decode (linearity, the encode's linear
     columns, each decode component's split into Z mask, constant, support
     and nonlinear monomials, each update flip piece's qubit support, a
-    linear code's matrices, the monomial tables, the leaf blocks) is
+    linear code's matrices, whole and cut monomial tables, the leaf blocks) is
     computed on first use and kept on the instance; ``dataclasses.replace``
     builds a new instance, so it never sees stale values.
     """
@@ -69,6 +68,10 @@ class Code:
         for p in self.decode:
             if p.num_vars != self.n_qubits:
                 raise DimensionError("decode components must be over n variables")
+        if self.degenerate_image is not None and self.degenerate_image.n != self.n_modes:
+            raise DimensionError("the degenerate image needs one bit per mode")
+        if self.segments and self.segment_weight is None:
+            raise DimensionError("segments need a segment_weight")
 
     # -- evaluation ------------------------------------------------------
     # encode_vec, decode_vec and in_basis evaluate one vector through
@@ -95,13 +98,15 @@ class Code:
         """Membership in V, i.e. the round-trip d(e(nu)) = nu holds."""
         return self.decode_vec(self.encode_vec(nu)) == nu
 
-    def encode_words(self, rows: np.ndarray) -> np.ndarray:
-        """e at each occupation row of limbs (``_words``), as code-word rows."""
-        return _evaluate(self.tables[0], rows)
+    def encode_words(self, rows: np.ndarray, qubits: int | None = None) -> np.ndarray:
+        """e at each occupation row of limbs (``_words``), as code-word rows;
+        only the components in a ``qubits`` mask, if given (``table``)."""
+        return _evaluate(self.table(0, qubits, rows.shape[1]), rows)
 
-    def decode_words(self, rows: np.ndarray) -> np.ndarray:
-        """d at each code-word row of limbs, as occupation rows."""
-        return _evaluate(self.tables[1], rows)
+    def decode_words(self, rows: np.ndarray, modes: int | None = None) -> np.ndarray:
+        """d at each code-word row of limbs, as occupation rows; only the
+        components in a ``modes`` mask, if given (``table``)."""
+        return _evaluate(self.table(1, modes, rows.shape[1]), rows)
 
     def degenerate_rows(self, rows: np.ndarray) -> np.ndarray:
         """Whether each occupation row is a designated degenerate decode image
@@ -130,6 +135,23 @@ class Code:
             _table(enumerate(p.masks for p in self.encode), self.n_modes, self.n_qubits),
             _table(enumerate(p.masks for p in self.decode), self.n_qubits, self.n_modes),
         )
+
+    @cached_property
+    def _cuts(self) -> dict:
+        return {}
+
+    def table(self, side: int, mask: int | None, limbs: int) -> tuple[np.ndarray, np.ndarray]:
+        """``tables[side]`` (0 encode, 1 decode), or its components in ``mask``
+        alone, kept per key: read from rows of ``limbs`` limbs and, for a
+        decode, written to rows of the mask's bit length (for the map)."""
+        if mask is None:
+            return self.tables[side]
+        if (side, mask, limbs) not in self._cuts:
+            polys = (self.encode, self.decode)[side]
+            picked = [(i, polys[i].masks) for i in range(len(polys)) if mask >> i & 1]
+            width = mask.bit_length() if side else self.n_qubits
+            self._cuts[side, mask, limbs] = _table(picked, 64 * limbs, width)
+        return self._cuts[side, mask, limbs]
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int | None], ...]:
@@ -165,10 +187,24 @@ class Code:
         return tuple(d.split() for d in self.decode)
 
     @cached_property
+    def encode_supports(self) -> tuple[int, ...]:
+        """Mode support of each encode component: the d_m that e_j reads."""
+        return tuple(e.support() for e in self.encode)
+
+    @cached_property
     def flip_supports(self) -> tuple[int, ...]:
-        """``pauli.flip_supports`` of the update: entry j is qubit j and the
-        supports of the decode components that e_j reads."""
-        return flip_supports(self.encode, self.decode)
+        """Qubit support of each flip piece of the update ``e(d(w) + q) + w``:
+        entry j is qubit j and the supports of the decode components that
+        e_j reads, the qubits that group it in ``pauli._expand``."""
+        reads = [support for _, _, support, _ in self.decode_split]
+        out = []
+        for j, modes in enumerate(self.encode_supports):
+            support = 1 << j
+            for m, read in enumerate(reads):
+                if modes >> m & 1:
+                    support |= read
+            out.append(support)
+        return tuple(out)
 
     @cached_property
     def matrix(self) -> BitMat | None:
@@ -213,26 +249,27 @@ def linear_code(a: BitMat, kind: str = "linear") -> Code:
     )
 
 
-def _check_linear_size(constructor: str, n_modes: int) -> None:
-    """``BudgetError`` before building an N x N code matrix of more entries
-    than the budget, since inverting it is quadratic in N."""
+def _check_size(constructor: str, n_modes: int, n_qubits: int, matrix: bool = False) -> None:
+    """``BudgetError`` before building a code of more N x n entries than the
+    budget, since its components (and a linear code's N x N ``matrix`` and
+    its inverse) take memory and time quadratic in N."""
     if n_modes < 1:
         raise ValueError("need at least one mode")
-    if n_modes * n_modes > DEFAULT_BUDGET:
+    if n_modes * n_qubits > DEFAULT_BUDGET:
+        entries = f"{n_modes}**2 matrix" if matrix else f"{n_modes} x {n_qubits} code"
         raise BudgetError(
-            f"{constructor}({n_modes}) needs {n_modes}**2 matrix entries, "
-            f"over the budget of {DEFAULT_BUDGET}"
+            f"{constructor} needs {entries} entries, over the budget of {DEFAULT_BUDGET}"
         )
 
 
 def jordan_wigner(n_modes: int) -> Code:
-    _check_linear_size("jordan_wigner", n_modes)
+    _check_size(f"jordan_wigner({n_modes})", n_modes, n_modes, matrix=True)
     return linear_code(BitMat.identity(n_modes), kind="jordan_wigner")
 
 
 def parity_code(n_modes: int) -> Code:
     """Mode j is stored as the running occupation parity of modes 1..j."""
-    _check_linear_size("parity_code", n_modes)
+    _check_size(f"parity_code({n_modes})", n_modes, n_modes, matrix=True)
     a = BitMat.from_int_rows([(1 << (i + 1)) - 1 for i in range(n_modes)], n_modes)
     return linear_code(a, kind="parity")
 
@@ -253,7 +290,7 @@ def _bk_matrix(n_modes: int) -> BitMat:
 
 
 def bravyi_kitaev(n_modes: int) -> Code:
-    _check_linear_size("bravyi_kitaev", n_modes)
+    _check_size(f"bravyi_kitaev({n_modes})", n_modes, n_modes, matrix=True)
     return linear_code(_bk_matrix(n_modes), kind="bravyi_kitaev")
 
 
@@ -268,6 +305,7 @@ def checksum_code(n_modes: int, flavor: str = "even") -> Code:
     if flavor not in ("even", "odd"):
         raise ValueError(f"flavor must be 'even' or 'odd', got {flavor!r}")
     n = n_modes - 1
+    _check_size(f"checksum_code({n_modes})", n_modes, n)
     return Code(
         n_modes=n_modes,
         n_qubits=n,
@@ -411,6 +449,7 @@ def concat(*codes: Code) -> Code:
         return codes[0]
     n_modes = sum(c.n_modes for c in codes)
     n_qubits = sum(c.n_qubits for c in codes)
+    _check_size(f"concat of {len(codes)} codes", n_modes, n_qubits)
     encode: list[BoolPoly] = []
     decode: list[BoolPoly] = []
     segments: list[tuple[int, ...]] = []

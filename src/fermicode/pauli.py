@@ -9,20 +9,22 @@ immutable, and equal and hashed as that tuple.
 The module also maps boolean functions to qubit operators through one
 kernel, ``_expand``: the update operator ``sum_t X^t [eps(w) = t]`` times
 the diagonal ``prod_k (a_k + b_k * (-1)**f_k(w))`` for a batch of action
-items held as columns (``Items``), with the flips ``eps`` a constant mask
-or a code's update ``eps(w) = encode(decode(w) + q) + w`` (``update_flips``).
-It runs over all items at once on rows of 64-bit limbs, one path for
-every width. Every factor is a table of ``(t, z, c)`` rows: an item starts
-as one row, its flips and its signs' affine Z masks; an affine factor is the
-two rows ``a I`` and ``+-b Z^f``; the nonlinear rest splits into groups on
-disjoint qubits, each a Walsh-Hadamard transform of truth tables that
-``bitmath._evaluate`` builds on the group's grid, ``eps`` included. One
-tensor product per item (``_products``) multiplies the tables and merges
-the rows once. Every merge sorts packed keys
-(``_merge``) and adds in row order, so its sums (from a complex +0.0) and
-its first-appearance order are a dict's. ``expand`` (so ``extract``,
-``cphase_expand``, ``flip_operator``) runs the kernel on one item and
-``transform_hamiltonian`` on chunks of terms; ``serialize`` sorts on masks.
+items held as columns (``Items``), each ``f_k`` a decode component of a
+``Code`` and the flips ``eps`` a constant mask or the code's update
+``eps(w) = encode(decode(w) + q) + w``. It runs over all items at once on
+rows of 64-bit limbs, one path for every width. Every factor is a table of
+``(t, z, c)`` rows: an item starts as one row, its flips and its signs'
+affine Z masks; an affine factor is the two rows ``a I`` and ``+-b Z^f``;
+the nonlinear rest splits into groups on disjoint qubits, each a
+Walsh-Hadamard transform of truth tables read on the group's grid, which
+the code decodes (``Code.decode_words``) and, for ``eps``, encodes again
+(``Code.encode_words``). One tensor product per item (``_products``)
+multiplies the tables and merges the rows once. Every merge sorts packed
+keys (``_merge``) and adds in row order, so its sums (from a complex +0.0)
+and its first-appearance order are a dict's. ``expand`` (so ``extract``,
+``cphase_expand``, ``flip_operator``) builds a code of its functions and
+runs the kernel on one item, and ``transform_hamiltonian`` runs it on
+chunks of terms; ``serialize`` sorts on masks.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from .bitmath import DEFAULT_BUDGET, BoolPoly, ascii_real
 from .bitmath import _evaluate, _ints, _labels, _table, _words
+from .codes import Code
 from .errors import BudgetError, DimensionError
 
 _LETTER_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -363,66 +366,44 @@ def poly_table(masks: Iterable[int], grid: np.ndarray) -> np.ndarray:
 
 
 def _group_terms(
-    n: int, mask: int, members: list, flips, budget: int, memo: dict
+    code: Code, mask: int, members: list, q: int | None, budget: int, memo: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``sum c X^t Z^z`` for one group of qubits, as read-only columns: the
     limb rows of ``t`` and ``z`` and the coefficients ``c``.
 
-    ``members`` are ``(0, monomial)`` of the sign, ``(1, (key, masks, a, b))``
-    nonlinear factors and ``(2, (j, e_j))`` update components, with
-    ``flips = (encode, decode, supports, q)`` the item's update at its ``q``
-    (see ``_expand``). Each truth table is a ``bitmath._evaluate`` on the
-    group's grid: limb rows, row g holding bit i of g on the group's i-th
-    qubit, so also the Z masks. ``memo`` keeps per group mask the grid and
-    rows whose bit p is piece p (a factor's key; ``d_m`` is piece m), each
-    evaluated once per grid. The flips ``e(d(w) + q) + w`` are the decode
-    rows XOR ``q``, one evaluation of the ``e_j`` (table kept in ``memo``
-    with the decode components they read, so their supports are scanned
-    once), XOR the grid. Each flip pattern's share of the table, patterns in
-    X-mask order, is Walsh-transformed; without update members the one
-    pattern is 0. The table and the terms count against ``budget``.
+    ``members`` are ``(0, monomial)`` of the sign, ``(1, (m, a, b))``
+    factors ``a + b * (-1)**d_m`` and ``(2, j)`` update components, flipping
+    qubit j by ``e_j(d(w) + q) + w_j`` (see ``_expand``). Every truth table is
+    read on the group's grid: limb rows, row g holding bit i of g on the
+    group's i-th qubit, so also the Z masks. ``memo`` keeps the grid with
+    its decodes, each on the ``d_m`` some group's factors and update ``e_j``
+    read (``code.decode_words``); the flips are those ``e_j`` of the decode XOR
+    ``q`` (``code.encode_words``), XOR the grid. Each flip pattern's share of
+    the table, patterns in X-mask order, is Walsh-transformed; without update
+    members the one pattern is 0. The table and the terms count against ``budget``.
     """
-    k = mask.bit_count()
+    n, k = code.n_qubits, mask.bit_count()
     if 1 << k > budget:
         raise BudgetError(f"table over a support of {k} qubits exceeds budget {budget}")
-    factors = [piece for kind, piece in members if kind == 1]
-    updates = [piece for kind, piece in members if kind == 2]
-    pieces = {key: masks for key, masks, _, _ in factors}
-    if updates:
-        _, decode, _, q = flips
-        if tuple(updates) not in memo:  # the e_j table and the decode pieces they read
-            read = 0
-            for _, e in updates:
-                read |= e.support()
-            memo[tuple(updates)] = (
-                _table([(j, e.masks) for j, e in updates], len(decode), n),
-                {m: decode[m].masks for m in range(len(decode)) if read >> m & 1},
-            )
-        update_table, reads = memo[tuple(updates)]
-        pieces |= reads
+    update_qubits, modes = 0, sum({1 << p[0] for kind, p in members if kind == 1})
+    for j in (j for kind, j in members if kind == 2):
+        update_qubits, modes = update_qubits | 1 << j, modes | code.encode_supports[j]
     if mask not in memo:
         grid = np.zeros((1, max(1, -(-n // 64))), dtype=np.uint64)
         for j in (j for j in range(n) if mask >> j & 1):
             grid = np.concatenate([grid, grid | _words([1 << j], n)])
-        memo[mask] = grid, 0, np.zeros((len(grid), 1), dtype=np.uint64)
-    grid, done, evaluated = memo[mask]
-    new = {p: masks for p, masks in pieces.items() if not done >> p & 1}
-    if new:  # one evaluation of the pieces this grid has not met
-        more = _evaluate(_table(new.items(), n, max(done.bit_length(), max(new) + 1)), grid)
-        more[:, : evaluated.shape[1]] ^= evaluated
-        evaluated = more
-        memo[mask] = grid, done | sum(1 << p for p in new), evaluated
+        memo[mask] = grid, {}
+    grid, decodes = memo[mask]
+    if modes not in decodes:
+        decodes[modes] = code.decode_words(grid, modes)
     sign = [m for kind, m in members if kind == 0]
     values = 1.0 - 2.0 * poly_table(sign, grid) if sign else np.ones(1 << k)
-    for key, _, a, b in factors:
-        values *= a + b * (1.0 - 2.0 * (evaluated[:, key // 64] >> np.uint64(key % 64) & 1))
+    for m, a, b in (piece for kind, piece in members if kind == 1):
+        values *= a + b * (1.0 - 2.0 * (decodes[modes][:, m // 64] >> np.uint64(m % 64) & 1))
     patterns, shares = np.zeros((1, grid.shape[1]), dtype=np.uint64), [values]
-    if updates:
-        t = np.repeat(_words([q], len(decode)), 1 << k, axis=0)
-        common = min(t.shape[1], evaluated.shape[1])
-        t[:, :common] ^= evaluated[:, :common]
-        update_qubits = _words([sum(1 << j for j, _ in updates)], n)
-        t = _evaluate(update_table, t) ^ (grid & update_qubits)
+    if update_qubits:
+        rows = decodes[modes] ^ _words([q], code.n_modes)[:, : decodes[modes].shape[1]]
+        t = (code.encode_words(rows, update_qubits) ^ grid) & _words([update_qubits], n)
         nonzero = np.flatnonzero(values)
         label, first = _labels(t[nonzero])
         # Pattern t's share has at least 2**k / |its grid points| terms, so
@@ -448,28 +429,6 @@ def _group_terms(
     for column in (t, z, c):
         column.setflags(write=False)
     return t, z, c
-
-
-def flip_supports(encode: Sequence[BoolPoly], decode: Sequence[BoolPoly]) -> tuple[int, ...]:
-    """Qubit support of each flip piece of ``encode(decode(w) + q) + w``: qubit
-    j and the supports of the decode components ``encode[j]`` reads."""
-    reads = [d.support() for d in decode]
-    out = []
-    for j, e in enumerate(encode):
-        support, modes = 1 << j, e.support()
-        for m, read in enumerate(reads):
-            if modes >> m & 1:
-                support |= read
-        out.append(support)
-    return tuple(out)
-
-
-def update_flips(encode, decode, supports: tuple | None = None) -> tuple:
-    """``_expand``'s update ``(encode, decode, supports)``, standing for the
-    flips ``eps(w) = encode(decode(w) + q) + w`` of each item's ``q``, with
-    ``supports = flip_supports(encode, decode)`` unless given (a code keeps
-    them as ``Code.flip_supports``)."""
-    return encode, decode, flip_supports(encode, decode) if supports is None else supports
 
 
 # Rows the map holds at once, each a few limbs and floats: ``_expand`` forms
@@ -541,48 +500,42 @@ def _merge(fields: Sequence[tuple], values: np.ndarray) -> tuple[np.ndarray, np.
     return np.flatnonzero(seen), sums
 
 
-def _expand(
-    n: int,
-    pieces: Sequence[tuple],
-    items: Items,
-    update: tuple | None = None,
-    budget: int = DEFAULT_BUDGET,
-    memo: dict | None = None,
-):
+def _expand(code: Code, items: Items, budget: int = DEFAULT_BUDGET, memo: dict | None = None):
     """Image of each action item, yielded as columns ``(item, x, z, c)`` over
     ranges of items: letter strings ``(x, z)`` as limb rows, each once per
     item, and ``c`` the complex coefficient including the phase
     ``i**(-|x & z|)`` of ``X^x Z^z``, times the item's scale.
 
     Item ``i`` stands for ``scale[i] * sum_t X^t [eps(w) = t] * prod (a + b *
-    (-1)**f(w))`` over its sign factors (``a, b = 0, 1``) and factors, each
-    ``f`` a ``BoolPoly.split`` of ``pieces``, with ``eps`` its constant flips
-    or, when its ``q`` is set, ``update = update_flips(encode, decode)`` at
-    that ``q``, the first pieces being the splits of ``decode``. An item with
-    no factors or flips is its scale times the identity, emitted as is.
+    (-1)**d_m(w))`` over its sign factors (``a, b = 0, 1``) and factors, each
+    piece ``m`` a decode component of ``code``, read as ``code.decode_split``,
+    with ``eps`` its constant flips or, when its ``q`` is set, the code's
+    update ``encode(decode(w) + q) + w``, whose flip of qubit j groups with
+    the qubits ``code.flip_supports[j]``. An item with no factors or flips is
+    its scale times the identity, emitted as is.
 
-    Every factor is a table of ``(t, z, c)`` rows. An item starts as one row:
-    its constant flips, the XOR of its signs' affine Z masks and ``(-1)`` to
-    their constants. An affine factor is the two rows ``a I`` and ``+-b Z^f``,
-    less those of magnitude at most ``DEFAULT_PRUNE``. The nonlinear rest
-    splits into groups on disjoint qubits (``_group_terms``), kept in
-    ``memo`` across calls that share ``n``, the pieces and the update, and
-    keyed by the group's qubit mask, its members and, for a group with
-    update members, ``q``. An item's count of rows is the product of its
-    tables' lengths, the affine tables first: the rows formed before the
-    merge, also where its affine Z masks are dependent. The group tables are
-    built in turn while the count is within ``budget`` and nonzero, so an
-    empty table (an image of zero) stops the item's later groups; a count
-    over ``budget`` raises. ``_products`` forms each item's tensor product
-    and merges it, at most ``_CHUNK_ROWS`` rows at a time, and the rows are
-    then phased, scaled and pruned.
+    Every factor is a table of ``(t, z, c)`` rows. An item starts as one
+    row: its constant flips, the XOR of its signs' affine Z masks and
+    ``(-1)`` to their constants. An affine factor is the two rows ``a I``
+    and ``+-b Z^f``, less those of magnitude at most ``DEFAULT_PRUNE``. The
+    nonlinear rest splits into groups on disjoint qubits (``_group_terms``),
+    kept in ``memo`` across calls on the same code, and keyed by the group's
+    qubit mask, its members and, for a group with update members, ``q``. An
+    item's count of rows is the product of its tables' lengths, the affine
+    tables first: the rows formed before the merge, also where its affine Z
+    masks are dependent. The group tables are built in turn while the count
+    is within ``budget`` and nonzero, so an empty table (an image of zero)
+    stops the item's later groups; a count over ``budget`` raises.
+    ``_products`` forms each item's tensor product and merges it, at most
+    ``_CHUNK_ROWS`` rows at a time, and the rows are then phased, scaled and
+    pruned.
 
     A ``BudgetError`` is raised with ``item`` set to the first item that
     runs out of budget, in that item's own check order, after the columns of
     every item before it have been yielded.
     """
     (s_item, s_piece), (f_item, f_piece, fa, fb), flips, qs, scale = items
-    count = len(qs)
+    n, pieces, count = code.n_qubits, code.decode_split, len(qs)
     memo = {} if memo is None else memo
     piece_z = _words([p[0] for p in pieces], n)
     piece_bit = np.array([p[1] for p in pieces], dtype=bool)
@@ -619,10 +572,9 @@ def _expand(
         sign[i] = sign.get(i, frozenset()) ^ pieces[p][3]
     members: dict[int, list] = {}
     for i, p, a, b in zip(*(col[~on].tolist() for col in (f_item, f_piece, fa, fb))):
-        members.setdefault(i, []).append((pieces[p][2], 1, (p, pieces[p][3], a, b)))
-    if update is not None:
-        encode, _, supports = update
-        updates = [(s, 2, (j, e)) for j, (s, e) in enumerate(zip(supports, encode))]
+        members.setdefault(i, []).append((pieces[p][2], 1, (p, a, b)))
+    updated = any(q is not None for q in qs)
+    updates = [(s, 2, j) for j, s in enumerate(code.flip_supports)] if updated else []
     grouped: list[tuple] = []  # (item, its group tables) of each item with groups
     visit = sign.keys() | members.keys() | {i for i, q in enumerate(qs) if q is not None}
     visit |= set(np.flatnonzero(sizes > budget).tolist())  # affine rows alone pass the budget
@@ -645,8 +597,7 @@ def _expand(
                 key = (mask, tuple(joined), q if any(kind == 2 for kind, _ in joined) else None)
                 part = memo.get(key)
                 if part is None:
-                    flip = None if q is None else (*update, q)
-                    part = memo[key] = _group_terms(n, mask, joined, flip, budget, memo)
+                    part = memo[key] = _group_terms(code, mask, joined, q, budget, memo)
                 size *= len(part[2])
                 got.append(part)
             if size > budget:
@@ -791,21 +742,23 @@ def expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET)
     ``factors`` are ``(f_k, a_k, b_k)``: ``(f, 0, 1)`` is the sign
     ``(-1)**f`` and ``(f, 1/2, -1/2)`` the projector onto ``f = 1``.
     ``flips`` is the mask of a constant ``eps``, or a code's ``(encode,
-    decode, q)`` with ``q`` a mode mask, for ``eps(w) = encode(decode(w) +
-    q) + w``. This checks the variable counts and runs the kernel
-    ``_expand`` on one item, whose pieces are the decode's splits and then
-    the factors'.
+    decode, q)`` with ``n`` encode components and ``q`` a mode mask, for
+    ``eps(w) = encode(decode(w) + q) + w``. This checks the variable counts
+    and runs the kernel ``_expand`` on one item of the ``Code`` whose decode
+    is ``decode`` and then the ``f_k``, and whose encode is ``encode`` read
+    on those first modes (zero for a constant ``eps``).
     """
     encode, decode, q = ((), (), None) if isinstance(flips, int) else flips
     for f in [f for f, _, _ in factors] + list(decode):
         if f.num_vars != n:
             raise DimensionError(f"function over {f.num_vars} variables on {n} qubits")
-    pieces = [d.split() for d in decode] + [f.split() for f, _, _ in factors]
+    modes = len(decode) + len(factors)
+    widened = [BoolPoly.zero(modes)] * n if q is None else [e.shift_vars(0, modes) for e in encode]
+    code = Code(modes, n, tuple(widened), (*decode, *(f for f, _, _ in factors)))
     signs = [len(decode) + k for k, (_, a, b) in enumerate(factors) if a == 0 and b == 1]
     rest = [(len(decode) + k, a, b) for k, (_, a, b) in enumerate(factors) if (a, b) != (0, 1)]
     items = _item(n, signs, rest, flips if q is None else 0, q)
-    update = None if q is None else update_flips(encode, decode)
-    return _operator(n, _expand(n, pieces, items, update, budget))
+    return _operator(n, _expand(code, items, budget))
 
 
 def extract(f: BoolPoly, n: int | None = None, budget: int = DEFAULT_BUDGET) -> QubitOperator:
@@ -828,4 +781,5 @@ def cphase_expand(indices: Iterable[int], n: int) -> QubitOperator:
 def flip_operator(n: int, eps: Sequence[BoolPoly], budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Operator ``sum_t X^t [eps(w) = t]`` sending ``|w>`` to ``|w + eps(w)>``."""
     encode = [e + BoolPoly.variable(n, j) for j, e in enumerate(eps, 1)]
-    return expand(n, [], (encode, [BoolPoly.variable(n, j) for j in range(1, n + 1)], 0), budget)
+    decode = [BoolPoly.variable(n, j) for j in range(1, n + 1)]
+    return expand(n, [], (encode + decode[len(encode):], decode, 0), budget)

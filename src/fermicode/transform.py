@@ -6,15 +6,15 @@ diagonal), followed by a single update operator that flips the code word.
 ``pack_terms``, which the Fock oracle shares, walks a term once into its
 action item; a product that vanishes on every state stops there. ``_items``
 turns a batch of action items into ``pauli._expand``'s columns over the
-pieces the code derives once (``Code.decode_split``): a sign ``(-1)^d_m``
-per parity mode and a projector per needed occupation, and as flips the
-update's constant mask (linear encodings: the XOR of the encode columns)
-or the update at q = the flip (``update_flips`` with ``Code.flip_supports``),
-whose flip pattern ``encode(decode(w) + q) + w`` is evaluated on
-truth-table grids. ``transform_hamiltonian`` runs the kernel over chunks
-of terms with one memo of group and decode tables per call, and merges
-the columns in term order. For classical n = N codes the construction
-collapses to Pauli strings over parity/flip/update index sets.
+code's decode components: a sign ``(-1)^d_m`` per parity mode and a
+projector per needed occupation, and as flips the update's constant mask
+(linear encodings: the XOR of the encode columns) or the code's update at
+q = the flip, whose flip pattern ``encode(decode(w) + q) + w`` is
+evaluated on truth-table grids. ``_expand`` takes the ``Code`` itself and
+reads its cached structure and tables. ``transform_hamiltonian`` runs the
+kernel over chunks of terms with one memo of grids and group tables per
+call, and merges the columns in term order. For classical n = N codes the
+construction collapses to Pauli strings over parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
 annihilation pair blocks, the two-code single-operator recipe, and the
@@ -49,7 +49,6 @@ from .pauli import (
     _expand,
     _operator,
     _Sum,
-    update_flips,
 )
 from .pauli import extract, poly_table  # noqa: F401  (perfbench/spans.py patches them here)
 
@@ -202,23 +201,15 @@ def parity_function(code: Code, j: int) -> BoolPoly:
     return poly_sum(code.decode[: j - 1], code.n_qubits)
 
 
-def _update(code: Code) -> tuple | None:
-    """``_expand``'s update of a nonlinear encoding (None for a linear one,
-    whose flips are constant masks)."""
-    if code.encode_is_linear:
-        return None
-    return update_flips(code.encode, code.decode, code.flip_supports)
-
-
 def _items(
-    code: Code, packed: list[tuple], update: tuple | None = None, updates_only: bool = False
+    code: Code, packed: list[tuple], q_form: bool = False, updates_only: bool = False
 ) -> Items:
     """``_expand`` items of ``pack_terms`` action items over the pieces
     ``Code.decode_split``: the sign ``(-1)^d_m`` for each mode of ``z``, the
     projector onto the ``d_m`` that ``want`` holds for each mode of ``care``,
     and as flips a linear encoding's mask (the XOR of the encode columns of
-    the flipped modes) or, for a nonlinear encoding or a given ``update``,
-    the update at ``q = flip``. A scalar (empty ``care``) has no flips,
+    the flipped modes) or, for a nonlinear encoding or with ``q_form``, the
+    code's update at ``q = flip``. A scalar (empty ``care``) has no flips,
     unless ``updates_only`` says the items are bare updates."""
     flip, z, care, want, scale = zip(*packed)
     n_modes, n = code.n_modes, code.n_qubits
@@ -227,7 +218,7 @@ def _items(
     b = np.where(_bits(want, n_modes)[f_item, f_piece], -0.5, 0.5)
     flips = np.zeros((len(packed), max(1, -(-n // 64))), dtype=np.uint64)
     qs = [None] * len(packed)
-    if update is None and code.encode_is_linear:
+    if not q_form and code.encode_is_linear:
         t_item, t_mode = np.nonzero(_bits(flip, n_modes))
         np.bitwise_xor.at(flips, t_item, _words(code.encode_columns, n)[t_mode])
     else:
@@ -241,8 +232,7 @@ def update_operator(code: Code, q: BitVec, budget: int = DEFAULT_BUDGET) -> Qubi
     if q.n != code.n_modes:
         raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
     items = _items(code, [(q.value, 0, 0, 0, 1.0)], updates_only=True)
-    parts = _expand(code.n_qubits, code.decode_split, items, _update(code), budget)
-    return _operator(code.n_qubits, parts)
+    return _operator(code.n_qubits, _expand(code, items, budget))
 
 
 # -- the general operator map --------------------------------------------------
@@ -254,8 +244,7 @@ def transform_term(code: Code, term: FermionTerm, budget: int = DEFAULT_BUDGET) 
     item = next(pack_terms([term]))
     if item is None:
         return QubitOperator.zero(code.n_qubits)
-    parts = _expand(code.n_qubits, code.decode_split, _items(code, [item]), _update(code), budget)
-    return _operator(code.n_qubits, parts)
+    return _operator(code.n_qubits, _expand(code, _items(code, [item]), budget))
 
 
 def _named(parts: Iterator[tuple], chunk: list[tuple]) -> Iterator[tuple]:
@@ -294,7 +283,7 @@ def transform_hamiltonian(
         raise DimensionError(
             f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}"
         )
-    memo, update, total = {}, _update(code), _Sum(code.n_qubits)
+    memo, total = {}, _Sum(code.n_qubits)
 
     def merge():
         new = total.merge()  # the term index of each row that brought a new string
@@ -314,7 +303,7 @@ def transform_hamiltonian(
     for chunk in _chunked(live):
         indices = np.array([index for index, _, _ in chunk])
         items = _items(code, [item for _, _, item in chunk])
-        parts = _expand(code.n_qubits, code.decode_split, items, update, budget, memo)
+        parts = _expand(code, items, budget, memo)
         try:
             for item, x, z, c in _named(parts, chunk):
                 if total.add(indices[item], x, z, c):
@@ -389,17 +378,18 @@ def transform_single_two_codes(
     Annihilators read an even-sector word and update it into the odd
     encoding; creators do the reverse. The projector and parity functions
     therefore come from the incoming sector's code while the update pattern
-    re-encodes through the outgoing code.
+    re-encodes through the outgoing code: the map runs on the code of the
+    outgoing encode and the incoming decode.
     """
     if code_even.n_qubits != code_odd.n_qubits or code_even.n_modes != code_odd.n_modes:
         raise DimensionError("sector codes must share mode and qubit counts")
     term = FermionTerm.of(1, (j, dagger))
     term.check_modes(code_even.n_modes)
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
-    update = update_flips(outgoing.encode, incoming.decode)
-    items = _items(incoming, [next(pack_terms([term]))], update)
-    n = code_even.n_qubits
-    return _operator(n, _expand(n, incoming.decode_split, items, update, budget))
+    # The q form even where the outgoing encode is linear: e_out(d_in(w)) != w.
+    code = Code(incoming.n_modes, incoming.n_qubits, outgoing.encode, incoming.decode)
+    items = _items(code, [next(pack_terms([term]))], q_form=True)
+    return _operator(code.n_qubits, _expand(code, items, budget))
 
 
 # -- reordering and segment dressing --------------------------------------------

@@ -392,6 +392,13 @@ class TestExitCodes:
             "over the budget of 1048576\n"
         )
 
+    def test_oversized_checksum_code_is_exit_3(self, capsys):
+        assert main(["validate-code", "--code", "checksum:2000:even", "--basis", "1-2000:2"]) == 3
+        assert capsys.readouterr().err == (
+            "resource budget exceeded: checksum_code(2000) needs 2000 x 1999 code entries, "
+            "over the budget of 1048576\n"
+        )
+
     def test_dressing_over_budget_is_exit_3(self, capsys):
         rc = main(["transform", "--model", "hubbard", "--rows", "1", "--cols", "10",
                    "--code", "segment:2:4", "--budget", "500"])

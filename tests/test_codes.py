@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import fields, replace
 from functools import cached_property
 
@@ -36,7 +37,7 @@ from fermicode.codes import (
     validate_code,
 )
 from fermicode.codes import _ints, _table_size, _words
-from fermicode.errors import BudgetError, InputFormatError
+from fermicode.errors import BudgetError, DimensionError, InputFormatError
 
 from helpers import (
     nonlinear_codes,
@@ -106,6 +107,24 @@ def test_replaced_polynomials_leave_no_cached_property_stale(spec, donor):
     for name in CACHED:
         assert _same(getattr(replaced, name), getattr(fresh, name)), name
     assert not all(_same(getattr(code, name), getattr(fresh, name)) for name in CACHED)
+
+
+@pytest.mark.parametrize("spec", [
+    "binary_addressing_k2:3", "segment:2:2+checksum:4:odd", "binary_addressing_k1:7",
+])
+def test_cut_tables_evaluate_their_components_alone(spec):
+    # A component mask keeps those components and reads 0 for the rest; a
+    # decode cut's rows end at the mask's highest component (2 limbs for 128
+    # modes, 1 for a mask below 64).
+    code, rng = load_code(spec), random.Random(0)
+    words = _words([rng.getrandbits(code.n_qubits) for _ in range(40)], code.n_qubits)
+    decoded = _ints(code.decode_words(words))
+    for modes in (1, 0b101, (1 << code.n_modes) - 2, rng.getrandbits(code.n_modes) | 1):
+        assert _ints(code.decode_words(words, modes)) == [v & modes for v in decoded]
+    occupations = _words([rng.getrandbits(code.n_modes) for _ in range(40)], code.n_modes)
+    encoded = _ints(code.encode_words(occupations))
+    for qubits in (1, (1 << code.n_qubits) - 2):
+        assert _ints(code.encode_words(occupations, qubits)) == [v & qubits for v in encoded]
 
 
 class TestClassicalTransforms:
@@ -391,6 +410,29 @@ class TestConcat:
     def test_checksum_pair_sizes(self):
         c = concat(checksum_code(10, "even"), checksum_code(10, "even"))
         assert (c.n_modes, c.n_qubits) == (20, 18)
+
+    @pytest.mark.parametrize("name, message", [
+        ("checksum:2000:even", "checksum_code(2000) needs 2000 x 1999 code entries"),
+        ("segment:1:500", "concat of 500 codes needs 1500 x 1000 code entries"),
+        # Each part passes its own check; a concatenation builds no matrix.
+        ("jordan_wigner:600+jordan_wigner:600", "concat of 2 codes needs 1200 x 1200 code entries"),
+    ])
+    def test_oversized_code_raises_before_building(self, name, message):
+        # N x n entries over the budget: memory grew quadratically with N.
+        with pytest.raises(BudgetError, match=rf"^{re.escape(message)}, over the budget of 1048576$"):
+            load_code(name)
+
+
+class TestMetadata:
+    def test_degenerate_image_needs_one_bit_per_mode(self):
+        code = jordan_wigner(2)
+        with pytest.raises(DimensionError, match="degenerate image needs one bit per mode"):
+            replace(code, degenerate_image=BitVec("101"))
+
+    def test_segments_need_a_weight(self):
+        code = segment_subcode(1)
+        with pytest.raises(DimensionError, match="segments need a segment_weight"):
+            replace(code, segment_weight=None)
 
 
 class TestBasisEnumeration:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermicode import pauli
+from fermicode import codes, pauli
 from fermicode.bitmath import BoolPoly
 from fermicode.codes import Code, bravyi_kitaev, concat, jordan_wigner, load_code
 from fermicode.errors import BudgetError
@@ -165,23 +165,31 @@ def test_small_chunks_give_the_same_operator(monkeypatch):
 
 def test_projectors_read_the_decode_tables(monkeypatch):
     # One-body and density-density terms through binary_addressing_k2:3: a
-    # projector onto a nonlinear d_m reads the call's evaluation of d_m over
-    # its grid, so only those 8 evaluations hold a decode component (184 when
-    # each projector tabulated its own).
+    # projector onto a nonlinear d_m reads the code's decode of its grid, so
+    # the map tabulates no decode component itself (184 tables held one when
+    # each projector tabulated its own, 8 when the map kept its own per grid)
+    # and the code's table of the components its groups read, each of the 8
+    # once, is built once over two calls.
     modes = range(1, 9)
     h = FermionHamiltonian(8, tuple(
         [T(0.5, (p, True), (q, False)) for p in modes for q in modes]
         + [T(0.3, *_numbers([i, j])) for i in modes for j in modes if i < j]))
     code = load_code("binary_addressing_k2:3")
     components = {id(d.masks) for d in code.decode}
-    calls = []
-    real = pauli._table
+    calls = {pauli: [], codes: []}
 
-    def counting(polys, n_vars, width):
-        polys = list(polys)
-        calls.extend(id(masks) in components for _, masks in polys)
-        return real(polys, n_vars, width)
+    def counting(module):
+        real = module._table
 
-    monkeypatch.setattr(pauli, "_table", counting)
+        def table(polys, n_vars, width):
+            polys = list(polys)
+            calls[module].extend(id(masks) in components for _, masks in polys)
+            return real(polys, n_vars, width)
+
+        return table
+
+    for module in calls:
+        monkeypatch.setattr(module, "_table", counting(module))
     transform_hamiltonian(code, h)
-    assert sum(calls) == 8
+    transform_hamiltonian(code, h)
+    assert (sum(calls[pauli]), sum(calls[codes])) == (0, 8)

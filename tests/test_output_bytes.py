@@ -19,6 +19,10 @@ With t = 0.7 and U = 1.3 the Hubbard coefficients are not dyadic, so the
 order of every float product and sum shows in the bytes; the ``transform
 --out`` files of two segment rows are pinned by their sha256.
 
+Four entry points of the map other than ``transform_hamiltonian``
+(``update_operator``, ``transform_single_two_codes``, ``flip_operator``,
+``transform_term``) are pinned by the sha256 of their operators' texts.
+
 The ``verify --out`` reports of the resource-table rows, of the same 2x5
 model on an overfilled basis, and of the undressed segment row (which stops
 at the hermiticity check and writes nothing) are pinned by their sha256.
@@ -31,14 +35,19 @@ from pathlib import Path
 
 import pytest
 
+from fermicode.bitmath import BitVec, BoolPoly
 from fermicode.cli import hubbard_hamiltonian, main
-from fermicode.codes import load_code
+from fermicode.codes import binary_addressing_k2, checksum_code, load_code
+from fermicode.pauli import flip_operator
 from fermicode.transform import (
     adjust_for_segments,
     format_fermion_file,
     normal_order_blocks,
     parse_fermion_file,
     transform_hamiltonian,
+    transform_single_two_codes,
+    transform_term,
+    update_operator,
 )
 
 from helpers import reference_transform
@@ -114,6 +123,41 @@ def test_colliding_affine_masks_bytes_are_pinned(models, flavor, seed):
     hq = transform_hamiltonian(load_code(f"checksum:4:{flavor}"), parse_fermion_file(text))
     digest = hashlib.sha256(hq.serialize().encode()).hexdigest()
     assert digest == CHECKSUM_PINS[flavor, seed]
+
+
+def _entry_point_ops(models, entry):
+    """The operators of one of ``ENTRY_POINT_PINS``' entry points."""
+    k2 = binary_addressing_k2(3)
+    if entry == "update_operator":
+        return [update_operator(k2, BitVec.from_int(q, k2.n_modes)) for q in range(256)]
+    if entry == "transform_single_two_codes":
+        even, odd = checksum_code(5, "even"), checksum_code(5, "odd")
+        return [transform_single_two_codes(even, odd, j, dagger)
+                for j in range(1, 6) for dagger in (True, False)]
+    if entry == "flip_operator":
+        x1, x2, x3, x4 = (BoolPoly.variable(4, j) for j in range(1, 5))
+        y1, y2, y3 = (BoolPoly.variable(3, j) for j in range(1, 4))
+        return [flip_operator(4, [x1 * x2 + x3, x4]), flip_operator(3, [y1 * y2, y2 * y3, y1])]
+    return [transform_term(k2, term) for term in models.two_particle(0, 8).terms]
+
+
+# Entry point: sha256 of its operators' serialized texts joined by "\n--\n":
+# the updates of binary_addressing_k2:3 for every q, the two-code recipe on
+# checksum:5 for every ladder operator, two flip operators (one with fewer
+# flips than qubits) and each term of the 8-mode two-particle model through
+# binary_addressing_k2:3 on its own.
+ENTRY_POINT_PINS = {
+    "update_operator": "b82550c434c699e3a07db032d73abc78bc04390fdc634d7383577fd1afdfa1ea",
+    "transform_single_two_codes": "957eaf62b6c52b4e4530d4e8ded00d2dc14f3eedb50655ba5f6265c125e6b2e1",
+    "flip_operator": "a0950a5fdd0ffb48eb1004b84c1a31b0c463df7ab9f7dc52fa320bcb6e3c73e4",
+    "transform_term": "76112d290a961ae267b7ba4a6c1e7c10ac2728aec570486343aa5f9e365db752",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINT_PINS))
+def test_entry_point_bytes_are_pinned(models, entry):
+    text = "\n--\n".join(op.serialize() for op in _entry_point_ops(models, entry))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENTRY_POINT_PINS[entry]
 
 
 # (rows, cols, code) of the periodic t = U = 1 Hubbard rows; the 3x5 row

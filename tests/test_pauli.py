@@ -227,12 +227,11 @@ class TestExpand:
         # Every q gives the same group of update members; only the key's q
         # keeps one q's table from serving another.
         code = binary_addressing_k2(2)
-        update = pauli.update_flips(code.encode, code.decode)
         memo: dict = {}
         for q in range(1 << code.n_modes):
             items = pauli._item(code.n_qubits, q=q)
-            shared = list(pauli._expand(code.n_qubits, code.decode_split, items, update, memo=memo))
-            alone = list(pauli._expand(code.n_qubits, code.decode_split, items, update))
+            shared = list(pauli._expand(code, items, memo=memo))
+            alone = list(pauli._expand(code, items))
             assert len(shared) == len(alone) == 1
             assert all(np.array_equal(a, b) for a, b in zip(shared[0], alone[0]))
         assert len(memo) > 1

@@ -4,6 +4,10 @@ One path serves every width: bit vectors wider than 64 bits are rows of
 64-bit limbs (``bitmath._words``), never numpy arrays of Python ints. An
 array of ``object`` dtype would bring back a second, slower path for wide
 codes, so no module of the package may create one.
+
+The modules form layers, each importing only those before it: bitmath ->
+codes -> pauli -> transform -> fock_oracle -> cli. A code knows nothing of
+the operators built from it.
 """
 
 import ast
@@ -63,3 +67,44 @@ def test_no_module_creates_an_object_array():
     paths = sorted(SOURCES.glob("*.py"))
     found = [f"{path.name}:{line}" for path in paths for line in _object_arrays(path.read_text())]
     assert paths and found == []
+
+
+# The layers in order; ``errors`` serves them all.
+LAYERS = ("bitmath", "codes", "pauli", "transform", "fock_oracle", "cli")
+
+
+def _package_imports(source: str) -> set[str]:
+    """Package modules a source imports: ``from .m import ...``,
+    ``from . import m``, ``from fermicode.m import ...`` and ``import
+    fermicode.m``, at any depth of its syntax tree."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("fermicode"):
+                continue
+            parts = module.split(".")[1:] if node.level == 0 else module.split(".")
+            found |= {parts[0]} if parts and parts[0] else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("fermicode.")}
+    return found
+
+
+def test_the_import_detector_finds_package_modules():
+    source = "\n".join([
+        "from .pauli import flip_supports",
+        "from . import transform",
+        "from fermicode.cli import main",
+        "import fermicode.fock_oracle",
+        "from .bitmath import BoolPoly",
+        "import numpy as np",
+        "from collections import namedtuple",
+        "def f():\n    from .pauli import expand",
+    ])
+    assert _package_imports(source) == {"pauli", "transform", "cli", "fock_oracle", "bitmath"}
+
+
+def test_no_module_imports_a_later_layer():
+    found = {name: _package_imports((SOURCES / f"{name}.py").read_text()) & set(LAYERS[i:])
+             for i, name in enumerate(LAYERS)}
+    assert found == {name: set() for name in LAYERS}

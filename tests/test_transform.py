@@ -851,9 +851,9 @@ class TestHamiltonianTransform:
         items = []
         real = transform._expand
 
-        def counting(n, pieces, batch, *args):
+        def counting(code, batch, *args):
             items.append(len(batch.qs))
-            return real(n, pieces, batch, *args)
+            return real(code, batch, *args)
 
         monkeypatch.setattr(transform, "_expand", counting)
         hq = transform_hamiltonian(code, h)
@@ -874,19 +874,20 @@ class TestHamiltonianTransform:
         assert sum(built.values()) < len(h.terms)
 
     def test_each_decode_table_is_built_once_per_call(self, monkeypatch):
-        # One-body and density-density terms on 8 modes: every update group
-        # of binary_addressing_k2:3 reads the decode components over one
-        # grid, so each component is evaluated once per (grid, call), 8 in all.
+        # One-body and density-density terms on 8 modes: every group of
+        # binary_addressing_k2:3 lies on one grid, which the code decodes once
+        # per call on each set of components a group reads (all 8 for the
+        # update groups), twice over two calls.
         modes = range(1, 9)
         h = FermionHamiltonian(8, tuple(
             [FermionTerm.of(0.5, (p, True), (q, False)) for p in modes for q in modes]
             + [FermionTerm.of(0.3, (i, True), (i, False), (j, True), (j, False))
                for i, j in itertools.combinations(modes, 2)]))
         code = load_code("binary_addressing_k2:3")
-        built = Counter()
-        real = pauli._group_terms
+        grids, decoded = Counter(), Counter()
+        real_terms, real_decode = pauli._group_terms, type(code).decode_words
 
-        class Spy:  # the call's memo, counting the pieces each grid gains
+        class Spy:  # the call's memo, counting the grids stored in it
             def __init__(self, memo):
                 self.memo = memo
 
@@ -897,20 +898,39 @@ class TestHamiltonianTransform:
                 return self.memo[key]
 
             def __setitem__(self, key, value):
-                if isinstance(key, int):  # a grid: (rows, evaluated pieces, their rows)
-                    done = self.memo[key][1] if key in self.memo else 0
-                    built.update((key, p) for p in range(value[1].bit_length())
-                                 if (value[1] & ~done) >> p & 1)
+                if isinstance(key, int):  # a grid: (rows, its decodes)
+                    grids[key] += 1
                 self.memo[key] = value
 
-        def counting(n, mask, members, flips, budget, memo):
-            return real(n, mask, members, flips, budget, Spy(memo))
+        def counting(code, mask, members, q, budget, memo):
+            return real_terms(code, mask, members, q, budget, Spy(memo))
+
+        def decoding(self, rows, modes=None):
+            decoded[modes] += 1
+            return real_decode(self, rows, modes)
 
         monkeypatch.setattr(pauli, "_group_terms", counting)
+        monkeypatch.setattr(type(code), "decode_words", decoding)
         transform_hamiltonian(code, h)
-        assert len(built) == 8 and set(built.values()) == {1}
+        assert grids == {(1 << code.n_qubits) - 1: 1}
+        assert 0xFF in decoded and set(decoded.values()) == {1}
         transform_hamiltonian(code, h)
-        assert set(built.values()) == {2}
+        assert set(grids.values()) == set(decoded.values()) == {2}
+
+    def test_a_projector_decodes_its_component_alone(self, monkeypatch):
+        # binary_addressing_k1:8 has 256 decode components, each reading all 8
+        # qubits; the number term on mode 200 decodes d_200 alone, not all 256.
+        code = load_code("binary_addressing_k1:8")
+        decoded = []
+        real = type(code).decode_words
+
+        def decoding(self, rows, modes=None):
+            decoded.append(modes)
+            return real(self, rows, modes)
+
+        monkeypatch.setattr(type(code), "decode_words", decoding)
+        transform_term(code, FermionTerm.of(1, (200, True), (200, False)))
+        assert decoded == [1 << 199]
 
     def test_group_tables_do_not_outlive_the_call(self):
         # A table kept from the first call would let term 1 skip its table's

@@ -5,7 +5,8 @@ form: a flip mask, a Z-mask parity sign and a coefficient, and for the
 ladder product a check that the touched modes start at the occupations it
 needs. Each term or string is packed once into such an item (a term by
 ``transform.pack_terms``, the packer the operator map uses too, a string by
-``_pack_strings``), and two kernels apply item lists:
+``_string_columns`` off the operator's columns, or by ``_pack_strings`` as
+Python ints), and two kernels apply them:
 
 - ``_image`` maps one basis word, as Python ints, to its targets in the
   order its acting items meet them. The single-state helpers
@@ -50,9 +51,27 @@ def _pack_terms(terms: Iterable[FermionTerm]) -> list[tuple[int, int, int, int, 
     return [item for item in pack_terms(terms) if item is not None]
 
 
+def _string_columns(op: QubitOperator) -> tuple[np.ndarray, ...]:
+    """The action item of each Pauli string as columns ``(flip, z, care,
+    want, c)``, read from the operator's: X flips, Z signs, and ``y`` Y
+    factors multiply ``c`` by ``1j ** y``, the Python power."""
+    x, z, c = op.columns
+    y = np.bitwise_count(x & z).sum(axis=1, dtype=np.intp)
+    phases = np.array([1j**k for k in range(int(y.max(initial=0)) + 1)])
+    zero = np.zeros_like(x)  # care and want: no occupation check
+    return x, z, zero, zero, c * phases[y]
+
+
 def _pack_strings(op: QubitOperator) -> list[tuple[int, int, int, int, complex]]:
-    """One action item per Pauli string: X flips, Z signs, each Y adds a factor i."""
+    """The items of ``_string_columns`` as Python ints, for ``_image``, read
+    off ``terms``: the single-state helpers call this once per state."""
     return [(s.x, s.z, 0, 0, c * 1j ** s.y_count()) for s, c in op.terms.items()]
+
+
+def _columns(items: list, n_bits: int) -> tuple[np.ndarray, ...]:
+    """Packed items as columns: limb rows of flip, z, care and want, and the coefficients."""
+    rows = [_words([it[k] for it in items], n_bits) for k in range(4)]
+    return *rows, np.array([it[4] for it in items], dtype=complex)
 
 
 def _image(word: int, items: list) -> dict[int, complex]:
@@ -94,18 +113,19 @@ _DIRECT = 1 << 17
 
 
 class _Batch:
-    """Packed items as limb arrays, with the distinct flips they move states by.
+    """Packed items as limb arrays (``_columns`` or ``_string_columns``),
+    with the distinct flips they move states by, in first-appearance order.
 
     Item ``i`` sends an acting state ``w`` to ``w ^ flips[group[i]]``.
     ``halves`` masks the low and the high half of a word.
     """
 
-    def __init__(self, items: list, n_bits: int):
-        ids: dict[int, int] = {}
-        self.group = np.array([ids.setdefault(it[0], len(ids)) for it in items], dtype=np.int64)
-        self.flips = _words(list(ids), n_bits)
-        self.z, self.care, self.want = (_words([it[k] for it in items], n_bits) for k in (1, 2, 3))
-        self.coeff = np.array([it[4] for it in items], dtype=complex)
+    def __init__(self, columns: tuple, n_bits: int):
+        flip, self.z, self.care, self.want, self.coeff = columns
+        label, first = _labels(flip)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        self.group, self.flips = rank[label], flip[np.sort(first)]
         low = (1 << n_bits // 2) - 1
         self.halves = _words([low, low ^ (1 << n_bits) - 1], n_bits)
 
@@ -305,8 +325,8 @@ def verify_equivalence(
         if nu.n != code.n_modes:
             raise DimensionError(f"basis[{i}] = {nu} has {nu.n} modes, code encodes {code.n_modes}")
     items = _pack_terms(h.terms)
-    terms = _Batch(items, code.n_modes)
-    strings = _Batch(_pack_strings(hq), code.n_qubits)
+    terms = _Batch(_columns(items, code.n_modes), code.n_modes)
+    strings = _Batch(_string_columns(hq), code.n_qubits)
     words = _words([nu.value for nu in basis], code.n_modes)
     encoded = code.encode_words(words)
     decoded = code.decode_words(encoded)
@@ -406,7 +426,7 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
     if any(nu.n != h.n_modes for nu in basis):
         raise DimensionError("mode count mismatch")
     items = _pack_terms(h.terms)
-    terms = _Batch(items, h.n_modes)
+    terms = _Batch(_columns(items, h.n_modes), h.n_modes)
     words = _words([nu.value for nu in basis], h.n_modes)
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     step = max(1, _CELLS // max(len(terms.flips), 1))

@@ -4,7 +4,8 @@ A Pauli string is stored symplectically as a pair of masks (x, z) over the
 qubits, with letters X=(1,0), Z=(0,1), Y=(1,1); the letter form equals
 ``i**y * X^x Z^z`` where y counts the Y factors. All phase bookkeeping is
 exact, in powers of i. ``PauliString`` is the named tuple ``(n, x, z)``:
-immutable, and equal and hashed as that tuple.
+immutable, and equal and hashed as that tuple. A ``QubitOperator`` holds
+its strings as columns: limb rows of the masks, and the coefficients.
 
 The module also maps boolean functions to qubit operators through one
 kernel, ``_expand``: the update operator ``sum_t X^t [eps(w) = t]`` times
@@ -24,7 +25,9 @@ keys (``_merge``) and adds in row order, so its sums (from a complex +0.0)
 and its first-appearance order are a dict's. ``expand`` (so ``extract``,
 ``cphase_expand``, ``flip_operator``) builds a code of its functions and
 runs the kernel on one item, and ``transform_hamiltonian`` runs it on
-chunks of terms; ``serialize`` sorts on masks.
+chunks of terms; each hands its columns over as the operator's.
+``serialize`` orders them with one ``np.lexsort`` (``_order``) and spells
+them from a per-qubit token table (``_spelled``), building no string.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class PauliString(namedtuple("PauliString", "n x z")):
         return (self.x & self.z).bit_count()
 
     def text(self) -> str:
-        return _spell(self.sort_key(), _letter_table(self.n))
+        return "*".join(f"{letter}{j}" for j, letter in self.factors.items()) or "I"
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "PauliString":
@@ -126,15 +129,6 @@ def _sort_key(x: int, z: int) -> tuple[int, ...]:
     return tuple(key)
 
 
-def _letter_table(n: int) -> list[str]:
-    """Factor text by code ``3 * qubit + rank``: X1, Y1, Z1 at 3, 4, 5, ..."""
-    return [f"{letter}{j}" for j in range(n + 1) for letter in "XYZ"]
-
-
-def _spell(key: tuple[int, ...], names: list[str]) -> str:
-    return "*".join([names[c] for c in key[1:]]) or "I"
-
-
 def _mul_masks(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
     """(x, z, i-exponent) of the letter-form product, left applied after right."""
     x = x1 ^ x2
@@ -161,43 +155,39 @@ class QubitOperator:
 
     Coefficients with magnitude at most ``prune_epsilon`` are dropped, which
     removes exact-zero cancellation residue; everything else is kept exactly.
+    The strings are held as read-only ``columns``, limb rows ``x`` and ``z``
+    and the complex ``c``, in first-appearance order, as the map's ``_Sum``
+    holds them; ``terms``, the dict ``{PauliString: c}`` in that order, is
+    built when first read, and a dict-built operator's columns likewise.
     """
 
-    __slots__ = ("n", "terms", "prune_epsilon")
+    __slots__ = ("n", "prune_epsilon", "_terms", "_columns")
 
-    def __init__(
-        self,
-        n: int,
-        terms: dict[PauliString, complex] | None = None,
-        prune_epsilon: float = DEFAULT_PRUNE,
-    ):
+    def __init__(self, n: int, terms: dict | None = None, prune_epsilon: float = DEFAULT_PRUNE):
         kept: dict[PauliString, complex] = {}
         for s, c in (terms or {}).items():
             if s.n != n:
                 raise DimensionError(f"string on {s.n} qubits in {n}-qubit operator")
             if abs(c) > prune_epsilon:
                 kept[s] = complex(c)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", kept)
-        object.__setattr__(self, "prune_epsilon", prune_epsilon)
+        self._hold(n, prune_epsilon, kept, None)
+
+    def _hold(self, n, eps, terms, columns):
+        for column in columns or ():
+            column.setflags(write=False)
+        for name, value in zip(self.__slots__, (n, eps, terms, columns)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _from_clean(cls, n, terms, eps) -> "QubitOperator":
+    def _of(cls, n, eps, terms=None, columns=None) -> "QubitOperator":
+        """Operator of a pruned dict or of pruned ``(x, z, c)`` columns on distinct strings."""
         op = object.__new__(cls)
-        object.__setattr__(op, "n", n)
-        object.__setattr__(op, "terms", terms)
-        object.__setattr__(op, "prune_epsilon", eps)
+        op._hold(n, eps, terms, columns)
         return op
 
     @classmethod
-    def from_triples(cls, n: int, triples: Iterable[tuple], eps=DEFAULT_PRUNE) -> "QubitOperator":
-        """Operator of ``(x, z, c)`` triples on distinct strings, keeping ``|c| > eps``."""
-        terms = {tuple.__new__(PauliString, (n, x, z)): c for x, z, c in triples if abs(c) > eps}
-        return cls._from_clean(n, terms, eps)
-
-    @classmethod
     def zero(cls, n: int) -> "QubitOperator":
-        return cls._from_clean(n, {}, DEFAULT_PRUNE)
+        return cls._of(n, DEFAULT_PRUNE, {})
 
     @classmethod
     def identity(cls, n: int, coeff: complex = 1.0) -> "QubitOperator":
@@ -218,19 +208,35 @@ class QubitOperator:
     def __setattr__(self, *_):
         raise AttributeError("QubitOperator is immutable; operations return new values")
 
+    @property
+    def terms(self) -> dict[PauliString, complex]:
+        if self._terms is None:
+            x, z, c = self._columns
+            strings = (tuple.__new__(PauliString, (self.n, *s)) for s in zip(_ints(x), _ints(z)))
+            object.__setattr__(self, "_terms", dict(zip(strings, c.tolist())))
+        return self._terms
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._columns is None:
+            x, z = (_words([s[k] for s in self._terms], self.n) for k in (1, 2))
+            c = np.fromiter(self._terms.values(), dtype=complex, count=len(self._terms))
+            self._hold(self.n, self.prune_epsilon, self._terms, (x, z, c))
+        return self._columns
+
     def _check_n(self, other: "QubitOperator"):
         if self.n != other.n:
             raise DimensionError(f"qubit count mismatch: {self.n} vs {other.n}")
 
     @property
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self._terms if self._terms is not None else self._columns[2])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num_terms
 
     def is_diagonal(self) -> bool:
-        return all(s.x == 0 for s in self.terms)
+        return not self.columns[0].any()
 
     def coefficient(self, s: PauliString) -> complex:
         return self.terms.get(s, 0.0 + 0.0j)
@@ -245,7 +251,7 @@ class QubitOperator:
                 out[s] = v
             else:
                 out.pop(s, None)
-        return QubitOperator._from_clean(self.n, out, eps)
+        return QubitOperator._of(self.n, eps, out)
 
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
         return self + (-1.0) * other
@@ -258,7 +264,7 @@ class QubitOperator:
                 v = scalar * c
                 if abs(v) > eps:
                     out[s] = v
-            return QubitOperator._from_clean(self.n, out, eps)
+            return QubitOperator._of(self.n, eps, out)
         return NotImplemented
 
     def mul(self, other: "QubitOperator", budget: int = DEFAULT_BUDGET) -> "QubitOperator":
@@ -269,11 +275,11 @@ class QubitOperator:
         for s1, c1 in self.terms.items():
             for s2, c2 in other.terms.items():
                 x, z, k = _mul_masks(s1.x, s1.z, s2.x, s2.z)
-                acc_key = (x, z)
-                acc[acc_key] = acc.get(acc_key, 0.0) + c1 * c2 * _PHASES[k]
+                acc[x, z] = acc.get((x, z), 0.0) + c1 * c2 * _PHASES[k]
             if len(acc) > budget:  # checked per row, before the rest is formed
                 raise BudgetError(f"operator product has {len(acc)} terms, budget {budget}")
-        return QubitOperator.from_triples(self.n, ((x, z, c) for (x, z), c in acc.items()), eps)
+        kept = {PauliString.from_masks(self.n, *s): c for s, c in acc.items() if abs(c) > eps}
+        return QubitOperator._of(self.n, eps, kept)
 
     def __mul__(self, other):
         if isinstance(other, QubitOperator):
@@ -294,27 +300,43 @@ class QubitOperator:
 
         Returns (ok, witness); the witness is the string with the largest
         imaginary part when the check fails, the first in ``sort_key`` order
-        among ties, so it does not depend on the order of ``terms``.
-        """
-        worst = max((abs(c.imag) for c in self.terms.values()), default=0.0)
+        (``_order``) among ties, so it does not depend on the order of ``terms``."""
+        x, z, c = self.columns
+        imag = np.abs(c.imag)
+        worst = imag.max(initial=0.0)
         if worst <= tol:
             return True, None
-        tied = (s for s, c in self.terms.items() if abs(c.imag) == worst)
-        return False, min(tied, key=PauliString.sort_key)
+        tied = np.flatnonzero(imag == worst)
+        at = tied[_order(_digits(self.n, x[tied], z[tied]))[:1]]
+        return False, PauliString.from_masks(self.n, *(_ints(m[at])[0] for m in (x, z)))
 
     def stats(self) -> tuple[int, int]:
         """(number of stored terms, total Pauli weight); identity weighs 0."""
-        return len(self.terms), sum((s.x | s.z).bit_count() for s in self.terms)
-
-    # -- serialization --------------------------------------------------
+        x, z, c = self.columns
+        return len(c), int(np.bitwise_count(x | z).sum())
 
     def serialize(self) -> str:
         """Canonical text form: one ``<re> <im> <string>`` line per term, in
-        ``sort_key`` order."""
-        names = _letter_table(self.n)
-        keyed = sorted([(_sort_key(s.x, s.z), c) for s, c in self.terms.items()])
-        lines = [f"{c.real:.15g} {c.imag:.15g} {_spell(key, names)}\n" for key, c in keyed]
-        return "".join(lines)
+        ``sort_key`` order (``_order``). Each distinct float is formatted
+        once, told apart by its bits (so 0.0 from -0.0, which print
+        differently); the lines are rows of bytes (``_spelled``) joined
+        ``_CHUNK_ROWS`` at a time."""
+        x, z, c = self.columns
+        if not len(c):
+            return ""
+        digits = _digits(self.n, x, z)
+        order = _order(digits)
+        parts = c[order].view(np.float64)  # re, im of each line
+        label, first = _labels(parts.view(np.uint64)[:, None])
+        texts = np.array([f"{v:.15g} " for v in parts[first].tolist()], dtype=bytes)
+        texts = texts.view(np.uint8).reshape(len(first), texts.itemsize)
+        label, out = label.reshape(-1, 2), []
+        for r0 in range(0, len(c), _CHUNK_ROWS):
+            rows = slice(r0, r0 + _CHUNK_ROWS)
+            spelled = _spelled(self.n, digits[order[rows]])
+            lines = np.hstack([texts[label[rows, 0]], texts[label[rows, 1]], spelled])
+            out.append(lines[lines != 0].tobytes())
+        return b"".join(out).decode("ascii")
 
     @classmethod
     def deserialize(cls, text: str, n: int) -> "QubitOperator":
@@ -335,18 +357,53 @@ class QubitOperator:
         return cls(n, terms)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QubitOperator)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        return isinstance(other, QubitOperator) and self.n == other.n and self.terms == other.terms
 
     def __repr__(self) -> str:
-        body = " + ".join(
-            f"({self.terms[s]:.6g})*{s.text()}"
-            for s in sorted(self.terms, key=PauliString.sort_key)
-        )
+        x, z, c = self.columns
+        digits = _digits(self.n, x, z)
+        order = _order(digits)
+        texts = _spelled(self.n, digits[order])
+        names = texts[texts != 0].tobytes().decode("ascii").split()
+        body = " + ".join(f"({v:.6g})*{name}" for v, name in zip(c[order].tolist(), names))
         return f"QubitOperator({self.n}, {body or '0'})"
+
+
+def _digits(n: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``uint8`` rows of each string's base-4 digit per qubit: X 0, Y 1, Z 2
+    and 3 where the qubit is absent."""
+    xb, zb = (np.unpackbits(m.view(np.uint8), axis=1, count=n, bitorder="little") for m in (x, z))
+    return (xb ^ 1) << 1 | xb ^ zb ^ 1
+
+
+def _order(digits: np.ndarray) -> np.ndarray:
+    """Row order of ``PauliString.sort_key``: one ``np.lexsort`` on the
+    weight, then on the ``_digits`` with qubit 1 most significant, 32 to a
+    ``uint64`` word. At the first qubit where two strings of one weight
+    differ, one has a letter of lower rank or the other has none (digit 3),
+    so this is the order of their ``(qubit, rank)`` pairs."""
+    rows, n = digits.shape
+    words = max(1, -(-n // 32))
+    q = np.pad(digits, ((0, 0), (0, 32 * words - n)), constant_values=3).reshape(rows, 8 * words, 4)
+    octets = q[..., 0] << 6 | q[..., 1] << 4 | q[..., 2] << 2 | q[..., 3]
+    keys = octets.view(">u8").astype(np.uint64)
+    return np.lexsort([*keys.T[::-1], (digits != 3).sum(axis=1)])
+
+
+def _spelled(n: int, digits: np.ndarray) -> np.ndarray:
+    """``uint8`` rows of each string's text and a newline, padded with NUL
+    bytes: the factors from a per-qubit token table (``X1*`` at qubit 1,
+    digit 0, and no bytes at digit 3), the last ``*`` of a row turned into
+    the newline, and ``I`` for the identity."""
+    width = len(str(n)) + 2
+    names = [name for j in range(1, n + 1) for name in (f"X{j}*", f"Y{j}*", f"Z{j}*", "")]
+    tokens = np.array(names, dtype=f"S{width}")
+    rows = np.zeros((len(digits), n * width + 2), dtype=np.uint8)
+    rows[:, :-2] = tokens[digits + np.arange(0, 4 * n, 4)].view(np.uint8)
+    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
+    rows[np.arange(len(rows)), last] = ord("\n")
+    rows[(digits == 3).all(axis=1), -2] = ord("I")
+    return rows
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
@@ -500,6 +557,20 @@ def _merge(fields: Sequence[tuple], values: np.ndarray) -> tuple[np.ndarray, np.
     return np.flatnonzero(seen), sums
 
 
+def _join(groups: dict, found: list) -> dict:
+    """``groups``, connected components keyed by disjoint qubit masks, with
+    the ``(mask, kind, payload)`` members merged in turn. A popped list is
+    only read (``joined +=`` extends a new list), so ``groups`` may share its
+    lists with another dict, a shallow copy."""
+    for mask, kind, payload in found:
+        joined = [(kind, payload)]
+        for g in [g for g in groups if g & mask]:
+            joined += groups.pop(g)
+            mask |= g
+        groups[mask] = joined
+    return groups
+
+
 def _expand(code: Code, items: Items, budget: int = DEFAULT_BUDGET, memo: dict | None = None):
     """Image of each action item, yielded as columns ``(item, x, z, c)`` over
     ranges of items: letter strings ``(x, z)`` as limb rows, each once per
@@ -573,22 +644,15 @@ def _expand(code: Code, items: Items, budget: int = DEFAULT_BUDGET, memo: dict |
     members: dict[int, list] = {}
     for i, p, a, b in zip(*(col[~on].tolist() for col in (f_item, f_piece, fa, fb))):
         members.setdefault(i, []).append((pieces[p][2], 1, (p, a, b)))
-    updated = any(q is not None for q in qs)
-    updates = [(s, 2, j) for j, s in enumerate(code.flip_supports)] if updated else []
+    updated = any(q is not None for q in qs)  # the update members' components, once per call
+    updates = _join({}, [(s, 2, j) for j, s in enumerate(code.flip_supports)] if updated else [])
     grouped: list[tuple] = []  # (item, its group tables) of each item with groups
     visit = sign.keys() | members.keys() | {i for i, q in enumerate(qs) if q is not None}
     visit |= set(np.flatnonzero(sizes > budget).tolist())  # affine rows alone pass the budget
     for i in sorted(visit):
         q = qs[i]
-        found = (updates if q is not None else []) + members.get(i, [])
-        found += [(m, 0, m) for m in sign.get(i, ()) if m & (m - 1)]
-        groups: dict[int, list] = {}  # connected components: disjoint qubit masks
-        for mask, kind, payload in found:
-            joined = [(kind, payload)]
-            for g in [g for g in groups if g & mask]:
-                joined += groups.pop(g)
-                mask |= g
-            groups[mask] = joined
+        found = members.get(i, []) + [(m, 0, m) for m in sign.get(i, ()) if m & (m - 1)]
+        groups = _join(dict(updates) if q is not None else {}, found)
         size, got = int(sizes[i]), []
         try:
             for mask, joined in groups.items():
@@ -676,10 +740,10 @@ def _products(n, lo, hi, affines, grouped, item, t, z, c):
 
 
 def _operator(n: int, parts) -> QubitOperator:
-    """Operator of ``_expand``'s columns ``(item, x, z, c)`` on distinct strings."""
-    return QubitOperator.from_triples(
-        n, (t for _, x, z, c in parts for t in zip(_ints(x), _ints(z), c.tolist()))
-    )
+    """The operator holding ``_expand``'s columns ``(item, x, z, c)`` on distinct strings."""
+    empty = np.zeros((0, max(1, -(-n // 64))), dtype=np.uint64)
+    columns = [(empty, empty, np.zeros(0, dtype=complex))] + [part[1:] for part in parts]
+    return QubitOperator._of(n, DEFAULT_PRUNE, columns=tuple(map(np.concatenate, zip(*columns))))
 
 
 def _chunked(entries: Iterable[tuple[int, object]]) -> Iterator[list]:
@@ -730,8 +794,7 @@ class _Sum:
         return item[first[held:] - held]
 
     def operator(self) -> QubitOperator:
-        """The merged sum, with coefficients of magnitude at most ``DEFAULT_PRUNE``
-        dropped before any string is built."""
+        """The merged sum's columns as an operator, without |c| <= ``DEFAULT_PRUNE``."""
         kept = np.abs(self.c) > DEFAULT_PRUNE
         return _operator(self.n, [(None, self.x[kept], self.z[kept], self.c[kept])])
 

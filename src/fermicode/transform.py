@@ -13,8 +13,8 @@ q = the flip, whose flip pattern ``encode(decode(w) + q) + w`` is
 evaluated on truth-table grids. ``_expand`` takes the ``Code`` itself and
 reads its cached structure and tables. ``transform_hamiltonian`` runs the
 kernel over chunks of terms with one memo of grids and group tables per
-call, and merges the columns in term order. For classical n = N codes the
-construction collapses to Pauli strings over parity/flip/update index sets.
+call, and merges the columns in term order into the operator's own. For
+classical n = N codes the map collapses to parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
 annihilation pair blocks, the two-code single-operator recipe, and the
@@ -41,15 +41,7 @@ from .errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from .pauli import (
-    Items,
-    QubitOperator,
-    _bits,
-    _chunked,
-    _expand,
-    _operator,
-    _Sum,
-)
+from .pauli import Items, QubitOperator, _bits, _chunked, _expand, _operator, _Sum
 from .pauli import extract, poly_table  # noqa: F401  (perfbench/spans.py patches them here)
 
 
@@ -277,7 +269,8 @@ def transform_hamiltonian(
     all-zero table, so it never reaches a later group's budget check; a
     ladder product that vanishes on every state never reaches ``_expand``.
     The columns are summed in term order (``pauli._Sum``), as a dict on
-    ``(x, z)`` would sum them from a complex +0.0.
+    ``(x, z)`` would sum them from a complex +0.0, and become the result's
+    columns; its ``terms`` dict is built only when read.
     """
     if h.n_modes != code.n_modes:
         raise DimensionError(

@@ -5,6 +5,7 @@ so the package's sparse algebra is checked against a separate code path.
 Basis states are indexed with qubit/mode 1 as the fastest (least
 significant) bit. ``nonlinear_codes`` draws random truth-table codes;
 ``reference_transform`` sums per-term operators as the merge once did;
+``reference_serialize`` writes an operator's text as ``serialize`` once did;
 ``reference_validate_code``, ``reference_decode_image`` and
 ``reference_is_degenerate_image`` check a code one word at a time, as
 ``fermicode.codes`` once did.
@@ -179,6 +180,13 @@ def reference_transform(code, h):
         for s, c in transform_term(code, term).terms.items():
             acc[s] = acc.get(s, 0j) + c
     return QubitOperator(code.n_qubits, acc)
+
+
+def reference_serialize(op):
+    """``QubitOperator.serialize`` the per-string way: the terms sorted on
+    ``PauliString.sort_key``, one f-string per line."""
+    keyed = sorted(op.terms.items(), key=lambda item: item[0].sort_key())
+    return "".join(f"{c.real:.15g} {c.imag:.15g} {s.text()}\n" for s, c in keyed)
 
 
 def reference_is_degenerate_image(code, nu):

@@ -29,9 +29,11 @@ from fermicode.fock_oracle import (
     QubitStateVector,
     _amplitudes,
     _Batch,
+    _columns,
     _image,
     _pack_strings,
     _pack_terms,
+    _string_columns,
     apply_fermion_term,
     apply_hamiltonian_fock,
     apply_qubit_operator,
@@ -133,7 +135,7 @@ WIDTHS = (1, 2, 3, 5, 8, 13, 31, 63, 64, 65, 70)
 def batch_amplitudes(items, n, states, plan=None):
     """``_amplitudes`` of ``states`` as one array, yielded 5 rows at a time,
     with every flip group on ``plan`` when given, labelled as in a large batch."""
-    b, words = _Batch(items, n), _words(states, n)
+    b, words = _Batch(_columns(items, n), n), _words(states, n)
     if plan is not None:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fock_oracle, "_DIRECT", -1)
@@ -282,14 +284,14 @@ class TestPlan:
             op = QubitOperator(
                 n, {PauliString.from_masks(n, 0b101000, z << shift): 1 + z for z in range(1, 65)}
             )
-            assert _Batch(_pack_strings(op), n).plan(words)[0].tolist() == [plan]
+            assert _Batch(_string_columns(op), n).plan(words)[0].tolist() == [plan]
 
     def test_tiny_batch_sums_directly(self):
         code = binary_addressing_k2(3)
         hq = transform_hamiltonian(code, two_particle_hamiltonian(random.Random(67), 8))
         basis = enumerate_basis(BasisSpec.single(8, [2]))
         words = code.encode_words(_words([nu.value for nu in basis], 8))
-        b = _Batch(_pack_strings(hq), code.n_qubits)
+        b = _Batch(_string_columns(hq), code.n_qubits)
         assert (len(words), len(b.coeff)) == (28, 384)
         plan, labels = b.plan(words)
         assert not plan.any() and labels == []
@@ -306,7 +308,7 @@ class TestPlan:
                  (_pack_strings(hq), code.encode_words(words), code.n_qubits)]
         chosen = set()
         for items, w, n in sides:
-            plan = _Batch(items, n).plan(w)[0].tolist()
+            plan = _Batch(_columns(items, n), n).plan(w)[0].tolist()
             ints = _ints(w)
             low = (1 << n // 2) - 1
             halves = (low, ((1 << n) - 1) ^ low)

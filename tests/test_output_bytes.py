@@ -22,6 +22,10 @@ order of every float product and sum shows in the bytes; the ``transform
 Four entry points of the map other than ``transform_hamiltonian``
 (``update_operator``, ``transform_single_two_codes``, ``flip_operator``,
 ``transform_term``) are pinned by the sha256 of their operators' texts.
+Their ``terms`` dicts, and those of ``transform_hamiltonian`` on the
+molecular workload and on the non-dyadic 2x5 segment row, are pinned in
+order, bits of the coefficients included: ``terms`` is built from the
+operator's columns when first read and must keep the merge's order.
 
 The ``verify --out`` reports of the resource-table rows, of the same 2x5
 model on an overfilled basis, and of the undressed segment row (which stops
@@ -158,6 +162,36 @@ ENTRY_POINT_PINS = {
 def test_entry_point_bytes_are_pinned(models, entry):
     text = "\n--\n".join(op.serialize() for op in _entry_point_ops(models, entry))
     assert hashlib.sha256(text.encode()).hexdigest() == ENTRY_POINT_PINS[entry]
+
+
+def _terms_digest(ops):
+    terms = [item for op in ops for item in op.terms.items()]
+    rows = [f"{s.x:x} {s.z:x} {c.real.hex()} {c.imag.hex()}" for s, c in terms]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+# Entry point or row: sha256 of ``(x, z, re, im)`` of each string in ``terms`` order.
+TERMS_ORDER_PINS = {
+    "flip_operator": "72f8b1e49a5b0834912e030f1cf1013e3bf0d52eaff05e4653583e617a18fa0b",
+    "transform_single_two_codes": "a9de524ad541dd1db42102637845e5852f586c4d0e9ff19641b20901ea5c417d",
+    "transform_term": "afdb4315f507af72a4d33b1595635991fdc289f8b909c8664df5fabe9a48344c",
+    "update_operator": "6e9468cb76d8b0a96e5d67ff4e726e81664e4ce762c418cb73fe0c1b9573b076",
+    "molecular_bk": "dc6329ea27448ffbe413c44633021d583faced2dccfb9ac3c9aea30c1957ba07",
+    "hubbard_2x5": "c49bda7160eaeb17eb0dded48292cedba5284a0ec89947a858d30d7c2f732d87",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TERMS_ORDER_PINS))
+def test_terms_order_is_pinned(models, entry):
+    if entry == "molecular_bk":
+        ops = [transform_hamiltonian(*_job_input(models, entry, 0))]
+    elif entry == "hubbard_2x5":
+        code = load_code("segment:2:2+segment:2:2")
+        h = adjust_for_segments(hubbard_hamiltonian(2, 5, 0.7, 1.3), code.segments, 2)
+        ops = [transform_hamiltonian(code, h)]
+    else:
+        ops = _entry_point_ops(models, entry)
+    assert _terms_digest(ops) == TERMS_ORDER_PINS[entry]
 
 
 # (rows, cols, code) of the periodic t = U = 1 Hubbard rows; the 3x5 row

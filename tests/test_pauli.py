@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermicode import pauli
-from fermicode.bitmath import BitVec, BoolPoly
+from fermicode.bitmath import BitVec, BoolPoly, _words
 from fermicode.codes import binary_addressing_k2
 from fermicode.errors import BudgetError, DimensionError
 from fermicode.fock_oracle import QubitStateVector, apply_qubit_operator
@@ -20,7 +20,7 @@ from fermicode.pauli import (
     pauli_mul,
 )
 
-from helpers import dense_operator, dense_pauli, random_boolpoly
+from helpers import dense_operator, dense_pauli, random_boolpoly, reference_serialize
 
 
 class TestPauliMul:
@@ -472,6 +472,46 @@ def test_serialize_order_and_round_trip(op):
     back = QubitOperator.deserialize(text, op.n)
     assert back == op
     assert back.serialize() == text
+
+
+# Parts with signed zeros, repeats (equal coefficients share one text) and
+# doubles of any exponent up to 1e300, so that ``abs`` of a coefficient is finite.
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -1e-300, 2.5e17]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def column_operators(draw):
+    """Operators on widths around the 32-digit words and the 64-bit limbs,
+    with the identity, strings of few qubits (so equal weights) and parts of
+    -0.0, built from a dict or, as the map builds them, from columns."""
+    n = draw(st.sampled_from([1, 5, 31, 32, 33, 64, 65, 97]))
+    few = st.sets(st.integers(0, n - 1), max_size=3).map(lambda bits: sum(1 << b for b in bits))
+    mask = st.one_of(st.integers(0, (1 << n) - 1), few)
+    pairs = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=40, unique=True))
+    if draw(st.booleans()) and (0, 0) not in pairs:
+        pairs.insert(draw(st.integers(0, len(pairs))), (0, 0))
+    kept = [(x, z, c) for x, z in pairs if abs(c := complex(draw(PARTS), draw(PARTS))) > 1e-12]
+    if draw(st.booleans()):
+        return QubitOperator(n, {PauliString.from_masks(n, x, z): c for x, z, c in kept})
+    x, z, c = zip(*kept) if kept else ((), (), ())
+    return pauli._operator(n, [(None, _words(x, n), _words(z, n), np.array(c, dtype=complex))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(op=column_operators())
+def test_column_readers_match_the_per_string_reference(op):
+    assert op.serialize() == reference_serialize(op)
+    ordered = sorted(op.terms, key=PauliString.sort_key)
+    body = " + ".join(f"({op.terms[s]:.6g})*{s.text()}" for s in ordered)
+    assert repr(op) == f"QubitOperator({op.n}, {body or '0'})"
+    assert op.stats() == (len(op.terms), sum((s.x | s.z).bit_count() for s in op.terms))
+    if ordered:  # with tol -1 the witness is the first string of largest |imag|
+        worst = max(abs(c.imag) for c in op.terms.values())
+        tied = [s for s in ordered if abs(op.terms[s].imag) == worst]
+        assert op.check_hermitian(-1.0) == (False, tied[0])
 
 
 class TestParsing:

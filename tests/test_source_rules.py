@@ -8,6 +8,11 @@ codes, so no module of the package may create one.
 The modules form layers, each importing only those before it: bitmath ->
 codes -> pauli -> transform -> fock_oracle -> cli. A code knows nothing of
 the operators built from it.
+
+Only ``PauliString``'s own methods read the per-string key ``_sort_key``
+(or ``sort_key``): an operator orders its strings on its columns
+(``pauli._order``), so no reader of an operator falls back to one Python
+key per string.
 """
 
 import ast
@@ -108,3 +113,47 @@ def test_no_module_imports_a_later_layer():
     found = {name: _package_imports((SOURCES / f"{name}.py").read_text()) & set(LAYERS[i:])
              for i, name in enumerate(LAYERS)}
     assert found == {name: set() for name in LAYERS}
+
+
+def _sort_key_uses(source: str) -> list[int]:
+    """Lines that name ``_sort_key`` or an attribute ``_sort_key``/``sort_key``
+    outside the methods of a class ``PauliString``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "PauliString"
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside and (
+            isinstance(node, ast.Name) and node.id == "_sort_key"
+            or isinstance(node, ast.Attribute) and node.attr in ("_sort_key", "sort_key")
+        )
+    )
+
+
+def test_the_sort_key_detector_finds_uses_outside_pauli_string_methods():
+    source = "\n".join([
+        "class PauliString:",
+        "    def sort_key(self):",
+        "        return _sort_key(self.x, self.z)",
+        "    def text(self):",
+        "        return spell(self.sort_key())",
+        "def serialize(terms):",
+        "    return sorted(terms, key=PauliString.sort_key)",
+        "key = _sort_key(1, 2)",
+        "f = pauli._sort_key",
+        "class Other:",
+        "    def g(self, s): return min(s, key=lambda t: t.sort_key())",
+        "def _sort_key(x, z): return (x, z)",
+    ])
+    assert _sort_key_uses(source) == [7, 8, 9, 11]
+
+
+def test_only_pauli_string_methods_read_the_per_string_key():
+    paths = sorted(SOURCES.glob("*.py"))
+    found = [f"{path.name}:{line}" for path in paths for line in _sort_key_uses(path.read_text())]
+    assert paths and found == []

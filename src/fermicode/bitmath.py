@@ -111,6 +111,11 @@ def ascii_int(text: str, what: str) -> int:
     return int(text)
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of ``text`` as text-mode ``open()`` ends them, unlike ``str.splitlines``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _parse_bits(bits) -> tuple[int, int]:
     """Return (packed value, length) for an iterable or string of bits."""
     if isinstance(bits, str):

@@ -3,17 +3,16 @@
 On a basis word a ladder-operator product and a Pauli string have the same
 form: a flip mask, a Z-mask parity sign and a coefficient, and for the
 ladder product a check that the touched modes start at the occupations it
-needs. Each term or string is packed once into such an item (a term by
-``transform.pack_terms``, the packer the operator map uses too, a string by
-``_string_columns`` off the operator's columns, or by ``_pack_strings`` as
-Python ints), and two kernels apply them:
+needs. A Hamiltonian's items are the limb rows its ``transform.pack_terms``
+caches for the operator map too (``_term_columns``), an operator's are read
+off its columns (``_string_columns``), and two kernels apply them:
 
 - ``_image`` maps one basis word, as Python ints, to its targets in the
-  order its acting items meet them. The single-state helpers
-  (``apply_fermion_term``, ``apply_hamiltonian_fock``,
-  ``apply_qubit_operator``) use it; they are called one state at a time,
-  where arrays would only add overhead. It also answers every question of
-  order: the targets an escape detail or a ``fock_matrix`` error names.
+  order its acting items meet them, the items converted once per call
+  (``_int_items``, or ``_pack_strings`` off an operator's ``terms``). The
+  single-state helpers use it, where arrays would only add overhead, and so
+  does every question of order: the targets an escape detail or a
+  ``fock_matrix`` error names.
 - ``_amplitudes`` maps many basis words at once, as numpy arrays of 64-bit
   limbs (one limb up to 64 modes or qubits), and says only which amplitude
   goes to which flip group: items with the same flip send a state to the
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -43,12 +41,18 @@ from .bitmath import BitVec, _ints, _labels, _words
 from .codes import Code
 from .errors import DimensionError, UnsupportedCodeError
 from .pauli import QubitOperator
-from .transform import FermionHamiltonian, FermionTerm, pack_terms, transform_op_linear
+from .transform import FermionHamiltonian, FermionTerm, transform_op_linear
 
 
-def _pack_terms(terms: Iterable[FermionTerm]) -> list[tuple[int, int, int, int, complex]]:
-    """``pack_terms`` of the ladder products, leaving out those that vanish on every state."""
-    return [item for item in pack_terms(terms) if item is not None]
+def _term_columns(h: FermionHamiltonian) -> tuple[np.ndarray, ...]:
+    """``h.packed`` without its items that vanish on every state."""
+    *columns, live = h.packed
+    return tuple(column[live] for column in columns)
+
+
+def _int_items(columns: tuple) -> list[tuple[int, int, int, int, complex]]:
+    """Item columns as ``_image``'s tuples of Python ints."""
+    return list(zip(*map(_ints, columns[:4]), columns[4].tolist()))
 
 
 def _string_columns(op: QubitOperator) -> tuple[np.ndarray, ...]:
@@ -66,12 +70,6 @@ def _pack_strings(op: QubitOperator) -> list[tuple[int, int, int, int, complex]]
     """The items of ``_string_columns`` as Python ints, for ``_image``, read
     off ``terms``: the single-state helpers call this once per state."""
     return [(s.x, s.z, 0, 0, c * 1j ** s.y_count()) for s, c in op.terms.items()]
-
-
-def _columns(items: list, n_bits: int) -> tuple[np.ndarray, ...]:
-    """Packed items as columns: limb rows of flip, z, care and want, and the coefficients."""
-    rows = [_words([it[k] for it in items], n_bits) for k in range(4)]
-    return *rows, np.array([it[4] for it in items], dtype=complex)
 
 
 def _image(word: int, items: list) -> dict[int, complex]:
@@ -113,7 +111,7 @@ _DIRECT = 1 << 17
 
 
 class _Batch:
-    """Packed items as limb arrays (``_columns`` or ``_string_columns``),
+    """Packed items as limb arrays (``_term_columns`` or ``_string_columns``),
     with the distinct flips they move states by, in first-appearance order.
 
     Item ``i`` sends an acting state ``w`` to ``w ^ flips[group[i]]``.
@@ -247,12 +245,10 @@ class QubitStateVector(_SparseState):
     amplitudes: dict[BitVec, complex] = field(default_factory=dict)
 
 
-def apply_fermion_term(
-    term: FermionTerm, nu: BitVec
-) -> tuple[complex, BitVec] | None:
+def apply_fermion_term(term: FermionTerm, nu: BitVec) -> tuple[complex, BitVec] | None:
     """Image (coefficient, state) of one basis state; None when annihilated."""
-    term.check_modes(nu.n)
-    for occ, coeff in _image(nu.value, _pack_terms([term])).items():
+    items = _int_items(_term_columns(FermionHamiltonian(nu.n, (term,))))
+    for occ, coeff in _image(nu.value, items).items():
         return coeff, BitVec.from_int(occ, nu.n)
     return None
 
@@ -260,7 +256,7 @@ def apply_fermion_term(
 def apply_hamiltonian_fock(h: FermionHamiltonian, state: FockStateVector) -> FockStateVector:
     if h.n_modes != state.n_modes:
         raise DimensionError("mode count mismatch")
-    out = _apply_sparse(_pack_terms(h.terms), state.amplitudes, h.n_modes)
+    out = _apply_sparse(_int_items(_term_columns(h)), state.amplitudes, h.n_modes)
     return FockStateVector(h.n_modes, out)
 
 
@@ -303,11 +299,7 @@ class EquivalenceReport:
 
 
 def verify_equivalence(
-    code: Code,
-    h: FermionHamiltonian,
-    hq: QubitOperator,
-    basis: list[BitVec],
-    tol: float = 1e-9,
+    code: Code, h: FermionHamiltonian, hq: QubitOperator, basis: list[BitVec], tol: float = 1e-9
 ) -> EquivalenceReport:
     """Check that the qubit operator replicates the Hamiltonian on the basis.
 
@@ -324,8 +316,8 @@ def verify_equivalence(
     for i, nu in enumerate(basis):
         if nu.n != code.n_modes:
             raise DimensionError(f"basis[{i}] = {nu} has {nu.n} modes, code encodes {code.n_modes}")
-    items = _pack_terms(h.terms)
-    terms = _Batch(_columns(items, code.n_modes), code.n_modes)
+    columns = _term_columns(h)
+    terms, items = _Batch(columns, code.n_modes), None
     strings = _Batch(_string_columns(hq), code.n_qubits)
     words = _words([nu.value for nu in basis], code.n_modes)
     encoded = code.encode_words(words)
@@ -354,6 +346,7 @@ def verify_equivalence(
         for row, k in zip(rows[s[outside]].tolist(), _ints(image[outside])):
             bad.setdefault(row, set()).add(k)
         for i, targets in bad.items():
+            items = _int_items(columns) if items is None else items
             nu = basis[i]
             at = [BitVec.from_int(k, nu.n) for k in _image(nu.value, items) if k in targets]
             detail = "image leaves the encoded basis at " + ", ".join(map(str, at[:4]))
@@ -425,8 +418,8 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
     """Dense matrix of the Hamiltonian over an occupation basis list."""
     if any(nu.n != h.n_modes for nu in basis):
         raise DimensionError("mode count mismatch")
-    items = _pack_terms(h.terms)
-    terms = _Batch(_columns(items, h.n_modes), h.n_modes)
+    columns = _term_columns(h)
+    terms = _Batch(columns, h.n_modes)
     words = _words([nu.value for nu in basis], h.n_modes)
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     step = max(1, _CELLS // max(len(terms.flips), 1))
@@ -440,7 +433,7 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
             col = s[escape][0]
             nu = basis[c0 + col]
             missing = set(_ints(image[escape & (s == col)]))
-            k = next(k for k in _image(nu.value, items) if k in missing)
+            k = next(k for k in _image(nu.value, _int_items(columns)) if k in missing)
             raise ValueError(
                 f"Hamiltonian maps {nu} outside the given basis "
                 f"(to {BitVec.from_int(k, h.n_modes)})"

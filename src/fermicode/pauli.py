@@ -32,12 +32,13 @@ them from a per-qubit token table (``_spelled``), building no string.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitmath import DEFAULT_BUDGET, BoolPoly, ascii_real
+from .bitmath import DEFAULT_BUDGET, BoolPoly, ascii_real, text_lines
 from .bitmath import _evaluate, _ints, _labels, _table, _words
 from .codes import Code
 from .errors import BudgetError, DimensionError
@@ -340,8 +341,9 @@ class QubitOperator:
 
     @classmethod
     def deserialize(cls, text: str, n: int) -> "QubitOperator":
+        """``serialize``'s text read back; a bad line raises ``ValueError`` naming it."""
         terms: dict[PauliString, complex] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text_lines(text), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -353,7 +355,9 @@ class QubitOperator:
                 c = complex(ascii_real(parts[0]), ascii_real(parts[1]))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-            terms[ps] = terms.get(ps, 0.0) + c
+            terms[ps] = c = terms.get(ps, 0.0) + c
+            if math.hypot(c.real, c.imag) == math.inf:
+                raise ValueError(f"line {lineno}: the coefficient of {parts[2]} overflows")
         return cls(n, terms)
 
     def __eq__(self, other) -> bool:
@@ -518,9 +522,9 @@ def _item(n: int, signs=(), factors=(), flips: int = 0, q: int | None = None) ->
     )
 
 
-def _bits(values: Sequence[int], width: int) -> np.ndarray:
-    """Boolean rows: entry ``(r, i)`` is bit ``i`` of ``values[r]``."""
-    octets = _words(values, width).view(np.uint8)
+def _bits(rows: np.ndarray, width: int) -> np.ndarray:
+    """Boolean rows: entry ``(r, i)`` is bit ``i`` of limb row ``rows[r]``."""
+    octets = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
     return np.unpackbits(octets, axis=1, count=width, bitorder="little").view(bool)
 
 
@@ -674,19 +678,14 @@ def _expand(code: Code, items: Items, budget: int = DEFAULT_BUDGET, memo: dict |
             grouped.append((i, got))
 
     # Tensor products, merge, phase and scale over ranges of items.
-    ends = np.cumsum(sizes[:fail])
     g_item = np.array([i for i, _ in grouped], dtype=np.intp)
-    lo = 0
-    while lo < fail:
-        start = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _CHUNK_ROWS, "right")))
+    for lo, hi in _chunked(sizes[:fail]):
         a0, a1 = np.searchsorted(a_item, [lo, hi])
         g0, g1 = np.searchsorted(g_item, [lo, hi])
         rows = slice(bounds[a0], bounds[a1])
         affines = a_item[a0:a1], length[a0:a1], rows_z[rows], rows_c[rows]
         ri = lo + np.flatnonzero(sizes[lo:hi])
         ri, rt, rz, rc = _products(n, lo, hi, affines, grouped[g0:g1], ri, flips[ri], z[ri], c[ri])
-        lo = hi
         if not len(ri):
             continue
         phase = np.bitwise_count(rt & rz).sum(axis=1) & 3
@@ -746,19 +745,15 @@ def _operator(n: int, parts) -> QubitOperator:
     return QubitOperator._of(n, DEFAULT_PRUNE, columns=tuple(map(np.concatenate, zip(*columns))))
 
 
-def _chunked(entries: Iterable[tuple[int, object]]) -> Iterator[list]:
-    """The entries of ``(rows, entry)`` pairs in lists whose rows add up to
-    at most ``_CHUNK_ROWS`` (an entry over it on its own)."""
-    chunk: list = []
-    total = 0
-    for rows, entry in entries:
-        if chunk and total + rows > _CHUNK_ROWS:
-            yield chunk
-            chunk, total = [], 0
-        chunk.append(entry)
-        total += rows
-    if chunk:
-        yield chunk
+def _chunked(rows: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Ranges ``lo, hi`` of the entries, in order, whose ``rows`` add up to at
+    most ``_CHUNK_ROWS`` (an entry over it on its own)."""
+    ends, lo = np.cumsum(rows), 0
+    while lo < len(rows):
+        start = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _CHUNK_ROWS, "right")))
+        yield lo, hi
+        lo = hi
 
 
 class _Sum:

@@ -3,18 +3,18 @@
 The general weight-l operator map composes, per operator in the sequence,
 a projector onto the correct occupation and a parity-sign operator (both
 diagonal), followed by a single update operator that flips the code word.
-``pack_terms``, which the Fock oracle shares, walks a term once into its
-action item; a product that vanishes on every state stops there. ``_items``
-turns a batch of action items into ``pauli._expand``'s columns over the
-code's decode components: a sign ``(-1)^d_m`` per parity mode and a
-projector per needed occupation, and as flips the update's constant mask
-(linear encodings: the XOR of the encode columns) or the code's update at
-q = the flip, whose flip pattern ``encode(decode(w) + q) + w`` is
-evaluated on truth-table grids. ``_expand`` takes the ``Code`` itself and
-reads its cached structure and tables. ``transform_hamiltonian`` runs the
-kernel over chunks of terms with one memo of grids and group tables per
-call, and merges the columns in term order into the operator's own. For
-classical n = N codes the map collapses to parity/flip/update index sets.
+A ``FermionHamiltonian`` holds its terms as columns, which
+``parse_fermion_file`` fills with one compiled pattern per line and numpy
+conversions. ``pack_terms`` walks all ladder products at once into action
+items held as limb rows, cached for the map and the Fock oracle. ``_items``
+turns them into ``pauli._expand``'s columns over the decode components: a
+sign ``(-1)^d_m`` per parity mode, a projector per needed occupation, and
+as flips the update's constant mask (linear encodings: the XOR of the
+encode columns) or the code's update ``encode(decode(w) + q) + w`` at q =
+the flip. ``transform_hamiltonian`` runs the kernel over chunks of terms
+with one memo of group tables per call, and merges the columns in term
+order into the operator's own. For classical n = N codes the map collapses
+to parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
 annihilation pair blocks, the two-code single-operator recipe, and the
@@ -24,14 +24,17 @@ segment, so that segment codes take terms in any order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly, _words, ascii_real, poly_sum
+from .bitmath import DEFAULT_BUDGET, BitVec, BoolPoly, _ints, _words, ascii_real, poly_sum
+from .bitmath import text_lines
 from .codes import Code
 from .errors import (
     BudgetError,
@@ -41,7 +44,7 @@ from .errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from .pauli import Items, QubitOperator, _bits, _chunked, _expand, _operator, _Sum
+from .pauli import _CHUNK_ROWS, Items, QubitOperator, _bits, _chunked, _expand, _operator, _Sum
 from .pauli import extract, poly_table  # noqa: F401  (perfbench/spans.py patches them here)
 
 
@@ -60,81 +63,137 @@ class FermionTerm:
     def of(cls, coeff: complex, *ops: tuple[int, bool]) -> "FermionTerm":
         return cls(complex(coeff), tuple((int(m), bool(d)) for m, d in ops))
 
-    def check_modes(self, n_modes: int) -> None:
-        """Raise ``DimensionError`` naming the first mode outside 1..n_modes."""
-        for m, _ in self.ops:
-            if not 1 <= m <= n_modes:
-                raise DimensionError(f"mode {m} outside 1..{n_modes}")
-
     def __str__(self) -> str:
         body = " ".join(("+" if d else "-") + str(m) for m, d in self.ops)
         return f"({self.coeff}) {body or '1'}"
 
 
-def pack_terms(terms: Iterable[FermionTerm]) -> Iterator[tuple[int, int, int, int, complex] | None]:
-    """Action item ``(flip, z, care, want, c)`` of each ladder product, or None
-    when it vanishes on every state: the product maps ``|w>`` to
-    ``c (-1)^|w & z| |w ^ flip>`` when ``w & care == want``, else to 0.
-
-    Walking the operators in application order, mode ``m`` must start at the
-    occupation its operator needs once the earlier flips are undone (None if
-    it must start both empty and occupied); its parity string joins ``z``,
-    and the earlier flips below ``m`` fix the sign. One generator over all
-    terms costs less per term than a call each.
-    """
-    for term in terms:
-        flip = z = care = want = odd = 0
-        for m, dagger in reversed(term.ops):
-            bit = 1 << m - 1
-            below = bit - 1
-            need = (0 if dagger else bit) ^ (flip & bit)
-            if care & bit and want & bit != need:
-                yield None
-                break
-            care |= bit
-            want |= need
-            z ^= below
-            odd += (flip & below).bit_count()
-            flip ^= bit
-        else:  # times a float sign, so zeros keep the signs of ``coeff * sign``
-            yield flip, z, care, want, term.coeff * (-1.0 if odd & 1 else 1.0)
+def _padded(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row i holds the next ``counts[i]`` of ``values``, then 0s."""
+    out = np.zeros((len(counts), int(counts.max(initial=0))), dtype=np.int64)
+    at = np.arange(len(values)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out[np.repeat(np.arange(len(counts)), counts), at] = values
+    return out
 
 
-@dataclass(frozen=True)
 class FermionHamiltonian:
-    """Sum of fermionic terms over modes 1..N."""
+    """Sum of fermionic terms over modes 1..N, held as columns: the complex
+    ``coeff`` of each term and the signed-mode matrix ``ops``, whose row holds
+    the term's operators leftmost first (``+m`` a creation, ``-m`` an
+    annihilation, then 0s). ``terms`` and ``packed`` (``pack_terms``) are
+    built when first read; terms given are checked on the columns."""
 
-    n_modes: int
-    terms: tuple[FermionTerm, ...]
+    def __init__(self, n_modes: int, terms: Iterable[FermionTerm]):
+        self.terms = terms = tuple(terms)
+        modes = [m for t in terms for m, _ in t.ops]
+        raw = np.fromiter(modes, np.int64, len(modes))  # a mode past int64 raises OverflowError
+        bad = np.flatnonzero((raw < 1) | (raw > n_modes))
+        if len(bad):
+            raise DimensionError(f"mode {modes[bad[0]]} outside 1..{n_modes}")
+        dagger = np.fromiter([d for t in terms for _, d in t.ops], bool, len(modes))
+        signed = np.where(dagger, raw, -raw)
+        self.n_modes, self.coeff = n_modes, np.array([t.coeff for t in terms], dtype=complex)
+        self.ops = _padded(np.array([len(t.ops) for t in terms], dtype=np.intp), signed)
 
-    def __post_init__(self):
-        for t in self.terms:
-            t.check_modes(self.n_modes)
+    def term(self, i: int) -> FermionTerm:
+        """Term ``i`` (0-based), built from the columns unless ``terms`` is."""
+        if "terms" in self.__dict__:
+            return self.terms[i]
+        ops = tuple((abs(s), s > 0) for s in self.ops[i].tolist() if s)
+        return FermionTerm(complex(self.coeff[i]), ops)
+
+    @functools.cached_property
+    def terms(self) -> tuple[FermionTerm, ...]:
+        return tuple(map(self.term, range(len(self.coeff))))
+
+    @functools.cached_property
+    def packed(self) -> tuple[np.ndarray, ...]:
+        packed = pack_terms(self)
+        for column in packed:  # every reader shares them
+            column.setflags(write=False)
+        return packed
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FermionHamiltonian) and (self.n_modes, self.terms) == (
+            other.n_modes, other.terms)
 
     def merged(self) -> "FermionHamiltonian":
         """Combine identical operator sequences and drop vanished terms."""
-        acc: dict[tuple, complex] = {}
-        for t in self.terms:
-            acc[t.ops] = acc.get(t.ops, 0.0) + t.coeff
-        kept = tuple(
-            FermionTerm(c, ops) for ops, c in acc.items() if abs(c) > 0
-        )
-        return FermionHamiltonian(self.n_modes, kept)
+        return _merged(self.n_modes, self.terms)
+
+
+def _merged(n_modes: int, terms: Iterable[FermionTerm]) -> FermionHamiltonian:
+    """``FermionHamiltonian(n_modes, terms).merged()``, with no columns for the unmerged terms."""
+    acc: dict[tuple, complex] = {}
+    for t in terms:
+        acc[t.ops] = acc.get(t.ops, 0.0) + t.coeff
+    return FermionHamiltonian(n_modes, (FermionTerm(c, o) for o, c in acc.items() if abs(c) > 0))
+
+
+def pack_terms(h: FermionHamiltonian) -> tuple[np.ndarray, ...]:
+    """Action items ``(flip, z, care, want, c, live)`` of the ladder products:
+    limb rows of mode masks, the complex ``c`` and whether the product lives.
+    A live product maps ``|w>`` to ``c (-1)^|w & z| |w ^ flip>`` when
+    ``w & care == want``, else to 0; a dead one vanishes on every state.
+
+    The walk compares each pair of a term's operators, in the order they
+    apply, over all terms at once. An operator needs its mode to start
+    occupied (an annihilation) or empty, swapped after an odd number of
+    earlier operators on it; two that need different starts kill the
+    product. Each parity string joins ``z``; each earlier operator on a
+    lower mode flips the sign, a complex factor as in ``coeff * sign``."""
+    limbs = max(1, -(-h.n_modes // 64))
+    a = np.ascontiguousarray(h.ops[:, ::-1].T)  # a[k, t]: the k-th operator term t applies
+    m, on = np.abs(a), a != 0
+    # pair[i, k, t]: term t has operators i and k, and applies i first
+    pair = on[:, None] & on[None, :] & np.less.outer(*[np.arange(len(a))] * 2)[:, :, None]
+    same = pair & (m[:, None] == m[None, :])
+    need = (a < 0) ^ np.bitwise_xor.reduce(same, axis=0)
+    live = ~(same & (need[:, None] != need[None, :])).any(axis=(0, 1))
+    odd = np.count_nonzero(pair & (m[:, None] < m[None, :]), axis=(0, 1)) & 1
+    # Each operator's mode bit and the bits below it, on every limb of the term's rows.
+    mode = m[:, :, None] - 1  # -1 for padding: no bit on any limb
+    at = (mode >> 6) - np.arange(limbs)  # 0 on the mode's limb, > 0 on the limbs below it
+    bit = np.where(at == 0, np.uint64(1) << (mode & 63).astype(np.uint64), np.uint64(0))
+    below = np.where(at > 0, ~np.uint64(0), bit - (bit != 0))
+    flip, care = np.bitwise_xor.reduce(bit, axis=0), np.bitwise_or.reduce(bit, axis=0)
+    want = np.bitwise_or.reduce(np.where(need[:, :, None], bit, np.uint64(0)), axis=0)
+    z = np.bitwise_xor.reduce(below, axis=0)
+    return flip, z, care, want, h.coeff * np.where(odd, -1.0, 1.0), live
 
 
 # -- Hamiltonian files --------------------------------------------------------
 
+_REAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_MODE = r"[+-]0*[1-9][0-9]{0,17}"  # at most 18 digits, so within int64
+# A term line in its plain spelling: ASCII decimals, spaces or tabs, maybe a comment.
+_TERM = re.compile(
+    rf"[ \t]*({_REAL})[ \t]+({_REAL})[ \t]*:[ \t]*((?:{_MODE}(?:[ \t]+{_MODE})*)?)[ \t]*(?:#.*)?"
+)
+
 
 def parse_fermion_file(text: str, n_modes: int | None = None) -> FermionHamiltonian:
     """Parse ``<re> <im> : +i -j ...`` lines; '#' comments and blanks ignored.
+    Lines end as in a text-mode file (``text_lines``).
 
     The mode count is ``n_modes`` when given, else the ``# modes: N`` header
-    that ``format_fermion_file`` writes, else the highest mode in any term.
+    that ``format_fermion_file`` writes, else the highest mode in any term;
+    a mode over it raises, naming the first line that has one.
+
+    A fast pass matches each line with ``_TERM`` and converts the matches
+    with numpy. The other lines, and matches whose coefficient is not
+    finite, are read one by one in line order, by the code that owns every
+    message about a malformed line.
     """
-    terms = []
-    max_mode = 0
-    declared = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text_lines(text)
+    found = list(map(_TERM.fullmatch, lines))
+    fast = [i for i, m in enumerate(found) if m]
+    re_, im, tails = list(zip(*(found[i].groups() for i in fast))) or ((), (), ())
+    parts = np.stack([np.fromiter(map(float, p), float, len(fast)) for p in (re_, im)], axis=1)
+    slow = [i for i, m in enumerate(found) if not m]
+    declared, more = None, []
+    for i in sorted(slow + [fast[k] for k in np.flatnonzero(~np.isfinite(parts).all(axis=1))]):
+        lineno, raw = i + 1, lines[i]
         line, _, comment = raw.partition("#")
         line = line.strip()
         if not line:
@@ -142,37 +201,44 @@ def parse_fermion_file(text: str, n_modes: int | None = None) -> FermionHamilton
             if header.startswith("modes:"):
                 value = header[len("modes:"):].strip()
                 if declared is not None or not (value.isascii() and value.isdigit()):
-                    raise InputFormatError(
-                        f"line {lineno}: bad mode count header {raw.strip()!r}"
-                    )
+                    raise InputFormatError(f"line {lineno}: bad mode count header {raw.strip()!r}")
                 declared = int(value)
             continue
         if ":" not in line:
             raise InputFormatError(f"line {lineno}: missing ':' separator")
         head, tail = line.split(":", 1)
-        parts = head.split()
-        if len(parts) != 2:
+        if len(head.split()) != 2:
             raise InputFormatError(f"line {lineno}: expected '<re> <im> :'")
         try:
-            coeff = complex(ascii_real(parts[0]), ascii_real(parts[1]))
+            coeff = complex(*map(ascii_real, head.split()))
         except NonFiniteError:
             raise InputFormatError(f"line {lineno}: non-finite coefficient {head.strip()!r}")
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: bad coefficient: {exc}") from exc
-        ops = []
         for tok in tail.split():
             if tok[0] not in "+-" or not (tok[1:].isascii() and tok[1:].isdigit()):
                 raise InputFormatError(f"line {lineno}: bad operator token {tok!r}")
-            mode = int(tok[1:])
-            if mode < 1:
+            if int(tok[1:]) < 1:
                 raise InputFormatError(f"line {lineno}: modes are 1-based")
-            ops.append((mode, tok[0] == "+"))
-            max_mode = max(max_mode, mode)
-        terms.append(FermionTerm(coeff, tuple(ops)))
-    n = n_modes if n_modes is not None else declared if declared is not None else max_mode
-    if max_mode > n:
-        raise InputFormatError(f"mode {max_mode} exceeds declared mode count {n}")
-    return FermionHamiltonian(n, tuple(terms))
+            if int(tok[1:]) >> 63:
+                raise InputFormatError(f"line {lineno}: mode {int(tok[1:])} is over 2**63 - 1")
+        more.append((i, coeff, " ".join(tail.split())))
+    at = np.array(fast + [i for i, _, _ in more], dtype=np.intp)
+    coeff = np.concatenate([parts.view(complex)[:, 0], np.array([c for _, c, _ in more], complex)])
+    joined = "\n".join([*tails, *(tail for _, _, tail in more)])
+    chars = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)  # a sign starts each mode
+    counts = np.bincount(np.cumsum(chars == 10)[(chars == 43) | (chars == 45)], minlength=len(at))
+    modes = np.fromstring(joined, dtype=np.int64, sep=" ")[: counts.sum()]  # blanks read as [0]
+    order = np.argsort(at, kind="stable")
+    ops = _padded(counts, modes)[order]
+    n = n_modes if n_modes is not None else declared if declared is not None else \
+        int(np.abs(ops).max(initial=0))
+    for t, k in np.argwhere(np.abs(ops) > n)[:1]:  # the first line with a mode over n
+        lineno, mode = at[order[t]] + 1, abs(ops[t, k])
+        raise InputFormatError(f"line {lineno}: mode {mode} exceeds declared mode count {n}")
+    h = object.__new__(FermionHamiltonian)  # columns checked above
+    h.n_modes, h.coeff, h.ops = n, coeff[order], ops
+    return h
 
 
 def format_fermion_file(h: FermionHamiltonian) -> str:
@@ -193,37 +259,36 @@ def parity_function(code: Code, j: int) -> BoolPoly:
     return poly_sum(code.decode[: j - 1], code.n_qubits)
 
 
-def _items(
-    code: Code, packed: list[tuple], q_form: bool = False, updates_only: bool = False
-) -> Items:
-    """``_expand`` items of ``pack_terms`` action items over the pieces
-    ``Code.decode_split``: the sign ``(-1)^d_m`` for each mode of ``z``, the
-    projector onto the ``d_m`` that ``want`` holds for each mode of ``care``,
-    and as flips a linear encoding's mask (the XOR of the encode columns of
-    the flipped modes) or, for a nonlinear encoding or with ``q_form``, the
-    code's update at ``q = flip``. A scalar (empty ``care``) has no flips,
-    unless ``updates_only`` says the items are bare updates."""
-    flip, z, care, want, scale = zip(*packed)
+def _items(code: Code, packed: tuple, q_form: bool = False, updates_only: bool = False) -> Items:
+    """``_expand`` items of ``pack_terms`` items ``(flip, z, care, want, c)``
+    over the pieces ``Code.decode_split``: the sign ``(-1)^d_m`` for each
+    mode of ``z``, the projector onto the ``d_m`` that ``want`` holds for
+    each mode of ``care``, and as flips a linear encoding's mask (the XOR of
+    the flipped modes' encode columns) or, for a nonlinear encoding or with
+    ``q_form``, the code's update at ``q = flip``. A scalar (empty ``care``)
+    has no flips, unless ``updates_only`` says the items are bare updates."""
+    flip, z, care, want, scale = packed
     n_modes, n = code.n_modes, code.n_qubits
     s_item, s_piece = np.nonzero(_bits(z, n_modes))
     f_item, f_piece = np.nonzero(_bits(care, n_modes))
     b = np.where(_bits(want, n_modes)[f_item, f_piece], -0.5, 0.5)
-    flips = np.zeros((len(packed), max(1, -(-n // 64))), dtype=np.uint64)
-    qs = [None] * len(packed)
+    flips = np.zeros((len(scale), max(1, -(-n // 64))), dtype=np.uint64)
+    qs = [None] * len(scale)
     if not q_form and code.encode_is_linear:
         t_item, t_mode = np.nonzero(_bits(flip, n_modes))
         np.bitwise_xor.at(flips, t_item, _words(code.encode_columns, n)[t_mode])
     else:
-        qs = [q if c or updates_only else None for q, c in zip(flip, care)]
+        qs = [q if a or updates_only else None for q, a in zip(_ints(flip), care.any(axis=1))]
     factors = (f_item, f_piece, np.full(len(f_item), 0.5), b)
-    return Items((s_item, s_piece), factors, flips, qs, np.array(scale, dtype=complex))
+    return Items((s_item, s_piece), factors, flips, qs, scale)
 
 
 def update_operator(code: Code, q: BitVec, budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Operator satisfying U |e(v)> = |e(v + q)> for every encoded v."""
     if q.n != code.n_modes:
         raise DimensionError(f"q has length {q.n}, expected {code.n_modes}")
-    items = _items(code, [(q.value, 0, 0, 0, 1.0)], updates_only=True)
+    flip, none = _words([q.value], code.n_modes), _words([0], code.n_modes)
+    items = _items(code, (flip, none, none, none, np.ones(1, dtype=complex)), updates_only=True)
     return _operator(code.n_qubits, _expand(code, items, budget))
 
 
@@ -232,27 +297,14 @@ def update_operator(code: Code, q: BitVec, budget: int = DEFAULT_BUDGET) -> Qubi
 
 def transform_term(code: Code, term: FermionTerm, budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Qubit image of one fermionic term under the code's operator map."""
-    term.check_modes(code.n_modes)
-    item = next(pack_terms([term]))
-    if item is None:
+    *packed, live = FermionHamiltonian(code.n_modes, (term,)).packed
+    if not live[0]:
         return QubitOperator.zero(code.n_qubits)
-    return _operator(code.n_qubits, _expand(code, _items(code, [item]), budget))
-
-
-def _named(parts: Iterator[tuple], chunk: list[tuple]) -> Iterator[tuple]:
-    """``parts`` with an item's ``BudgetError`` prefixed by its term."""
-    try:
-        yield from parts
-    except BudgetError as exc:
-        index, term, _ = chunk[exc.item]
-        raise BudgetError(f"term {index} ({term}): {exc}") from exc
+    return _operator(code.n_qubits, _expand(code, _items(code, packed), budget))
 
 
 def transform_hamiltonian(
-    code: Code,
-    h: FermionHamiltonian,
-    budget: int = DEFAULT_BUDGET,
-    check_hermiticity: bool = True,
+    code: Code, h: FermionHamiltonian, budget: int = DEFAULT_BUDGET, check_hermiticity: bool = True
 ) -> QubitOperator:
     """Transform and sum all terms; flags non-hermitian results.
 
@@ -263,19 +315,16 @@ def transform_hamiltonian(
     in its own expansion or by growing the merged sum past ``budget``; the
     checks run in term order, each term's own before its merge.
 
-    The terms go through ``_expand`` in chunks (``pauli._chunked``) that
-    share one memo of group tables, which lives for this call only. A term
-    whose image vanishes on the code space stops at its first group with an
-    all-zero table, so it never reaches a later group's budget check; a
-    ladder product that vanishes on every state never reaches ``_expand``.
-    The columns are summed in term order (``pauli._Sum``), as a dict on
-    ``(x, z)`` would sum them from a complex +0.0, and become the result's
-    columns; its ``terms`` dict is built only when read.
+    The live items of ``h.packed`` go through ``_expand`` in chunks
+    (``pauli._chunked``, 2**|care| bounding a term's affine rows) that share
+    one memo of group tables for this call. A term whose image vanishes on
+    the code space stops at its first all-zero group table, before a later
+    group's budget check. The columns are summed in term order
+    (``pauli._Sum``), as a dict on ``(x, z)`` would sum them from a complex
+    +0.0, and become the result's columns.
     """
     if h.n_modes != code.n_modes:
-        raise DimensionError(
-            f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}"
-        )
+        raise DimensionError(f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}")
     memo, total = {}, _Sum(code.n_qubits)
 
     def merge():
@@ -284,23 +333,25 @@ def transform_hamiltonian(
         if held <= budget < len(total.c):  # the first term whose new strings pass it
             j = new[budget - held]
             raise BudgetError(
-                f"merge: term {j} ({h.terms[j - 1]}) brings the merged operator to "
+                f"merge: term {j} ({h.term(j - 1)}) brings the merged operator to "
                 f"{held + np.count_nonzero(new <= j)} terms, over the budget of {budget}"
             )
 
-    live = (  # 2**|care| bounds the rows of a term's affine tables
-        (1 << item[2].bit_count(), (index, term, item))
-        for index, (term, item) in enumerate(zip(h.terms, pack_terms(h.terms)), start=1)
-        if item is not None
-    )
-    for chunk in _chunked(live):
-        indices = np.array([index for index, _, _ in chunk])
-        items = _items(code, [item for _, _, item in chunk])
-        parts = _expand(code, items, budget, memo)
+    *packed, live = h.packed
+    index = np.flatnonzero(live)
+    weight = np.bitwise_count(packed[2][index]).sum(axis=1, dtype=np.int64)
+    for lo, hi in _chunked(np.left_shift(1, np.minimum(weight, _CHUNK_ROWS.bit_length()))):
+        chunk = index[lo:hi]
+        parts = _expand(code, _items(code, [column[chunk] for column in packed]), budget, memo)
         try:
-            for item, x, z, c in _named(parts, chunk):
-                if total.add(indices[item], x, z, c):
+            for item, x, z, c in parts:
+                if total.add(chunk[item] + 1, x, z, c):
                     merge()
+        except BudgetError as exc:  # an item's own (a merge's has no item): name its term
+            if not hasattr(exc, "item"):
+                raise
+            j = int(chunk[exc.item])
+            raise BudgetError(f"term {j + 1} ({h.term(j)}): {exc}") from exc
         finally:  # the terms before a failing one are merged, and checked, first
             merge()
     out = total.operator()
@@ -360,11 +411,7 @@ def transform_op_linear(code: Code, j: int, dagger: bool) -> QubitOperator:
 
 
 def transform_single_two_codes(
-    code_even: Code,
-    code_odd: Code,
-    j: int,
-    dagger: bool,
-    budget: int = DEFAULT_BUDGET,
+    code_even: Code, code_odd: Code, j: int, dagger: bool, budget: int = DEFAULT_BUDGET
 ) -> QubitOperator:
     """Single ladder operator using separate codes for the two particle sectors.
 
@@ -376,13 +423,11 @@ def transform_single_two_codes(
     """
     if code_even.n_qubits != code_odd.n_qubits or code_even.n_modes != code_odd.n_modes:
         raise DimensionError("sector codes must share mode and qubit counts")
-    term = FermionTerm.of(1, (j, dagger))
-    term.check_modes(code_even.n_modes)
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
     # The q form even where the outgoing encode is linear: e_out(d_in(w)) != w.
     code = Code(incoming.n_modes, incoming.n_qubits, outgoing.encode, incoming.decode)
-    items = _items(code, [next(pack_terms([term]))], q_form=True)
-    return _operator(code.n_qubits, _expand(code, items, budget))
+    *packed, _ = FermionHamiltonian(code.n_modes, (FermionTerm.of(1, (j, dagger)),)).packed
+    return _operator(code.n_qubits, _expand(code, _items(code, packed, q_form=True), budget))
 
 
 # -- reordering and segment dressing --------------------------------------------
@@ -423,7 +468,7 @@ def normal_order_blocks(h: FermionHamiltonian) -> FermionHamiltonian:
                 cur[m - 1], cur[m] = right, left
                 c = -c
             stack.append((c, cur))
-    return FermionHamiltonian(h.n_modes, tuple(out)).merged()
+    return _merged(h.n_modes, out)
 
 
 def _cap(segment: tuple[int, ...], weight: int, gain: int) -> list[tuple[float, tuple]]:
@@ -490,4 +535,4 @@ def adjust_for_segments(
         for factor in factors:
             dressed = [(c * cf, o + of) for c, o in dressed for cf, of in factor]
         out += (FermionTerm(c, ops) for c, ops in dressed)
-    return FermionHamiltonian(h.n_modes, tuple(out)).merged()
+    return _merged(h.n_modes, out)

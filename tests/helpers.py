@@ -8,7 +8,9 @@ significant) bit. ``nonlinear_codes`` draws random truth-table codes;
 ``reference_serialize`` writes an operator's text as ``serialize`` once did;
 ``reference_validate_code``, ``reference_decode_image`` and
 ``reference_is_degenerate_image`` check a code one word at a time, as
-``fermicode.codes`` once did.
+``fermicode.codes`` once did. ``reference_pack`` walks each ladder product
+in Python ints, as ``fermicode.transform.pack_terms`` once did, and
+``item_columns`` turns such items into the oracle's limb-row columns.
 """
 
 import functools
@@ -249,3 +251,35 @@ def reference_validate_code(code, spec, budget, sample=None, seed=0):
         if code.encode_vec(nu) != w:
             one_to_one = False
     return ValidationReport(failures, images_outside, degenerate, one_to_one, len(words))
+
+
+def reference_pack(terms):
+    """Action item ``(flip, z, care, want, c)`` of each ladder product, or None
+    when it vanishes on every state, walked operator by operator on Python
+    ints: the product maps ``|w>`` to ``c (-1)^|w & z| |w ^ flip>`` when
+    ``w & care == want``, else to 0."""
+    for term in terms:
+        flip = z = care = want = odd = 0
+        for m, dagger in reversed(term.ops):
+            bit = 1 << m - 1
+            below = bit - 1
+            need = (0 if dagger else bit) ^ (flip & bit)
+            if care & bit and want & bit != need:
+                yield None
+                break
+            care |= bit
+            want |= need
+            z ^= below
+            odd += (flip & below).bit_count()
+            flip ^= bit
+        else:  # times a float sign, so zeros keep the signs of ``coeff * sign``
+            yield flip, z, care, want, term.coeff * (-1.0 if odd & 1 else 1.0)
+
+
+def item_columns(items, n_bits):
+    """Python-int items ``(flip, z, care, want, c)`` as the oracle's columns:
+    limb rows of the four masks, and the coefficients."""
+    from fermicode.bitmath import _words
+
+    rows = [_words([it[k] for it in items], n_bits) for k in range(4)]
+    return (*rows, np.array([it[4] for it in items], dtype=complex))

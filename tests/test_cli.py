@@ -13,7 +13,7 @@ from fermicode import cli
 from fermicode.cli import h2_hamiltonian, hubbard_hamiltonian, main
 from fermicode.errors import BudgetError
 from fermicode.pauli import QubitOperator
-from fermicode.transform import adjust_for_segments, parse_fermion_file
+from fermicode.transform import FermionHamiltonian, adjust_for_segments, parse_fermion_file
 
 
 H2_CODE_SPEC = {
@@ -212,7 +212,7 @@ class TestVerifyCommand:
                 else t
                 for t in dressed.terms
             )
-            return replace(dressed, terms=terms)
+            return FermionHamiltonian(dressed.n_modes, terms)
 
         monkeypatch.setattr(cli, "adjust_for_segments", faulty_dressing)
         rc = main([
@@ -457,6 +457,13 @@ class TestExitCodes:
         path.write_text("# modes: 4\n1 0 : +1 -1\n")
         assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:4"]) == 0
         assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:1"]) == 2
+
+    def test_mode_over_the_header_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text("# modes: 3\n1 0 : +1 -1\n1 0 : +5 -2\n")
+        assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: line 3: mode 5 exceeds declared mode count 3\n"
 
     def test_epsilon_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

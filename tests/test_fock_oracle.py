@@ -29,11 +29,11 @@ from fermicode.fock_oracle import (
     QubitStateVector,
     _amplitudes,
     _Batch,
-    _columns,
     _image,
     _pack_strings,
-    _pack_terms,
+    _int_items,
     _string_columns,
+    _term_columns,
     apply_fermion_term,
     apply_hamiltonian_fock,
     apply_qubit_operator,
@@ -56,6 +56,7 @@ from helpers import (
     dense_fermion_hamiltonian,
     dense_fermion_term,
     dense_operator,
+    item_columns,
     nonlinear_codes,
     random_invertible_bitmat,
 )
@@ -135,7 +136,7 @@ WIDTHS = (1, 2, 3, 5, 8, 13, 31, 63, 64, 65, 70)
 def batch_amplitudes(items, n, states, plan=None):
     """``_amplitudes`` of ``states`` as one array, yielded 5 rows at a time,
     with every flip group on ``plan`` when given, labelled as in a large batch."""
-    b, words = _Batch(_columns(items, n), n), _words(states, n)
+    b, words = _Batch(item_columns(items, n), n), _words(states, n)
     if plan is not None:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fock_oracle, "_DIRECT", -1)
@@ -183,7 +184,7 @@ def ladder_items(rng, n):
         terms.append(FermionTerm(c, ops))
         if rng.random() < 0.3:  # same target, amplitudes that cancel
             terms.append(FermionTerm(-c, ops))
-    items = _pack_terms(terms)
+    items = _int_items(_term_columns(FermionHamiltonian(n, terms)))
     states = [rng.getrandbits(n) for _ in range(12)]
     # states each of some items acts on, other bits random
     states += [want | (rng.getrandbits(n) & ~care) for _, _, care, want, _ in items[:12]]
@@ -304,11 +305,11 @@ class TestPlan:
         # 45 distinct low halves, 10 distinct high halves
         basis = enumerate_basis(parse_basis_spec("1-10:2;11-20:1", 20))
         words = _words([nu.value for nu in basis], 20)
-        sides = [(_pack_terms(h.terms), words, 20),
+        sides = [(_int_items(_term_columns(h)), words, 20),
                  (_pack_strings(hq), code.encode_words(words), code.n_qubits)]
         chosen = set()
         for items, w, n in sides:
-            plan = _Batch(_columns(items, n), n).plan(w)[0].tolist()
+            plan = _Batch(item_columns(items, n), n).plan(w)[0].tolist()
             ints = _ints(w)
             low = (1 << n // 2) - 1
             halves = (low, ((1 << n) - 1) ^ low)
@@ -531,7 +532,7 @@ class TestEquivalence:
         )
         hq = transform_hamiltonian(code, adjust_for_segments(h, code.segments, 1))
         basis = enumerate_basis(BasisSpec(6, ((1, 2, 3), (4, 5, 6)), ((1, 2), (0,))))
-        items = _pack_terms(h.terms)
+        items = _int_items(_term_columns(h))
         assert all(
             code.in_basis(BitVec.from_int(k, 6)) for nu in basis for k in _image(nu.value, items)
         )
@@ -597,7 +598,7 @@ class TestEquivalence:
         basis = enumerate_basis(BasisSpec(n, suits, ((0,), (1,), (1,), (1,), (0,))))
         report = verify_equivalence(code, h, QubitOperator.zero(code.n_qubits), basis)
         assert (report.status, len(report.failures)) == ("incompatible", len(basis))
-        items = _pack_terms(h.terms)
+        items = _int_items(_term_columns(h))
         unsorted = 0
         for nu, f in zip(basis, report.failures):
             image = _image(nu.value, items)

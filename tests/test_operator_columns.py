@@ -18,10 +18,12 @@ import numpy as np
 
 from fermicode.cli import hubbard_hamiltonian
 from fermicode.codes import enumerate_basis, load_code, parse_basis_spec
-from fermicode.fock_oracle import _Batch, _columns, _pack_strings, _string_columns
+from fermicode.fock_oracle import _Batch, _pack_strings, _string_columns
 from fermicode.fock_oracle import verify_equivalence
 from fermicode.pauli import PauliString, QubitOperator
 from fermicode.transform import adjust_for_segments, transform_hamiltonian
+
+from helpers import item_columns
 
 EXPECTED_JSON = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
@@ -59,7 +61,7 @@ def test_string_batch_from_columns_equals_the_packed_items():
             s = PauliString.from_masks(n, rng.choice(flips), rng.getrandbits(n))
             terms[s] = complex(rng.choice([0.0, -0.0, rng.uniform(-1, 1)]), rng.uniform(-1, 1))
         op = QubitOperator(n, terms)
-        got, want = _Batch(_string_columns(op), n), _Batch(_columns(_pack_strings(op), n), n)
+        got, want = _Batch(_string_columns(op), n), _Batch(item_columns(_pack_strings(op), n), n)
         for name in ("group", "flips", "z", "care", "want", "halves"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.coeff.tobytes() == want.coeff.tobytes()  # signed zeros too

@@ -35,6 +35,7 @@ from .codes import (
 )
 from .errors import (
     BudgetError,
+    DimensionError,
     FermicodeError,
     InputFormatError,
     NonFiniteError,
@@ -203,6 +204,8 @@ def _cmd_run(args) -> int:
     it is written, so a run that fails first leaves an existing file as it was."""
     h = _load_hamiltonian(args, args.budget)
     code = load_code(args.code)
+    if h.n_modes != code.n_modes:  # also before the dressing reads the code's segments
+        raise DimensionError(f"Hamiltonian has {h.n_modes} modes, code encodes {code.n_modes}")
     if args.verify:
         basis = enumerate_basis(parse_basis_spec(args.basis, code.n_modes), args.budget)
     report_only = args.command == "verify"

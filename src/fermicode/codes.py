@@ -42,7 +42,7 @@ class Code:
     Structure derived from encode/decode (linearity, the encode's linear
     columns, each decode component's split into Z mask, constant, support
     and nonlinear monomials, each update flip piece's qubit support, a
-    linear code's matrices, whole and cut monomial tables, the leaf blocks) is
+    linear code's matrices, the monomial tables, the leaf blocks) is
     computed on first use and kept on the instance; ``dataclasses.replace``
     builds a new instance, so it never sees stale values.
     """
@@ -129,29 +129,21 @@ class Code:
     # -- structure ---------------------------------------------------------
 
     @cached_property
-    def tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Encode and decode as ``bitmath._evaluate`` tables (``_table``)."""
-        return (
-            _table(enumerate(p.masks for p in self.encode), self.n_modes, self.n_qubits),
-            _table(enumerate(p.masks for p in self.decode), self.n_qubits, self.n_modes),
-        )
-
-    @cached_property
-    def _cuts(self) -> dict:
+    def _tables(self) -> dict:
         return {}
 
     def table(self, side: int, mask: int | None, limbs: int) -> tuple[np.ndarray, np.ndarray]:
-        """``tables[side]`` (0 encode, 1 decode), or its components in ``mask``
-        alone, kept per key: read from rows of ``limbs`` limbs and, for a
-        decode, written to rows of the mask's bit length (for the map)."""
-        if mask is None:
-            return self.tables[side]
-        if (side, mask, limbs) not in self._cuts:
-            polys = (self.encode, self.decode)[side]
+        """The encode (side 0) or decode (side 1) as a ``bitmath._evaluate``
+        table (``_table``), only its components in ``mask`` (None for all),
+        kept per key: read from rows of ``limbs`` limbs and, for a decode,
+        written to rows of the mask's bit length (for the map)."""
+        polys = (self.encode, self.decode)[side]
+        mask = (1 << len(polys)) - 1 if mask is None else mask
+        if (side, mask, limbs) not in self._tables:
             picked = [(i, polys[i].masks) for i in range(len(polys)) if mask >> i & 1]
             width = mask.bit_length() if side else self.n_qubits
-            self._cuts[side, mask, limbs] = _table(picked, 64 * limbs, width)
-        return self._cuts[side, mask, limbs]
+            self._tables[side, mask, limbs] = _table(picked, 64 * limbs, width)
+        return self._tables[side, mask, limbs]
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int | None], ...]:

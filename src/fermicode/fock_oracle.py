@@ -3,9 +3,9 @@
 On a basis word a ladder-operator product and a Pauli string have the same
 form: a flip mask, a Z-mask parity sign and a coefficient, and for the
 ladder product a check that the touched modes start at the occupations it
-needs. A Hamiltonian's items are the limb rows its ``transform.pack_terms``
-caches for the operator map too (``_term_columns``), an operator's are read
-off its columns (``_string_columns``), and two kernels apply them:
+needs. A Hamiltonian's items are those of its live products, cached for the
+operator map too (``h.packed``); an operator's are read off its columns
+(``_string_columns``), and two kernels apply them:
 
 - ``_image`` maps one basis word, as Python ints, to its targets in the
   order its acting items meet them, the items converted once per call
@@ -42,12 +42,6 @@ from .codes import Code
 from .errors import DimensionError, UnsupportedCodeError
 from .pauli import QubitOperator
 from .transform import FermionHamiltonian, FermionTerm, transform_op_linear
-
-
-def _term_columns(h: FermionHamiltonian) -> tuple[np.ndarray, ...]:
-    """``h.packed`` without its items that vanish on every state."""
-    *columns, live = h.packed
-    return tuple(column[live] for column in columns)
 
 
 def _int_items(columns: tuple) -> list[tuple[int, int, int, int, complex]]:
@@ -111,7 +105,7 @@ _DIRECT = 1 << 17
 
 
 class _Batch:
-    """Packed items as limb arrays (``_term_columns`` or ``_string_columns``),
+    """Packed items as limb arrays (``h.packed`` or ``_string_columns``),
     with the distinct flips they move states by, in first-appearance order.
 
     Item ``i`` sends an acting state ``w`` to ``w ^ flips[group[i]]``.
@@ -119,7 +113,7 @@ class _Batch:
     """
 
     def __init__(self, columns: tuple, n_bits: int):
-        flip, self.z, self.care, self.want, self.coeff = columns
+        flip, self.z, self.care, self.want, self.coeff = columns[:5]
         label, first = _labels(flip)
         rank = np.empty(len(first), dtype=np.int64)
         rank[np.argsort(first)] = np.arange(len(first))
@@ -247,7 +241,7 @@ class QubitStateVector(_SparseState):
 
 def apply_fermion_term(term: FermionTerm, nu: BitVec) -> tuple[complex, BitVec] | None:
     """Image (coefficient, state) of one basis state; None when annihilated."""
-    items = _int_items(_term_columns(FermionHamiltonian(nu.n, (term,))))
+    items = _int_items(FermionHamiltonian(nu.n, (term,)).packed)
     for occ, coeff in _image(nu.value, items).items():
         return coeff, BitVec.from_int(occ, nu.n)
     return None
@@ -256,7 +250,7 @@ def apply_fermion_term(term: FermionTerm, nu: BitVec) -> tuple[complex, BitVec] 
 def apply_hamiltonian_fock(h: FermionHamiltonian, state: FockStateVector) -> FockStateVector:
     if h.n_modes != state.n_modes:
         raise DimensionError("mode count mismatch")
-    out = _apply_sparse(_int_items(_term_columns(h)), state.amplitudes, h.n_modes)
+    out = _apply_sparse(_int_items(h.packed), state.amplitudes, h.n_modes)
     return FockStateVector(h.n_modes, out)
 
 
@@ -316,8 +310,7 @@ def verify_equivalence(
     for i, nu in enumerate(basis):
         if nu.n != code.n_modes:
             raise DimensionError(f"basis[{i}] = {nu} has {nu.n} modes, code encodes {code.n_modes}")
-    columns = _term_columns(h)
-    terms, items = _Batch(columns, code.n_modes), None
+    terms, items = _Batch(h.packed, code.n_modes), None
     strings = _Batch(_string_columns(hq), code.n_qubits)
     words = _words([nu.value for nu in basis], code.n_modes)
     encoded = code.encode_words(words)
@@ -346,7 +339,7 @@ def verify_equivalence(
         for row, k in zip(rows[s[outside]].tolist(), _ints(image[outside])):
             bad.setdefault(row, set()).add(k)
         for i, targets in bad.items():
-            items = _int_items(columns) if items is None else items
+            items = _int_items(h.packed) if items is None else items
             nu = basis[i]
             at = [BitVec.from_int(k, nu.n) for k in _image(nu.value, items) if k in targets]
             detail = "image leaves the encoded basis at " + ", ".join(map(str, at[:4]))
@@ -418,8 +411,7 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
     """Dense matrix of the Hamiltonian over an occupation basis list."""
     if any(nu.n != h.n_modes for nu in basis):
         raise DimensionError("mode count mismatch")
-    columns = _term_columns(h)
-    terms = _Batch(columns, h.n_modes)
+    terms = _Batch(h.packed, h.n_modes)
     words = _words([nu.value for nu in basis], h.n_modes)
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     step = max(1, _CELLS // max(len(terms.flips), 1))
@@ -433,7 +425,7 @@ def fock_matrix(h: FermionHamiltonian, basis: list[BitVec]) -> np.ndarray:
             col = s[escape][0]
             nu = basis[c0 + col]
             missing = set(_ints(image[escape & (s == col)]))
-            k = next(k for k in _image(nu.value, _int_items(columns)) if k in missing)
+            k = next(k for k in _image(nu.value, _int_items(h.packed)) if k in missing)
             raise ValueError(
                 f"Hamiltonian maps {nu} outside the given basis "
                 f"(to {BitVec.from_int(k, h.n_modes)})"

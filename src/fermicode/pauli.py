@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -158,8 +159,8 @@ class QubitOperator:
     removes exact-zero cancellation residue; everything else is kept exactly.
     The strings are held as read-only ``columns``, limb rows ``x`` and ``z``
     and the complex ``c``, in first-appearance order, as the map's ``_Sum``
-    holds them; ``terms``, the dict ``{PauliString: c}`` in that order, is
-    built when first read, and a dict-built operator's columns likewise.
+    holds them; ``terms``, a read-only view of ``{PauliString: c}`` in that
+    order, is built when first read, and a dict-built operator's columns likewise.
     """
 
     __slots__ = ("n", "prune_epsilon", "_terms", "_columns")
@@ -176,6 +177,7 @@ class QubitOperator:
     def _hold(self, n, eps, terms, columns):
         for column in columns or ():
             column.setflags(write=False)
+        terms = MappingProxyType(terms) if isinstance(terms, dict) else terms  # a view, or None
         for name, value in zip(self.__slots__, (n, eps, terms, columns)):
             object.__setattr__(self, name, value)
 
@@ -210,11 +212,11 @@ class QubitOperator:
         raise AttributeError("QubitOperator is immutable; operations return new values")
 
     @property
-    def terms(self) -> dict[PauliString, complex]:
+    def terms(self) -> MappingProxyType:
         if self._terms is None:
             x, z, c = self._columns
             strings = (tuple.__new__(PauliString, (self.n, *s)) for s in zip(_ints(x), _ints(z)))
-            object.__setattr__(self, "_terms", dict(zip(strings, c.tolist())))
+            self._hold(self.n, self.prune_epsilon, dict(zip(strings, c.tolist())), self._columns)
         return self._terms
 
     @property
@@ -411,11 +413,12 @@ def _spelled(n: int, digits: np.ndarray) -> np.ndarray:
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform over the packed-bit index."""
+    """In-place Walsh-Hadamard transform over the packed-bit index, the last axis."""
     h = 1
-    while h < len(values):
-        pairs = values.reshape(-1, 2, h)
-        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+    while h < values.shape[-1]:
+        pairs = values.reshape(-1, values.shape[-1] // (2 * h), 2, h)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        low[...], high[...] = low + high, low - high
         h *= 2
     return values
 
@@ -439,9 +442,10 @@ def _group_terms(
     group's i-th qubit, so also the Z masks. ``memo`` keeps the grid with
     its decodes, each on the ``d_m`` some group's factors and update ``e_j``
     read (``code.decode_words``); the flips are those ``e_j`` of the decode XOR
-    ``q`` (``code.encode_words``), XOR the grid. Each flip pattern's share of
-    the table, patterns in X-mask order, is Walsh-transformed; without update
-    members the one pattern is 0. The table and the terms count against ``budget``.
+    ``q`` (``code.encode_words``), XOR the grid. The shares of the table, one
+    per flip pattern in X-mask order, are the rows of one array that one pass
+    Walsh-transforms; without update members the one pattern is 0. The table
+    and the terms count against ``budget``, the terms up to the first share over it.
     """
     n, k = code.n_qubits, mask.bit_count()
     if 1 << k > budget:
@@ -461,7 +465,7 @@ def _group_terms(
     values = 1.0 - 2.0 * poly_table(sign, grid) if sign else np.ones(1 << k)
     for m, a, b in (piece for kind, piece in members if kind == 1):
         values *= a + b * (1.0 - 2.0 * (decodes[modes][:, m // 64] >> np.uint64(m % 64) & 1))
-    patterns, shares = np.zeros((1, grid.shape[1]), dtype=np.uint64), [values]
+    patterns, shares = np.zeros((1, grid.shape[1]), dtype=np.uint64), values[None]
     if update_qubits:
         rows = decodes[modes] ^ _words([q], code.n_modes)[:, : decodes[modes].shape[1]]
         t = (code.encode_words(rows, update_qubits) ^ grid) & _words([update_qubits], n)
@@ -472,21 +476,15 @@ def _group_terms(
         p = len(first)
         if p * p > budget:
             raise BudgetError(f"{p} flip patterns need at least {p * p} terms, budget {budget}")
-        share = np.full(1 << k, -1)
-        share[nonzero] = label
-        patterns = t[nonzero[first]]
-        shares = [np.where(share == i, values, 0.0) for i in range(p)]
-    points, cs, reached = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], 0
-    for row in shares:
-        coeffs = _fwht(row) / (1 << k)
-        points.append(np.flatnonzero(np.abs(coeffs) > DEFAULT_PRUNE))
-        cs.append(coeffs[points[-1]])
-        reached += len(points[-1])
-        if reached > budget:
-            raise BudgetError(f"expansion reached {reached} terms, budget {budget}")
-    t = np.repeat(patterns, [len(p) for p in points[1:]], axis=0)
-    z = grid[np.concatenate(points)]
-    c = np.concatenate(cs)
+        patterns, shares = t[nonzero[first]], np.zeros((p, 1 << k))
+        shares[label, nonzero] = values[nonzero]
+    coeffs = _fwht(shares)
+    coeffs /= 1 << k
+    row, point = np.nonzero(np.abs(coeffs) > DEFAULT_PRUNE)  # pattern-major
+    if len(row) > budget:  # the terms through the first share that passes it
+        reached = np.searchsorted(row, row[budget], "right")
+        raise BudgetError(f"expansion reached {reached} terms, budget {budget}")
+    t, z, c = patterns[row], grid[point], coeffs[row, point]
     for column in (t, z, c):
         column.setflags(write=False)
     return t, z, c

@@ -5,16 +5,16 @@ a projector onto the correct occupation and a parity-sign operator (both
 diagonal), followed by a single update operator that flips the code word.
 A ``FermionHamiltonian`` holds its terms as columns, which
 ``parse_fermion_file`` fills with one compiled pattern per line and numpy
-conversions. ``pack_terms`` walks all ladder products at once into action
-items held as limb rows, cached for the map and the Fock oracle. ``_items``
-turns them into ``pauli._expand``'s columns over the decode components: a
-sign ``(-1)^d_m`` per parity mode, a projector per needed occupation, and
-as flips the update's constant mask (linear encodings: the XOR of the
-encode columns) or the code's update ``encode(decode(w) + q) + w`` at q =
-the flip. ``transform_hamiltonian`` runs the kernel over chunks of terms
-with one memo of group tables per call, and merges the columns in term
-order into the operator's own. For classical n = N codes the map collapses
-to parity/flip/update index sets.
+conversions. ``pack_terms`` walks all ladder products at once into the
+action items of the live ones, limb rows cached for the map and the Fock
+oracle. ``_items`` turns them into ``pauli._expand``'s columns over the
+decode components: a sign ``(-1)^d_m`` per parity mode, a projector per
+needed occupation, and as flips the update's constant mask (linear
+encodings: the XOR of the encode columns) or the code's update
+``encode(decode(w) + q) + w`` at q = the flip. ``transform_hamiltonian``
+runs the kernel over ranges of items with one memo of group tables per
+call, and merges the columns in term order into the operator's own. For
+classical n = N codes the map collapses to parity/flip/update index sets.
 
 Also here: reordering of particle-conserving Hamiltonians into creation/
 annihilation pair blocks, the two-code single-operator recipe, and the
@@ -44,7 +44,8 @@ from .errors import (
     NonHermitianError,
     UnsupportedCodeError,
 )
-from .pauli import _CHUNK_ROWS, Items, QubitOperator, _bits, _chunked, _expand, _operator, _Sum
+from .pauli import _CHUNK_ROWS, Items, QubitOperator, _bits, _chunked, _expand, _item, _operator
+from .pauli import _Sum
 from .pauli import extract, poly_table  # noqa: F401  (perfbench/spans.py patches them here)
 
 
@@ -80,11 +81,12 @@ class FermionHamiltonian:
     """Sum of fermionic terms over modes 1..N, held as columns: the complex
     ``coeff`` of each term and the signed-mode matrix ``ops``, whose row holds
     the term's operators leftmost first (``+m`` a creation, ``-m`` an
-    annihilation, then 0s). ``terms`` and ``packed`` (``pack_terms``) are
-    built when first read; terms given are checked on the columns."""
+    annihilation, then 0s). Both are read-only and no attribute can be set, so
+    ``terms`` and ``packed`` (``pack_terms``), built when first read, never go
+    stale; terms given are checked on the columns."""
 
     def __init__(self, n_modes: int, terms: Iterable[FermionTerm]):
-        self.terms = terms = tuple(terms)
+        terms = tuple(terms)
         modes = [m for t in terms for m, _ in t.ops]
         raw = np.fromiter(modes, np.int64, len(modes))  # a mode past int64 raises OverflowError
         bad = np.flatnonzero((raw < 1) | (raw > n_modes))
@@ -92,13 +94,25 @@ class FermionHamiltonian:
             raise DimensionError(f"mode {modes[bad[0]]} outside 1..{n_modes}")
         dagger = np.fromiter([d for t in terms for _, d in t.ops], bool, len(modes))
         signed = np.where(dagger, raw, -raw)
-        self.n_modes, self.coeff = n_modes, np.array([t.coeff for t in terms], dtype=complex)
-        self.ops = _padded(np.array([len(t.ops) for t in terms], dtype=np.intp), signed)
+        ops = _padded(np.array([len(t.ops) for t in terms], dtype=np.intp), signed)
+        self._hold(n_modes, np.array([t.coeff for t in terms], dtype=complex), ops, terms=terms)
+
+    def _hold(self, n_modes: int, coeff: np.ndarray, ops: np.ndarray, **cached):
+        """Hold checked columns read-only (and caches given): every Hamiltonian is built here."""
+        for column in (coeff, ops):
+            column.setflags(write=False)
+        self.__dict__.update(n_modes=n_modes, coeff=coeff, ops=ops, **cached)
+        return self
+
+    @classmethod
+    def _of(cls, n_modes: int, coeff: np.ndarray, ops: np.ndarray) -> "FermionHamiltonian":
+        return object.__new__(cls)._hold(n_modes, coeff, ops)
+
+    def __setattr__(self, *_):
+        raise AttributeError("FermionHamiltonian is immutable; operations return new values")
 
     def term(self, i: int) -> FermionTerm:
-        """Term ``i`` (0-based), built from the columns unless ``terms`` is."""
-        if "terms" in self.__dict__:
-            return self.terms[i]
+        """Term ``i`` (0-based), built from the columns."""
         ops = tuple((abs(s), s > 0) for s in self.ops[i].tolist() if s)
         return FermionTerm(complex(self.coeff[i]), ops)
 
@@ -108,22 +122,15 @@ class FermionHamiltonian:
 
     @functools.cached_property
     def packed(self) -> tuple[np.ndarray, ...]:
-        packed = pack_terms(self)
-        for column in packed:  # every reader shares them
-            column.setflags(write=False)
-        return packed
+        return pack_terms(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FermionHamiltonian) and (self.n_modes, self.terms) == (
             other.n_modes, other.terms)
 
-    def merged(self) -> "FermionHamiltonian":
-        """Combine identical operator sequences and drop vanished terms."""
-        return _merged(self.n_modes, self.terms)
-
 
 def _merged(n_modes: int, terms: Iterable[FermionTerm]) -> FermionHamiltonian:
-    """``FermionHamiltonian(n_modes, terms).merged()``, with no columns for the unmerged terms."""
+    """``terms`` with identical operator sequences combined and vanished ones dropped."""
     acc: dict[tuple, complex] = {}
     for t in terms:
         acc[t.ops] = acc.get(t.ops, 0.0) + t.coeff
@@ -131,10 +138,10 @@ def _merged(n_modes: int, terms: Iterable[FermionTerm]) -> FermionHamiltonian:
 
 
 def pack_terms(h: FermionHamiltonian) -> tuple[np.ndarray, ...]:
-    """Action items ``(flip, z, care, want, c, live)`` of the ladder products:
-    limb rows of mode masks, the complex ``c`` and whether the product lives.
-    A live product maps ``|w>`` to ``c (-1)^|w & z| |w ^ flip>`` when
-    ``w & care == want``, else to 0; a dead one vanishes on every state.
+    """Action items ``(flip, z, care, want, c, term)`` of the live ladder
+    products (those not vanishing on every state), read-only: limb rows of
+    mode masks, the complex ``c`` and its term's index. An item maps ``|w>``
+    to ``c (-1)^|w & z| |w ^ flip>`` when ``w & care == want``, else to 0.
 
     The walk compares each pair of a term's operators, in the order they
     apply, over all terms at once. An operator needs its mode to start
@@ -149,7 +156,7 @@ def pack_terms(h: FermionHamiltonian) -> tuple[np.ndarray, ...]:
     pair = on[:, None] & on[None, :] & np.less.outer(*[np.arange(len(a))] * 2)[:, :, None]
     same = pair & (m[:, None] == m[None, :])
     need = (a < 0) ^ np.bitwise_xor.reduce(same, axis=0)
-    live = ~(same & (need[:, None] != need[None, :])).any(axis=(0, 1))
+    term = np.flatnonzero(~(same & (need[:, None] != need[None, :])).any(axis=(0, 1)))
     odd = np.count_nonzero(pair & (m[:, None] < m[None, :]), axis=(0, 1)) & 1
     # Each operator's mode bit and the bits below it, on every limb of the term's rows.
     mode = m[:, :, None] - 1  # -1 for padding: no bit on any limb
@@ -159,7 +166,10 @@ def pack_terms(h: FermionHamiltonian) -> tuple[np.ndarray, ...]:
     flip, care = np.bitwise_xor.reduce(bit, axis=0), np.bitwise_or.reduce(bit, axis=0)
     want = np.bitwise_or.reduce(np.where(need[:, :, None], bit, np.uint64(0)), axis=0)
     z = np.bitwise_xor.reduce(below, axis=0)
-    return flip, z, care, want, h.coeff * np.where(odd, -1.0, 1.0), live
+    items = *(column[term] for column in (flip, z, care, want, h.coeff * (1 - 2.0 * odd))), term
+    for column in items:  # every reader of ``h.packed`` shares them
+        column.setflags(write=False)
+    return items
 
 
 # -- Hamiltonian files --------------------------------------------------------
@@ -236,9 +246,7 @@ def parse_fermion_file(text: str, n_modes: int | None = None) -> FermionHamilton
     for t, k in np.argwhere(np.abs(ops) > n)[:1]:  # the first line with a mode over n
         lineno, mode = at[order[t]] + 1, abs(ops[t, k])
         raise InputFormatError(f"line {lineno}: mode {mode} exceeds declared mode count {n}")
-    h = object.__new__(FermionHamiltonian)  # columns checked above
-    h.n_modes, h.coeff, h.ops = n, coeff[order], ops
-    return h
+    return FermionHamiltonian._of(n, coeff[order], ops)  # columns checked above
 
 
 def format_fermion_file(h: FermionHamiltonian) -> str:
@@ -259,14 +267,14 @@ def parity_function(code: Code, j: int) -> BoolPoly:
     return poly_sum(code.decode[: j - 1], code.n_qubits)
 
 
-def _items(code: Code, packed: tuple, q_form: bool = False, updates_only: bool = False) -> Items:
+def _items(code: Code, packed: tuple, updates_only: bool = False) -> Items:
     """``_expand`` items of ``pack_terms`` items ``(flip, z, care, want, c)``
     over the pieces ``Code.decode_split``: the sign ``(-1)^d_m`` for each
     mode of ``z``, the projector onto the ``d_m`` that ``want`` holds for
     each mode of ``care``, and as flips a linear encoding's mask (the XOR of
-    the flipped modes' encode columns) or, for a nonlinear encoding or with
-    ``q_form``, the code's update at ``q = flip``. A scalar (empty ``care``)
-    has no flips, unless ``updates_only`` says the items are bare updates."""
+    the flipped modes' encode columns) or, for a nonlinear encoding, the
+    code's update at ``q = flip``. A scalar (empty ``care``) has no flips,
+    unless ``updates_only`` says the items are bare updates."""
     flip, z, care, want, scale = packed
     n_modes, n = code.n_modes, code.n_qubits
     s_item, s_piece = np.nonzero(_bits(z, n_modes))
@@ -274,7 +282,7 @@ def _items(code: Code, packed: tuple, q_form: bool = False, updates_only: bool =
     b = np.where(_bits(want, n_modes)[f_item, f_piece], -0.5, 0.5)
     flips = np.zeros((len(scale), max(1, -(-n // 64))), dtype=np.uint64)
     qs = [None] * len(scale)
-    if not q_form and code.encode_is_linear:
+    if code.encode_is_linear:
         t_item, t_mode = np.nonzero(_bits(flip, n_modes))
         np.bitwise_xor.at(flips, t_item, _words(code.encode_columns, n)[t_mode])
     else:
@@ -296,10 +304,9 @@ def update_operator(code: Code, q: BitVec, budget: int = DEFAULT_BUDGET) -> Qubi
 
 
 def transform_term(code: Code, term: FermionTerm, budget: int = DEFAULT_BUDGET) -> QubitOperator:
-    """Qubit image of one fermionic term under the code's operator map."""
-    *packed, live = FermionHamiltonian(code.n_modes, (term,)).packed
-    if not live[0]:
-        return QubitOperator.zero(code.n_qubits)
+    """Qubit image of one fermionic term under the code's operator map: zero
+    for a product that vanishes on every state, which packs to no item."""
+    packed = FermionHamiltonian(code.n_modes, (term,)).packed[:5]
     return _operator(code.n_qubits, _expand(code, _items(code, packed), budget))
 
 
@@ -315,8 +322,8 @@ def transform_hamiltonian(
     in its own expansion or by growing the merged sum past ``budget``; the
     checks run in term order, each term's own before its merge.
 
-    The live items of ``h.packed`` go through ``_expand`` in chunks
-    (``pauli._chunked``, 2**|care| bounding a term's affine rows) that share
+    The items of ``h.packed`` go through ``_expand`` in ranges
+    (``pauli._chunked``, 2**|care| bounding an item's affine rows) that share
     one memo of group tables for this call. A term whose image vanishes on
     the code space stops at its first all-zero group table, before a later
     group's budget check. The columns are summed in term order
@@ -337,20 +344,18 @@ def transform_hamiltonian(
                 f"{held + np.count_nonzero(new <= j)} terms, over the budget of {budget}"
             )
 
-    *packed, live = h.packed
-    index = np.flatnonzero(live)
-    weight = np.bitwise_count(packed[2][index]).sum(axis=1, dtype=np.int64)
+    *packed, term = h.packed
+    weight = np.bitwise_count(packed[2]).sum(axis=1, dtype=np.int64)
     for lo, hi in _chunked(np.left_shift(1, np.minimum(weight, _CHUNK_ROWS.bit_length()))):
-        chunk = index[lo:hi]
-        parts = _expand(code, _items(code, [column[chunk] for column in packed]), budget, memo)
+        parts = _expand(code, _items(code, [column[lo:hi] for column in packed]), budget, memo)
         try:
             for item, x, z, c in parts:
-                if total.add(chunk[item] + 1, x, z, c):
+                if total.add(term[lo + item] + 1, x, z, c):
                     merge()
         except BudgetError as exc:  # an item's own (a merge's has no item): name its term
             if not hasattr(exc, "item"):
                 raise
-            j = int(chunk[exc.item])
+            j = int(term[lo + exc.item])
             raise BudgetError(f"term {j + 1} ({h.term(j)}): {exc}") from exc
         finally:  # the terms before a failing one are merged, and checked, first
             merge()
@@ -419,15 +424,19 @@ def transform_single_two_codes(
     encoding; creators do the reverse. The projector and parity functions
     therefore come from the incoming sector's code while the update pattern
     re-encodes through the outgoing code: the map runs on the code of the
-    outgoing encode and the incoming decode.
+    outgoing encode and the incoming decode, on one item: the signs below j,
+    the projector onto mode j's start and the update at ``q = 1 << (j - 1)``.
     """
     if code_even.n_qubits != code_odd.n_qubits or code_even.n_modes != code_odd.n_modes:
         raise DimensionError("sector codes must share mode and qubit counts")
+    if not 1 <= j <= code_even.n_modes:
+        raise DimensionError(f"mode {j} outside 1..{code_even.n_modes}")
     incoming, outgoing = (code_odd, code_even) if dagger else (code_even, code_odd)
-    # The q form even where the outgoing encode is linear: e_out(d_in(w)) != w.
+    # The update even where the outgoing encode is linear: e_out(d_in(w)) != w.
     code = Code(incoming.n_modes, incoming.n_qubits, outgoing.encode, incoming.decode)
-    *packed, _ = FermionHamiltonian(code.n_modes, (FermionTerm.of(1, (j, dagger)),)).packed
-    return _operator(code.n_qubits, _expand(code, _items(code, packed, q_form=True), budget))
+    projector = (j - 1, 0.5, 0.5 if dagger else -0.5)
+    item = _item(code.n_qubits, range(j - 1), [projector], q=1 << (j - 1))
+    return _operator(code.n_qubits, _expand(code, item, budget))
 
 
 # -- reordering and segment dressing --------------------------------------------
@@ -500,7 +509,7 @@ def adjust_for_segments(
     right factor; for g < 0 the projector for -g is a left factor, so a term
     and its adjoint stay adjoint; a term with |g| > K drops out. On states
     with at most K particles per segment the dressed term acts as the term
-    with overfilled outputs removed.
+    with overfilled outputs removed. Segment modes must lie within 1..N.
 
     The dressed terms are counted before each term's product is built; a
     running total over ``budget`` (default ``DEFAULT_BUDGET``) raises
@@ -509,6 +518,8 @@ def adjust_for_segments(
     seg_of: dict[int, int] = {}
     for idx, seg in enumerate(segments):
         for m in seg:
+            if not 1 <= m <= h.n_modes:
+                raise DimensionError(f"segment mode {m} outside the Hamiltonian's 1..{h.n_modes}")
             if m in seg_of:
                 raise DimensionError(f"mode {m} assigned to two segments")
             seg_of[m] = idx

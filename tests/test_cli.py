@@ -458,6 +458,19 @@ class TestExitCodes:
         assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:4"]) == 0
         assert main(["transform", "--hamiltonian", str(path), "--code", "jordan_wigner:1"]) == 2
 
+    @pytest.mark.parametrize("command", ["transform", "verify"])
+    @pytest.mark.parametrize("adjust", [[], ["--no-adjust"]])
+    def test_mode_count_mismatch_is_named_with_or_without_dressing(
+        self, tmp_path, capsys, command, adjust
+    ):
+        # An 18-mode file and a 20-mode segment code: the counts are named,
+        # not a mode of the code's segments that the file never uses.
+        path = tmp_path / "h.txt"
+        path.write_text("# modes: 18\n-1 0 : +15 -16\n-1 0 : +16 -15\n")
+        argv = [command, "--hamiltonian", str(path), "--code", "segment:2:4", *adjust]
+        assert main(argv + (["--basis", "1-18:2"] if command == "verify" else [])) == 2
+        assert capsys.readouterr().err == "input error: Hamiltonian has 18 modes, code encodes 20\n"
+
     def test_mode_over_the_header_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "h.txt"
         path.write_text("# modes: 3\n1 0 : +1 -1\n1 0 : +5 -2\n")

@@ -33,7 +33,6 @@ from fermicode.fock_oracle import (
     _pack_strings,
     _int_items,
     _string_columns,
-    _term_columns,
     apply_fermion_term,
     apply_hamiltonian_fock,
     apply_qubit_operator,
@@ -184,7 +183,7 @@ def ladder_items(rng, n):
         terms.append(FermionTerm(c, ops))
         if rng.random() < 0.3:  # same target, amplitudes that cancel
             terms.append(FermionTerm(-c, ops))
-    items = _int_items(_term_columns(FermionHamiltonian(n, terms)))
+    items = _int_items(FermionHamiltonian(n, terms).packed)
     states = [rng.getrandbits(n) for _ in range(12)]
     # states each of some items acts on, other bits random
     states += [want | (rng.getrandbits(n) & ~care) for _, _, care, want, _ in items[:12]]
@@ -305,7 +304,7 @@ class TestPlan:
         # 45 distinct low halves, 10 distinct high halves
         basis = enumerate_basis(parse_basis_spec("1-10:2;11-20:1", 20))
         words = _words([nu.value for nu in basis], 20)
-        sides = [(_int_items(_term_columns(h)), words, 20),
+        sides = [(_int_items(h.packed), words, 20),
                  (_pack_strings(hq), code.encode_words(words), code.n_qubits)]
         chosen = set()
         for items, w, n in sides:
@@ -532,7 +531,7 @@ class TestEquivalence:
         )
         hq = transform_hamiltonian(code, adjust_for_segments(h, code.segments, 1))
         basis = enumerate_basis(BasisSpec(6, ((1, 2, 3), (4, 5, 6)), ((1, 2), (0,))))
-        items = _int_items(_term_columns(h))
+        items = _int_items(h.packed)
         assert all(
             code.in_basis(BitVec.from_int(k, 6)) for nu in basis for k in _image(nu.value, items)
         )
@@ -598,7 +597,7 @@ class TestEquivalence:
         basis = enumerate_basis(BasisSpec(n, suits, ((0,), (1,), (1,), (1,), (0,))))
         report = verify_equivalence(code, h, QubitOperator.zero(code.n_qubits), basis)
         assert (report.status, len(report.failures)) == ("incompatible", len(basis))
-        items = _int_items(_term_columns(h))
+        items = _int_items(h.packed)
         unsorted = 0
         for nu, f in zip(basis, report.failures):
             image = _image(nu.value, items)

@@ -3,7 +3,7 @@ packs every ladder product at once, and the one pack a Hamiltonian shares
 between the map and the oracle.
 
 ``pack_terms`` is checked against ``helpers.reference_pack``, the walk it
-replaced, item by item: the four masks, the live mask and the ``repr`` of
+replaced, item by item: the four masks, the term index and the ``repr`` of
 every coefficient, signed zeros included. ``parse_fermion_file`` is checked
 against itself with its fast pass switched off (``_TERM`` matching
 nothing), so that every line goes through the per-line code: both give the
@@ -51,10 +51,10 @@ def hamiltonians(draw):
 
 
 def assert_packs_as_the_reference(h):
-    flip, z, care, want, c, live = pack_terms(h)
+    flip, z, care, want, c, term = pack_terms(h)
     ref = list(reference_pack(h.terms))
-    assert live.tolist() == [item is not None for item in ref]
-    got = zip(*map(_ints, (flip[live], z[live], care[live], want[live])), c[live].tolist())
+    assert term.tolist() == [i for i, item in enumerate(ref) if item is not None]
+    got = zip(*map(_ints, (flip, z, care, want)), c.tolist())
     assert [(*masks, repr(v)) for *masks, v in got] == [
         (*item[:4], repr(item[4])) for item in ref if item is not None
     ]
@@ -78,7 +78,7 @@ def test_pack_of_vanishing_products_scalars_and_empty(n):
     ]
     h = FermionHamiltonian(n, terms)
     assert_packs_as_the_reference(h)
-    assert pack_terms(h)[5].tolist() == [False, False, True, True, True]
+    assert pack_terms(h)[5].tolist() == [2, 3, 4]
     empty = FermionHamiltonian(n, ())
     assert_packs_as_the_reference(empty)
     assert [column.shape[0] for column in pack_terms(empty)] == [0] * 6

@@ -13,6 +13,11 @@ Only ``PauliString``'s own methods read the per-string key ``_sort_key``
 (or ``sort_key``): an operator orders its strings on its columns
 (``pauli._order``), so no reader of an operator falls back to one Python
 key per string.
+
+A ``FermionHamiltonian`` or a ``QubitOperator`` is created without
+``__init__`` (``object.__new__``) only by that class's own methods, which
+hold its fields read-only, so no module builds one that could change
+behind its caches.
 """
 
 import ast
@@ -156,4 +161,57 @@ def test_the_sort_key_detector_finds_uses_outside_pauli_string_methods():
 def test_only_pauli_string_methods_read_the_per_string_key():
     paths = sorted(SOURCES.glob("*.py"))
     found = [f"{path.name}:{line}" for path in paths for line in _sort_key_uses(path.read_text())]
+    assert paths and found == []
+
+
+FROZEN = ("FermionHamiltonian", "QubitOperator")
+
+
+def _bare_constructions(source: str) -> list[int]:
+    """Lines of ``__new__`` calls (``object.__new__(C)``, ``C.__new__(C)``)
+    whose first argument names a class in ``FROZEN``, outside that class's
+    own methods; there ``object.__new__(cls)`` builds its own instances."""
+    tree = ast.parse(source)
+    owner = {
+        id(node): cls.name
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name in FROZEN
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr == "__new__" and node.args
+        ):
+            arg = node.args[0]
+            name = arg.id if isinstance(arg, ast.Name) else getattr(arg, "attr", None)
+            if name in FROZEN and owner.get(id(node)) != name:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_construction_detector_finds_bare_instances_outside_their_class():
+    source = "\n".join([
+        "class FermionHamiltonian:",
+        "    @classmethod",
+        "    def _of(cls, n):",
+        "        h = object.__new__(cls)",
+        "        return object.__new__(FermionHamiltonian)",
+        "class QubitOperator:",
+        "    def copy(self):",
+        "        return object.__new__(FermionHamiltonian)",
+        "def parse(text):",
+        "    h = object.__new__(FermionHamiltonian)",
+        "    op = QubitOperator.__new__(QubitOperator)",
+        "    s = tuple.__new__(PauliString, (1, 0, 0))",
+        "    return object.__new__(transform.QubitOperator)",
+        "class Other:",
+        "    def make(cls): return object.__new__(cls)",
+    ])
+    assert _bare_constructions(source) == [8, 10, 11, 13]
+
+
+def test_only_their_own_methods_build_hamiltonians_and_operators_bare():
+    paths = sorted(SOURCES.glob("*.py"))
+    found = [f"{path.name}:{n}" for path in paths for n in _bare_constructions(path.read_text())]
     assert paths and found == []

@@ -699,6 +699,16 @@ class TestSegmentAdjustment:
             adjust_for_segments(hop, self.SEGMENTS, 2).terms
         )
 
+    def test_segment_mode_outside_the_hamiltonian_is_named(self):
+        # Hubbard 1x12 has 24 modes; segment:2:3+segment:2:3 has segments up to mode 30.
+        h = hubbard_hamiltonian(1, 12, 1.0, 1.0)
+        code = load_code("segment:2:3+segment:2:3")
+        message = r"^segment mode 25 outside the Hamiltonian's 1\.\.24$"
+        with pytest.raises(DimensionError, match=message):
+            adjust_for_segments(h, code.segments, code.segment_weight)
+        with pytest.raises(DimensionError, match=r"^segment mode 0 outside"):
+            adjust_for_segments(h, ((0, 1),), 1)
+
 
 def _adjoint(term):
     return FermionTerm.of(term.coeff.conjugate(), *((m, not d) for m, d in reversed(term.ops)))

@@ -3,6 +3,11 @@
 ``BitVec``, ``BitMat``, ``BoolPoly`` and ``PauliString`` are immutable, and
 their hashes are those of their field tuples: set iteration order, and with
 it every serialized byte, depends on those hash values.
+
+``FermionHamiltonian`` and ``QubitOperator`` cache what they derive (the
+packed items, the operator's terms or columns), so neither can be changed
+in place: their columns are read-only arrays, an operator's ``terms`` a
+read-only view, and their attributes cannot be assigned.
 """
 
 import itertools
@@ -10,7 +15,9 @@ import itertools
 import pytest
 
 from fermicode.bitmath import BitMat, BitVec, BoolPoly
-from fermicode.pauli import PauliString
+from fermicode.codes import jordan_wigner
+from fermicode.pauli import PauliString, QubitOperator
+from fermicode.transform import FermionHamiltonian, parse_fermion_file, transform_hamiltonian
 
 
 def _samples():
@@ -67,3 +74,42 @@ def test_bitmat_equality_follows_rows_and_columns():
     assert m != BitMat.from_int_rows([1, 2], 3)
     assert m != BitMat.from_int_rows([1, 2, 0], 2)
     assert m != BitMat.from_int_rows([2, 1], 2)
+
+
+HOPS = "1 0 : +1 -2\n1 0 : +2 -1\n"
+
+
+@pytest.mark.parametrize("source", ["parsed", "terms"])
+def test_a_hamiltonian_cannot_change_behind_its_caches(source):
+    h = parse_fermion_file(HOPS)
+    h = FermionHamiltonian(2, h.terms) if source == "terms" else h
+    mapped = transform_hamiltonian(jordan_wigner(2), h).serialize()
+    for column in (h.coeff, h.ops, *h.packed):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 5
+    for name in ("coeff", "ops", "packed", "terms", "n_modes", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, None)
+    assert [h.term(0).coeff, h.terms[0].coeff, h.coeff[0]] == [1, 1, 1]
+    assert transform_hamiltonian(jordan_wigner(2), h).serialize() == mapped
+
+
+@pytest.mark.parametrize("source", ["mapped", "dict"])
+def test_an_operator_cannot_change_behind_its_caches(source):
+    if source == "mapped":
+        op = transform_hamiltonian(jordan_wigner(2), parse_fermion_file(HOPS))
+    else:
+        op = QubitOperator(2, {PauliString(2, {1: "X"}): 1.0})
+    text, z1 = op.serialize(), PauliString(2, {1: "Z"})
+    for s in (next(iter(op.terms)), z1):
+        with pytest.raises(TypeError):
+            op.terms[s] = 9.0
+    with pytest.raises(TypeError):
+        del op.terms[next(iter(op.terms))]
+    for column in op.columns:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    for name in ("terms", "columns", "n", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(op, name, None)
+    assert op.serialize() == text and op.coefficient(z1) == 0

@@ -164,14 +164,8 @@ class Code:
     def encode_columns(self) -> tuple[int, ...]:
         """Entry ``j - 1`` is the qubit mask of the encode components whose
         linear part reads mode j: column j of a linear encoding's matrix A."""
-        columns = [0] * self.n_modes
-        for i, p in enumerate(self.encode):
-            mask = p.split()[0]
-            while mask:
-                low = mask & -mask
-                columns[low.bit_length() - 1] |= 1 << i
-                mask ^= low
-        return tuple(columns)
+        rows = BitMat.from_int_rows([p.split()[0] for p in self.encode], self.n_modes)
+        return rows.transpose().packed
 
     @cached_property
     def decode_split(self) -> tuple[tuple[int, int, int, frozenset], ...]:

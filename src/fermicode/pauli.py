@@ -182,15 +182,15 @@ class QubitOperator:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _of(cls, n, eps, terms=None, columns=None) -> "QubitOperator":
-        """Operator of a pruned dict or of pruned ``(x, z, c)`` columns on distinct strings."""
+    def _of(cls, n, eps, columns) -> "QubitOperator":
+        """Operator of pruned ``(x, z, c)`` columns on distinct strings (a dict: ``__init__``)."""
         op = object.__new__(cls)
-        op._hold(n, eps, terms, columns)
+        op._hold(n, eps, None, columns)
         return op
 
     @classmethod
     def zero(cls, n: int) -> "QubitOperator":
-        return cls._of(n, DEFAULT_PRUNE, {})
+        return cls(n)
 
     @classmethod
     def identity(cls, n: int, coeff: complex = 1.0) -> "QubitOperator":
@@ -249,25 +249,16 @@ class QubitOperator:
         eps = min(self.prune_epsilon, other.prune_epsilon)
         out = dict(self.terms)
         for s, c in other.terms.items():
-            v = out.get(s, 0.0) + c
-            if abs(v) > eps:
-                out[s] = v
-            else:
-                out.pop(s, None)
-        return QubitOperator._of(self.n, eps, out)
+            out[s] = out.get(s, 0.0) + c
+        return QubitOperator(self.n, out, eps)
 
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "QubitOperator":
         if isinstance(scalar, (int, float, complex)):
-            eps = self.prune_epsilon
-            out = {}
-            for s, c in self.terms.items():
-                v = scalar * c
-                if abs(v) > eps:
-                    out[s] = v
-            return QubitOperator._of(self.n, eps, out)
+            out = {s: scalar * c for s, c in self.terms.items()}
+            return QubitOperator(self.n, out, self.prune_epsilon)
         return NotImplemented
 
     def mul(self, other: "QubitOperator", budget: int = DEFAULT_BUDGET) -> "QubitOperator":
@@ -281,8 +272,8 @@ class QubitOperator:
                 acc[x, z] = acc.get((x, z), 0.0) + c1 * c2 * _PHASES[k]
             if len(acc) > budget:  # checked per row, before the rest is formed
                 raise BudgetError(f"operator product has {len(acc)} terms, budget {budget}")
-        kept = {PauliString.from_masks(self.n, *s): c for s, c in acc.items() if abs(c) > eps}
-        return QubitOperator._of(self.n, eps, kept)
+        out = {PauliString.from_masks(self.n, *s): c for s, c in acc.items()}
+        return QubitOperator(self.n, out, eps)
 
     def __mul__(self, other):
         if isinstance(other, QubitOperator):
@@ -740,7 +731,7 @@ def _operator(n: int, parts) -> QubitOperator:
     """The operator holding ``_expand``'s columns ``(item, x, z, c)`` on distinct strings."""
     empty = np.zeros((0, max(1, -(-n // 64))), dtype=np.uint64)
     columns = [(empty, empty, np.zeros(0, dtype=complex))] + [part[1:] for part in parts]
-    return QubitOperator._of(n, DEFAULT_PRUNE, columns=tuple(map(np.concatenate, zip(*columns))))
+    return QubitOperator._of(n, DEFAULT_PRUNE, tuple(map(np.concatenate, zip(*columns))))
 
 
 def _chunked(rows: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -817,9 +808,9 @@ def expand(n: int, factors: Factors, flips: Flips, budget: int = DEFAULT_BUDGET)
     return _operator(n, _expand(code, items, budget))
 
 
-def extract(f: BoolPoly, n: int | None = None, budget: int = DEFAULT_BUDGET) -> QubitOperator:
+def extract(f: BoolPoly, budget: int = DEFAULT_BUDGET) -> QubitOperator:
     """Diagonal operator with eigenvalue ``(-1)**f(w)`` on basis state ``|w>``."""
-    return expand(f.num_vars if n is None else n, [(f, 0, 1)], 0, budget)
+    return expand(f.num_vars, [(f, 0, 1)], 0, budget)
 
 
 def cphase_expand(indices: Iterable[int], n: int) -> QubitOperator:

@@ -129,11 +129,12 @@ class FermionHamiltonian:
             other.n_modes, other.terms)
 
 
-def _merged(n_modes: int, terms: Iterable[FermionTerm]) -> FermionHamiltonian:
-    """``terms`` with identical operator sequences combined and vanished ones dropped."""
+def _merged(n_modes: int, pairs: Iterable[tuple[complex, tuple]]) -> FermionHamiltonian:
+    """The ``(coeff, ops)`` pairs with identical operator sequences combined and
+    vanished ones dropped, one ``FermionTerm`` per merged term."""
     acc: dict[tuple, complex] = {}
-    for t in terms:
-        acc[t.ops] = acc.get(t.ops, 0.0) + t.coeff
+    for c, ops in pairs:
+        acc[ops] = acc.get(ops, 0.0) + c
     return FermionHamiltonian(n_modes, (FermionTerm(c, o) for o, c in acc.items() if abs(c) > 0))
 
 
@@ -263,7 +264,7 @@ def format_fermion_file(h: FermionHamiltonian) -> str:
 def parity_function(code: Code, j: int) -> BoolPoly:
     """Mod-2 sum of the decode components below mode j."""
     if not 1 <= j <= code.n_modes:
-        raise IndexError(f"mode {j} outside 1..{code.n_modes}")
+        raise DimensionError(f"mode {j} outside 1..{code.n_modes}")
     return poly_sum(code.decode[: j - 1], code.n_qubits)
 
 
@@ -393,7 +394,7 @@ def _linear_masks(code: Code, j: int) -> tuple[int, int, int]:
     if code.matrix is None:
         raise UnsupportedCodeError("parity/flip/update sets need a linear n = N code")
     if not 1 <= j <= code.n_modes:
-        raise IndexError(f"mode {j} outside 1..{code.n_modes}")
+        raise DimensionError(f"mode {j} outside 1..{code.n_modes}")
     split, parity = code.decode_split, 0
     for z, _, _, _ in split[: j - 1]:
         parity ^= z
@@ -450,7 +451,7 @@ def normal_order_blocks(h: FermionHamiltonian) -> FermionHamiltonian:
     operators and may leave pure scalars. Requires particle-conserving
     terms (equal creation and annihilation counts).
     """
-    out: list[FermionTerm] = []
+    out: list[tuple[complex, tuple]] = []
     for term in h.terms:
         daggers = sum(1 for _, d in term.ops if d)
         if 2 * daggers != len(term.ops):
@@ -464,7 +465,7 @@ def normal_order_blocks(h: FermionHamiltonian) -> FermionHamiltonian:
                 (idx for idx, (_, d) in enumerate(ops) if d != (idx % 2 == 0)), None
             )
             if pos is None:
-                out.append(FermionTerm(coeff, tuple(ops)))
+                out.append((coeff, tuple(ops)))
                 continue
             want = pos % 2 == 0
             k = max(idx for idx in range(pos + 1, len(ops)) if ops[idx][1] == want)
@@ -523,7 +524,7 @@ def adjust_for_segments(
             if m in seg_of:
                 raise DimensionError(f"mode {m} assigned to two segments")
             seg_of[m] = idx
-    out: list[FermionTerm] = []
+    out: list[tuple[complex, tuple]] = []
     for index, term in enumerate(h.terms, start=1):
         gains = [0] * len(segments)
         for m, dagger in term.ops:
@@ -545,5 +546,5 @@ def adjust_for_segments(
         dressed = [(1.0, ())]
         for factor in factors:
             dressed = [(c * cf, o + of) for c, o in dressed for cf, of in factor]
-        out += (FermionTerm(c, ops) for c, ops in dressed)
+        out += dressed
     return _merged(h.n_modes, out)

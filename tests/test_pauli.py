@@ -62,6 +62,33 @@ class TestOperatorAlgebra:
         h = QubitOperator(2, {PauliString(2, {1: "X"}): 1.0, PauliString(2, {2: "Z"}): 0.5})
         assert (h + (-1.0) * h).is_zero()
 
+    def test_sum_prunes_at_the_smaller_epsilon_in_first_appearance_order(self):
+        x1, y1, z1 = (PauliString(2, {1: letter}) for letter in "XYZ")
+        z2, y2 = PauliString(2, {2: "Z"}), PauliString(2, {2: "Y"})
+        a = QubitOperator(2, {x1: 1.0, z2: 0.5, y1: 2.0})
+        b = QubitOperator(2, {z1: 1e-13, x1: -1.0, y2: 3.0}, prune_epsilon=0.0)
+        assert b.coefficient(z1) == 1e-13  # kept at prune_epsilon=0.0
+        # At min(eps) = 0.0 only the exact cancellation on X1 goes.
+        assert list((a + b).terms) == [z2, y1, z1, y2]
+        assert list((b + a).terms) == [z1, y2, z2, y1]
+        assert (a + b).prune_epsilon == 0.0
+        # At the default, a sum of about 1e-13 goes too.
+        assert list((a + QubitOperator(2, {z2: -0.5 + 1e-13})).terms) == [x1, y1]
+        # A sum equal to eps goes: the bound is "at most".
+        one = QubitOperator(1, {PauliString(1, {1: "Z"}): 1.0}, prune_epsilon=0.25)
+        assert (one + QubitOperator(1, {PauliString(1, {1: "Z"}): -0.75}, 0.5)).is_zero()
+
+    def test_scaling_and_cancelling_sums_leave_no_terms(self):
+        a = QubitOperator(2, {PauliString(2, {1: "X"}): 1.0, PauliString(2, {2: "Y"}): 0.5j})
+        assert ((0 * a).num_terms, (a + (-1.0) * a).num_terms, (a - a).num_terms) == (0, 0, 0)
+        assert (0 * a).prune_epsilon == a.prune_epsilon
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12])
+    def test_product_drops_cancelling_strings(self, eps):
+        # (X + Z)**2 = 2 I + XZ + ZX, and XZ = -iY cancels ZX = iY.
+        s = QubitOperator(1, {PauliString(1, {1: "X"}): 1.0, PauliString(1, {1: "Z"}): 1.0}, eps)
+        assert dict(s.mul(s).terms) == {PauliString.identity(1): 2.0}
+
     def test_projector_idempotent(self):
         p = QubitOperator.identity(1, 0.5) + QubitOperator.z_string(1, 1, -0.5)
         assert (p * p).isclose(p, 1e-12)

@@ -18,6 +18,12 @@ A ``FermionHamiltonian`` or a ``QubitOperator`` is created without
 ``__init__`` (``object.__new__``) only by that class's own methods, which
 hold its fields read-only, so no module builds one that could change
 behind its caches.
+
+A ``FermionTerm`` is built by name only in ``FermionHamiltonian.term``
+(a term read from the columns) and in ``_merged`` (one per merged term of a
+derived Hamiltonian); ``FermionTerm.of`` builds through ``cls``. Normal
+ordering and dressing collect plain ``(coeff, ops)`` pairs, so they build
+no term that the merge throws away.
 """
 
 import ast
@@ -214,4 +220,50 @@ def test_the_construction_detector_finds_bare_instances_outside_their_class():
 def test_only_their_own_methods_build_hamiltonians_and_operators_bare():
     paths = sorted(SOURCES.glob("*.py"))
     found = [f"{path.name}:{n}" for path in paths for n in _bare_constructions(path.read_text())]
+    assert paths and found == []
+
+
+TERM_BUILDERS = ("FermionHamiltonian.term", "_merged")
+
+
+def _term_constructions(source: str) -> list[int]:
+    """Lines of calls of the name ``FermionTerm`` outside the functions in
+    ``TERM_BUILDERS``, named ``Class.method`` or as module-level functions."""
+    tree = ast.parse(source)
+    named = [(top.name, top) for top in tree.body if isinstance(top, ast.FunctionDef)] + [
+        (f"{cls.name}.{fn.name}", fn)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+    ]
+    inside = {id(node) for name, fn in named if name in TERM_BUILDERS for node in ast.walk(fn)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside
+        and isinstance(node.func, ast.Name) and node.func.id == "FermionTerm"
+    )
+
+
+def test_the_term_detector_finds_constructions_outside_the_builders():
+    source = "\n".join([
+        "class FermionTerm:",
+        "    @classmethod",
+        "    def of(cls, c, *ops): return cls(c, ops)",
+        "class FermionHamiltonian:",
+        "    def term(self, i): return FermionTerm(self.coeff[i], ())",
+        "    def terms(self): return [FermionTerm(c, ()) for c in self.coeff]",
+        "def _merged(n, pairs):",
+        "    return [FermionTerm(c, o) for c, o in pairs]",
+        "def normal_order_blocks(h):",
+        "    out = [FermionTerm(1.0, ())]",
+        "    return FermionTerm.of(1.0), isinstance(out[0], FermionTerm)",
+        "def term(i): return FermionTerm(1.0, ())",
+        "t = FermionTerm(2.0, ())",
+    ])
+    assert _term_constructions(source) == [6, 10, 12, 13]
+
+
+def test_only_the_column_reader_and_the_merge_build_fermion_terms():
+    paths = sorted(SOURCES.glob("*.py"))
+    found = [f"{path.name}:{n}" for path in paths for n in _term_constructions(path.read_text())]
     assert paths and found == []

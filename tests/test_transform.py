@@ -88,6 +88,10 @@ class TestParityFunction:
         zeros = replace(jw, decode=tuple(BoolPoly.zero(4) for _ in range(4)))
         assert parity_function(zeros, 3).is_zero()
 
+    def test_mode_out_of_range_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match=r"^mode 5 outside 1\.\.4$"):
+            parity_function(jordan_wigner(4), 5)
+
 
 class TestUpdateOperator:
     def test_jw_constant(self):
@@ -396,7 +400,7 @@ class TestLinearSets:
                     parity_function(code, j).support(), n).ones())
                 assert s.flip_set == frozenset(code.matrix_inv.row(j).ones())
                 assert s.update_set == frozenset(code.matrix.col(j).ones())
-        with pytest.raises(IndexError, match=r"^mode 0 outside 1\.\.4$"):
+        with pytest.raises(DimensionError, match=r"^mode 0 outside 1\.\.4$"):
             linear_sets(jordan_wigner(4), 0)
 
     def test_requires_linear_code(self):
@@ -413,6 +417,10 @@ class TestLinearSets:
 
 
 class TestLinearFastPath:
+    def test_mode_out_of_range_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match=r"^mode 7 outside 1\.\.4$"):
+            transform_op_linear(jordan_wigner(4), 7, True)
+
     def test_jw_creation_formula(self):
         jw = jordan_wigner(3)
         op = transform_op_linear(jw, 2, dagger=True)
@@ -602,6 +610,24 @@ class TestNormalOrdering:
         with pytest.raises(UnsupportedCodeError):
             normal_order_blocks(h)
 
+    def test_each_merged_term_is_built_once(self, monkeypatch):
+        h = hubbard_hamiltonian(2, 5)
+        built = _counting_terms(monkeypatch)
+        blocked = normal_order_blocks(h)
+        assert (len(built), len(blocked.terms)) == (70, 70)
+
+
+def _counting_terms(monkeypatch) -> list:
+    """A list that grows by one at each ``FermionTerm.__init__`` call from now on."""
+    built, real = [], FermionTerm.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(FermionTerm, "__init__", counting)
+    return built
+
 
 class TestSegmentAdjustment:
     SEGMENTS = ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10))
@@ -698,6 +724,13 @@ class TestSegmentAdjustment:
         assert adjust_for_segments(h, self.SEGMENTS, 2).terms == (
             adjust_for_segments(hop, self.SEGMENTS, 2).terms
         )
+
+    def test_each_dressed_term_is_built_once(self, monkeypatch):
+        h = hubbard_hamiltonian(2, 5)
+        code = load_code("segment:2:2+segment:2:2")
+        built = _counting_terms(monkeypatch)
+        dressed = adjust_for_segments(h, code.segments, code.segment_weight)
+        assert (len(built), len(dressed.terms)) == (2470, 2470)
 
     def test_segment_mode_outside_the_hamiltonian_is_named(self):
         # Hubbard 1x12 has 24 modes; segment:2:3+segment:2:3 has segments up to mode 30.
